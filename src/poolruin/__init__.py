@@ -18,16 +18,14 @@ from .ladder import (
     GenericLadderSpec,
     TransformJet,
     atom_at_zero,
+    engine,
     generic_spec_from_drift,
-    pi_drift,
     pi_generic,
     pi_jet,
-    pi_levy,
     pi_max,
     ruin_transform,
 )
 from .model import (
-    KilledRates,
     LevyRegime,
     ModelSpec,
     brownian_drift,
@@ -37,8 +35,6 @@ from .model import (
     is_drift_model,
     laplace_exponent,
     subordinator,
-    subordinator_max_factor,
-    wiener_hopf_factor,
 )
 from .overshoot import (
     OvershootTable,

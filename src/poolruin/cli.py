@@ -8,7 +8,9 @@ curves over the reserve with every applicable route in its own column;
 ``simulate`` runs the Monte Carlo engine and prints a JSON summary.
 
 Every command is deterministic given (config, flags, seed).  Exit codes:
-0 success, 2 configuration error, 3 numerical failure.
+0 success, 2 configuration error, 3 numerical failure, and 141 (128 +
+SIGPIPE, as a shell reports a command stopped by a closed pipe) when the
+reader closes stdout early, as ``| head`` does; that case prints nothing.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import os
 import sys
 
 from . import heavy_tail, inversion, ladder, overshoot, phase_type, simulate
@@ -35,6 +39,8 @@ def _grid(text: str, what: str):
         raise ConfigError(f"invalid {what} grid: {text!r}")
     if not values:
         raise ConfigError(f"empty {what} grid")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"non-finite value in {what} grid: {text!r}")
     return values
 
 
@@ -42,6 +48,8 @@ def _require_beta(args, default_beta):
     beta = args.beta if args.beta is not None else default_beta
     if beta is None:
         raise ConfigError("no killing rate: set beta in the config or pass --beta")
+    if not math.isfinite(beta):
+        raise ConfigError(f"beta must be finite, got {beta}")
     return beta
 
 
@@ -53,12 +61,13 @@ def cmd_transform(args) -> int:
     model, default_beta = load_model(args.config)
     beta = _require_beta(args, default_beta)
     alphas = _grid(args.alpha_grid, "alpha")
+    engine = ladder.engine(model, beta, model.m)
     table = overshoot.OvershootTable(model, beta) if is_drift_model(model) else None
     out = _open_out(args)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["alpha", "pi_ladder", "pi_overshoot", "abs_diff"])
     for a in alphas:
-        pi = ladder.pi_max(model, beta, model.m, a)
+        pi = engine.value(a)
         if table is not None:
             po = table.pi_via_ladders(a)
             writer.writerow([_fmt(a), _fmt(pi), _fmt(po), _fmt(abs(pi - po))])
@@ -210,7 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # keep the interpreter's own flush at exit from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

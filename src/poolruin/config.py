@@ -13,11 +13,14 @@ A config is one JSON document:
 Claim tags: exp {mu}, erlang {k, mu}, ph {delta, delta_abs, S}, lomax
 {c, eps}, point {b}.  Regime tags: drift {r}, bm {r, sigma2}, cp {r,
 sigma2, rate, jump: <claim spec>}, sub {r, rate, jump: <claim spec>}.
+Numbers must be finite: ``NaN`` and ``Infinity``, which Python's ``json``
+accepts, are rejected, as are literals that overflow to infinity.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +46,8 @@ def _num(body, key, where, positive=False, nonneg=False):
     val = body[key]
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ConfigError(f"{where}.{key}: expected a number")
+    if not math.isfinite(val):
+        raise ConfigError(f"{where}.{key}: must be finite")
     if positive and val <= 0:
         raise ConfigError(f"{where}.{key}: must be positive")
     if nonneg and val < 0:
@@ -126,8 +131,8 @@ def parse_model(doc: dict) -> tuple:
     if not isinstance(rates, list) or len(rates) != m:
         raise ConfigError(f"lambda_circ: expected an array of {m} rates")
     for i, rate in enumerate(rates):
-        if not isinstance(rate, (int, float)) or rate <= 0:
-            raise ConfigError(f"lambda_circ[{i}]: must be a positive number")
+        if not isinstance(rate, (int, float)) or not 0 < rate < math.inf:
+            raise ConfigError(f"lambda_circ[{i}]: must be a positive finite number")
     claim_nodes = doc.get("claims")
     if not isinstance(claim_nodes, list) or len(claim_nodes) != m:
         raise ConfigError(f"claims: expected an array of {m} distribution specs")
@@ -136,9 +141,11 @@ def parse_model(doc: dict) -> tuple:
         raise ConfigError(f"regimes: expected an array of {m + 1} regime specs")
     beta = doc.get("beta")
     if beta is not None and (
-        not isinstance(beta, (int, float)) or isinstance(beta, bool) or beta < 0
+        not isinstance(beta, (int, float))
+        or isinstance(beta, bool)
+        or not 0 <= beta < math.inf
     ):
-        raise ConfigError("beta: must be a nonnegative number")
+        raise ConfigError("beta: must be a nonnegative finite number")
     spec = md.ModelSpec(
         m=m,
         lambda_circ=tuple(float(r) for r in rates),
@@ -154,8 +161,12 @@ def parse_model(doc: dict) -> tuple:
 
 def load_model(path) -> tuple:
     path = Path(path)
+
+    def reject_constant(name):
+        raise ConfigError(f"{path}: non-finite number {name} is not allowed")
+
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(), parse_constant=reject_constant)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ladder import pi_jet, ruin_transform
+from .ladder import engine, pi_jet, ruin_transform
 from .model import ModelSpec
 
 _LN2 = math.log(2.0)
@@ -125,11 +125,12 @@ def ruin_curve(
     the raw inversion overshoots beyond numerical tolerance."""
     if model.m == 0:
         return np.zeros(len(u_grid))
+    eng = engine(model, beta, model.m)
     out = np.empty(len(u_grid))
     for i, u in enumerate(u_grid):
         if u < 0:
             raise ValueError("reserve levels must be nonnegative")
-        raw = invert(lambda a: ruin_transform(model, beta, model.m, a), u, plan)
+        raw = invert(lambda a: ruin_transform(eng, a), u, plan)
         if raw < -1e-6 or raw > 1.0 + 1e-6:
             warnings.warn(
                 f"inverted ruin probability {raw} at u={u} clamped to [0, 1]",

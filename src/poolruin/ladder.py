@@ -15,11 +15,12 @@ level, in O(n^2) transform evaluations.  All values are carried as truncated
 Taylor expansions so the singular branches and the moment jets fall out of
 the same code path.
 
-Three specializations are provided: the generic recursion over explicit
-(nu, C, p0) data, the drift model (positive pure drifts, where the ladder
-rate is lambda_n / r_n), and the general Levy model where each level is
-additionally multiplied by the killed-maximum factor of its regime and
-subordinator states switch to a division step without a fixed argument.
+Two specializations are provided: the generic recursion over explicit
+(nu, C, p0) data, and the model recursion built by :func:`engine`, which
+takes each level's type from its own regime.  A positive pure drift gives a
+plain ladder level with rate lambda_n / r_n; a flat or nondecreasing regime
+switches to a division step without a fixed argument; any other regime
+multiplies its ladder level by the killed-maximum series of the regime.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from typing import Optional, Sequence
 
 from .errors import KillingRequired, RegimeMismatch
 from .model import (
-    KilledRates,
     ModelSpec,
     exponent_series,
     inverse_exponent,
+    is_drift_model,
     killed_max_series,
 )
 from .seriesops import (
@@ -51,8 +52,7 @@ __all__ = [
     "TransformJet",
     "pi_generic",
     "atom_at_zero",
-    "pi_drift",
-    "pi_levy",
+    "engine",
     "pi_max",
     "ruin_transform",
     "pi_jet",
@@ -124,15 +124,18 @@ class _Recursion:
         return anchors
 
     def series(self, level: int, point: float, order: int) -> Taylor:
-        key = (level, point)
+        # keyed on the exact order: a truncated higher-order expansion can
+        # differ from a direct one, and a value must not depend on which
+        # requests came before it
+        key = (level, point, order)
         hit = self._cache.get(key)
-        if hit is not None and hit.order >= order:
-            return hit.truncate(order)
-        out = self._compute(level, point, order)
-        self._cache[key] = out
-        return out
+        if hit is None:
+            hit = self._cache[key] = self._compute(level, point, order)
+        return hit
 
     def value(self, point: float) -> float:
+        if point < 0:
+            raise ValueError("alpha must be nonnegative")
         return self.series(len(self.levels), point, 0).c[0]
 
     def jet(self, point: float) -> TransformJet:
@@ -226,8 +229,6 @@ def _generic_engine(spec: GenericLadderSpec) -> _Recursion:
 
 def pi_generic(spec: GenericLadderSpec, alpha: float) -> float:
     """Transform of the generic ladder maximum at ``alpha``."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
     return _generic_engine(spec).value(alpha)
 
 
@@ -237,43 +238,10 @@ def atom_at_zero(spec: GenericLadderSpec, k: int) -> float:
         raise ValueError("k must lie in 0..n")
     if k == 0:
         return 1.0
-    engine = _generic_engine(spec)
     nu = spec.nu[k - 1]
     cval = _as_series_fn(spec.c_lsts[k - 1])(nu, 0).c[0]
-    prev = engine.series(k - 1, nu, 0).c[0]
+    prev = _generic_engine(spec).series(k - 1, nu, 0).c[0]
     return spec.p0[k - 1] + (1.0 - spec.p0[k - 1]) * cval * prev
-
-
-def _check_drift_path(model: ModelSpec, n: int) -> None:
-    reg0 = model.regimes[0]
-    if reg0.kind != "drift" or reg0.r < 0:
-        raise RegimeMismatch("state 0 must be a pure drift with r >= 0")
-    for k in range(1, n + 1):
-        reg = model.regimes[k]
-        if reg.kind != "drift" or reg.r <= 0:
-            raise RegimeMismatch(
-                f"state {k} must be a positive pure drift for the drift recursion"
-            )
-
-
-def _drift_engine(model: ModelSpec, beta: float, n: int) -> _Recursion:
-    _check_drift_path(model, n)
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    levels = []
-    for k in range(1, n + 1):
-        lam_circ = model.rate_for_state(k)
-        lam = lam_circ + beta
-        nu = lam / model.regimes[k].r
-        levels.append(
-            _Prop1Level(
-                nu=nu,
-                clst=model.claim_for_state(k).lst_series,
-                p0=beta / lam,
-                w=lam_circ / lam,
-            )
-        )
-    return _Recursion(lambda point, order: Taylor.constant(1.0, order), levels)
 
 
 def generic_spec_from_drift(
@@ -281,7 +249,8 @@ def generic_spec_from_drift(
 ) -> GenericLadderSpec:
     """Generic ladder data realizing the drift model: C_k is the claim
     transform of the next arrival, nu_k = lam_k / r_k, p0_k = beta / lam_k."""
-    _check_drift_path(model, n)
+    if not is_drift_model(model):
+        raise RegimeMismatch("the generic realization needs the drift model")
     nu, cls_, p0 = [], [], []
     for k in range(1, n + 1):
         lam = model.rate_for_state(k) + beta
@@ -291,34 +260,32 @@ def generic_spec_from_drift(
     return GenericLadderSpec(n=n, nu=tuple(nu), c_lsts=tuple(cls_), p0=tuple(p0))
 
 
-def pi_drift(model: ModelSpec, beta: float, n: int, alpha: float) -> float:
-    """Running-maximum transform in the drift model, started with ``n``
-    clients and killed at rate ``beta`` (beta = 0 gives the infinite
-    horizon)."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+def _killed_max(regime, lam: float, psi: Optional[float] = None) -> SeriesFn:
+    return lambda point, order: killed_max_series(regime, point, lam, order, psi)
+
+
+def engine(model: ModelSpec, beta: float, n: int) -> _Recursion:
+    """Evaluator of the running-maximum transform started with ``n`` clients
+    and killed at rate ``beta`` (beta = 0 gives the infinite horizon and
+    needs the drift model).
+
+    One engine serves any number of arguments: its memo is keyed on the
+    exact expansion order, so a value never depends on earlier requests.
+    """
     if not 0 <= n <= model.m:
         raise ValueError("n must lie in 0..m")
-    return _drift_engine(model, beta, n).value(alpha)
-
-
-def _levy_engine(model: ModelSpec, beta: float, n: int) -> _Recursion:
-    if beta <= 0:
-        raise KillingRequired("the general recursion needs beta > 0")
-    kr = KilledRates.from_model(model, beta)
-
-    def lam_of(k: int) -> float:
-        return kr.lam0 if k == 0 else kr.lam[k - 1]
-
-    def post_factory(reg, lam):
-        return lambda point, order: killed_max_series(reg, point, lam, order)
-
+    if beta < 0:
+        raise ValueError("beta must be nonnegative")
+    if beta == 0 and not is_drift_model(model):
+        raise KillingRequired(
+            "beta = 0 (infinite horizon) is only supported in the drift model"
+        )
     levels = []
     for k in range(1, n + 1):
         reg = model.regimes[k]
         lam_circ = model.rate_for_state(k)
-        lam = lam_of(k)
-        claim = model.claim_for_state(k)
+        lam = lam_circ + beta
+        clst = model.claim_for_state(k).lst_series
         if reg.is_subordinator or (reg.kind == "drift" and reg.r == 0.0):
             # flat or nondecreasing path: the segment maximum sits at the
             # segment end, giving a plain division step
@@ -327,62 +294,40 @@ def _levy_engine(model: ModelSpec, beta: float, n: int) -> _Recursion:
                     beta=beta,
                     lam_circ=lam_circ,
                     lam=lam,
-                    clst=claim.lst_series,
+                    clst=clst,
                     phi=lambda point, order, reg=reg: exponent_series(
                         reg, point, order
                     ),
                 )
             )
-        else:
-            nu = inverse_exponent(reg, lam)
-            levels.append(
-                _Prop1Level(
-                    nu=nu,
-                    clst=claim.lst_series,
-                    p0=beta / lam,
-                    w=lam_circ / lam,
-                    post=post_factory(reg, lam),
-                )
+            continue
+        # the ladder rate is psi(lam), the root the killed-maximum series
+        # divides out: solve it once per level
+        nu = inverse_exponent(reg, lam)
+        levels.append(
+            _Prop1Level(
+                nu=nu,
+                clst=clst,
+                p0=beta / lam,
+                w=lam_circ / lam,
+                # a positive pure drift has a zero killed maximum
+                post=None if reg.kind == "drift" else _killed_max(reg, lam, nu),
             )
-    base_reg = model.regimes[0]
-    base = post_factory(base_reg, lam_of(0))
-    return _Recursion(base, levels)
-
-
-def pi_levy(model: ModelSpec, beta: float, n: int, alpha: float) -> float:
-    """Running-maximum transform for general spectrally-positive regimes.
-
-    Each level multiplies the ladder recursion by the killed-maximum factor
-    of its regime; on the drift model this factor is identically one and the
-    result collapses to :func:`pi_drift` exactly.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if not 0 <= n <= model.m:
-        raise ValueError("n must lie in 0..m")
-    return _levy_engine(model, beta, n).value(alpha)
-
-
-def _route_engine(model: ModelSpec, beta: float, n: int) -> _Recursion:
-    try:
-        return _drift_engine(model, beta, n)
-    except RegimeMismatch:
-        return _levy_engine(model, beta, n)
+        )
+    return _Recursion(_killed_max(model.regimes[0], beta), levels)
 
 
 def pi_max(model: ModelSpec, beta: float, n: int, alpha: float) -> float:
-    """Running-maximum transform, choosing the drift or the general route."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    return _route_engine(model, beta, n).value(alpha)
+    """Running-maximum transform at ``alpha`` from a fresh :func:`engine`."""
+    return engine(model, beta, n).value(alpha)
 
 
-def ruin_transform(model: ModelSpec, beta: float, n: int, alpha: float) -> float:
+def ruin_transform(engine: _Recursion, alpha: float) -> float:
     """Laplace transform in the reserve level of the ruin probability,
-    (1 - pi_n(alpha, beta)) / alpha."""
+    (1 - pi_n(alpha, beta)) / alpha, from an engine built by :func:`engine`."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return (1.0 - pi_max(model, beta, n, alpha)) / alpha
+    return (1.0 - engine.value(alpha)) / alpha
 
 
 def pi_jet(model: ModelSpec, beta: float, n: int) -> TransformJet:
@@ -391,6 +336,4 @@ def pi_jet(model: ModelSpec, beta: float, n: int) -> TransformJet:
     The jet is (1, -E max, E max^2): the whole recursion runs in truncated
     Taylor arithmetic, the fixed-argument branch contributing constants only.
     """
-    if not 0 <= n <= model.m:
-        raise ValueError("n must lie in 0..m")
-    return _route_engine(model, beta, n).jet(0.0)
+    return engine(model, beta, n).jet(0.0)

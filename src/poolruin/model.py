@@ -20,10 +20,6 @@ from .claims import ClaimDistribution
 from .errors import NoRoot, NotSubordinator, SubordinatorRegime
 from .seriesops import Taylor, _root_div_order, div_by_linear_root
 
-# Relative half-width of the removable singularity window of the killed-max
-# factor at its critical argument.
-_WH_SINGULAR_RTOL = 1e-8
-
 _PSI_TOL = 1e-12
 
 
@@ -174,41 +170,22 @@ def inverse_exponent(regime: LevyRegime, lam: float) -> float:
     return x
 
 
-def wiener_hopf_factor(regime: LevyRegime, alpha: float, lam: float) -> float:
-    """Transform of the regime maximum over an exponentially killed interval.
-
-    Equals (psi(lam) - a) / (lam - phi(a)) * lam / psi(lam); the removable
-    singularity at a = psi(lam) is evaluated through its analytic limit
-    lam / (psi(lam) phi'(psi(lam))).  Identically one for nonnegative pure
-    drifts, whose killed maximum is zero.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if regime.is_subordinator:
-        raise SubordinatorRegime(
-            "killed maximum of a subordinator has no ladder split; "
-            "use subordinator_max_factor"
-        )
-    if regime.kind == "drift":
-        if regime.r < 0:
-            raise SubordinatorRegime(
-                "negative pure drift must be flagged as a subordinator"
-            )
-        return 1.0
-    if alpha == 0.0:
-        return 1.0
-    psi = inverse_exponent(regime, lam)
-    if abs(alpha - psi) < _WH_SINGULAR_RTOL * max(1.0, psi):
-        return lam / (psi * exponent_derivative(regime, psi))
-    return (psi - alpha) / (lam - laplace_exponent(regime, alpha)) * lam / psi
-
-
 def wiener_hopf_series(
-    regime: LevyRegime, alpha: float, lam: float, order: int
+    regime: LevyRegime,
+    alpha: float,
+    lam: float,
+    order: int,
+    psi: Optional[float] = None,
 ) -> Taylor:
-    """Taylor expansion of the killed-maximum transform around ``alpha``."""
+    """Taylor expansion around ``alpha`` of the transform of the regime
+    maximum over an exponentially killed interval,
+
+        (psi(lam) - a) / (lam - phi(a)) * lam / psi(lam),
+
+    whose removable singularity at a = psi(lam) is divided out.  Identically
+    one for nonnegative pure drifts, whose killed maximum is zero.  ``psi``
+    is the root psi(lam) when the caller already holds it.
+    """
     if regime.is_subordinator:
         raise SubordinatorRegime("use subordinator_max_series")
     if regime.kind == "drift":
@@ -217,7 +194,8 @@ def wiener_hopf_series(
                 "negative pure drift must be flagged as a subordinator"
             )
         return Taylor.constant(1.0, order)
-    psi = inverse_exponent(regime, lam)
+    if psi is None:
+        psi = inverse_exponent(regime, lam)
     # numerator and denominator share the simple zero at psi: divide the
     # root out of the denominator, then the factor is (lam/psi) / G with
     # G = (lam - phi(x)) / (psi - x) bounded away from zero near psi
@@ -229,36 +207,27 @@ def wiener_hopf_series(
     return Taylor.constant(lam / psi, order) / g.truncate(order)
 
 
-def subordinator_max_factor(regime: LevyRegime, alpha: float, lam: float) -> float:
-    """Killed maximum transform lam / (lam - phi(a)) of a nondecreasing path."""
-    if not regime.is_subordinator:
-        raise NotSubordinator("regime is not flagged as a subordinator")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    return lam / (lam - laplace_exponent(regime, alpha))
-
-
 def subordinator_max_series(
     regime: LevyRegime, alpha: float, lam: float, order: int
 ) -> Taylor:
+    """Killed-maximum transform lam / (lam - phi(a)) of a nondecreasing path."""
     if not regime.is_subordinator:
         raise NotSubordinator("regime is not flagged as a subordinator")
-    return lam / (lam - exponent_series(regime, alpha, order))
-
-
-def killed_max_factor(regime: LevyRegime, alpha: float, lam: float) -> float:
-    """Killed-maximum transform for any regime kind."""
-    if regime.is_subordinator:
-        return subordinator_max_factor(regime, alpha, lam)
-    return wiener_hopf_factor(regime, alpha, lam)
+    return Taylor.constant(lam, order) / (lam - exponent_series(regime, alpha, order))
 
 
 def killed_max_series(
-    regime: LevyRegime, alpha: float, lam: float, order: int
+    regime: LevyRegime,
+    alpha: float,
+    lam: float,
+    order: int,
+    psi: Optional[float] = None,
 ) -> Taylor:
+    """Killed-maximum transform for any regime kind; ``psi`` as in
+    :func:`wiener_hopf_series`."""
     if regime.is_subordinator:
         return subordinator_max_series(regime, alpha, lam, order)
-    return wiener_hopf_series(regime, alpha, lam, order)
+    return wiener_hopf_series(regime, alpha, lam, order, psi)
 
 
 @dataclass(frozen=True)
@@ -312,26 +281,3 @@ def is_drift_model(model: ModelSpec) -> bool:
     return all(
         reg.kind == "drift" and reg.r > 0 for reg in model.regimes[1:]
     )
-
-
-@dataclass(frozen=True)
-class KilledRates:
-    """Arrival rates inflated by the killing rate: lam_n = lam_circ_n + beta."""
-
-    beta: float
-    lam: tuple
-    lam0: float
-
-    @classmethod
-    def from_model(cls, model: ModelSpec, beta: float) -> "KilledRates":
-        if beta < 0:
-            raise ValueError("beta must be nonnegative")
-        if beta == 0 and not is_drift_model(model):
-            raise ValueError(
-                "beta = 0 (infinite horizon) is only supported in the drift model"
-            )
-        return cls(
-            beta=beta,
-            lam=tuple(rate + beta for rate in model.lambda_circ),
-            lam0=beta,
-        )

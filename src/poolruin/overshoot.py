@@ -25,7 +25,7 @@ from itertools import combinations
 
 from .errors import ChainBudgetExceeded, KillingRequired, RegimeMismatch
 from .ladder import _Prop1Level, _Recursion
-from .model import ModelSpec
+from .model import ModelSpec, is_drift_model
 from .seriesops import Taylor, dd1_value, dd2_series
 
 __all__ = [
@@ -50,15 +50,8 @@ class OvershootTable:
     def __init__(self, model: ModelSpec, beta: float):
         if beta < 0:
             raise ValueError("beta must be nonnegative")
-        reg0 = model.regimes[0]
-        if reg0.kind != "drift" or reg0.r < 0:
-            raise RegimeMismatch("state 0 must be a pure drift with r >= 0")
-        for k in range(1, model.m + 1):
-            reg = model.regimes[k]
-            if reg.kind != "drift" or reg.r <= 0:
-                raise RegimeMismatch(
-                    "overshoot analysis requires positive pure drifts"
-                )
+        if not is_drift_model(model):
+            raise RegimeMismatch("overshoot analysis requires the drift model")
         self.model = model
         self.beta = beta
         m = model.m

@@ -232,26 +232,23 @@ def ph_sample(ph: PhaseType, rng: np.random.Generator, size: int) -> np.ndarray:
 def running_max_ph(model, beta: float, n: int) -> PhaseType:
     """Exact phase-type law of the running maximum killed at rate ``beta``.
 
-    Requires the drift model (positive pure drifts while clients remain) with
-    one common phase-type claim law.  Starting with ``n`` clients the result
-    has dimension ``n * d``: the generator stacks the claim block on the
-    diagonal with rank-one couplings ``s_k delta^T``, and the initial vector
+    Requires the drift model (positive pure drifts in every state with
+    clients, see ``is_drift_model``) with one common phase-type claim law.
+    Starting with ``n`` clients the result has dimension ``n * d``: the
+    generator stacks the claim block on the diagonal with rank-one
+    couplings ``s_k delta^T``, and the initial vector
     follows the two-step induction (append a claim block, then resolve it
     against the exponential ladder rate nu_k = lambda_k / r_k).
     """
+    # model imports claims, which imports this module
+    from .model import is_drift_model
+
     if beta <= 0.0:
         raise ValueError("running_max_ph needs beta > 0")
     if not 0 <= n <= model.m:
         raise ValueError("n must lie in 0..m")
-    reg0 = model.regimes[0]
-    if reg0.kind != "drift" or reg0.r < 0.0:
-        raise RegimeMismatch("running_max_ph requires a nonnegative drift at state 0")
-    for k in range(1, n + 1):
-        reg = model.regimes[k]
-        if reg.kind != "drift" or reg.r <= 0.0:
-            raise RegimeMismatch(
-                "running_max_ph requires positive pure-drift regimes"
-            )
+    if not is_drift_model(model):
+        raise RegimeMismatch("running_max_ph requires the drift model")
     claims = [model.claims[model.m - k] for k in range(1, n + 1)]
     if not claims:
         return point_mass_zero()

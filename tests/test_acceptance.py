@@ -55,7 +55,7 @@ def test_criterion_1_three_way_transform_agreement():
     for mdl, beta in BATTERY:
         table = overshoot.OvershootTable(mdl, beta)
         for a in ALPHA_GRID:
-            pd = ladder.pi_drift(mdl, beta, mdl.m, a)
+            pd = ladder.pi_max(mdl, beta, mdl.m, a)
             dl = abs(pd - table.pi_via_ladders(a))
             dc = abs(pd - table.pi_explicit_chains(a))
             worst = max(worst, dl, dc)
@@ -68,10 +68,10 @@ def test_criterion_1_three_way_transform_agreement():
 def test_criterion_2_general_recursion_degenerates_to_drift():
     worst = 0.0
     for mdl, beta in BATTERY:
+        spec = ladder.generic_spec_from_drift(mdl, beta, mdl.m)
         for a in ALPHA_GRID:
             diff = abs(
-                ladder.pi_levy(mdl, beta, mdl.m, a)
-                - ladder.pi_drift(mdl, beta, mdl.m, a)
+                ladder.pi_generic(spec, a) - ladder.pi_max(mdl, beta, mdl.m, a)
             )
             worst = max(worst, diff)
             assert diff <= 1e-12
@@ -83,7 +83,7 @@ def test_criterion_3_phase_type_oracle():
     mdl, beta = load_model(CONFIGS / "fig4.json")
     ph = phase_type.running_max_ph(mdl, beta, mdl.m)
     worst_lst = max(
-        abs(phase_type.ph_lst(ph, a) - ladder.pi_drift(mdl, beta, mdl.m, a))
+        abs(phase_type.ph_lst(ph, a) - ladder.pi_max(mdl, beta, mdl.m, a))
         for a in ALPHA_GRID
     )
     assert worst_lst < 1e-10
@@ -196,11 +196,11 @@ def test_criterion_7_inversion_self_tests_and_atom_consistency():
     worst_atom = 0.0
     for mdl, beta in BATTERY:
         worst_norm = max(
-            worst_norm, abs(ladder.pi_drift(mdl, beta, mdl.m, 0.0) - 1.0)
+            worst_norm, abs(ladder.pi_max(mdl, beta, mdl.m, 0.0) - 1.0)
         )
         spec = ladder.generic_spec_from_drift(mdl, beta, mdl.m)
         atom = ladder.atom_at_zero(spec, mdl.m)
-        tail_val = ladder.pi_drift(mdl, beta, mdl.m, 1e8)
+        tail_val = ladder.pi_max(mdl, beta, mdl.m, 1e8)
         worst_atom = max(worst_atom, abs(atom - tail_val))
     assert worst_norm <= 1e-12
     assert worst_atom <= 1e-6

@@ -1,10 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from poolruin.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+M1_TEXT = (CONFIGS / "m1_hand.json").read_text()
 
 
 def run_cli(capsys, *argv):
@@ -232,3 +240,46 @@ def test_transform_output_is_deterministic(capsys):
     _, out1, _ = run_cli(capsys, *argv)
     _, out2, _ = run_cli(capsys, *argv)
     assert out1 == out2
+
+
+NON_FINITE = {
+    "rate-nan": ('"lambda_circ": [1.0]', '"lambda_circ": [NaN]', ()),
+    "mu-inf": ('"mu": 1.0', '"mu": Infinity', ()),
+    "mu-minus-inf": ('"mu": 1.0', '"mu": -Infinity', ()),
+    "beta-nan": ('"beta": 1.0', '"beta": NaN', ()),
+    # literals beyond the float range parse to infinity
+    "rate-overflow": ('"lambda_circ": [1.0]', '"lambda_circ": [1e400]', ()),
+    "beta-overflow": ('"beta": 1.0', '"beta": 1e400', ()),
+    "drift-overflow": ('"r": 1.0', '"r": 1e999', ()),
+    "flag-beta-nan": ("", "", ("--beta", "nan")),
+    "flag-alpha-inf": ("", "", ("--alpha-grid", "0,inf")),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_input_is_a_config_error(tmp_path, capsys, case):
+    old, new, flags = NON_FINITE[case]
+    config = M1_TEXT.replace(old, new) if old else M1_TEXT
+    assert config != M1_TEXT or flags
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    code, out, err = run_cli(capsys, "transform", "--config", str(cfg), *flags)
+    assert code == 2
+    assert "config error" in err
+    assert "nan" not in out.lower()
+
+
+def test_closed_stdout_exits_quietly():
+    grid = ",".join(f"{i / 1000:g}" for i in range(3000))  # well over a pipe buffer
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "poolruin.cli", "transform",
+         "--config", str(CONFIGS / "m1_hand.json"), "--alpha-grid", grid],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"alpha,pi_ladder,pi_overshoot,abs_diff\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""

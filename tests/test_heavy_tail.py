@@ -5,7 +5,7 @@ import pytest
 
 from poolruin import claims, heavy_tail, model
 from poolruin.errors import NonIdenticalClaims
-from poolruin.ladder import _drift_engine
+from poolruin.ladder import engine
 
 
 def lomax_model(m, lam_circ, rs, c=1.0, eps=1.5):
@@ -110,10 +110,10 @@ def test_transform_expansion_recovers_phi():
     # near zero the transform expands as 1 + d1 a + Phi_m a^delta + o(a^delta)
     mdl = lomax_model(2, (1.0, 2.0), (1.0, 2.0, 3.0))
     beta = 1.0
-    engine = _drift_engine(mdl, beta, 2)
-    d1 = engine.series(2, 0.0, 1).c[1]
+    eng = engine(mdl, beta, 2)
+    d1 = eng.series(2, 0.0, 1).c[1]
     a = 1e-4
-    pi_a = engine.series(2, a, 0).c[0]
+    pi_a = eng.series(2, a, 0).c[0]
     phi_est = (pi_a - 1.0 - d1 * a) / a**1.5
     phi_m = heavy_tail.phi_coefficient(mdl, beta, 2)
     assert abs(phi_est / phi_m - 1.0) < 0.05

@@ -1,14 +1,17 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from poolruin import claims, ladder, model, simulate
+from poolruin.config import load_model
 from poolruin.errors import KillingRequired, RegimeMismatch
-from poolruin.ladder import _drift_engine
 
 from conftest import random_drift_model
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_pi_generic_base_and_hand_value():
@@ -43,9 +46,9 @@ def test_atom_at_zero():
 
 
 def test_pi_drift_hand_values(m1_model):
-    assert math.isclose(ladder.pi_drift(m1_model, 1.0, 1, 1.0), 5.0 / 6.0, rel_tol=1e-14)
-    assert ladder.pi_drift(m1_model, 1.0, 1, 0.0) == pytest.approx(1.0, abs=1e-14)
-    assert ladder.pi_drift(m1_model, 1.0, 0, 2.3) == 1.0
+    assert math.isclose(ladder.pi_max(m1_model, 1.0, 1, 1.0), 5.0 / 6.0, rel_tol=1e-14)
+    assert ladder.pi_max(m1_model, 1.0, 1, 0.0) == pytest.approx(1.0, abs=1e-14)
+    assert ladder.pi_max(m1_model, 1.0, 0, 2.3) == 1.0
 
 
 def test_pi_drift_requires_positive_drifts(m1_model):
@@ -53,8 +56,15 @@ def test_pi_drift_requires_positive_drifts(m1_model):
         m=1, lambda_circ=(1.0,), claims=(claims.Exponential(1.0),),
         regimes=(model.drift(1.0), model.brownian_drift(1.0, 1.0)),
     )
+    # the infinite horizon and the generic realization need the drift model
+    with pytest.raises(KillingRequired):
+        ladder.pi_max(bad, 0.0, 1, 1.0)
     with pytest.raises(RegimeMismatch):
-        ladder.pi_drift(bad, 1.0, 1, 1.0)
+        ladder.generic_spec_from_drift(bad, 1.0, 1)
+    # a positive drift gets a plain ladder level, a Brownian state its
+    # ladder level times the killed-maximum series
+    assert ladder.engine(m1_model, 1.0, 1).levels[0].post is None
+    assert ladder.engine(bad, 1.0, 1).levels[0].post is not None
 
 
 def test_pi_drift_matches_generic_realization(m1_model):
@@ -66,21 +76,22 @@ def test_pi_drift_matches_generic_realization(m1_model):
         for a in (0.0, 0.3, 1.0, 5.0):
             assert math.isclose(
                 ladder.pi_generic(spec, a),
-                ladder.pi_drift(mdl, beta, mdl.m, a),
+                ladder.pi_max(mdl, beta, mdl.m, a),
                 rel_tol=1e-13,
             )
 
 
 def test_ruin_transform(m1_model):
-    assert math.isclose(
-        ladder.ruin_transform(m1_model, 1.0, 1, 1.0), 1.0 / 6.0, rel_tol=1e-13
-    )
+    eng = ladder.engine(m1_model, 1.0, 1)
+    assert math.isclose(ladder.ruin_transform(eng, 1.0), 1.0 / 6.0, rel_tol=1e-13)
     none = model.ModelSpec(m=0, lambda_circ=(), claims=(), regimes=(model.drift(1.0),))
     for a in (0.5, 1.0, 3.0):
-        assert ladder.ruin_transform(none, 1.0, 0, a) == 0.0
+        assert ladder.ruin_transform(ladder.engine(none, 1.0, 0), a) == 0.0
+    with pytest.raises(ValueError):
+        ladder.ruin_transform(eng, 0.0)
     # the small-argument limit of the transform is the expected maximum
     jet = ladder.pi_jet(m1_model, 1.0, 1)
-    small = ladder.ruin_transform(m1_model, 1.0, 1, 1e-7)
+    small = ladder.ruin_transform(eng, 1e-7)
     assert math.isclose(small, -jet.d1, rel_tol=1e-5)
 
 
@@ -102,14 +113,14 @@ def test_pi_jet_matches_finite_differences():
         beta = float(rng.uniform(0.3, 2.0))
 
         def f(a):
-            return ladder.pi_drift(mdl, beta, mdl.m, a)
+            return ladder.pi_max(mdl, beta, mdl.m, a)
 
         # jet at zero against one-sided second-order differences
         jet = ladder.pi_jet(mdl, beta, mdl.m)
         d1 = (-3 * f(0.0) + 4 * f(h) - f(2 * h)) / (2 * h)
         assert math.isclose(jet.d1, d1, rel_tol=1e-6, abs_tol=1e-8)
         # jet at an interior point against centered differences
-        jet_in = _drift_engine(mdl, beta, mdl.m).series(mdl.m, 0.5, 2).jet()
+        jet_in = ladder.engine(mdl, beta, mdl.m).series(mdl.m, 0.5, 2).jet()
         d1c = (f(0.5 + h) - f(0.5 - h)) / (2 * h)
         d2c = (f(0.5 + h) - 2 * f(0.5) + f(0.5 - h)) / h**2
         assert math.isclose(jet_in.d1, d1c, rel_tol=1e-6, abs_tol=1e-9)
@@ -122,10 +133,14 @@ def test_levy_collapses_to_drift_on_drift_models():
     for _ in range(10):
         mdl = random_drift_model(rng)
         beta = float(rng.uniform(0.3, 2.0))
+        # the killed maximum of a positive drift is zero: its series is one
+        for reg in mdl.regimes:
+            one = model.killed_max_series(reg, 0.7, 1.0 + beta, 3)
+            assert one.c == (1.0, 0.0, 0.0, 0.0)
+        spec = ladder.generic_spec_from_drift(mdl, beta, mdl.m)
         for a in (0.0, 0.4, 1.1, 3.0, 9.0):
             assert abs(
-                ladder.pi_levy(mdl, beta, mdl.m, a)
-                - ladder.pi_drift(mdl, beta, mdl.m, a)
+                ladder.pi_max(mdl, beta, mdl.m, a) - ladder.pi_generic(spec, a)
             ) <= 1e-12
 
 
@@ -133,12 +148,19 @@ def test_levy_base_case_is_killed_max_factor():
     mdl = model.ModelSpec(
         m=0, lambda_circ=(), claims=(), regimes=(model.brownian_drift(1.0, 1.0),)
     )
+    # Brownian motion with drift 1 and variance 1 killed at rate 1: its
+    # maximum is exponential with rate eta = 1 + sqrt(3)
+    eta = 1.0 + math.sqrt(3.0)
     for a in (0.0, 0.5, 2.0):
-        assert math.isclose(
-            ladder.pi_levy(mdl, 1.0, 0, a),
-            model.wiener_hopf_factor(model.brownian_drift(1.0, 1.0), a, 1.0),
-            rel_tol=1e-13,
-        )
+        got = ladder.pi_max(mdl, 1.0, 0, a)
+        assert math.isclose(got, eta / (eta + a), rel_tol=1e-13)
+    # a subordinator at state 0: Z(t) = t killed at rate 1 ends at an Exp(1) level
+    sub = model.ModelSpec(
+        m=0, lambda_circ=(), claims=(), regimes=(model.subordinator(r=-1.0),)
+    )
+    for a in (0.0, 0.5, 2.0):
+        got = ladder.pi_max(sub, 1.0, 0, a)
+        assert math.isclose(got, 1.0 / (1.0 + a), rel_tol=1e-14)
 
 
 def test_levy_requires_killing():
@@ -146,7 +168,7 @@ def test_levy_requires_killing():
         m=0, lambda_circ=(), claims=(), regimes=(model.brownian_drift(1.0, 1.0),)
     )
     with pytest.raises(KillingRequired):
-        ladder.pi_levy(mdl, 0.0, 0, 1.0)
+        ladder.pi_max(mdl, 0.0, 0, 1.0)
 
 
 def test_levy_against_monte_carlo_brownian():
@@ -163,7 +185,7 @@ def test_levy_against_monte_carlo_brownian():
     )
     sim = simulate.simulate_paths(mdl, 1.0, n_paths=400_000, seed=2024, alphas=(1.0,))
     est, se = sim.lst[1.0]
-    exact = ladder.pi_levy(mdl, 1.0, 2, 1.0)
+    exact = ladder.pi_max(mdl, 1.0, 2, 1.0)
     assert abs(est - exact) < 3 * se
 
 
@@ -181,7 +203,7 @@ def test_levy_subordinator_chain_against_monte_carlo():
     sim = simulate.simulate_paths(mdl, 1.0, n_paths=300_000, seed=77, alphas=(0.5, 1.0))
     for a in (0.5, 1.0):
         est, se = sim.lst[a]
-        exact = ladder.pi_levy(mdl, 1.0, 2, a)
+        exact = ladder.pi_max(mdl, 1.0, 2, a)
         assert abs(est - exact) < 3 * se
 
 
@@ -189,12 +211,12 @@ def test_monotone_in_alpha_and_beta():
     rng = np.random.default_rng(5)
     mdl = random_drift_model(rng)
     alphas = np.linspace(0.0, 6.0, 13)
-    vals = [ladder.pi_drift(mdl, 1.0, mdl.m, a) for a in alphas]
+    vals = [ladder.pi_max(mdl, 1.0, mdl.m, a) for a in alphas]
     assert all(0 < v <= 1 for v in vals)
     assert (np.diff(vals) <= 1e-12).all()
     # shorter horizons (larger beta) push the maximum down, the transform up
     betas = np.linspace(0.1, 4.0, 9)
-    vals_b = [ladder.pi_drift(mdl, b, mdl.m, 1.0) for b in betas]
+    vals_b = [ladder.pi_max(mdl, b, mdl.m, 1.0) for b in betas]
     assert (np.diff(vals_b) >= -1e-12).all()
 
 
@@ -209,18 +231,50 @@ def test_normalization_all_paths_including_subordinator():
             model.brownian_drift(0.5, 1.0),
         ),
     )
-    assert abs(ladder.pi_levy(mdl, 0.7, 2, 0.0) - 1.0) <= 1e-12
+    assert abs(ladder.pi_max(mdl, 0.7, 2, 0.0) - 1.0) <= 1e-12
+
+
+def _purity_models():
+    yield random_drift_model(np.random.default_rng(9)), 1.0
+    for name in ("fig2", "fig3", "fig4", "fig5", "m1_hand"):
+        yield load_model(CONFIGS / f"{name}.json")
+    yield model.ModelSpec(
+        m=3,
+        lambda_circ=(1.0, 2.0, 0.5),
+        claims=(
+            claims.Exponential(0.8), claims.Erlang(2, 1.5), claims.Exponential(1.2)
+        ),
+        regimes=(
+            model.brownian_drift(0.5, 1.0),
+            model.subordinator(r=-0.5, jump_rate=0.5, jump_law=claims.Exponential(2.0)),
+            model.compound_poisson_drift(1.5, 0.3, 1.0, claims.Exponential(2.0)),
+            model.brownian_drift(1.0, 0.5),
+        ),
+    ), 1.0
+    # clustered ladder rates: a memo that truncates higher-order expansions
+    # gave -2.66 at alpha = 1 after alpha = 0.25 and 0.5, -2.81 fresh
+    yield model.ModelSpec(
+        m=6,
+        lambda_circ=(1.796, 0.775, 0.295, 4.298, 1.022, 1.219),
+        claims=tuple(
+            claims.Exponential(mu) for mu in (0.663, 1.769, 0.469, 1.054, 2.88, 2.463)
+        ),
+        regimes=tuple(
+            model.drift(r) for r in (2.428, 4.938, 2.173, 1.1, 3.121, 2.872, 3.28)
+        ),
+    ), 1.0
 
 
 def test_memoization_purity():
-    rng = np.random.default_rng(9)
-    mdl = random_drift_model(rng)
-    engine = _drift_engine(mdl, 1.0, mdl.m)
-    a1 = engine.value(0.7)
-    a2 = engine.value(2.9)
-    fresh1 = _drift_engine(mdl, 1.0, mdl.m).value(0.7)
-    fresh2 = _drift_engine(mdl, 1.0, mdl.m).value(2.9)
-    assert a1 == fresh1 and a2 == fresh2
+    # one engine over a grid, in either direction, gives a fresh engine's
+    # value bit for bit
+    grid = (0.0, 0.25, 0.5, 0.7, 1.0, 2.0, 2.9, 8.0)
+    for mdl, beta in _purity_models():
+        fresh = [ladder.pi_max(mdl, beta, mdl.m, a) for a in grid]
+        for order in (grid, grid[::-1]):
+            eng = ladder.engine(mdl, beta, mdl.m)
+            shared = {a: eng.value(a) for a in order}
+            assert [shared[a] for a in grid] == fresh
 
 
 def test_coincident_rates_against_phase_type_route():
@@ -237,7 +291,7 @@ def test_coincident_rates_against_phase_type_route():
     nu = 2.0
     for a in (nu, nu + 1e-9, nu - 1e-6, nu + 1e-3, nu - 0.05, 0.9, 7.0):
         assert abs(
-            phase_type.ph_lst(ph, a) - ladder.pi_drift(mdl, 1.0, 5, a)
+            phase_type.ph_lst(ph, a) - ladder.pi_max(mdl, 1.0, 5, a)
         ) < 1e-12
 
 
@@ -246,7 +300,7 @@ def test_coincident_rates_against_phase_type_route():
 def test_pi_drift_is_probability_lst(seed, beta):
     rng = np.random.default_rng(seed)
     mdl = random_drift_model(rng, m_max=4)
-    vals = [ladder.pi_drift(mdl, beta, mdl.m, a) for a in (0.0, 0.5, 1.5, 4.0)]
+    vals = [ladder.pi_max(mdl, beta, mdl.m, a) for a in (0.0, 0.5, 1.5, 4.0)]
     assert vals[0] == pytest.approx(1.0, abs=1e-12)
     assert all(0 < v <= 1 + 1e-12 for v in vals)
     assert all(x >= y - 1e-12 for x, y in zip(vals, vals[1:]))
@@ -266,13 +320,13 @@ def test_levy_identical_regimes_singular_cluster():
     beta = 1.0
     psi = model.inverse_exponent(reg, 1.0 + beta)
     grid = psi + np.linspace(-0.2, 0.2, 41)
-    vals = np.array([ladder.pi_levy(mdl, beta, m, float(a)) for a in grid])
+    vals = np.array([ladder.pi_max(mdl, beta, m, float(a)) for a in grid])
     assert (np.diff(vals) <= 1e-12).all()
     # smooth through the removable point: third differences at grid scale
     assert np.max(np.abs(np.diff(vals, 3))) < 1e-6
-    assert ladder.pi_levy(mdl, beta, m, 0.0) == pytest.approx(1.0, abs=1e-13)
+    assert ladder.pi_max(mdl, beta, m, 0.0) == pytest.approx(1.0, abs=1e-13)
     sim = simulate.simulate_paths(
         mdl, beta, n_paths=200_000, seed=55, alphas=(float(psi),)
     )
     est, se = sim.lst[float(psi)]
-    assert abs(ladder.pi_levy(mdl, beta, m, float(psi)) - est) < 3 * se
+    assert abs(ladder.pi_max(mdl, beta, m, float(psi)) - est) < 3 * se

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poolruin import claims, model
-from poolruin.errors import NoRoot, NotSubordinator, SubordinatorRegime
+from poolruin import claims, ladder, model
+from poolruin.errors import KillingRequired, NoRoot, NotSubordinator, SubordinatorRegime
 
 REGIMES = [
     model.drift(2.0),
@@ -63,13 +63,17 @@ def test_inverse_errors():
         )
 
 
+def killed_max(reg, a, lam):
+    return model.killed_max_series(reg, a, lam, 0).c[0]
+
+
 def test_wiener_hopf_basics():
     for reg in REGIMES:
-        assert model.wiener_hopf_factor(reg, 0.0, 1.0) == 1.0
+        assert killed_max(reg, 0.0, 1.0) == 1.0
     # positive pure drift: the killed maximum is identically zero
     for a in (0.0, 0.7, 5.0):
         for lam in (0.5, 2.0):
-            assert model.wiener_hopf_factor(model.drift(3.0), a, lam) == 1.0
+            assert killed_max(model.drift(3.0), a, lam) == 1.0
 
 
 def test_wiener_hopf_killed_brownian_exponential_rate():
@@ -78,14 +82,14 @@ def test_wiener_hopf_killed_brownian_exponential_rate():
     r, s2, lam = 1.0, 1.0, 1.0
     eta = (r + math.sqrt(r * r + 2 * s2 * lam)) / s2
     for a in (0.3, 1.0, 2.7):
-        got = model.wiener_hopf_factor(model.brownian_drift(r, s2), a, lam)
+        got = killed_max(model.brownian_drift(r, s2), a, lam)
         assert math.isclose(got, eta / (eta + a), rel_tol=1e-12)
 
 
 def test_wiener_hopf_monotone_and_bounded():
     grid = np.linspace(0.0, 10.0, 41)
     for reg in REGIMES:
-        vals = [model.wiener_hopf_factor(reg, a, 1.3) for a in grid]
+        vals = [killed_max(reg, a, 1.3) for a in grid]
         assert all(0 < v <= 1 for v in vals)
         assert (np.diff(vals) <= 1e-12).all()
 
@@ -94,24 +98,32 @@ def test_wiener_hopf_removable_singularity_continuous():
     reg = model.compound_poisson_drift(1.0, 0.5, 0.7, claims.Erlang(2, 3.0))
     lam = 2.0
     psi = model.inverse_exponent(reg, lam)
-    center = model.wiener_hopf_factor(reg, psi, lam)
     s = model.wiener_hopf_series(reg, psi, lam, 3)
+    # analytic limit of (psi - a) / (lam - phi(a)) * lam / psi at a = psi
+    center = lam / (psi * model.exponent_derivative(reg, psi))
     assert math.isclose(s.c[0], center, rel_tol=1e-12)
     # the local expansion at the critical point predicts nearby values
     for off in (1e-10, -1e-7, 1e-5, -1e-3, 1e-3):
-        near = model.wiener_hopf_factor(reg, psi + off, lam)
+        near = killed_max(reg, psi + off, lam)
         assert math.isclose(near, s.eval(off), rel_tol=1e-7)
+    # and away from it the series path is the closed form
+    for off in (-1e-3, 1e-3, 0.5):
+        a = psi + off
+        closed = (psi - a) / (lam - model.laplace_exponent(reg, a)) * lam / psi
+        assert math.isclose(killed_max(reg, a, lam), closed, rel_tol=1e-10)
 
 
 def test_subordinator_max_factor():
-    sub = model.subordinator(r=-1.0)  # Z(t) = t
-    assert model.subordinator_max_factor(sub, 0.0, 1.0) == 1.0
-    assert math.isclose(model.subordinator_max_factor(sub, 1.0, 1.0), 0.5)
-    assert math.isclose(model.subordinator_max_factor(sub, 1.0, 1e9), 1.0, rel_tol=1e-8)
+    sub = model.subordinator(r=-1.0)  # Z(t) = t: the transform is lam / (lam + a)
+    for a, lam in ((0.0, 1.0), (1.0, 1.0), (1.0, 1e9), (2.5, 0.3)):
+        got = model.subordinator_max_series(sub, a, lam, 0).c[0]
+        assert math.isclose(got, lam / (lam + a), rel_tol=1e-14)
+        assert killed_max(sub, a, lam) == got
+    assert model.subordinator_max_series(sub, 0.0, 1.0, 0).c[0] == 1.0
     with pytest.raises(NotSubordinator):
-        model.subordinator_max_factor(model.drift(1.0), 1.0, 1.0)
+        model.subordinator_max_series(model.drift(1.0), 1.0, 1.0, 0)
     with pytest.raises(SubordinatorRegime):
-        model.wiener_hopf_factor(sub, 1.0, 1.0)
+        model.wiener_hopf_series(sub, 1.0, 1.0, 0)
 
 
 def test_subordinator_exponent_nonpositive():
@@ -155,10 +167,15 @@ def test_killed_rates():
         m=1, lambda_circ=(1.0,), claims=(claims.Exponential(1.0),),
         regimes=(model.brownian_drift(1.0, 1.0), model.drift(1.0)),
     )
-    kr = model.KilledRates.from_model(spec, 0.5)
-    assert kr.lam == (1.5,) and kr.lam0 == 0.5
-    with pytest.raises(ValueError):
-        model.KilledRates.from_model(spec, 0.0)  # not a drift model
+    # the level rate is lam_circ + beta = 1.5, the ladder rate lam / r
+    level = ladder.engine(spec, 0.5, 1).levels[0]
+    assert (level.nu, level.p0, level.w) == (1.5, 0.5 / 1.5, 1.0 / 1.5)
+    # state 0 is killed at beta alone: Brownian maximum at rate 1 + sqrt(2)
+    eta = 1.0 + math.sqrt(2.0)
+    got = ladder.pi_max(spec, 0.5, 0, 0.8)
+    assert math.isclose(got, eta / (eta + 0.8), rel_tol=1e-13)
+    with pytest.raises(KillingRequired):
+        ladder.engine(spec, 0.0, 1)  # not a drift model
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,5 +187,5 @@ def test_killed_rates():
 )
 def test_wiener_hopf_in_unit_interval(r, s2, lam, a):
     reg = model.brownian_drift(r, s2)
-    val = model.wiener_hopf_factor(reg, a, lam)
+    val = killed_max(reg, a, lam)
     assert 0.0 < val <= 1.0 + 1e-12

@@ -116,7 +116,7 @@ def test_three_way_agreement_random_models():
         beta = float(rng.choice([0.5, 1.0, 2.0]))
         table = overshoot.OvershootTable(mdl, beta)
         for a in (0.0, 0.3, 1.0, 2.7, 8.0):
-            pd = ladder.pi_drift(mdl, beta, mdl.m, a)
+            pd = ladder.pi_max(mdl, beta, mdl.m, a)
             assert abs(pd - table.pi_via_ladders(a)) < 1e-10
             assert abs(pd - table.pi_explicit_chains(a)) < 1e-10
 

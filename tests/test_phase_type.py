@@ -108,7 +108,7 @@ def test_running_max_transform_is_the_ladder_transform():
     ph = running_max_ph(mdl, beta, 5)
     assert ph.d == 10
     for a in (0.0, 0.1, 0.5, 1.0, 2.0, 7.3):
-        assert abs(ph_lst(ph, a) - ladder.pi_drift(mdl, beta, 5, a)) < 1e-10
+        assert abs(ph_lst(ph, a) - ladder.pi_max(mdl, beta, 5, a)) < 1e-10
 
 
 def test_running_max_atom_identity():
@@ -269,4 +269,4 @@ def test_running_max_with_hyperexponential_claims():
     ph = running_max_ph(mdl, 1.3, 3)
     assert ph.d == 6
     for a in (0.0, 0.2, 0.9, 1.9, 6.0):
-        assert abs(ph_lst(ph, a) - ladder.pi_drift(mdl, 1.3, 3, a)) < 1e-12
+        assert abs(ph_lst(ph, a) - ladder.pi_max(mdl, 1.3, 3, a)) < 1e-12

@@ -83,7 +83,7 @@ def test_brownian_killed_max_lst():
     s = simulate.simulate_paths(bm, 1.0, n_paths=400_000, seed=7, alphas=(0.5, 1.0, 2.0))
     for a in (0.5, 1.0, 2.0):
         est, se = s.lst[a]
-        assert abs(est - model.wiener_hopf_factor(reg, a, 1.0)) < 3 * se
+        assert abs(est - model.killed_max_series(reg, a, 1.0, 0).c[0]) < 3 * se
 
 
 def test_fixed_horizon_mean_monotone(m1_model):
@@ -104,7 +104,7 @@ def test_non_identical_claims_against_transform():
     s = simulate.simulate_paths(mdl, 1.0, n_paths=400_000, seed=17, alphas=(0.4, 1.3))
     for a in (0.4, 1.3):
         est, se = s.lst[a]
-        assert abs(est - ladder.pi_drift(mdl, 1.0, 2, a)) < 3 * se
+        assert abs(est - ladder.pi_max(mdl, 1.0, 2, a)) < 3 * se
 
 
 def test_subordinator_simulation_with_jumps():
@@ -119,7 +119,7 @@ def test_subordinator_simulation_with_jumps():
     )
     s = simulate.simulate_paths(mdl, 1.0, n_paths=300_000, seed=23, alphas=(0.7,))
     est, se = s.lst[0.7]
-    assert abs(est - ladder.pi_levy(mdl, 1.0, 1, 0.7)) < 3 * se
+    assert abs(est - ladder.pi_max(mdl, 1.0, 1, 0.7)) < 3 * se
 
 
 def test_unflagged_negative_drift_rejected():
@@ -165,4 +165,4 @@ def test_pure_jump_compound_poisson_regime():
     s = simulate.simulate_paths(mdl, 1.0, n_paths=150_000, seed=19, alphas=(0.6, 1.5))
     for a in (0.6, 1.5):
         est, se = s.lst[a]
-        assert abs(est - ladder.pi_levy(mdl, 1.0, 1, a)) < 3 * se
+        assert abs(est - ladder.pi_max(mdl, 1.0, 1, a)) < 3 * se
