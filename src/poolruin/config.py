@@ -14,7 +14,7 @@ Claim tags: exp {mu}, erlang {k, mu}, ph {delta, delta_abs, S}, lomax
 {c, eps}, point {b}.  Regime tags: drift {r}, bm {r, sigma2}, cp {r,
 sigma2, rate, jump: <claim spec>}, sub {r, rate, jump: <claim spec>}.
 Numbers must be finite: ``NaN`` and ``Infinity``, which Python's ``json``
-accepts, are rejected, as are literals that overflow to infinity.
+accepts, are rejected, as are literals beyond the float range.
 """
 
 from __future__ import annotations
@@ -40,13 +40,20 @@ def _tagged(node, where: str) -> tuple:
     return tag, body
 
 
+def _finite(val) -> bool:
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
+
+
 def _num(body, key, where, positive=False, nonneg=False):
     if key not in body:
         raise ConfigError(f"{where}.{key}: missing")
     val = body[key]
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ConfigError(f"{where}.{key}: expected a number")
-    if not math.isfinite(val):
+    if not _finite(val):
         raise ConfigError(f"{where}.{key}: must be finite")
     if positive and val <= 0:
         raise ConfigError(f"{where}.{key}: must be positive")
@@ -75,15 +82,16 @@ def parse_claim(node, where: str) -> cl.ClaimDistribution:
         if tag == "ph":
             if "delta" not in body or "S" not in body:
                 raise ConfigError(f"{where}: ph needs delta and S")
+            atom = _num(body, "delta_abs", where) if "delta_abs" in body else 0.0
             ph = PhaseType(
                 delta=np.asarray(body["delta"], dtype=float),
                 S=np.asarray(body["S"], dtype=float),
-                delta_abs=float(body.get("delta_abs", 0.0)),
+                delta_abs=atom,
             )
             return cl.PhaseTypeClaim(ph=ph)
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"{where}: unknown claim tag {tag!r}")
 
@@ -131,7 +139,7 @@ def parse_model(doc: dict) -> tuple:
     if not isinstance(rates, list) or len(rates) != m:
         raise ConfigError(f"lambda_circ: expected an array of {m} rates")
     for i, rate in enumerate(rates):
-        if not isinstance(rate, (int, float)) or not 0 < rate < math.inf:
+        if not isinstance(rate, (int, float)) or not (_finite(rate) and rate > 0):
             raise ConfigError(f"lambda_circ[{i}]: must be a positive finite number")
     claim_nodes = doc.get("claims")
     if not isinstance(claim_nodes, list) or len(claim_nodes) != m:
@@ -143,7 +151,7 @@ def parse_model(doc: dict) -> tuple:
     if beta is not None and (
         not isinstance(beta, (int, float))
         or isinstance(beta, bool)
-        or not 0 <= beta < math.inf
+        or not (_finite(beta) and beta >= 0)
     ):
         raise ConfigError("beta: must be a nonnegative finite number")
     spec = md.ModelSpec(

@@ -32,11 +32,11 @@ def _rv_claim(model: ModelSpec) -> tuple[ClaimDistribution, RVMeta]:
     return first, meta
 
 
-def _thinning_products(model: ModelSpec, beta: float) -> list:
-    """prod_{i=j..m} lam_circ_i / lam_i for j = 1..m (index j-1)."""
-    out = [0.0] * model.m
+def _thinning_products(model: ModelSpec, beta: float, n: int) -> list:
+    """prod_{i=j..n} lam_circ_i / lam_i for j = 1..n (index j-1)."""
+    out = [0.0] * n
     acc = 1.0
-    for i in range(model.m, 0, -1):
+    for i in range(n, 0, -1):
         rate = model.lambda_circ[i - 1]
         acc *= rate / (rate + beta)
         out[i - 1] = acc
@@ -51,13 +51,8 @@ def phi_coefficient(model: ModelSpec, beta: float, n: int) -> float:
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     _, meta = _rv_claim(model)
-    acc = 1.0
-    total = 0.0
-    for i in range(n, 0, -1):
-        rate = model.lambda_circ[i - 1]
-        acc *= rate / (rate + beta)
-        total += acc
-    return meta.theta * total
+    # summed from j = n down, the order in which the products accumulate
+    return meta.theta * sum(reversed(_thinning_products(model, beta, n)))
 
 
 def m_distribution(model: ModelSpec, beta: float) -> np.ndarray:
@@ -82,7 +77,7 @@ def expected_claims(model: ModelSpec, beta: float) -> float:
     beta = 0 (no killing, every claim arrives)."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    return float(sum(_thinning_products(model, beta)))
+    return float(sum(_thinning_products(model, beta, model.m)))
 
 
 def rv_tail_approx(model: ModelSpec, beta: float, u: float) -> float:

@@ -262,18 +262,10 @@ def dd1_series(f: SeriesFn, c: float, point: float, order: int) -> Taylor:
     return div_by_linear_root(num, c - point, scale).truncate(order)
 
 
-def _dd2_confluent(f: SeriesFn, c: float, point: float, order: int) -> Taylor:
-    """Series around ``point`` of f[x, c, c]."""
-    scale, ms = _dd_scales(point, c)
-    num = dd1_series(f, c, point, _root_div_order(order, c - point, scale, ms))
-    num = num - f(c, 1).c[1]
-    return div_by_linear_root(num, c - point, scale).truncate(order)
-
-
 def _ddk_confluent(f: SeriesFn, c: float, point: float, order: int, k: int) -> Taylor:
     """Series around ``point`` of f[x, c, ..., c] with ``k`` repeated nodes."""
-    if k == 2:
-        return _dd2_confluent(f, c, point, order)
+    if k == 1:
+        return dd1_series(f, c, point, order)
     scale, ms = _dd_scales(point, c)
     prev = _ddk_confluent(
         f, c, point, _root_div_order(order, c - point, scale, ms), k - 1
@@ -294,7 +286,7 @@ def dd2_series(f: SeriesFn, c1: float, c2: float, point: float, order: int) -> T
         b = dd1_series(f, c2, point, order)
         return (a - b) / (c1 - c2)
     cm = 0.5 * (c1 + c2)
-    out = _dd2_confluent(f, cm, point, order)
+    out = _ddk_confluent(f, cm, point, order, 2)
     if c1 != c2:
         spread = (c1 - c2) ** 2 / 4.0
         out = out + spread * _ddk_confluent(f, cm, point, order, 4)

@@ -1,12 +1,13 @@
 """Monte Carlo oracle: exact path simulation of the net claim process.
 
-Paths are simulated without discretization bias: drift segments evolve
-analytically, Brownian segments draw the endpoint Gaussian and then the
-segment maximum from its exact conditional (bridge) law, compound-Poisson
-segments enumerate their jumps, and nondecreasing segments use endpoint =
-maximum.  Randomness comes from counter-based Philox streams keyed by
-(seed, block index) over a fixed block partition of the paths, so results
-are bit-identical across runs and across any number of worker threads;
+Paths are simulated without discretization bias by one segment sampler for
+every regime kind, vectorised over the paths of a block: the jumps of a
+segment split it into pieces, each piece draws its Gaussian endpoint (if
+it has a Brownian part) and then its maximum from the exact conditional
+(bridge) law, and nondecreasing segments use endpoint = maximum.
+Randomness comes from counter-based Philox streams keyed by (seed, block
+index) over a fixed block partition of the paths, so results are
+bit-identical across runs and across any number of worker threads;
 aggregation reduces the per-block partial sums in block order.
 """
 
@@ -108,21 +109,11 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _jump_sums(law, rate, dur, rng):
-    """Per-path totals of a compound-Poisson segment's jumps, one flat draw."""
-    counts = rng.poisson(rate * dur)
-    total = int(counts.sum())
-    if total == 0:
-        return counts, np.zeros(dur.shape)
-    sizes = np.asarray(law.sample(rng, total), dtype=float)
-    bounds = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return counts, np.add.reduceat(np.concatenate([sizes, [0.0]]), bounds) * (
-        counts > 0
-    )
-
-
 def _bridge_max(zend, sigma2, dur, rng):
-    """Exact running maximum of a Brownian segment given its endpoint."""
+    """Exact running maximum of a drift plus Brownian piece given its
+    endpoint; a piece without diffusion is linear and draws nothing."""
+    if sigma2 == 0:
+        return np.maximum(zend, 0.0)
     u01 = 1.0 - rng.random(zend.shape)  # (0, 1]: log stays finite
     live = dur > 0
     out = np.zeros(zend.shape)
@@ -131,62 +122,56 @@ def _bridge_max(zend, sigma2, dur, rng):
     return out
 
 
-def _cp_segment(reg: LevyRegime, dur, rng):
-    """Compound-Poisson segment: exact maximum via jump enumeration, with
-    Brownian sub-segments bridged between jumps when sigma2 > 0."""
-    P = dur.shape[0]
-    smax = np.zeros(P)
-    zend = np.zeros(P)
-    counts = rng.poisson(reg.jump_rate * dur)
-    for i in range(P):
-        d = dur[i]
-        if d <= 0:
-            continue
-        k = int(counts[i])
-        times = np.sort(rng.random(k)) * d if k else np.empty(0)
-        sizes = np.asarray(reg.jump_law.sample(rng, k), dtype=float) if k else np.empty(0)
-        edges = np.concatenate([[0.0], times, [d]])
-        level = 0.0
-        peak = 0.0
-        for seg in range(k + 1):
-            sub = edges[seg + 1] - edges[seg]
-            if reg.sigma2 > 0:
-                ze = -reg.r * sub + math.sqrt(reg.sigma2 * sub) * rng.standard_normal()
-                disc = ze * ze - 2.0 * reg.sigma2 * sub * math.log(1.0 - rng.random())
-                peak = max(peak, level + 0.5 * (ze + math.sqrt(disc)))
-                level += ze
-            else:
-                ze = -reg.r * sub
-                peak = max(peak, level + max(ze, 0.0))
-                level += ze
-            if seg < k:
-                level += sizes[seg]
-                peak = max(peak, level)
-        smax[i] = peak
-        zend[i] = level
-    return smax, zend
-
-
 def _segment_draws(reg: LevyRegime, dur, rng):
     """Sample (segment maximum, segment endpoint, continuous-crossing flag)
-    for every path; paths with zero duration contribute zeros.  The draw
-    pattern per regime kind is fixed, so the stream stays reproducible."""
-    if reg.kind == "drift":
-        zend = -reg.r * dur
-        return np.maximum(zend, 0.0), zend, True
-    if reg.kind == "brownian":
-        noise = rng.standard_normal(dur.shape)
-        zend = -reg.r * dur + np.sqrt(reg.sigma2 * dur) * noise
-        return _bridge_max(zend, reg.sigma2, dur, rng), zend, True
-    if reg.kind == "subordinator":
-        zend = -reg.r * dur
-        if reg.jump_rate > 0:
-            _, jsum = _jump_sums(reg.jump_law, reg.jump_rate, dur, rng)
-            zend = zend + jsum
+    for every path; paths with zero duration contribute zeros.
+
+    Jump counts, sizes and times are drawn flat for all paths (a zero rate
+    draws none).  A nondecreasing regime peaks at its endpoint and needs no
+    jump times; any other walks the pieces between its sorted jump times by
+    index, each step vectorised over the paths that still have that piece.
+    """
+    P = dur.shape[0]
+    if reg.jump_rate > 0:
+        counts = rng.poisson(reg.jump_rate * dur)
+    else:
+        counts = np.zeros(P, dtype=np.int64)
+    total = int(counts.sum())
+    sizes = np.empty(0)
+    if total:
+        sizes = np.asarray(reg.jump_law.sample(rng, total), dtype=float)
+    first = np.cumsum(counts) - counts  # each path's first jump in the flat draws
+    continuous = reg.jump_rate == 0
+
+    if reg.r <= 0 and reg.sigma2 == 0:
         # nondecreasing path: the maximum is the endpoint
-        return zend.copy(), zend, reg.jump_rate == 0
-    smax, zend = _cp_segment(reg, dur, rng)
-    return smax, zend, False
+        jsum = np.add.reduceat(np.append(sizes, 0.0), first) * (counts > 0)
+        zend = -reg.r * dur + jsum
+        return zend.copy(), zend, continuous
+
+    owner = np.repeat(np.arange(P), counts)
+    u = rng.random(total)  # an empty draw leaves the stream untouched
+    times = u[np.lexsort((u, owner))] * dur[owner]
+    level = np.zeros(P)
+    peak = np.zeros(P)
+    start = np.zeros(P)
+    for j in range(int(counts.max()) + 1):
+        idx = np.flatnonzero(counts >= j)
+        jumps = counts[idx] > j  # piece j ends at a jump, not at the segment end
+        at = idx[jumps]
+        end = dur[idx]
+        end[jumps] = times[first[at] + j]
+        sub = end - start[idx]
+        ze = -reg.r * sub
+        if reg.sigma2 > 0:
+            ze = ze + np.sqrt(reg.sigma2 * sub) * rng.standard_normal(idx.size)
+        base = level[idx]
+        peak[idx] = np.maximum(peak[idx], base + _bridge_max(ze, reg.sigma2, sub, rng))
+        level[idx] = base + ze
+        level[at] += sizes[first[at] + j]
+        peak[at] = np.maximum(peak[at], level[at])
+        start[at] = end[jumps]
+    return peak, level, continuous
 
 
 def _run_block(model, beta, horizon_t, u_arr, alphas, seed, block, count):

@@ -242,6 +242,7 @@ def test_transform_output_is_deterministic(capsys):
     assert out1 == out2
 
 
+BIG_INT = "1" + "0" * 400  # an integer literal beyond the float range
 NON_FINITE = {
     "rate-nan": ('"lambda_circ": [1.0]', '"lambda_circ": [NaN]', ()),
     "mu-inf": ('"mu": 1.0', '"mu": Infinity', ()),
@@ -251,6 +252,19 @@ NON_FINITE = {
     "rate-overflow": ('"lambda_circ": [1.0]', '"lambda_circ": [1e400]', ()),
     "beta-overflow": ('"beta": 1.0', '"beta": 1e400', ()),
     "drift-overflow": ('"r": 1.0', '"r": 1e999', ()),
+    "mu-big-int": ('"mu": 1.0', f'"mu": {BIG_INT}', ()),
+    "rate-big-int": ('"lambda_circ": [1.0]', f'"lambda_circ": [{BIG_INT}]', ()),
+    "beta-big-int": ('"beta": 1.0', f'"beta": {BIG_INT}', ()),
+    "ph-atom-big-int": (
+        '{"exp": {"mu": 1.0}}',
+        f'{{"ph": {{"delta": [1.0], "S": [[-1.0]], "delta_abs": {BIG_INT}}}}}',
+        (),
+    ),
+    "ph-rate-big-int": (
+        '{"exp": {"mu": 1.0}}',
+        f'{{"ph": {{"delta": [1.0], "S": [[-{BIG_INT}]]}}}}',
+        (),
+    ),
     "flag-beta-nan": ("", "", ("--beta", "nan")),
     "flag-alpha-inf": ("", "", ("--alpha-grid", "0,inf")),
 }

@@ -21,11 +21,28 @@ def test_killed_max_transform_m1(m1_model):
     assert abs(est - 5.0 / 6.0) < 3 * se
 
 
-def test_reproducible_across_runs_and_workers(m1_model):
+def _jump_regimes_model():
+    """Compound-Poisson, compound-Poisson plus Brownian and subordinator
+    regimes: every branch of the segment sampler in one model."""
+    return model.ModelSpec(
+        m=2,
+        lambda_circ=(1.0, 1.5),
+        claims=(claims.Exponential(1.0), claims.Erlang(2, 2.0)),
+        regimes=(
+            model.compound_poisson_drift(2.0, 0.0, 1.5, claims.Exponential(2.0)),
+            model.compound_poisson_drift(1.5, 0.6, 2.0, claims.Erlang(2, 3.0)),
+            model.subordinator(r=-0.3, jump_rate=0.8, jump_law=claims.Exponential(2.0)),
+        ),
+    )
+
+
+@pytest.mark.parametrize("name", ["m1", "jumps"])
+def test_reproducible_across_runs_and_workers(m1_model, name):
+    mdl = m1_model if name == "m1" else _jump_regimes_model()
     kw = dict(u_queries=(0.2, 1.0), n_paths=50_000, seed=7, alphas=(0.5,))
-    a = simulate.simulate_paths(m1_model, 1.0, **kw)
-    b = simulate.simulate_paths(m1_model, 1.0, **kw)
-    c = simulate.simulate_paths(m1_model, 1.0, n_workers=8, **kw)
+    a = simulate.simulate_paths(mdl, 1.0, **kw)
+    b = simulate.simulate_paths(mdl, 1.0, **kw)
+    c = simulate.simulate_paths(mdl, 1.0, n_workers=8, **kw)
     assert a.as_dict() == b.as_dict() == c.as_dict()
 
 
@@ -152,14 +169,16 @@ def test_trace_matches_aggregate_streams(m1_model):
     assert s.ruin[0.5][0] == sum(p.ruin_level_hit[0] for p in paths) / 5000
 
 
-def test_pure_jump_compound_poisson_regime():
+@pytest.mark.parametrize("sigma2", [0.0, 0.5])
+def test_pure_jump_compound_poisson_regime(sigma2):
+    # sigma2 > 0 bridges Brownian pieces between the jumps
     mdl = model.ModelSpec(
         m=1,
         lambda_circ=(1.0,),
         claims=(claims.Exponential(1.0),),
         regimes=(
             model.drift(2.0),
-            model.compound_poisson_drift(2.0, 0.0, 1.2, claims.Erlang(2, 3.0)),
+            model.compound_poisson_drift(2.0, sigma2, 1.2, claims.Erlang(2, 3.0)),
         ),
     )
     s = simulate.simulate_paths(mdl, 1.0, n_paths=150_000, seed=19, alphas=(0.6, 1.5))
