@@ -25,6 +25,16 @@ from .seriesops import Taylor, TransformJet
 _QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-13, limit=400)
 
 
+def _from_log(sign: float, log_abs: float) -> float:
+    """A transform coefficient whose direct evaluation left the float range
+    (a power of the shifted rate overflowed or underflowed), from the log of
+    its magnitude: 0.0 below the float range, inf above it."""
+    try:
+        return math.copysign(math.exp(log_abs), sign)
+    except OverflowError:
+        return math.copysign(math.inf, sign)
+
+
 @dataclass(frozen=True)
 class RVMeta:
     """Regular-variation metadata: tail index, transform coefficient, slowly
@@ -87,9 +97,14 @@ class Exponential(ClaimDistribution):
 
     def lst_series(self, alpha: float, order: int) -> Taylor:
         base = self.mu + alpha
-        return Taylor(
-            [self.mu * (-1.0) ** i / base ** (i + 1) for i in range(order + 1)]
-        )
+        coeffs = []
+        for i in range(order + 1):
+            try:
+                coeffs.append(self.mu * (-1.0) ** i / base ** (i + 1))
+            except (OverflowError, ZeroDivisionError):
+                log_abs = math.log(self.mu) - (i + 1) * math.log(base)
+                coeffs.append(_from_log((-1.0) ** i, log_abs))
+        return Taylor(coeffs)
 
     def lst(self, alpha: float) -> float:
         return self.mu / (self.mu + alpha)
@@ -125,12 +140,20 @@ class Erlang(ClaimDistribution):
     def lst_series(self, alpha: float, order: int) -> Taylor:
         base = self.mu + alpha
         k = self.k
-        return Taylor(
-            [
-                (-1.0) ** i * math.comb(k + i - 1, i) * self.mu**k / base ** (k + i)
-                for i in range(order + 1)
-            ]
-        )
+        coeffs = []
+        for i in range(order + 1):
+            try:
+                coeffs.append(
+                    (-1.0) ** i * math.comb(k + i - 1, i) * self.mu**k / base ** (k + i)
+                )
+            except (OverflowError, ZeroDivisionError):
+                log_abs = (
+                    math.log(math.comb(k + i - 1, i))
+                    + k * math.log(self.mu)
+                    - (k + i) * math.log(base)
+                )
+                coeffs.append(_from_log((-1.0) ** i, log_abs))
+        return Taylor(coeffs)
 
     def lst(self, alpha: float) -> float:
         return (self.mu / (self.mu + alpha)) ** self.k

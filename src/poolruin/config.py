@@ -14,7 +14,8 @@ Claim tags: exp {mu}, erlang {k, mu}, ph {delta, delta_abs, S}, lomax
 {c, eps}, point {b}.  Regime tags: drift {r}, bm {r, sigma2}, cp {r,
 sigma2, rate, jump: <claim spec>}, sub {r, rate, jump: <claim spec>}.
 Numbers must be finite: ``NaN`` and ``Infinity``, which Python's ``json``
-accepts, are rejected, as are literals beyond the float range.
+accepts, are rejected, as are literals beyond the float range.  JSON
+``true``/``false`` is not a number, nor a count.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def parse_claim(node, where: str) -> cl.ClaimDistribution:
             return cl.Exponential(mu=_num(body, "mu", where, positive=True))
         if tag == "erlang":
             k = body.get("k")
-            if not isinstance(k, int) or k < 1:
+            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
                 raise ConfigError(f"{where}.k: expected a positive integer")
             return cl.Erlang(k=k, mu=_num(body, "mu", where, positive=True))
         if tag == "lomax":
@@ -133,13 +134,17 @@ def parse_model(doc: dict) -> tuple:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
     m = doc.get("m")
-    if not isinstance(m, int) or m < 0:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ConfigError("m: expected a nonnegative integer")
     rates = doc.get("lambda_circ")
     if not isinstance(rates, list) or len(rates) != m:
         raise ConfigError(f"lambda_circ: expected an array of {m} rates")
     for i, rate in enumerate(rates):
-        if not isinstance(rate, (int, float)) or not (_finite(rate) and rate > 0):
+        if (
+            not isinstance(rate, (int, float))
+            or isinstance(rate, bool)
+            or not (_finite(rate) and rate > 0)
+        ):
             raise ConfigError(f"lambda_circ[{i}]: must be a positive finite number")
     claim_nodes = doc.get("claims")
     if not isinstance(claim_nodes, list) or len(claim_nodes) != m:

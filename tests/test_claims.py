@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,3 +141,26 @@ def test_phase_type_claim_matches_erlang():
         assert math.isclose(ph.lst(a), er.lst(a), rel_tol=1e-12)
     assert math.isclose(ph.mean(), 2.0, rel_tol=1e-12)
     assert math.isclose(ph.second_moment(), 6.0, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("law,alpha", [
+    (claims.Exponential(1.0), 41.0),     # (mu + alpha)^(i + 1) overflows from i = 189
+    (claims.Exponential(0.25), 0.0),     # 0.25^(i + 1) underflows to zero from i = 537
+    (claims.Erlang(3, 2.0), 30.0),
+])
+def test_high_order_coefficients_beyond_the_float_range(law, alpha):
+    order = 800
+    c = law.lst_series(alpha, order).c
+    assert len(c) == order + 1 and all(type(x) is float for x in c)
+    k = getattr(law, "k", 1)
+    with mp.workdps(30):
+        for i in (0, 1, 150, 189, 190, 191, 400, 536, 537, order):
+            want = (-1) ** i * mp.binomial(k + i - 1, i) * mp.mpf(law.mu) ** k / (
+                mp.mpf(law.mu) + alpha
+            ) ** (k + i)
+            if abs(want) < mp.mpf(2.0) ** -1074:
+                assert c[i] == 0.0
+            elif abs(want) > mp.mpf(np.finfo(float).max):
+                assert c[i] == math.copysign(math.inf, want)
+            else:
+                assert math.isclose(c[i], float(want), rel_tol=1e-12, abs_tol=1e-320)

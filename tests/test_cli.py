@@ -265,6 +265,10 @@ NON_FINITE = {
         f'{{"ph": {{"delta": [1.0], "S": [[-{BIG_INT}]]}}}}',
         (),
     ),
+    # JSON booleans are not numbers or counts
+    "m-bool": ('"m": 1', '"m": true', ()),
+    "rate-bool": ('"lambda_circ": [1.0]', '"lambda_circ": [true]', ()),
+    "erlang-k-bool": ('{"exp": {"mu": 1.0}}', '{"erlang": {"k": true, "mu": 1.0}}', ()),
     "flag-beta-nan": ("", "", ("--beta", "nan")),
     "flag-alpha-inf": ("", "", ("--alpha-grid", "0,inf")),
 }

@@ -295,6 +295,38 @@ def test_coincident_rates_against_phase_type_route():
         ) < 1e-12
 
 
+def _spread_pool(kind, m):
+    """Exp(1) claims, lambda_circ[i] = i + 1 and r = (0, 1, ..., 1): ladder
+    rates spread up to m, so the series orders grow with each level."""
+    rates = [0.0] + [1.0] * m
+    if kind == "drift":
+        regimes = [model.drift(r) for r in rates]
+    else:
+        regimes = [
+            model.compound_poisson_drift(r + 1.0, 0.0, 1.0, claims.Exponential(2.0))
+            for r in rates
+        ]
+    return model.ModelSpec(
+        m=m,
+        lambda_circ=tuple(float(i + 1) for i in range(m)),
+        claims=(claims.Exponential(1.0),) * m,
+        regimes=tuple(regimes),
+    )
+
+
+def test_spread_pool_of_forty_clients():
+    # the orders reached here take the claim coefficients' powers beyond
+    # the float range
+    from poolruin import phase_type
+
+    drift = _spread_pool("drift", 40)
+    want = phase_type.ph_lst(phase_type.running_max_ph(drift, 1.0, 40), 1.0)
+    got = ladder.pi_max(drift, 1.0, 40, 1.0)
+    assert abs(got - want) <= 1e-15 * want
+    cp = ladder.pi_max(_spread_pool("cp", 40), 1.0, 40, 1.0)
+    assert math.isfinite(cp) and 0.0 <= cp <= 1.0
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([0.0, 0.5, 1.0, 2.0]))
 def test_pi_drift_is_probability_lst(seed, beta):

@@ -1,10 +1,14 @@
 import math
+import random
+import warnings
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from poolruin.seriesops import (
+    ARRAY_MIN_LEN,
     Taylor,
     dd1_value,
     dd2_series,
@@ -54,6 +58,79 @@ def test_shift_recenters_exactly():
     q = p.shift(0.5)
     for h in (-0.3, 0.0, 0.2):
         assert math.isclose(p.eval(0.5 + h), q.eval(h), rel_tol=1e-14)
+
+
+def loop_product(a, b):
+    # the scalar product loop: the reference the array kernel must repeat
+    n = min(len(a), len(b))
+    out = [0.0] * n
+    for i in range(n):
+        if a[i] == 0.0:
+            continue
+        for j in range(n - i):
+            out[i + j] += a[i] * b[j]
+    return tuple(out)
+
+
+def loop_quotient(a, b):
+    n = min(len(a), len(b))
+    out = [0.0] * n
+    for k in range(n):
+        acc = a[k]
+        for j in range(1, k + 1):
+            acc -= b[j] * out[k - j]
+        out[k] = acc / b[0]
+    return tuple(out)
+
+
+def kernel_operands(n, kind, seed):
+    # coefficients over twelve decades; b decays, so the quotient stays finite
+    rng = random.Random(seed)
+    a = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-6, 6) for _ in range(n)]
+    b = [1.0 + rng.random()] + [
+        rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-6, 0) * 0.9**j
+        for j in range(1, n + 3)
+    ]
+    if kind == "zeros":
+        for i in range(0, n, 3):
+            a[i] = 0.0
+        for i in range(1, n + 3, 4):
+            b[i] = -0.0
+        b[0] = -b[0]  # 0 * b[0] is -0.0, which the loop never adds
+    elif kind == "non-finite":
+        # a zero a[0] meets the NaN, an infinite a[n // 2] the zeros left of
+        # its row: neither may leak into the coefficients before them
+        a[0] = 0.0
+        a[n // 2] = math.inf
+        b[n // 3] = math.nan
+        b[n - 1] = -math.inf
+    elif kind == "overflow":  # products and sums past the float range
+        a = [x * 1e300 for x in a]
+        b = b[:1] + [x * 1e10 for x in b[1:]]
+    return a, b
+
+
+KERNEL_LENGTHS = (1, ARRAY_MIN_LEN - 1, ARRAY_MIN_LEN, ARRAY_MIN_LEN + 1, 4 * ARRAY_MIN_LEN)
+
+
+@pytest.mark.parametrize("kind", ["plain", "zeros", "non-finite", "overflow"])
+@pytest.mark.parametrize("n", KERNEL_LENGTHS)
+def test_product_and_quotient_repeat_the_scalar_loops(n, kind):
+    a, b = kernel_operands(n, kind, seed=n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf and NaN propagate silently
+        prod = Taylor(a) * Taylor(b)
+        quot = Taylor(a) / Taylor(b)
+    assert repr(prod.c) == repr(loop_product(a, b))
+    assert repr(quot.c) == repr(loop_quotient(a, b))
+    for out in (prod, quot):
+        assert type(out.c) is tuple and all(type(x) is float for x in out.c)
+
+
+def test_public_constructor_converts_to_python_floats():
+    t = Taylor(np.array([1.0, 2.5]))
+    assert type(t.c) is tuple and all(type(x) is float for x in t.c)
+    assert all(type(x) is float for x in (t * np.float64(2.0)).c)
 
 
 def test_division_by_vanishing_constant_raises():
