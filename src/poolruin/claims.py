@@ -16,23 +16,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from . import phase_type as pht
+from ._lazy import LazyModule
 from .errors import MomentUndefined
-from .seriesops import Taylor, TransformJet
+from .seriesops import Taylor, TransformJet, _from_log
+
+integrate = LazyModule("scipy.integrate")  # the Lomax quadrature only
 
 _QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-13, limit=400)
-
-
-def _from_log(sign: float, log_abs: float) -> float:
-    """A transform coefficient whose direct evaluation left the float range
-    (a power of the shifted rate overflowed or underflowed), from the log of
-    its magnitude: 0.0 below the float range, inf above it."""
-    try:
-        return math.copysign(math.exp(log_abs), sign)
-    except OverflowError:
-        return math.copysign(math.inf, sign)
 
 
 @dataclass(frozen=True)

@@ -49,3 +49,8 @@ class NoConvergence(PoolRuinError):
 
 class ChainBudgetExceeded(PoolRuinError):
     """Explicit ladder-chain enumeration would exceed the configured budget."""
+
+
+class SimulationError(PoolRuinError):
+    """A simulated path broke an invariant of its regime (e.g. a drift
+    segment rose above the running maximum)."""

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import linalg
 
+from ._lazy import LazyModule
 from .errors import (
     NoConvergence,
     NonIdenticalClaims,
@@ -23,6 +23,8 @@ from .errors import (
     SingularSystem,
 )
 from .seriesops import Taylor
+
+linalg = LazyModule("scipy.linalg")
 
 _VALID_ATOL = 1e-10
 

@@ -190,7 +190,10 @@ class Taylor:
             if ci == 0.0:
                 continue
             for j in range(i + 1):
-                out[j] += ci * math.comb(i, j) * h ** (i - j)
+                try:
+                    out[j] += ci * math.comb(i, j) * h ** (i - j)
+                except OverflowError:
+                    out[j] += _shift_term_from_log(ci, i, j, h)
         return Taylor(out)
 
     def eval(self, h: float) -> float:
@@ -207,6 +210,24 @@ class Taylor:
 
     def __repr__(self):
         return f"Taylor({list(self.c)!r})"
+
+
+def _shift_term_from_log(ci: float, i: int, j: int, h: float) -> float:
+    """The shift term ``ci * C(i, j) * h**(i - j)`` where the binomial
+    (past about 1,030 coefficients) or the power leaves the float range."""
+    k = i - j
+    sign = math.copysign(1.0, ci) * (-1.0 if h < 0 and k % 2 else 1.0)
+    log_abs = math.log(abs(ci)) + math.log(math.comb(i, j)) + k * math.log(abs(h))
+    return _from_log(sign, log_abs)
+
+
+def _from_log(sign: float, log_abs: float) -> float:
+    """A term or coefficient whose direct evaluation left the float range,
+    from the log of its magnitude: 0.0 below the float range, inf above it."""
+    try:
+        return math.copysign(math.exp(log_abs), sign)
+    except OverflowError:
+        return math.copysign(math.inf, sign)
 
 
 def _mul_rows(a: tuple, b: tuple, n: int) -> list:

@@ -4,11 +4,20 @@ Paths are simulated without discretization bias by one segment sampler for
 every regime kind, vectorised over the paths of a block: the jumps of a
 segment split it into pieces, each piece draws its Gaussian endpoint (if
 it has a Brownian part) and then its maximum from the exact conditional
-(bridge) law, and nondecreasing segments use endpoint = maximum.
+(bridge) law, and nondecreasing segments use endpoint = maximum.  A
+jump-free regime is a single piece, drawn for all paths at once.
 Randomness comes from counter-based Philox streams keyed by (seed, block
 index) over a fixed block partition of the paths, so results are
 bit-identical across runs and across any number of worker threads;
 aggregation reduces the per-block partial sums in block order.
+
+First crossings are found on new records only.  A path has crossed
+exactly the levels below the largest value it has recorded (segment maxima
+and post-claim values), so each path keeps its lowest uncrossed level, and
+only a value above it is checked against the sorted levels.  That
+threshold is a level, not the running maximum: the running maximum starts
+at 0, so a level below zero, which every path crosses at its first
+recorded value, would never be seen through it.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import RegimeMismatch
+from .errors import RegimeMismatch, SimulationError
 from .model import LevyRegime, ModelSpec, is_drift_model
 
 _BLOCK_SIZE = 16384
@@ -86,11 +95,15 @@ class SimulationSummary:
         }
 
 
-def _validate(model: ModelSpec, beta: float, horizon_t) -> None:
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    if horizon_t is not None and horizon_t <= 0:
-        raise ValueError("horizon_t must be positive")
+def _validate(model: ModelSpec, beta: float, horizon_t, u_arr, alphas=()) -> None:
+    if not 0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
+    if horizon_t is not None and not 0 < horizon_t < math.inf:
+        raise ValueError(f"horizon_t must be positive and finite, got {horizon_t}")
+    if not np.isfinite(u_arr).all():
+        raise ValueError(f"levels must be finite, got {u_arr.tolist()}")
+    if not all(math.isfinite(a) for a in alphas):
+        raise ValueError(f"alphas must be finite, got {list(alphas)}")
     if horizon_t is None and beta == 0 and not is_drift_model(model):
         raise ValueError(
             "beta = 0 without a fixed horizon needs the drift model "
@@ -115,39 +128,52 @@ def _bridge_max(zend, sigma2, dur, rng):
     if sigma2 == 0:
         return np.maximum(zend, 0.0)
     u01 = 1.0 - rng.random(zend.shape)  # (0, 1]: log stays finite
-    live = dur > 0
-    out = np.zeros(zend.shape)
-    disc = zend[live] ** 2 - 2.0 * sigma2 * dur[live] * np.log(u01[live])
-    out[live] = 0.5 * (zend[live] + np.sqrt(disc))
-    return out
+    # a piece of zero duration has a finite discriminant zend**2 >= 0
+    disc = zend**2 - 2.0 * sigma2 * dur * np.log(u01)
+    return np.where(dur > 0, 0.5 * (zend + np.sqrt(disc)), 0.0)
+
+
+def _piece(reg: LevyRegime, sub, rng):
+    """Endpoint and running maximum of jump-free pieces of lengths ``sub``."""
+    ze = -reg.r * sub
+    if reg.sigma2 > 0:
+        ze = ze + np.sqrt(reg.sigma2 * sub) * rng.standard_normal(sub.size)
+    return ze, _bridge_max(ze, reg.sigma2, sub, rng)
 
 
 def _segment_draws(reg: LevyRegime, dur, rng):
     """Sample (segment maximum, segment endpoint, continuous-crossing flag)
     for every path; paths with zero duration contribute zeros.
 
-    Jump counts, sizes and times are drawn flat for all paths (a zero rate
-    draws none).  A nondecreasing regime peaks at its endpoint and needs no
-    jump times; any other walks the pieces between its sorted jump times by
-    index, each step vectorised over the paths that still have that piece.
+    Jump counts, sizes and times are drawn flat for all paths.  A
+    nondecreasing regime peaks at its endpoint and needs no jump times; any
+    other walks the pieces between its sorted jump times by index, each
+    step vectorised over the paths that still have that piece.  A jump-free
+    regime is that walk's single piece, computed on all paths at once.
     """
     P = dur.shape[0]
-    if reg.jump_rate > 0:
-        counts = rng.poisson(reg.jump_rate * dur)
-    else:
-        counts = np.zeros(P, dtype=np.int64)
+    monotone = reg.r <= 0 and reg.sigma2 == 0
+    if reg.jump_rate == 0:
+        if monotone:
+            zend = -reg.r * dur + 0.0  # the empty jump sum
+            return zend.copy(), zend, True
+        rng.random(0)  # the walk's draw of no jump times
+        ze, bmax = _piece(reg, dur, rng)
+        # 0.0 + x as the walk adds to its zero start: no -0.0 leaks out
+        return np.maximum(0.0, 0.0 + bmax), 0.0 + ze, True
+
+    counts = rng.poisson(reg.jump_rate * dur)
     total = int(counts.sum())
     sizes = np.empty(0)
     if total:
         sizes = np.asarray(reg.jump_law.sample(rng, total), dtype=float)
     first = np.cumsum(counts) - counts  # each path's first jump in the flat draws
-    continuous = reg.jump_rate == 0
 
-    if reg.r <= 0 and reg.sigma2 == 0:
+    if monotone:
         # nondecreasing path: the maximum is the endpoint
         jsum = np.add.reduceat(np.append(sizes, 0.0), first) * (counts > 0)
         zend = -reg.r * dur + jsum
-        return zend.copy(), zend, continuous
+        return zend.copy(), zend, False
 
     owner = np.repeat(np.arange(P), counts)
     u = rng.random(total)  # an empty draw leaves the stream untouched
@@ -161,17 +187,14 @@ def _segment_draws(reg: LevyRegime, dur, rng):
         at = idx[jumps]
         end = dur[idx]
         end[jumps] = times[first[at] + j]
-        sub = end - start[idx]
-        ze = -reg.r * sub
-        if reg.sigma2 > 0:
-            ze = ze + np.sqrt(reg.sigma2 * sub) * rng.standard_normal(idx.size)
+        ze, bmax = _piece(reg, end - start[idx], rng)
         base = level[idx]
-        peak[idx] = np.maximum(peak[idx], base + _bridge_max(ze, reg.sigma2, sub, rng))
+        peak[idx] = np.maximum(peak[idx], base + bmax)
         level[idx] = base + ze
         level[at] += sizes[first[at] + j]
         peak[at] = np.maximum(peak[at], level[at])
         start[at] = end[jumps]
-    return peak, level, continuous
+    return peak, level, False
 
 
 def _run_block(model, beta, horizon_t, u_arr, alphas, seed, block, count):
@@ -187,90 +210,116 @@ def _run_block(model, beta, horizon_t, u_arr, alphas, seed, block, count):
     else:
         T = np.full(P, np.inf)
 
-    if m > 0:
-        W = np.empty((P, m))
-        for j in range(m):
-            W[:, j] = rng.exponential(1.0 / model.lambda_circ[m - j - 1], P)
-        A = np.cumsum(W, axis=1)
-        B = np.empty((P, m))
-        for j in range(m):
-            B[:, j] = np.asarray(model.claims[j].sample(rng, P), dtype=float)
-        arrived = A <= T[:, None]
-        claims_count = arrived.sum(axis=1)
-    else:
-        A = np.zeros((P, 0))
-        arrived = np.zeros((P, 0), dtype=bool)
-        claims_count = np.zeros(P, dtype=int)
+    # per-client rows: row j holds the j-th arrival time and claim of every
+    # path; the waiting times add up in order, as a cumsum would
+    A = np.empty((m, P))
+    for j in range(m):
+        A[j] = rng.exponential(1.0 / model.lambda_circ[m - j - 1], P)
+        if j:
+            A[j] += A[j - 1]
+    B = np.empty((m, P))
+    for j in range(m):
+        B[j] = np.asarray(model.claims[j].sample(rng, P), dtype=float)
+    arrived = A <= T
+    claims_count = np.count_nonzero(arrived, axis=0)
 
     y = np.zeros(P)
     ymax = np.zeros(P)
-    hit = np.zeros((P, nq), dtype=bool)
     overshoot = np.full((P, nq), np.nan)
     n_at_ruin = np.full((P, nq), -1, dtype=np.int64)
+    natr = np.zeros((nq, m + 1), dtype=np.int64)
+    over_n = np.zeros(nq, dtype=np.int64)
+    # A path has crossed exactly the levels below the largest value it has
+    # recorded, so only a value above its lowest uncrossed level (nxt) can
+    # cross a level for the first time.
+    order = np.argsort(u_arr, kind="stable")
+    u_sorted = np.append(u_arr[order], np.inf)
+    nxt_i = np.zeros(P, dtype=np.intp)
+    nxt = np.full(P, u_sorted[0])
 
-    def record_segment_crossings(cand, n_state, continuous):
-        for qi in range(nq):
-            newly = (~hit[:, qi]) & (cand > u_arr[qi])
-            if not newly.any():
-                continue
-            hit[newly, qi] = True
-            overshoot[newly, qi] = 0.0 if continuous else np.nan
-            n_at_ruin[newly, qi] = n_state
+    def record(value, paths, n_state, over):
+        """Mark the levels first crossed by ``value`` on ``paths`` (all
+        paths if None), with overshoot ``over`` (None: the value's excess
+        over the level; NaN: unknown)."""
+        if paths is None:
+            p = np.flatnonzero(value > nxt)
+            v = value[p]
+        else:
+            k = np.flatnonzero(value > nxt[paths])
+            p, v = paths[k], value[k]
+        if not p.size:
+            return
+        lo = nxt_i[p]
+        hi = np.searchsorted(u_sorted, v)  # the levels below v
+        nxt_i[p] = hi
+        nxt[p] = u_sorted[hi]
+        cnt = hi - lo
+        # one entry per newly crossed level, paths in order: each path's
+        # sorted positions lo, ..., hi - 1
+        rows = np.repeat(p, cnt)
+        first = np.repeat(np.cumsum(cnt) - cnt, cnt)  # the path's first entry
+        q = order[np.repeat(lo, cnt) + np.arange(rows.size) - first]
+        n_at_ruin[rows, q] = n_state
+        overshoot[rows, q] = np.repeat(v, cnt) - u_arr[q] if over is None else over
+        new = np.bincount(q, minlength=nq)
+        natr[:, n_state] += new
+        if over is None or not math.isnan(over):
+            over_n[:] += new
 
-    for j in range(m):
-        n_state = m - j
-        reg = model.regimes[n_state]
-        t0 = A[:, j - 1] if j > 0 else np.zeros(P)
-        seg_end = np.minimum(A[:, j], T)
-        dur = np.maximum(seg_end - np.minimum(t0, T), 0.0)
+    def segment(reg, dur, n_state):
         smax, zend, continuous = _segment_draws(reg, dur, rng)
         cand = y + smax
-        if reg.kind == "drift":
-            # a declining or flat segment can never set a new record
-            assert not (cand > ymax + 1e-12).any()
-        record_segment_crossings(cand, n_state, continuous)
-        ymax = np.maximum(ymax, cand)
-        y = y + zend
-        land = arrived[:, j]
-        y_after = y + B[:, j]
-        for qi in range(nq):
-            newly = land & (~hit[:, qi]) & (y_after > u_arr[qi])
-            if newly.any():
-                hit[newly, qi] = True
-                overshoot[newly, qi] = y_after[newly] - u_arr[qi]
-                n_at_ruin[newly, qi] = n_state - 1
-        ymax = np.where(land, np.maximum(ymax, y_after), ymax)
-        y = np.where(land, y_after, y)
+        # a declining or flat segment can never set a new record
+        if reg.kind == "drift" and (cand > ymax + 1e-12).any():
+            raise SimulationError(
+                f"drift segment at n = {n_state} rose above the running maximum"
+            )
+        if nq:
+            record(cand, None, n_state, 0.0 if continuous else np.nan)
+        np.maximum(ymax, cand, out=ymax)
+        return zend
+
+    # a segment runs from the last arrival to the next, both capped at T
+    start = np.zeros(P)
+    for j in range(m):
+        n_state = m - j
+        end = np.minimum(A[j], T)
+        y += segment(model.regimes[n_state], end - start, n_state)
+        start = end
+        land = np.flatnonzero(arrived[j])
+        y_after = y[land] + B[j, land]
+        if nq:
+            record(y_after, land, n_state - 1, None)
+        ymax[land] = np.maximum(ymax[land], y_after)
+        y[land] = y_after
 
     if np.isfinite(T).all():
-        t0 = A[:, m - 1] if m > 0 else np.zeros(P)
-        dur = np.maximum(T - np.minimum(t0, T), 0.0)
-        smax, zend, continuous = _segment_draws(model.regimes[0], dur, rng)
-        cand = y + smax
-        record_segment_crossings(cand, 0, continuous)
-        ymax = np.maximum(ymax, cand)
+        segment(model.regimes[0], T - start, 0)
     # beta = 0 drain mode: the validated drift model adds nothing after the
     # last claim
 
+    lst = [np.exp(-a * ymax) for a in alphas]
+    # NaN (no crossing, or a jump crossing) -> 0.0; overshoots are >= 0.
+    # Both sums run down the paths in order, in one pass.
+    over = np.empty((P, 2, nq))
+    np.fmax(overshoot, 0.0, out=over[:, 0])
+    np.square(over[:, 0], out=over[:, 1])
+    over_sum, over_sq = over.sum(axis=0)
     part = {
         "n": P,
         "pow": np.array([ymax.sum(), (ymax**2).sum(), (ymax**3).sum(), (ymax**4).sum()]),
-        "hits": hit.sum(axis=0),
-        "over_sum": np.nansum(np.where(hit, overshoot, 0.0), axis=0),
-        "over_sq": np.nansum(np.where(hit, overshoot, 0.0) ** 2, axis=0),
-        "over_n": (hit & ~np.isnan(overshoot)).sum(axis=0),
-        "natr": np.stack(
-            [np.bincount(n_at_ruin[hit[:, qi], qi], minlength=m + 1) for qi in range(nq)]
-        )
-        if nq
-        else np.zeros((0, m + 1), dtype=np.int64),
+        "hits": natr.sum(axis=1),
+        "over_sum": over_sum,
+        "over_sq": over_sq,
+        "over_n": over_n,
+        "natr": natr,
         "claims_hist": np.bincount(claims_count, minlength=m + 1),
-        "lst": np.array([np.exp(-a * ymax).sum() for a in alphas]),
-        "lst_sq": np.array([(np.exp(-a * ymax) ** 2).sum() for a in alphas]),
+        "lst": np.array([e.sum() for e in lst]),
+        "lst_sq": np.array([(e**2).sum() for e in lst]),
     }
     paths = {
         "max": ymax,
-        "hit": hit,
+        "hit": n_at_ruin >= 0,
         "overshoot": overshoot,
         "n_at_ruin": n_at_ruin,
         "claims_count": claims_count,
@@ -302,11 +351,11 @@ def simulate_paths(
     model for the infinite horizon (simulate until the last claim and let
     the final segment drain).
     """
-    _validate(model, beta, horizon_t)
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
     u_arr = np.asarray(list(u_queries), dtype=float)
     alphas = list(alphas)
+    _validate(model, beta, horizon_t, u_arr, alphas)
+    if n_paths < 1:
+        raise ValueError("n_paths must be positive")
     blocks = _blocks(n_paths, block_size)
 
     def work(item):
@@ -385,8 +434,8 @@ def simulate_trace(
     block_size: int = _BLOCK_SIZE,
 ) -> list:
     """Per-path results (same streams as :func:`simulate_paths`)."""
-    _validate(model, beta, horizon_t)
     u_arr = np.asarray(list(u_queries), dtype=float)
+    _validate(model, beta, horizon_t, u_arr)
     out = []
     for block, count in _blocks(n_paths, block_size):
         _, paths = _run_block(model, beta, horizon_t, u_arr, (), seed, block, count)

@@ -271,6 +271,11 @@ NON_FINITE = {
     "erlang-k-bool": ('{"exp": {"mu": 1.0}}', '{"erlang": {"k": true, "mu": 1.0}}', ()),
     "flag-beta-nan": ("", "", ("--beta", "nan")),
     "flag-alpha-inf": ("", "", ("--alpha-grid", "0,inf")),
+    # simulate flags: the command leads
+    "sim-alpha-inf": ("", "", ("simulate", "--paths", "1000", "--alpha", "inf")),
+    "sim-alpha-nan": ("", "", ("simulate", "--paths", "1000", "--alpha", "nan")),
+    "sim-u-nan": ("", "", ("simulate", "--paths", "1000", "--u", "nan")),
+    "sim-horizon-nan": ("", "", ("simulate", "--paths", "1000", "--horizon", "nan")),
 }
 
 
@@ -281,7 +286,8 @@ def test_non_finite_input_is_a_config_error(tmp_path, capsys, case):
     assert config != M1_TEXT or flags
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)
-    code, out, err = run_cli(capsys, "transform", "--config", str(cfg), *flags)
+    command, *flags = flags if flags[:1] == ("simulate",) else ("transform", *flags)
+    code, out, err = run_cli(capsys, command, "--config", str(cfg), *flags)
     assert code == 2
     assert "config error" in err
     assert "nan" not in out.lower()
@@ -301,3 +307,23 @@ def test_closed_stdout_exits_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+def test_import_leaves_scipy_for_first_use():
+    # scipy.integrate (Lomax quadrature) and scipy.linalg (phase-type
+    # algebra) load when first used, not with the CLI
+    probe = (
+        "import sys, poolruin.cli\n"
+        "from poolruin import claims\n"
+        "lazy = ('scipy.integrate', 'scipy.linalg')\n"
+        "print([m for m in lazy if m in sys.modules])\n"
+        "claims.integrate.quad\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]

@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -58,6 +59,48 @@ def test_shift_recenters_exactly():
     q = p.shift(0.5)
     for h in (-0.3, 0.0, 0.2):
         assert math.isclose(p.eval(0.5 + h), q.eval(h), rel_tol=1e-14)
+
+
+def loop_shift(c, h):
+    # the shift as a double loop over math.comb: the reference for every
+    # series whose binomials and powers stay in the float range
+    out = [0.0] * len(c)
+    for i, ci in enumerate(c):
+        if ci == 0.0:
+            continue
+        for j in range(i + 1):
+            out[j] += ci * math.comb(i, j) * h ** (i - j)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("h", [0.37, -0.5, 1.0, -1.75])
+@pytest.mark.parametrize("n", [1, 2, 12, ARRAY_MIN_LEN, 300, 1000])
+def test_shift_repeats_the_binomial_loop(n, h):
+    # sparse past 50 coefficients, so that the reference loop stays quick;
+    # the last coefficient carries the longest binomial row
+    rng = random.Random(n)
+    c = [
+        rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3, 3) if rng.random() < 50 / n else 0.0
+        for _ in range(n)
+    ]
+    c[-1] = -1.5
+    assert repr(Taylor(c).shift(h).c) == repr(loop_shift(c, h))
+
+
+@pytest.mark.parametrize("h", [0.5, -0.5])
+def test_shift_past_the_float_range_of_binomials(h):
+    # C(1099, 549) is about 1e329 and C(1040, 520) about 1e311, yet the
+    # terms and coefficients are finite
+    n = 1100
+    c = {0: 1.0, 7: -2.5, 600: 0.75, 1040: 1.0, 1099: -1.25}
+    got = Taylor([c.get(i, 0.0) for i in range(n)]).shift(h).c
+    assert all(math.isfinite(x) for x in got)
+    hq = Fraction(h)
+    for j in (0, 1, 300, 549, 800, 1040, n - 1):
+        terms = [Fraction(ci) * math.comb(i, j) * hq ** (i - j) for i, ci in c.items() if i >= j]
+        exact = sum(terms)
+        scale = sum(abs(t) for t in terms)  # cancellation bound for h < 0
+        assert abs(Fraction(got[j]) - exact) <= Fraction(1, 10**12) * scale
 
 
 def loop_product(a, b):
