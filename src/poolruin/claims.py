@@ -1,8 +1,10 @@
 """Claim-size distribution library.
 
 Every claim law exposes its Laplace-Stieltjes transform together with
-derivatives of any order (as truncated Taylor expansions), the survival
-function, exact sampling, and the first two moments when they exist.  The
+derivatives of any order (as truncated Taylor expansions), the transform at
+arrays of complex arguments with the distance ``left_singularity`` from zero
+to its nearest singularity on the left, the survival function, exact
+sampling, and the first two moments when they exist.  The
 Lomax law additionally carries regular-variation metadata (tail index,
 transform coefficient) that drives the heavy-tail asymptotics; exponential,
 Erlang and explicit phase-type laws expose a phase-type representation for
@@ -19,12 +21,17 @@ import numpy as np
 
 from . import phase_type as pht
 from ._lazy import LazyModule
-from .errors import MomentUndefined
+from .errors import MomentUndefined, NoConvergence
 from .seriesops import Taylor, TransformJet, _from_log
 
 integrate = LazyModule("scipy.integrate")  # the Lomax quadrature only
 
 _QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-13, limit=400)
+
+# Lomax transform at complex arguments: power series below this |cz|,
+# continued fraction above; both stop by this many terms
+_LOMAX_SERIES_RADIUS = 1.0
+_LOMAX_TERMS = 2000
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,17 @@ class ClaimDistribution:
 
     def lst_jet(self, alpha: float) -> TransformJet:
         return self.lst_series(alpha, 2).jet()
+
+    def lst_complex(self, z: np.ndarray) -> np.ndarray:
+        """Transform at an array of complex arguments with Re z > -d, where
+        d is :attr:`left_singularity`."""
+        raise NotImplementedError
+
+    @property
+    def left_singularity(self) -> float:
+        """d >= 0 such that the transform is analytic on Re z > -d and
+        singular at -d (inf for an entire transform)."""
+        raise NotImplementedError
 
     def tail(self, u: float) -> float:
         raise NotImplementedError
@@ -100,6 +118,13 @@ class Exponential(ClaimDistribution):
 
     def lst(self, alpha: float) -> float:
         return self.mu / (self.mu + alpha)
+
+    def lst_complex(self, z):
+        return self.mu / (self.mu + z)
+
+    @property
+    def left_singularity(self) -> float:
+        return self.mu
 
     def tail(self, u: float) -> float:
         return math.exp(-self.mu * u)
@@ -150,6 +175,13 @@ class Erlang(ClaimDistribution):
     def lst(self, alpha: float) -> float:
         return (self.mu / (self.mu + alpha)) ** self.k
 
+    def lst_complex(self, z):
+        return (self.mu / (self.mu + z)) ** self.k
+
+    @property
+    def left_singularity(self) -> float:
+        return self.mu
+
     def tail(self, u: float) -> float:
         # P(Gamma(k, mu) > u) = e^{-mu u} sum_{j<k} (mu u)^j / j!
         x = self.mu * u
@@ -186,6 +218,13 @@ class PhaseTypeClaim(ClaimDistribution):
 
     def lst(self, alpha: float) -> float:
         return pht.ph_lst(self.ph, alpha)
+
+    def lst_complex(self, z):
+        return pht.ph_lst_complex(self.ph, z)
+
+    @property
+    def left_singularity(self) -> float:
+        return pht.ph_abscissa(self.ph)
 
     def tail(self, u: float) -> float:
         return pht.ph_tail(self.ph, u)
@@ -275,6 +314,64 @@ class Lomax(ClaimDistribution):
             coeffs.append(sign * self._kernel_moment(alpha, i) / fact)
         return Taylor(coeffs)
 
+    def lst_complex(self, z):
+        """eps (cz)^eps e^{cz} Gamma(-eps, cz) on Re z > 0: the power series
+        of the lower incomplete gamma function for |cz| < 1, Legendre's
+        continued fraction (modified Lentz) beyond."""
+        w = self.c * np.asarray(z, dtype=complex)
+        small = np.abs(w) < _LOMAX_SERIES_RADIUS
+        out = np.empty_like(w)
+        if small.any():
+            out[small] = self._lst_series_form(w[small])
+        if not small.all():
+            out[~small] = self._lst_fraction_form(w[~small])
+        return out
+
+    def _lst_series_form(self, w):
+        # Gamma(-eps, w) = Gamma(-eps) - sum_n (-1)^n w^(n-eps) / (n! (n-eps))
+        eps = self.eps
+        acc = np.zeros_like(w)
+        term = np.ones_like(w)  # (-w)^n / n!
+        for n in range(_LOMAX_TERMS):
+            step = term / (n - eps)
+            acc += step
+            if np.all(np.abs(step) <= 1e-17 * np.abs(acc)):
+                break
+            term = term * (-w) / (n + 1)
+        else:
+            raise NoConvergence("Lomax transform series did not converge")
+        return eps * np.exp(w) * (w**eps * math.gamma(-eps) - acc)
+
+    def _lst_fraction_form(self, w):
+        # Gamma(a, w) = e^{-w} w^a / (w + 1 - a - 1 (1 - a) / (w + 3 - a - ...))
+        # with a = -eps; the prefactors cancel against eps w^eps e^w
+        a = -self.eps
+        tiny = 1e-300
+        b = w + 1.0 - a
+        c = np.full_like(w, 1.0 / tiny)
+        d = 1.0 / b
+        h = d
+        for i in range(1, _LOMAX_TERMS):
+            an = -i * (i - a)
+            b = b + 2.0
+            d = an * d + b
+            d = np.where(np.abs(d) < tiny, tiny, d)
+            c = b + an / c
+            c = np.where(np.abs(c) < tiny, tiny, c)
+            d = 1.0 / d
+            delta = d * c
+            h = h * delta
+            if np.all(np.abs(delta - 1.0) <= 1e-15):
+                break
+        else:
+            raise NoConvergence("Lomax transform continued fraction did not converge")
+        return self.eps * h
+
+    @property
+    def left_singularity(self) -> float:
+        # branch point at zero: the transform exists on Re z >= 0 only
+        return 0.0
+
     def tail(self, u: float) -> float:
         return (self.c / (self.c + u)) ** self.eps
 
@@ -319,6 +416,13 @@ class PointMass(ClaimDistribution):
 
     def lst(self, alpha: float) -> float:
         return math.exp(-alpha * self.b)
+
+    def lst_complex(self, z):
+        return np.exp(-self.b * z)
+
+    @property
+    def left_singularity(self) -> float:
+        return math.inf
 
     def tail(self, u: float) -> float:
         return 1.0 if u < self.b else 0.0

@@ -67,9 +67,9 @@ def cmd_transform(args) -> int:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["alpha", "pi_ladder", "pi_overshoot", "abs_diff"])
     for a in alphas:
-        pi = engine.value(a)
+        pi = ladder.checked_transform(engine.value(a), a)
         if table is not None:
-            po = table.pi_via_ladders(a)
+            po = ladder.checked_transform(table.pi_via_ladders(a), a)
             writer.writerow([_fmt(a), _fmt(pi), _fmt(po), _fmt(abs(pi - po))])
         else:
             writer.writerow([_fmt(a), _fmt(pi), "", ""])
@@ -79,12 +79,9 @@ def cmd_transform(args) -> int:
 
 
 def _ph_tail_column(model, beta, u_values):
-    if beta is None or beta <= 0 or not is_drift_model(model):
+    if beta is None or beta <= 0 or model.m == 0 or not is_drift_model(model):
         return None
-    first = model.claims[0] if model.m else None
-    if first is None or any(c != first for c in model.claims[1:]):
-        return None
-    if first.phase_type() is None:
+    if any(c.phase_type() is None for c in model.claims):
         return None
     ph = phase_type.running_max_ph(model, beta, model.m)
     return [phase_type.ph_tail(ph, u) for u in u_values]
@@ -106,6 +103,8 @@ def cmd_curves(args) -> int:
         means, variances = inversion.moment_curves(model, t_values)
         writer.writerow(["t", "mean", "var"])
         for t, mean, var in zip(t_values, means, variances):
+            if not (math.isfinite(mean) and math.isfinite(var)):
+                raise PoolRuinError(f"moments ({mean!r}, {var!r}) at t = {t!r}")
             writer.writerow([_fmt(t), _fmt(mean), _fmt(var)])
     else:
         beta = _require_beta(args, default_beta)

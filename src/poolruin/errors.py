@@ -34,6 +34,10 @@ class NonIdenticalClaims(PoolRuinError):
     """Operation requires all claim sizes to share one distribution."""
 
 
+class NotPhaseType(PoolRuinError):
+    """Operation requires claim laws with a phase-type representation."""
+
+
 class MomentUndefined(PoolRuinError):
     """A requested moment of a claim distribution does not exist."""
 

@@ -7,7 +7,9 @@ described through the exponent ``phi(a) = log E exp(-a Z(1))``; a premium
 drift enters with positive ``r`` so that ``phi`` is convex, vanishes at zero
 and increases without bound unless the path is nondecreasing.  Increasing
 (subordinator) regimes are flagged explicitly and use a separate transform
-for their killed maximum.
+for their killed maximum.  The exponent and the killed-maximum factor take
+arrays of complex arguments as well as floats; :func:`left_root` gives the
+factor's singularity on the negative axis.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .claims import ClaimDistribution
 from .errors import NoRoot, NotSubordinator, SubordinatorRegime
@@ -94,13 +98,18 @@ def subordinator(
     return LevyRegime(kind="subordinator", r=r, jump_rate=jump_rate, jump_law=jump_law)
 
 
-def laplace_exponent(regime: LevyRegime, alpha: float) -> float:
-    """phi(a) = r a + sigma2 a^2 / 2 - rate (1 - jump transform)."""
-    if alpha < 0:
+def laplace_exponent(regime: LevyRegime, alpha):
+    """phi(a) = r a + sigma2 a^2 / 2 - rate (1 - jump transform), at a
+    nonnegative float or at an array of complex arguments."""
+    if isinstance(alpha, np.ndarray):
+        jump = regime.jump_law.lst_complex if regime.jump_rate > 0 else None
+    elif alpha < 0:
         raise ValueError("alpha must be nonnegative")
+    else:
+        jump = regime.jump_law.lst if regime.jump_rate > 0 else None
     val = regime.r * alpha + 0.5 * regime.sigma2 * alpha * alpha
-    if regime.jump_rate > 0:
-        val -= regime.jump_rate * (1.0 - regime.jump_law.lst(alpha))
+    if jump is not None:
+        val = val - regime.jump_rate * (1.0 - jump(alpha))
     return val
 
 
@@ -168,6 +177,60 @@ def inverse_exponent(regime: LevyRegime, lam: float) -> float:
                 continue
         x = 0.5 * (lo + hi)
     return x
+
+
+def left_root(regime: LevyRegime, lam: float) -> float:
+    """Distance from zero to the root of phi(a) = lam on the negative axis,
+    the singularity of the killed-maximum factor nearest to zero on the
+    left (inf when phi stays below lam there, as for a flat path).
+
+    Closed forms without jumps; otherwise bisection to three digits between
+    zero and the jump law's own singularity, which is all the contour rule
+    needs of it.
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    r, s2 = regime.r, regime.sigma2
+    if regime.jump_rate == 0.0:
+        if s2 > 0.0:
+            return (r + math.sqrt(r * r + 2.0 * s2 * lam)) / s2
+        return -lam / r if r < 0.0 else math.inf
+    law = regime.jump_law
+    wall = law.left_singularity
+    if wall == 0.0:
+        return 0.0
+
+    def above(a: float) -> bool:
+        z = np.array([complex(-a)])
+        val = -r * a + 0.5 * s2 * a * a - regime.jump_rate * (1.0 - law.lst_complex(z)[0].real)
+        return val > lam
+
+    lo, hi = 0.0, min(1.0, 0.5 * wall)
+    while not above(hi):
+        lo = hi
+        hi = 0.5 * (hi + wall) if math.isfinite(wall) else 2.0 * hi
+        if hi > 1e300 or hi - lo <= 1e-12 * hi:
+            return hi
+    while hi - lo > 1e-3 * hi:
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def killed_max(regime: LevyRegime, z, lam: float, psi: Optional[float] = None):
+    """Killed-maximum transform at a float or at an array of complex
+    arguments, by its defining formula: lam / (lam - phi(z)) for a
+    subordinator, (psi - z) / (lam - phi(z)) * lam / psi otherwise.  Loses
+    digits near z = psi, where the caller takes contour means instead;
+    ``psi`` as in :func:`wiener_hopf_series`."""
+    if regime.is_subordinator:
+        return lam / (lam - laplace_exponent(regime, z))
+    if psi is None:
+        psi = inverse_exponent(regime, lam)
+    return (psi - z) / (lam - laplace_exponent(regime, z)) * (lam / psi)
 
 
 def wiener_hopf_series(

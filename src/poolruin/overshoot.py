@@ -12,21 +12,28 @@ direct ladder recursion, which is the strongest cross-check in the package.
 The base transform is one second-order divided difference of the claim
 transform,
 
-    xi_{n,n-1}(alpha, beta, gamma) = (lam_circ_n gamma / r_n) B[gamma, alpha, nu_n],
+    xi_{n,n-1}(alpha, beta, gamma) = (lam_circ_n gamma / r_n) B[gamma, alpha, nu_n]
+        = (lam_circ_n gamma / r_n) (B[gamma, alpha] - B[alpha, nu_n]) / (gamma - nu_n),
 
-which absorbs all three removable singularities (gamma = alpha, gamma =
-nu_n, alpha = nu_n) into the confluent evaluation; deeper levels follow the
-same two-point recursion (in gamma) as the running-maximum ladder.
+evaluated directly with one real divided difference B[alpha, nu_n]; its
+removable points gamma = alpha and gamma = nu_n are contour means of the
+same evaluator as the running-maximum ladder (see :mod:`poolruin.ladder`),
+and deeper levels follow the same two-point recursion in gamma.  The
+overshoot route stays a separate formula, so it remains an independent
+check of the ladder.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
+from .claims import ClaimDistribution
 from .errors import ChainBudgetExceeded, KillingRequired, RegimeMismatch
-from .ladder import _Prop1Level, _Recursion
+from .ladder import _LadderLevel, _Recursion
 from .model import ModelSpec, is_drift_model
-from .seriesops import Taylor, dd1_value, dd2_series
+from .seriesops import dd1_value
 
 __all__ = [
     "OvershootTable",
@@ -38,6 +45,35 @@ __all__ = [
 ]
 
 _DEFAULT_CHAIN_BUDGET = 4096
+
+
+class _OvershootBase:
+    """Base of the xi recursion in gamma = z,
+
+        xi_{n,n-1}(z) = (lam_circ/r) z (B[z, alpha] - B[alpha, nu]) / (z - nu),
+
+    removable at z = alpha and z = nu; B[alpha, nu] is one real divided
+    difference."""
+
+    def __init__(self, claim: ClaimDistribution, alpha: float, nu: float, scale: float):
+        self.claim = claim
+        self.alpha = alpha
+        self.nu = nu
+        self.scale = scale
+        self.removable = (alpha, nu)
+        self.left = claim.left_singularity
+        self._b_alpha = claim.lst(alpha)
+        self._dd = dd1_value(claim.lst_series, nu, alpha)
+
+    def real(self, x):
+        inner = (self.claim.lst(x) - self._b_alpha) / (x - self.alpha)
+        return self.scale * x * (inner - self._dd) / (x - self.nu)
+
+    def nodes(self, z):
+        inner = (self.claim.lst_complex(z) - self._b_alpha) / (z - self.alpha)
+        outer = self.scale * z / (z - self.nu)
+        amp = np.abs(outer) * (2.0 / np.abs(z - self.alpha) + abs(self._dd))
+        return outer * (inner - self._dd), amp
 
 
 class OvershootTable:
@@ -77,20 +113,16 @@ class OvershootTable:
         if engine is not None:
             return engine
         n0 = k + 1
-        claim0 = self._claim[n0 - 1]
-        lam_circ0 = self.model.rate_for_state(n0)
-        r0 = self.model.regimes[n0].r
-        nu0 = self.nu(n0)
-
-        def base(point: float, order: int) -> Taylor:
-            dd = dd2_series(claim0.lst_series, alpha, nu0, point, order)
-            x = Taylor.identity(point, order)
-            return (lam_circ0 / r0) * (x * dd)
-
+        base = _OvershootBase(
+            claim=self._claim[n0 - 1],
+            alpha=alpha,
+            nu=self.nu(n0),
+            scale=self.model.rate_for_state(n0) / self.model.regimes[n0].r,
+        )
         levels = [
-            _Prop1Level(
+            _LadderLevel(
                 nu=self.nu(j),
-                clst=self._claim[j - 1].lst_series,
+                claim=self._claim[j - 1],
                 p0=0.0,
                 w=self.model.rate_for_state(j) / self.lam(j),
             )
@@ -109,7 +141,7 @@ class OvershootTable:
             raise ValueError("alpha must be nonnegative")
         if gamma <= 0:
             raise ValueError("gamma must be positive")
-        return self._xi_engine(k, alpha).series(n - k - 1, gamma, 0).c[0]
+        return self._xi_engine(k, alpha).level_value(n - k - 1, float(gamma))
 
     def zeta(self, n: int, k: int, alpha: float) -> float:
         if not 1 <= n <= self.model.m:

@@ -4,7 +4,7 @@ A phase-type law is the absorption time of a finite-state Markov chain with
 transient generator block ``S``, initial distribution ``delta`` over the
 transient states and an atom ``delta_abs`` at zero.  The module provides the
 transform, density and survival function, convolution, the inductive
-construction of the running-maximum law in the drift model with i.i.d.
+construction of the running-maximum law in the drift model with
 phase-type claims, and the Erlang-like spectral tail extraction.
 """
 
@@ -16,12 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ._lazy import LazyModule
-from .errors import (
-    NoConvergence,
-    NonIdenticalClaims,
-    RegimeMismatch,
-    SingularSystem,
-)
+from .errors import NoConvergence, NotPhaseType, RegimeMismatch, SingularSystem
 from .seriesops import Taylor
 
 linalg = LazyModule("scipy.linalg")
@@ -105,6 +100,28 @@ def ph_lst(ph: PhaseType, alpha: float) -> float:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - valid PH cannot hit this
         raise SingularSystem(str(exc)) from exc
     return float(ph.delta_abs + ph.delta @ x)
+
+
+def ph_lst_complex(ph: PhaseType, z: np.ndarray) -> np.ndarray:
+    """Transform at an array of complex arguments by one batched solve of
+    (z I - S) x = s."""
+    z = np.asarray(z, dtype=complex)
+    if ph.d == 0:
+        return np.full(z.shape, complex(ph.delta_abs))
+    eye = np.eye(ph.d)
+    mats = z.reshape(-1, 1, 1) * eye - ph.S
+    rhs = np.broadcast_to(ph.s, (mats.shape[0], ph.d))[..., None]
+    x = np.linalg.solve(mats, rhs)[..., 0]
+    return (ph.delta_abs + x @ ph.delta).reshape(z.shape)
+
+
+def ph_abscissa(ph: PhaseType) -> float:
+    """Distance from zero to the transform's rightmost pole, which is the
+    spectral abscissa of S with its sign flipped (inf for the point mass
+    at zero)."""
+    if ph.d == 0:
+        return float("inf")
+    return -float(np.max(np.linalg.eigvals(ph.S).real))
 
 
 def ph_lst_series(ph: PhaseType, alpha: float, order: int) -> Taylor:
@@ -235,12 +252,14 @@ def running_max_ph(model, beta: float, n: int) -> PhaseType:
     """Exact phase-type law of the running maximum killed at rate ``beta``.
 
     Requires the drift model (positive pure drifts in every state with
-    clients, see ``is_drift_model``) with one common phase-type claim law.
-    Starting with ``n`` clients the result has dimension ``n * d``: the
-    generator stacks the claim block on the diagonal with rank-one
-    couplings ``s_k delta^T``, and the initial vector
-    follows the two-step induction (append a claim block, then resolve it
-    against the exponential ladder rate nu_k = lambda_k / r_k).
+    clients, see ``is_drift_model``) and a phase-type claim law for every
+    client; the laws may differ from client to client.  Starting with ``n``
+    clients the result stacks one block per client on the diagonal, the
+    block of state ``k`` built from ``model.claim_for_state(k)``'s own
+    ``(delta, S)``, with rank-one couplings ``s_prev delta_k^T``.  The
+    initial vector follows the two-step induction (append the claim block,
+    then resolve it against the exponential ladder rate nu_k = lambda_k /
+    r_k).
     """
     # model imports claims, which imports this module
     from .model import is_drift_model
@@ -251,42 +270,40 @@ def running_max_ph(model, beta: float, n: int) -> PhaseType:
         raise ValueError("n must lie in 0..m")
     if not is_drift_model(model):
         raise RegimeMismatch("running_max_ph requires the drift model")
-    claims = [model.claims[model.m - k] for k in range(1, n + 1)]
-    if not claims:
-        return point_mass_zero()
-    first = claims[0]
-    if any(c != first for c in claims[1:]):
-        raise NonIdenticalClaims("running_max_ph requires one common claim law")
-    claim_ph = first.phase_type()
-    if claim_ph is None:
-        raise NonIdenticalClaims(
-            f"claim kind {first.kind!r} has no phase-type representation"
-        )
-    d = claim_ph.d
-    if d == 0:
-        return point_mass_zero()
-    delta, S_claim, s_claim = claim_ph.delta, claim_ph.S, claim_ph.s
+    blocks = []
+    for k in range(1, n + 1):
+        claim = model.claim_for_state(k)
+        claim_ph = claim.phase_type()
+        if claim_ph is None:
+            raise NotPhaseType(
+                f"claim kind {claim.kind!r} has no phase-type representation"
+            )
+        blocks.append(claim_ph)
 
-    S_cur = S_claim.copy()
+    S_cur = np.zeros((0, 0))
     delta_cur = np.zeros(0)
     atom_cur = 1.0
-    for k in range(1, n + 1):
-        kd = k * d
-        if k > 1:
-            S_new = np.zeros((kd, kd))
-            S_new[: kd - d, : kd - d] = S_cur
-            s_prev = -S_cur @ np.ones(kd - d)
-            S_new[: kd - d, kd - d :] = np.outer(s_prev, delta)
-            S_new[kd - d :, kd - d :] = S_claim
-            S_cur = S_new
+    for k, claim_ph in enumerate(blocks, start=1):
+        d0 = S_cur.shape[0]
+        kd = d0 + claim_ph.d
+        S_new = np.zeros((kd, kd))
+        S_new[:d0, :d0] = S_cur
+        s_prev = -S_cur @ np.ones(d0)
+        S_new[:d0, d0:] = np.outer(s_prev, claim_ph.delta)
+        S_new[d0:, d0:] = claim_ph.S
+        S_cur = S_new
+        if kd == 0:  # every claim so far is the point mass at zero
+            continue
         # append the new claim block to the initial vector
-        delta_prime = np.concatenate([delta_cur, atom_cur * delta])
+        delta_prime = np.concatenate([delta_cur, atom_cur * claim_ph.delta])
         lam_circ = model.lambda_circ[k - 1]
         lam = lam_circ + beta
         nu = lam / model.regimes[k].r
         resolvent = np.linalg.solve((nu * np.eye(kd) - S_cur).T, delta_prime)
         delta_cur = (lam_circ / lam) * nu * resolvent
         atom_cur = 1.0 - float(delta_cur.sum())
+    if S_cur.shape[0] == 0:
+        return point_mass_zero()
     return PhaseType(delta=delta_cur, S=S_cur, delta_abs=atom_cur)
 
 

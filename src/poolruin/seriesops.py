@@ -1,23 +1,23 @@
 """Truncated Taylor arithmetic and confluent divided differences.
 
-The transform recursions in this package repeatedly evaluate expressions of
-the form ``nu/(nu - alpha) * (C(alpha) F(alpha) - (alpha/nu) C(nu) F(nu))``
-whose numerator vanishes together with the denominator at ``alpha = nu``.
-All of these removable singularities are resolved analytically by expanding
-the ingredients as truncated Taylor series around the critical point and
-cancelling the vanishing factor exactly.  The same machinery doubles as the
-order-2 jet propagation used to extract moments from a transform.
+The ladder recursion (:mod:`poolruin.ladder`) evaluates its levels
+directly and takes contour means near its removable points, so it needs
+series only for order-2 jets (moments) at points away from every removable
+point.  The divided differences of claim transforms, such as the real
+B[alpha, nu] of the overshoot base and the ladder heights, still meet their
+removable singularity at coinciding nodes; they expand the transform as a
+truncated Taylor series around the evaluation point and cancel the
+vanishing factor exactly (:func:`div_by_linear_root`).
 
 A :class:`Taylor` value stores coefficients ``c[i] = f^(i)(a) / i!`` around
 an expansion point that the caller tracks; binary operations assume both
 operands are expanded around the same point and truncate to the shorter
 operand.
 
-The ladder recursion's orders grow by about 6.5 per level (about 500 at
-m = 30), so products and quotients of long series run on numpy arrays: a
-product once both operands reach ``ARRAY_MIN_LEN`` coefficients, a quotient
-from its coefficient ``ARRAY_MIN_LEN`` on, whose fold has that many terms.
-Below the crossover the per-call cost of numpy exceeds the Python loop's
+Products and quotients of long series run on numpy arrays: a product once
+both operands reach ``ARRAY_MIN_LEN`` coefficients, a quotient from its
+coefficient ``ARRAY_MIN_LEN`` on, whose fold has that many terms.  Below
+the crossover the per-call cost of numpy exceeds the Python loop's
 (measured on a 2-core x86-64 host: arrays win from about 36 coefficients for
 products and 50 fold terms for quotients).  The array kernels add the same
 products in the same order as the loops, so every coefficient is bit for
@@ -27,9 +27,10 @@ loop does, and a quotient coefficient folds its terms left to right
 (``np.subtract.accumulate``).  No ``dot``, FFT convolution or
 triangular-Toeplitz solve is used: each adds in an order of its own
 (pairwise, blocked, transformed), which would move the low bits of every
-coefficient, and with them every transform value the package checks
-against its independent routes.  The kernels run under ``np.errstate``, so
-inf and NaN propagate silently, as through Python floats.
+coefficient.  The kernels run under ``np.errstate``, so inf and NaN
+propagate silently, as through Python floats.  No series of the package's
+own routes reaches that length any more; the kernels and
+:meth:`Taylor.shift` serve callers of the public arithmetic.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ DD_NODE_RTOL = 1e-4
 
 # Relative distance below which a removable root is divided out top-down
 # (truncation-limited, needs margin orders) rather than bottom-up (round-off
-# limited by the constant term's cancellation, eps / rel); evaluation points
-# this close to a ladder rate are also computed at a shared anchor.
+# limited by the constant term's cancellation, eps / rel).
 ROOT_DIV_WINDOW = 0.35
 
 # Series length from which products and quotients run on numpy arrays
@@ -283,31 +283,6 @@ def _div_folds(a: tuple, b: tuple, head: list, start: int) -> list:
 
 # A series provider: (expansion point, order) -> Taylor of that order.
 SeriesFn = Callable[[float, int], Taylor]
-
-
-def series_from_callable(fn: Callable[[float], float], h: float = 1e-5) -> SeriesFn:
-    """Adapt a plain value-callable into a series provider.
-
-    Derivatives come from central differences, so only orders up to 2 are
-    supported and accuracy is limited; transform objects with analytic
-    series should be preferred whenever a singular branch can trigger.
-    """
-
-    def series(point: float, order: int) -> Taylor:
-        if order == 0:
-            return Taylor((fn(point),))
-        if order > 2:
-            raise ValueError(
-                "finite-difference series adapter supports order <= 2; "
-                "supply an object with analytic series instead"
-            )
-        step = h * max(1.0, abs(point))
-        fm, f0, fp = fn(point - step), fn(point), fn(point + step)
-        d1 = (fp - fm) / (2.0 * step)
-        d2 = (fp - 2.0 * f0 + fm) / (step * step)
-        return Taylor((f0, d1, d2 / 2.0)).truncate(order)
-
-    return series
 
 
 def root_div_topdown(y0: float, scale: float) -> bool:

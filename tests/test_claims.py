@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from poolruin import claims
 from poolruin.errors import MomentUndefined
+from poolruin.phase_type import PhaseType
 
 ALL_KINDS = [
     claims.Exponential(1.0),
@@ -91,6 +92,80 @@ def test_rv_expansion_recovers_theta():
     a = 1e-4
     remainder = d.lst(a) - 1.0 + d.mean() * a
     assert abs(remainder / a**1.5 / meta.theta - 1.0) < 0.02
+
+
+PH_GENERAL = claims.PhaseTypeClaim(
+    PhaseType(
+        delta=np.array([0.3, 0.5, 0.1]),
+        S=np.array([[-2.0, 1.0, 0.5], [0.0, -1.5, 0.2], [0.3, 0.0, -0.8]]),
+        delta_abs=0.1,
+    )
+)
+COMPLEX_KINDS = ALL_KINDS + [
+    PH_GENERAL,
+    claims.Lomax(0.3, 2.5),
+    claims.Lomax(2.0, 0.7),
+    claims.Lomax(1.0, 3.2),
+]
+
+
+def _mp_lst(dist, z):
+    """The transform at complex ``z`` in mpmath."""
+    if isinstance(dist, claims.Exponential):
+        return dist.mu / (dist.mu + z)
+    if isinstance(dist, claims.Erlang):
+        return (dist.mu / (dist.mu + z)) ** dist.k
+    if isinstance(dist, claims.PointMass):
+        return mp.exp(-dist.b * z)
+    if isinstance(dist, claims.Lomax):
+        w = dist.c * z
+        return dist.eps * w**dist.eps * mp.exp(w) * mp.gammainc(-dist.eps, w)
+    ph = dist.ph
+    A = mp.matrix(z * np.eye(ph.d) - ph.S)
+    x = mp.lu_solve(A, mp.matrix(ph.s))
+    return ph.delta_abs + sum(ph.delta[i] * x[i] for i in range(ph.d))
+
+
+def _complex_grid():
+    rng = np.random.default_rng(8)
+    z = rng.uniform(1e-3, 6.0, 60) + 1j * rng.uniform(-8.0, 8.0, 60)
+    polar = 10.0 ** rng.uniform(-3, 2, 40) * np.exp(1j * rng.uniform(-1.5, 1.5, 40))
+    # both sides of the Lomax switch from series to continued fraction
+    edge = np.array([0.999, 1.001]) * np.exp(1j * np.array([[0.3], [-1.2]]))
+    return np.concatenate([z, polar, edge.ravel()])
+
+
+@pytest.mark.parametrize("dist", COMPLEX_KINDS, ids=lambda d: d.kind)
+def test_lst_complex_against_mpmath(dist):
+    z = _complex_grid()
+    if isinstance(dist, claims.Lomax):
+        z = z / dist.c  # the grid in units of the switch at |cz| = 1
+    got = dist.lst_complex(z)
+    assert got.shape == z.shape
+    with mp.workdps(40):
+        for zi, gi in zip(z, got):
+            want = complex(_mp_lst(dist, mp.mpc(zi.real, zi.imag)))
+            assert abs(gi - want) <= 1e-13 * abs(want), (zi, gi, want)
+
+
+@pytest.mark.parametrize("dist", COMPLEX_KINDS, ids=lambda d: d.kind)
+def test_lst_complex_on_the_real_axis_is_lst(dist):
+    x = np.array([1e-3, 0.05, 0.3, 0.999, 1.0, 1.5, 2.0, 7.0, 40.0])
+    got = dist.lst_complex(x.astype(complex))
+    for xi, gi in zip(x, got):
+        want = dist.lst(float(xi))
+        assert abs(gi.imag) <= 1e-14 * want
+        assert abs(gi.real - want) <= 1e-14 * want, (xi, gi, want)
+
+
+def test_left_singularities():
+    assert claims.Exponential(2.5).left_singularity == 2.5
+    assert claims.Erlang(3, 0.7).left_singularity == 0.7
+    assert claims.PointMass(1.0).left_singularity == math.inf
+    assert claims.Lomax(1.0, 1.5).left_singularity == 0.0
+    # the spectral abscissa: the slowest exit rate of an Erlang chain
+    ph = claims.PhaseTypeClaim(claims.Erlang(2, 1.3).phase_type())
+    assert math.isclose(ph.left_singularity, 1.3, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: d.kind)

@@ -133,6 +133,45 @@ def test_curves_ruin_fig5_asymptote_column(capsys):
     assert row[4] == "" and row[5] == ""
 
 
+MIXED_CLAIMS = """{
+  "m": 2, "lambda_circ": [1.0, 2.0], "beta": 1.0,
+  "claims": [{"exp": {"mu": 1.0}}, {"erlang": {"k": 2, "mu": 3.0}}],
+  "regimes": [{"drift": {"r": 0.0}}, {"drift": {"r": 1.0}}, {"drift": {"r": 2.0}}]
+}"""
+
+
+def test_curves_exact_column_for_per_client_laws(tmp_path, capsys):
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(MIXED_CLAIMS)
+    code, out, _ = run_cli(
+        capsys, "curves", "--config", str(cfg), "--mode", "ruin", "--u-grid", "1,3"
+    )
+    assert code == 0
+    for line in out.strip().splitlines()[1:]:
+        u, inv, ph = line.split(",")[:3]
+        assert abs(float(inv) - float(ph)) < 1e-4
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.5])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("transform", "--alpha-grid", "0,0.5"),
+        ("curves", "--mode", "ruin", "--u-grid", "1"),
+    ],
+    ids=["transform", "curves"],
+)
+def test_values_outside_the_unit_interval_fail_loudly(monkeypatch, capsys, argv, bad):
+    from poolruin import ladder
+
+    monkeypatch.setattr(ladder._Recursion, "value", lambda self, alpha: bad)
+    code, out, err = run_cli(capsys, *argv[:1], "--config", str(CONFIGS / "fig4.json"), *argv[1:])
+    assert code == 3
+    assert "alpha = " in err and repr(bad) in err
+    # the failing row is never written
+    assert len(out.strip().splitlines()) <= 1
+
+
 def test_simulate_json_deterministic(capsys):
     argv = [
         "simulate",

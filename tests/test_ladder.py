@@ -120,7 +120,7 @@ def test_pi_jet_matches_finite_differences():
         d1 = (-3 * f(0.0) + 4 * f(h) - f(2 * h)) / (2 * h)
         assert math.isclose(jet.d1, d1, rel_tol=1e-6, abs_tol=1e-8)
         # jet at an interior point against centered differences
-        jet_in = ladder.engine(mdl, beta, mdl.m).series(mdl.m, 0.5, 2).jet()
+        jet_in = ladder.engine(mdl, beta, mdl.m).jet(0.5)
         d1c = (f(0.5 + h) - f(0.5 - h)) / (2 * h)
         d2c = (f(0.5 + h) - 2 * f(0.5) + f(0.5 - h)) / h**2
         assert math.isclose(jet_in.d1, d1c, rel_tol=1e-6, abs_tol=1e-9)
@@ -295,12 +295,20 @@ def test_coincident_rates_against_phase_type_route():
         ) < 1e-12
 
 
-def _spread_pool(kind, m):
-    """Exp(1) claims, lambda_circ[i] = i + 1 and r = (0, 1, ..., 1): ladder
-    rates spread up to m, so the series orders grow with each level."""
-    rates = [0.0] + [1.0] * m
+def _deep_pool(kind, m, shape="spread"):
+    """Exp(1) claims.  ``spread``: lambda_circ[i] = i + 1 and r = (0, 1, ...,
+    1), ladder rates spread up to m; ``cluster``: lambda_circ[i] = (i + 1)/4
+    and r_k = k, ladder rates bunched towards 1/4."""
+    if shape == "cluster":
+        lam = [0.25 * (i + 1) for i in range(m)]
+        rates = [float(k) for k in range(m + 1)]
+    else:
+        lam = [float(i + 1) for i in range(m)]
+        rates = [0.0] + [1.0] * m
     if kind == "drift":
         regimes = [model.drift(r) for r in rates]
+    elif kind == "bm":
+        regimes = [model.brownian_drift(r, 1.0) for r in rates]
     else:
         regimes = [
             model.compound_poisson_drift(r + 1.0, 0.0, 1.0, claims.Exponential(2.0))
@@ -308,22 +316,21 @@ def _spread_pool(kind, m):
         ]
     return model.ModelSpec(
         m=m,
-        lambda_circ=tuple(float(i + 1) for i in range(m)),
+        lambda_circ=tuple(lam),
         claims=(claims.Exponential(1.0),) * m,
         regimes=tuple(regimes),
     )
 
 
 def test_spread_pool_of_forty_clients():
-    # the orders reached here take the claim coefficients' powers beyond
-    # the float range
+    # forty spread ladder rates, each within the window of its neighbours
     from poolruin import phase_type
 
-    drift = _spread_pool("drift", 40)
+    drift = _deep_pool("drift", 40)
     want = phase_type.ph_lst(phase_type.running_max_ph(drift, 1.0, 40), 1.0)
     got = ladder.pi_max(drift, 1.0, 40, 1.0)
     assert abs(got - want) <= 1e-15 * want
-    cp = ladder.pi_max(_spread_pool("cp", 40), 1.0, 40, 1.0)
+    cp = ladder.pi_max(_deep_pool("cp", 40), 1.0, 40, 1.0)
     assert math.isfinite(cp) and 0.0 <= cp <= 1.0
 
 
@@ -340,7 +347,7 @@ def test_pi_drift_is_probability_lst(seed, beta):
 
 def test_levy_identical_regimes_singular_cluster():
     # identical Brownian states: every killed-max critical point coincides,
-    # exercising the shared-anchor path through the post factors
+    # exercising contour means through the killed-maximum factors
     reg = model.brownian_drift(1.0, 1.0)
     m = 4
     mdl = model.ModelSpec(
@@ -362,3 +369,106 @@ def test_levy_identical_regimes_singular_cluster():
     )
     est, se = sim.lst[float(psi)]
     assert abs(ladder.pi_max(mdl, beta, m, float(psi)) - est) < 3 * se
+
+
+@pytest.mark.parametrize("shape", ["cluster", "spread"])
+@pytest.mark.parametrize("m", [30, 60, 100])
+def test_deep_drift_pools_match_the_phase_type_law(m, shape):
+    # clustered rates need large circles, spread ones small circles
+    from poolruin import phase_type
+
+    mdl = _deep_pool("drift", m, shape)
+    want = phase_type.ph_lst(phase_type.running_max_ph(mdl, 1.0, m), 1.0)
+    got = ladder.pi_max(mdl, 1.0, m, 1.0)
+    assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("shape", ["cluster", "spread"])
+@pytest.mark.parametrize("kind", ["bm", "cp"])
+def test_deep_levy_pools_against_monte_carlo(kind, shape):
+    m = 60
+    mdl = _deep_pool(kind, m, shape)
+    exact = ladder.pi_max(mdl, 1.0, m, 1.0)
+    sim = simulate.simulate_paths(mdl, 1.0, n_paths=200_000, seed=606, alphas=(1.0,))
+    est, se = sim.lst[1.0]
+    assert abs(est - exact) < 3 * se
+
+
+# transform_battery seed 4 model r125 (perfbench/workloads.py): six clients
+# whose ladder rates 0.57 to 1.70 lie within the window of one another
+R125 = model.ModelSpec(
+    m=6,
+    lambda_circ=(
+        1.795786592956297, 0.7745489930839382, 0.2952338662505706,
+        4.297633078577266, 1.0221846484281414, 1.2193805991819893,
+    ),
+    claims=(
+        claims.Erlang(1, 0.6631897735290351),
+        claims.Exponential(1.7694241321358124),
+        claims.Exponential(0.4686492821266019),
+        claims.Exponential(1.0539551145345774),
+        claims.Exponential(2.8801586295530845),
+        claims.Exponential(2.463192191563136),
+    ),
+    regimes=tuple(
+        model.drift(r)
+        for r in (
+            2.428346288516, 4.938156067973213, 2.17268495113941, 1.10002176193055,
+            3.1212065075021282, 2.871937347666952, 3.2801675179696774,
+        )
+    ),
+)
+R125_AT_ONE = 0.780777453279751  # the phase-type law, one block per client
+
+
+def test_r125_pinned_on_every_route():
+    from poolruin import overshoot, phase_type
+
+    exact = phase_type.ph_lst(phase_type.running_max_ph(R125, 1.0, 6), 1.0)
+    assert abs(exact - R125_AT_ONE) <= 1e-15
+    routes = (
+        ladder.pi_max(R125, 1.0, 6, 1.0),
+        overshoot.pi_via_ladders(R125, 1.0, 1.0),
+        overshoot.pi_explicit_chains(R125, 1.0, 1.0),
+    )
+    for got in routes:
+        assert abs(got - R125_AT_ONE) <= 1e-12 * R125_AT_ONE
+
+
+def _order_models():
+    yield R125, 1.0
+    yield _deep_pool("bm", 8, "cluster"), 1.0
+    yield _deep_pool("cp", 8, "spread"), 1.0
+    yield load_model(CONFIGS / "fig5.json")
+    yield next(_purity_models())
+
+
+def test_values_do_not_depend_on_request_order():
+    # windowed and plain points, the ladder rates themselves among them
+    for mdl, beta in _order_models():
+        eng = ladder.engine(mdl, beta, mdl.m)
+        rates = [lv.nu for lv in eng.levels if hasattr(lv, "nu")]
+        points = [0.0, 1e-3, 0.3, 1.0, 4.0] + rates + [1.01 * x for x in rates]
+        forward = ladder.engine(mdl, beta, mdl.m)
+        backward = ladder.engine(mdl, beta, mdl.m)
+        ahead = {x: repr(forward.value(x)) for x in points}
+        behind = {x: repr(backward.value(x)) for x in reversed(points)}
+        assert ahead == behind
+        jets = [repr(ladder.engine(mdl, beta, mdl.m).jet(x, order=1)) for x in (0.0, 1.0)]
+        assert jets == [repr(forward.jet(x, order=1)) for x in (0.0, 1.0)]
+
+
+def test_generic_spec_takes_claim_laws_only():
+    with pytest.raises(TypeError):
+        ladder.GenericLadderSpec(n=1, nu=(2.0,), c_lsts=(lambda a: 1.0 / (1.0 + a),), p0=(0.0,))
+
+
+def test_unresolved_contour_is_an_error(monkeypatch):
+    # a point on a ladder rate is a contour mean; with no acceptable bound
+    # the engine refuses rather than returning an unchecked value
+    from poolruin.errors import PoolRuinError
+
+    monkeypatch.setattr(ladder, "MAX_BOUND", 0.0)
+    eng = ladder.engine(R125, 1.0, 6)
+    with pytest.raises(PoolRuinError, match="no contour"):
+        eng.value(1.0)

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from poolruin import claims, ladder, model, phase_type, simulate
-from poolruin.errors import NoConvergence, NonIdenticalClaims, RegimeMismatch
+from poolruin.errors import NoConvergence, NotPhaseType, RegimeMismatch
 from poolruin.phase_type import (
     PhaseType,
     ph_convolve,
@@ -133,20 +133,23 @@ def test_running_max_atom_identity():
         assert math.isclose(ph.delta_abs, atom_direct, rel_tol=1e-11)
 
 
-def test_running_max_requires_common_ph_claims():
-    mdl = model.ModelSpec(
+def test_running_max_needs_phase_type_claims():
+    mixed = model.ModelSpec(
         m=2,
         lambda_circ=(1.0, 1.0),
-        claims=(claims.Exponential(1.0), claims.Exponential(2.0)),
+        claims=(claims.Exponential(1.0), claims.Erlang(2, 2.0)),
         regimes=(model.drift(1.0),) * 3,
     )
-    with pytest.raises(NonIdenticalClaims):
-        running_max_ph(mdl, 1.0, 2)
+    # one block per client, each from the client's own law
+    ph = running_max_ph(mixed, 1.0, 2)
+    assert ph.d == 3
+    for a in (0.0, 0.5, 2.0):
+        assert abs(ph_lst(ph, a) - ladder.pi_max(mixed, 1.0, 2, a)) < 1e-14
     lomax = model.ModelSpec(
         m=1, lambda_circ=(1.0,), claims=(claims.Lomax(1.0, 1.5),),
         regimes=(model.drift(1.0),) * 2,
     )
-    with pytest.raises(NonIdenticalClaims):
+    with pytest.raises(NotPhaseType):
         running_max_ph(lomax, 1.0, 1)
     bm = model.ModelSpec(
         m=1, lambda_circ=(1.0,), claims=(claims.Exponential(1.0),),

@@ -14,7 +14,6 @@ from poolruin.seriesops import (
     dd1_value,
     dd2_series,
     dd2_value,
-    series_from_callable,
 )
 
 
@@ -231,11 +230,3 @@ def test_dd2_series_derivative_consistency():
     dn = dd2_value(exp_series, 0.7, 1.3, 1.0 - h)
     assert math.isclose(s.c[1], (up - dn) / (2 * h), rel_tol=1e-8)
 
-
-def test_series_from_callable_orders():
-    f = series_from_callable(math.exp)
-    s = f(0.5, 2)
-    assert math.isclose(s.c[0], math.exp(0.5), rel_tol=1e-12)
-    assert math.isclose(s.c[1], math.exp(0.5), rel_tol=1e-8)
-    with pytest.raises(ValueError):
-        f(0.5, 3)
