@@ -1,10 +1,13 @@
 """Claim-size distribution library.
 
 Every claim law exposes its Laplace-Stieltjes transform together with
-derivatives of any order (as truncated Taylor expansions), the transform at
-arrays of complex arguments with the distance ``left_singularity`` from zero
-to its nearest singularity on the left, the survival function, exact
-sampling, and the first two moments when they exist.  The
+derivatives of any order (as truncated Taylor expansions; the package's own
+routes ask for order two at most, the jets of the moments), the transform
+at arrays of complex arguments with the distance ``left_singularity`` from
+zero to its nearest singularity on the left, the survival function, exact
+sampling, and the first two moments when they exist.  Divided differences
+of a transform near their removable point are contour means of the complex
+transform (:mod:`poolruin.overshoot`), never high-order expansions.  The
 Lomax law additionally carries regular-variation metadata (tail index,
 transform coefficient) that drives the heavy-tail asymptotics; exponential,
 Erlang and explicit phase-type laws expose a phase-type representation for

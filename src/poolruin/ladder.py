@@ -15,7 +15,8 @@ with a removable singularity at ``z = nu_k``; ``K_k`` is the killed-maximum
 Every level is evaluated directly by this formula, for three kinds of
 argument: Python floats at real points, numpy arrays of complex nodes, and
 order-2 Taylor jets (moments, at points away from every removable point).
-A real point within ``WINDOW`` (relative) of a removable point of its level
+A real point within ``WINDOW`` (relative, from :mod:`poolruin.seriesops`)
+of a removable point of its level
 or of any level below it (the ladder rates, and the removable points of the
 base) is instead the mean of ``F_k`` over ``NODES`` points on a circle
 around it.  The mean of an analytic function over a circle is its value at
@@ -33,6 +34,10 @@ the negative root of ``phi = lam``, the branch point at zero of a Lomax
 law).  The same nodes give the jet at a point inside a window through the
 Cauchy derivative formula.  Values are memoized per (level, point), so a
 value never depends on the order of the requests.
+
+A recursion with no levels evaluates its base piece alone, with the same
+windows and contour means: the overshoot route takes its divided
+differences of claim transforms that way (:mod:`poolruin.overshoot`).
 
 Two specializations are provided: the generic recursion over explicit
 (nu, C, p0) data, and the model recursion built by :func:`engine`, which
@@ -64,7 +69,7 @@ from .model import (
     laplace_exponent,
     left_root,
 )
-from .seriesops import Taylor, TransformJet
+from .seriesops import WINDOW, Taylor, TransformJet
 
 __all__ = [
     "GenericLadderSpec",
@@ -79,8 +84,6 @@ __all__ = [
     "generic_spec_from_drift",
 ]
 
-# A real point this close (relative) to a removable point is a contour mean.
-WINDOW = 0.35
 # Trapezoid nodes on each circle; conjugate symmetry halves the evaluations.
 NODES = 64
 # Candidate radii, relative to the centre: small circles keep the

@@ -22,9 +22,10 @@ import numpy as np
 
 from .claims import ClaimDistribution
 from .errors import NoRoot, NotSubordinator, SubordinatorRegime
-from .seriesops import Taylor, _root_div_order, div_by_linear_root
+from .seriesops import WINDOW, Taylor, div_by_linear_root
 
-_PSI_TOL = 1e-12
+# Newton on psi stops once a step is this many ulp of the iterate.
+_PSI_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,8 @@ def inverse_exponent(regime: LevyRegime, lam: float) -> float:
     """Largest nonnegative root of phi(a) = lam.
 
     Closed forms for pure drifts and Brownian regimes; bracketed Newton on
-    the convex increasing branch otherwise.
+    the convex increasing branch otherwise, until a step or the bracket is
+    a few ulp of the iterate.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -163,7 +165,7 @@ def inverse_exponent(regime: LevyRegime, lam: float) -> float:
     x = hi
     for _ in range(200):
         f = laplace_exponent(regime, x) - lam
-        if abs(f) <= _PSI_TOL * max(1.0, lam):
+        if f == 0.0:
             return x
         if f > 0:
             hi = x
@@ -171,11 +173,16 @@ def inverse_exponent(regime: LevyRegime, lam: float) -> float:
             lo = x
         fp = exponent_derivative(regime, x)
         if fp > 0:
-            x_new = x - f / fp
+            step = f / fp
+            x_new = x - step
             if lo < x_new < hi:
+                if abs(step) <= _PSI_ULPS * math.ulp(x):
+                    return x_new
                 x = x_new
                 continue
         x = 0.5 * (lo + hi)
+        if hi - lo <= _PSI_ULPS * math.ulp(x):
+            return x
     return x
 
 
@@ -225,7 +232,10 @@ def killed_max(regime: LevyRegime, z, lam: float, psi: Optional[float] = None):
     arguments, by its defining formula: lam / (lam - phi(z)) for a
     subordinator, (psi - z) / (lam - phi(z)) * lam / psi otherwise.  Loses
     digits near z = psi, where the caller takes contour means instead;
-    ``psi`` as in :func:`wiener_hopf_series`."""
+    ``psi`` as in :func:`wiener_hopf_series`.  Exactly one at z = 0, where
+    the formula would round (psi / lam) (lam / psi)."""
+    if not isinstance(z, np.ndarray) and z == 0.0:
+        return 1.0
     if regime.is_subordinator:
         return lam / (lam - laplace_exponent(regime, z))
     if psi is None:
@@ -247,7 +257,9 @@ def wiener_hopf_series(
 
     whose removable singularity at a = psi(lam) is divided out.  Identically
     one for nonnegative pure drifts, whose killed maximum is zero.  ``psi``
-    is the root psi(lam) when the caller already holds it.
+    is the root psi(lam) when the caller already holds it.  An ``alpha``
+    within ``WINDOW`` of psi raises ``ValueError``: the ladder takes a
+    contour mean there.
     """
     if regime.is_subordinator:
         raise SubordinatorRegime("use subordinator_max_series")
@@ -259,15 +271,16 @@ def wiener_hopf_series(
         return Taylor.constant(1.0, order)
     if psi is None:
         psi = inverse_exponent(regime, lam)
+    if abs(psi - alpha) <= WINDOW * psi:
+        raise ValueError(
+            f"alpha = {alpha!r} lies within the window of the removable point "
+            f"psi = {psi!r}"
+        )
     # numerator and denominator share the simple zero at psi: divide the
     # root out of the denominator, then the factor is (lam/psi) / G with
     # G = (lam - phi(x)) / (psi - x) bounded away from zero near psi
-    margin_scale = min(abs(alpha), psi) or psi
-    den = lam - exponent_series(
-        regime, alpha, _root_div_order(order, psi - alpha, psi, margin_scale)
-    )
-    g = -div_by_linear_root(den, psi - alpha, psi)
-    return Taylor.constant(lam / psi, order) / g.truncate(order)
+    g = -div_by_linear_root(lam - exponent_series(regime, alpha, order), psi - alpha)
+    return Taylor.constant(lam / psi, order) / g
 
 
 def subordinator_max_series(

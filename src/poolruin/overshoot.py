@@ -15,12 +15,13 @@ transform,
     xi_{n,n-1}(alpha, beta, gamma) = (lam_circ_n gamma / r_n) B[gamma, alpha, nu_n]
         = (lam_circ_n gamma / r_n) (B[gamma, alpha] - B[alpha, nu_n]) / (gamma - nu_n),
 
-evaluated directly with one real divided difference B[alpha, nu_n]; its
-removable points gamma = alpha and gamma = nu_n are contour means of the
-same evaluator as the running-maximum ladder (see :mod:`poolruin.ladder`),
-and deeper levels follow the same two-point recursion in gamma.  The
-overshoot route stays a separate formula, so it remains an independent
-check of the ladder.
+evaluated directly with one real divided difference B[alpha, nu_n], which
+also gives zeta_{n,n-1}.  Every removable point (alpha = nu_n in
+B[alpha, nu_n], gamma = alpha and gamma = nu_n in the base) is a contour
+mean of the same evaluator as the running-maximum ladder (see
+:mod:`poolruin.ladder`), and deeper levels follow the same two-point
+recursion in gamma.  The overshoot route stays a separate formula, so it
+remains an independent check of the ladder.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .claims import ClaimDistribution
 from .errors import ChainBudgetExceeded, KillingRequired, RegimeMismatch
 from .ladder import _LadderLevel, _Recursion
 from .model import ModelSpec, is_drift_model
-from .seriesops import dd1_value
 
 __all__ = [
     "OvershootTable",
@@ -47,15 +47,36 @@ __all__ = [
 _DEFAULT_CHAIN_BUDGET = 4096
 
 
+class _Slope:
+    """Divided difference B[z, c] = (C(z) - C(c)) / (z - c) of a claim
+    transform, removable at z = c."""
+
+    def __init__(self, claim: ClaimDistribution, c: float):
+        self.claim = claim
+        self.c = c
+        self.removable = (c,)
+        self.left = claim.left_singularity
+        self._at_c = claim.lst(c)
+
+    def real(self, x):
+        return (self.claim.lst(x) - self._at_c) / (x - self.c)
+
+    def nodes(self, z):
+        val = self.claim.lst_complex(z)
+        amp = (np.abs(val) + abs(self._at_c)) / np.abs(z - self.c)
+        return (val - self._at_c) / (z - self.c), amp
+
+
 class _OvershootBase:
     """Base of the xi recursion in gamma = z,
 
         xi_{n,n-1}(z) = (lam_circ/r) z (B[z, alpha] - B[alpha, nu]) / (z - nu),
 
-    removable at z = alpha and z = nu; B[alpha, nu] is one real divided
-    difference."""
+    removable at z = alpha and z = nu, given ``dd`` = B[alpha, nu]."""
 
-    def __init__(self, claim: ClaimDistribution, alpha: float, nu: float, scale: float):
+    def __init__(
+        self, claim: ClaimDistribution, alpha: float, nu: float, scale: float, dd: float
+    ):
         self.claim = claim
         self.alpha = alpha
         self.nu = nu
@@ -63,7 +84,7 @@ class _OvershootBase:
         self.removable = (alpha, nu)
         self.left = claim.left_singularity
         self._b_alpha = claim.lst(alpha)
-        self._dd = dd1_value(claim.lst_series, nu, alpha)
+        self._dd = dd
 
     def real(self, x):
         inner = (self.claim.lst(x) - self._b_alpha) / (x - self.alpha)
@@ -96,6 +117,7 @@ class OvershootTable:
             self._lam[n - 1] / model.regimes[n].r for n in range(1, m + 1)
         ]
         self._claim = [model.claim_for_state(n) for n in range(1, m + 1)]
+        self._slopes: dict = {}
         self._engines: dict = {}
         self._zeta_cache: dict = {}
 
@@ -104,6 +126,15 @@ class OvershootTable:
 
     def nu(self, n: int) -> float:
         return self._nu[n - 1]
+
+    def _slope(self, n: int) -> _Recursion:
+        """Evaluator of B[., nu_n] for the claim law of state ``n``."""
+        slope = self._slopes.get(n)
+        if slope is None:
+            slope = self._slopes[n] = _Recursion(
+                _Slope(self._claim[n - 1], self.nu(n)), ()
+            )
+        return slope
 
     def _xi_engine(self, k: int, alpha: float) -> _Recursion:
         """Recursion in gamma for xi_{., k}(alpha, beta, .); level j of the
@@ -118,6 +149,7 @@ class OvershootTable:
             alpha=alpha,
             nu=self.nu(n0),
             scale=self.model.rate_for_state(n0) / self.model.regimes[n0].r,
+            dd=self._slope(n0).value(alpha),
         )
         levels = [
             _LadderLevel(
@@ -154,18 +186,17 @@ class OvershootTable:
         hit = self._zeta_cache.get(key)
         if hit is not None:
             return hit
-        claim = self._claim[n - 1]
         lam_circ = self.model.rate_for_state(n)
         nu_n = self.nu(n)
         if k == n - 1:
             # (lam_circ / r) (B(nu) - B(alpha)) / (alpha - nu); confluent at
             # alpha = nu where the value is -(lam_circ / r) B'(nu)
             r = self.model.regimes[n].r
-            val = -(lam_circ / r) * dd1_value(claim.lst_series, nu_n, alpha)
+            val = -(lam_circ / r) * self._slope(n).value(alpha)
         else:
             val = (
                 (lam_circ / self.lam(n))
-                * claim.lst(nu_n)
+                * self._claim[n - 1].lst(nu_n)
                 * self.xi(n - 1, k, alpha, nu_n)
             )
         self._zeta_cache[key] = val

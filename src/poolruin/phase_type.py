@@ -23,10 +23,6 @@ linalg = LazyModule("scipy.linalg")
 
 _VALID_ATOL = 1e-10
 
-# Dense Pade expm below this dimension, uniformization above.
-_EXPM_DENSE_LIMIT = 200
-
-
 @dataclass(frozen=True)
 class PhaseType:
     """Transient generator ``S``, initial vector ``delta``, atom ``delta_abs``."""
@@ -178,26 +174,6 @@ def ph_convolve(u: PhaseType, v: PhaseType) -> PhaseType:
     return PhaseType(delta=delta, S=S, delta_abs=u.delta_abs * v.delta_abs)
 
 
-def _expm_apply(S: np.ndarray, u: float, vec: np.ndarray) -> np.ndarray:
-    """Return exp(S u) @ vec, by dense expm or uniformization for large d."""
-    d = S.shape[0]
-    if d <= _EXPM_DENSE_LIMIT:
-        return linalg.expm(S * u) @ vec
-    # uniformization: exp(Su) = e^{-qu} sum_k (qu)^k/k! P^k with P = I + S/q
-    q = float(np.max(-np.diag(S))) * 1.000001
-    P = np.eye(d) + S / q
-    x = q * u
-    term = vec.copy()
-    acc = np.zeros_like(vec)
-    kmax = int(x + 12.0 * np.sqrt(x) + 50)
-    weight = np.exp(-x)
-    for k in range(kmax + 1):
-        acc += weight * term
-        term = P @ term
-        weight *= x / (k + 1)
-    return acc
-
-
 def ph_tail(ph: PhaseType, u: float) -> float:
     """Survival probability delta^T exp(S u) 1 (excludes the atom at zero)."""
     if ph.d == 0:
@@ -206,7 +182,7 @@ def ph_tail(ph: PhaseType, u: float) -> float:
         raise ValueError("u must be nonnegative")
     if u == 0.0:
         return float(ph.delta.sum())
-    val = float(ph.delta @ _expm_apply(ph.S, u, np.ones(ph.d)))
+    val = float(ph.delta @ (linalg.expm(ph.S * u) @ np.ones(ph.d)))
     return min(max(val, 0.0), 1.0)
 
 
@@ -216,7 +192,7 @@ def ph_density(ph: PhaseType, u: float) -> float:
         return 0.0
     if u < 0:
         raise ValueError("u must be nonnegative")
-    return max(float(ph.delta @ _expm_apply(ph.S, u, ph.s)), 0.0)
+    return max(float(ph.delta @ (linalg.expm(ph.S * u) @ ph.s)), 0.0)
 
 
 def ph_sample(ph: PhaseType, rng: np.random.Generator, size: int) -> np.ndarray:

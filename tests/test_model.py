@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +52,24 @@ def test_inverse_roundtrip(reg, lam):
     assert abs(model.laplace_exponent(reg, psi) - lam) <= 1e-12 * max(1.0, lam)
 
 
+@pytest.mark.parametrize(
+    "reg", [r for r in REGIMES if r.kind == "compound_poisson"], ids=["exp", "erlang"]
+)
+@pytest.mark.parametrize("lam", [1.25, 2.0, 7.0])
+def test_compound_poisson_inverse_to_a_few_ulp(reg, lam):
+    law = reg.jump_law
+    k = getattr(law, "k", 1)
+
+    def phi(a):
+        jump = (law.mu / (law.mu + a)) ** k
+        return reg.r * a + reg.sigma2 / 2 * a * a - reg.jump_rate * (1 - jump)
+
+    psi = model.inverse_exponent(reg, lam)
+    with mp.workdps(50):
+        want = float(mp.findroot(lambda a: phi(a) - lam, mp.mpf(psi)))
+    assert abs(psi - want) <= 4 * math.ulp(want)
+
+
 def test_inverse_errors():
     with pytest.raises(SubordinatorRegime):
         model.inverse_exponent(model.subordinator(r=-1.0), 1.0)
@@ -63,8 +82,13 @@ def test_inverse_errors():
         )
 
 
+def alone(reg):
+    # the regime with no clients: its killed maximum is the whole transform
+    return model.ModelSpec(m=0, lambda_circ=(), claims=(), regimes=(reg,))
+
+
 def killed_max(reg, a, lam):
-    return model.killed_max_series(reg, a, lam, 0).c[0]
+    return ladder.engine(alone(reg), lam, 0).value(a)
 
 
 def test_wiener_hopf_basics():
@@ -98,19 +122,33 @@ def test_wiener_hopf_removable_singularity_continuous():
     reg = model.compound_poisson_drift(1.0, 0.5, 0.7, claims.Erlang(2, 3.0))
     lam = 2.0
     psi = model.inverse_exponent(reg, lam)
-    s = model.wiener_hopf_series(reg, psi, lam, 3)
+    s = ladder.engine(alone(reg), lam, 0).jet(psi)
     # analytic limit of (psi - a) / (lam - phi(a)) * lam / psi at a = psi
     center = lam / (psi * model.exponent_derivative(reg, psi))
-    assert math.isclose(s.c[0], center, rel_tol=1e-12)
+    assert math.isclose(s.v, center, rel_tol=1e-12)
     # the local expansion at the critical point predicts nearby values
     for off in (1e-10, -1e-7, 1e-5, -1e-3, 1e-3):
         near = killed_max(reg, psi + off, lam)
-        assert math.isclose(near, s.eval(off), rel_tol=1e-7)
+        assert math.isclose(near, s.v + off * (s.d1 + 0.5 * off * s.d2), rel_tol=1e-7)
     # and away from it the series path is the closed form
     for off in (-1e-3, 1e-3, 0.5):
         a = psi + off
         closed = (psi - a) / (lam - model.laplace_exponent(reg, a)) * lam / psi
         assert math.isclose(killed_max(reg, a, lam), closed, rel_tol=1e-10)
+
+
+def test_wiener_hopf_series_refuses_the_removable_point():
+    reg = model.compound_poisson_drift(1.0, 0.5, 0.7, claims.Erlang(2, 3.0))
+    lam = 2.0
+    psi = model.inverse_exponent(reg, lam)
+    for a in (psi, 0.7 * psi, 1.3 * psi):
+        with pytest.raises(ValueError, match="window"):
+            model.wiener_hopf_series(reg, a, lam, 2)
+    # outside the window the series is the closed form
+    a = 0.5 * psi
+    got = model.wiener_hopf_series(reg, a, lam, 2).c[0]
+    closed = (psi - a) / (lam - model.laplace_exponent(reg, a)) * lam / psi
+    assert math.isclose(got, closed, rel_tol=1e-14)
 
 
 def test_subordinator_max_factor():

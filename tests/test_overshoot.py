@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from poolruin import claims, ladder, model, overshoot, simulate
+from poolruin import claims, ladder, model, overshoot, phase_type, simulate
 from poolruin.errors import ChainBudgetExceeded, KillingRequired, RegimeMismatch
+from poolruin.ladder import _Recursion
 
 from conftest import random_drift_model
 
@@ -212,3 +214,47 @@ def test_xi_against_monte_carlo_level_integral():
         est += eta[0] * (1.0 - math.exp(-gamma * u_grid[0]))
         exact = table.xi(2, k, alpha, gamma)
         assert abs(est - exact) < 0.05 * exact + 1e-4
+
+
+def _ph_two_phase():
+    return phase_type.PhaseType(
+        delta=np.array([0.6, 0.4]), S=np.array([[-2.0, 1.0], [0.0, -0.5]])
+    )
+
+
+def _mp_ph_lst(x):
+    ph = _ph_two_phase()
+    S = mp.matrix(ph.S.tolist())
+    s = -S * mp.matrix([1, 1])
+    inv = (x * mp.eye(2) - S) ** -1
+    return (mp.matrix([ph.delta.tolist()]) * inv * s)[0]
+
+
+# claim law and its transform in mpmath
+SLOPE_LAWS = {
+    "exp": (claims.Exponential(1.5), lambda x: mp.mpf(1.5) / (mp.mpf(1.5) + x)),
+    "erlang": (claims.Erlang(3, 2.0), lambda x: (2 / (2 + x)) ** 3),
+    "ph": (claims.PhaseTypeClaim(_ph_two_phase()), _mp_ph_lst),
+    "point": (claims.PointMass(0.8), lambda x: mp.exp(-mp.mpf(0.8) * x)),
+    "lomax": (
+        claims.Lomax(1.0, 1.5),
+        lambda x: mp.mpf(1.5) * x**1.5 * mp.exp(x) * mp.gammainc(-1.5, x) if x else mp.mpf(1),
+    ),
+}
+
+
+@pytest.mark.parametrize("law", sorted(SLOPE_LAWS))
+@pytest.mark.parametrize("c", [0.4, 2.5])
+@pytest.mark.parametrize("offset", ["same", "+1e-9", "-1e-4", "+0.3c", "-0.3c", "far", "zero"])
+def test_slope_against_mpmath(law, c, offset):
+    # B[alpha, c] = (C(alpha) - C(c)) / (alpha - c), removable at alpha = c
+    claim, ref = SLOPE_LAWS[law]
+    alpha = {
+        "same": c, "+1e-9": c + 1e-9, "-1e-4": c - 1e-4, "+0.3c": 1.3 * c,
+        "-0.3c": 0.7 * c, "far": 6.0 * c, "zero": 0.0,
+    }[offset]
+    got = _Recursion(overshoot._Slope(claim, c), ()).value(alpha)
+    with mp.workdps(50):
+        a, b = mp.mpf(alpha), mp.mpf(c)
+        want = mp.diff(ref, b) if alpha == c else (ref(a) - ref(b)) / (a - b)
+    assert math.isclose(got, float(want), rel_tol=1e-13)

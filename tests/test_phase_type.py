@@ -189,14 +189,13 @@ def test_tail_matches_monte_carlo():
         assert abs(ph_tail(rmax, u) - freq) < 3 * max(se, 1e-6)
 
 
-def test_uniformization_matches_dense_expm(monkeypatch):
-    mdl = fig4_like_model()
-    rmax = running_max_ph(mdl, 2.0, 4)
-    dense = [ph_tail(rmax, u) for u in (1.0, 5.0, 20.0)]
-    monkeypatch.setattr(phase_type, "_EXPM_DENSE_LIMIT", 0)
-    uni = [ph_tail(rmax, u) for u in (1.0, 5.0, 20.0)]
-    for a, b in zip(dense, uni):
-        assert math.isclose(a, b, rel_tol=1e-10, abs_tol=1e-12)
+def test_tail_of_a_201_phase_law():
+    # one slow phase and 200 fast ones: the fast phases are gone by u = 80,
+    # where exp(-q u) of a uniformization at rate q = 10 would underflow
+    rates = np.array([0.1] + [10.0] * 200)
+    delta = np.array([0.5] + [0.5 / 200] * 200)
+    ph = PhaseType(delta=delta, S=np.diag(-rates))
+    assert math.isclose(ph_tail(ph, 80.0), 0.5 * math.exp(-8.0), rel_tol=1e-12)
 
 
 def test_sampling_matches_tail():

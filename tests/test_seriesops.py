@@ -8,25 +8,37 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from poolruin.seriesops import (
-    ARRAY_MIN_LEN,
-    Taylor,
-    dd1_value,
-    dd2_series,
-    dd2_value,
-)
+from poolruin.claims import ClaimDistribution
+from poolruin.ladder import _Recursion
+from poolruin.overshoot import _OvershootBase, _Slope
+from poolruin.seriesops import Taylor
 
 
-def exp_series(point, order):
-    # Taylor coefficients of exp around `point`
-    e = math.exp(point)
-    coeffs = []
-    fact = 1.0
-    for i in range(order + 1):
-        if i:
-            fact *= i
-        coeffs.append(e / fact)
-    return Taylor(coeffs)
+class ExpLaw(ClaimDistribution):
+    # exp in place of a claim transform: entire, so every contour mean is
+    # limited by rounding alone
+    left_singularity = math.inf
+
+    def lst(self, alpha):
+        return math.exp(alpha)
+
+    def lst_complex(self, z):
+        return np.exp(z)
+
+
+def first_dd(c, x):
+    # exp[x, c] on the contour evaluator of the overshoot route
+    return _Recursion(_Slope(ExpLaw(), c), ()).value(x)
+
+
+def second_dd_engine(c1, c2):
+    # x exp[x, c1, c2] as the overshoot base with unit scale
+    base = _OvershootBase(ExpLaw(), c1, c2, 1.0, first_dd(c2, c1))
+    return _Recursion(base, ())
+
+
+def second_dd(c1, c2, x):
+    return second_dd_engine(c1, c2).value(x) / x
 
 
 def test_mul_matches_product_of_polynomials():
@@ -73,7 +85,7 @@ def loop_shift(c, h):
 
 
 @pytest.mark.parametrize("h", [0.37, -0.5, 1.0, -1.75])
-@pytest.mark.parametrize("n", [1, 2, 12, ARRAY_MIN_LEN, 300, 1000])
+@pytest.mark.parametrize("n", [1, 2, 12, 48, 300, 1000])
 def test_shift_repeats_the_binomial_loop(n, h):
     # sparse past 50 coefficients, so that the reference loop stays quick;
     # the last coefficient carries the longest binomial row
@@ -152,7 +164,7 @@ def kernel_operands(n, kind, seed):
     return a, b
 
 
-KERNEL_LENGTHS = (1, ARRAY_MIN_LEN - 1, ARRAY_MIN_LEN, ARRAY_MIN_LEN + 1, 4 * ARRAY_MIN_LEN)
+KERNEL_LENGTHS = (1, 47, 48, 49, 192)
 
 
 @pytest.mark.parametrize("kind", ["plain", "zeros", "non-finite", "overflow"])
@@ -183,7 +195,7 @@ def test_division_by_vanishing_constant_raises():
 @given(st.floats(0.05, 3.0), st.floats(0.05, 3.0))
 def test_dd1_matches_highprec_divided_difference(c, g0):
     # nodes live on the scale of the transform arguments they model
-    val = dd1_value(exp_series, c, g0)
+    val = first_dd(c, g0)
     with mp.workdps(50):
         if abs(g0 - c) < 1e-12:
             want = float(mp.exp(c))
@@ -193,7 +205,7 @@ def test_dd1_matches_highprec_divided_difference(c, g0):
 
 
 def test_dd1_exact_coincidence():
-    assert math.isclose(dd1_value(exp_series, 0.7, 0.7), math.exp(0.7), rel_tol=1e-13)
+    assert math.isclose(first_dd(0.7, 0.7), math.exp(0.7), rel_tol=1e-13)
 
 
 @pytest.mark.parametrize("c1,c2,g0", [
@@ -205,7 +217,7 @@ def test_dd1_exact_coincidence():
     (1.0, 1.0 + 1e-8, 1.0 - 1e-8),
 ])
 def test_dd2_confluent_cases(c1, c2, g0):
-    val = dd2_value(exp_series, c1, c2, g0)
+    val = second_dd(c1, c2, g0)
     with mp.workdps(60):
         # Hermite-stable integral representation of the second divided
         # difference: int_0^1 int_0^s f''(c1 + s(c2-c1) + t(g0-c2)) dt ds
@@ -223,10 +235,12 @@ def test_dd2_confluent_cases(c1, c2, g0):
 
 
 def test_dd2_series_derivative_consistency():
-    # derivative coefficients of the series match a fine finite difference
-    s = dd2_series(exp_series, 0.7, 1.3, 1.0, 2)
+    # the derivative from the contour jet matches a fine finite difference;
+    # the jet is that of x exp[x, 0.7, 1.3], whose derivative at x = 1 is
+    # the value plus the wanted derivative
+    jet = second_dd_engine(0.7, 1.3).jet(1.0)
     h = 1e-6
-    up = dd2_value(exp_series, 0.7, 1.3, 1.0 + h)
-    dn = dd2_value(exp_series, 0.7, 1.3, 1.0 - h)
-    assert math.isclose(s.c[1], (up - dn) / (2 * h), rel_tol=1e-8)
+    up = second_dd(0.7, 1.3, 1.0 + h)
+    dn = second_dd(0.7, 1.3, 1.0 - h)
+    assert math.isclose(jet.d1 - jet.v, (up - dn) / (2 * h), rel_tol=1e-8)
 

@@ -104,7 +104,7 @@ def test_brownian_killed_max_lst():
     s = simulate.simulate_paths(bm, 1.0, n_paths=400_000, seed=7, alphas=(0.5, 1.0, 2.0))
     for a in (0.5, 1.0, 2.0):
         est, se = s.lst[a]
-        assert abs(est - model.killed_max_series(reg, a, 1.0, 0).c[0]) < 3 * se
+        assert abs(est - ladder.engine(bm, 1.0, 0).value(a)) < 3 * se
 
 
 def test_fixed_horizon_mean_monotone(m1_model):
