@@ -41,26 +41,28 @@ def _tagged(node, where: str) -> tuple:
     return tag, body
 
 
-def _finite(val) -> bool:
+def _number(value, where, positive=False, nonneg=False) -> float:
+    """``value`` as a float, or a ConfigError naming ``where``: it must be a
+    JSON number (not a boolean), finite and of the requested sign."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{where}: expected a number")
     try:
-        return math.isfinite(val)
+        finite = math.isfinite(value)
     except OverflowError:  # an integer literal beyond the float range
-        return False
+        finite = False
+    if not finite:
+        raise ConfigError(f"{where}: must be finite")
+    if positive and value <= 0:
+        raise ConfigError(f"{where}: must be positive")
+    if nonneg and value < 0:
+        raise ConfigError(f"{where}: must be nonnegative")
+    return float(value)
 
 
 def _num(body, key, where, positive=False, nonneg=False):
     if key not in body:
         raise ConfigError(f"{where}.{key}: missing")
-    val = body[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"{where}.{key}: expected a number")
-    if not _finite(val):
-        raise ConfigError(f"{where}.{key}: must be finite")
-    if positive and val <= 0:
-        raise ConfigError(f"{where}.{key}: must be positive")
-    if nonneg and val < 0:
-        raise ConfigError(f"{where}.{key}: must be nonnegative")
-    return float(val)
+    return _number(body[key], f"{where}.{key}", positive, nonneg)
 
 
 def parse_claim(node, where: str) -> cl.ClaimDistribution:
@@ -139,13 +141,9 @@ def parse_model(doc: dict) -> tuple:
     rates = doc.get("lambda_circ")
     if not isinstance(rates, list) or len(rates) != m:
         raise ConfigError(f"lambda_circ: expected an array of {m} rates")
-    for i, rate in enumerate(rates):
-        if (
-            not isinstance(rate, (int, float))
-            or isinstance(rate, bool)
-            or not (_finite(rate) and rate > 0)
-        ):
-            raise ConfigError(f"lambda_circ[{i}]: must be a positive finite number")
+    rates = [
+        _number(rate, f"lambda_circ[{i}]", positive=True) for i, rate in enumerate(rates)
+    ]
     claim_nodes = doc.get("claims")
     if not isinstance(claim_nodes, list) or len(claim_nodes) != m:
         raise ConfigError(f"claims: expected an array of {m} distribution specs")
@@ -153,15 +151,11 @@ def parse_model(doc: dict) -> tuple:
     if not isinstance(regime_nodes, list) or len(regime_nodes) != m + 1:
         raise ConfigError(f"regimes: expected an array of {m + 1} regime specs")
     beta = doc.get("beta")
-    if beta is not None and (
-        not isinstance(beta, (int, float))
-        or isinstance(beta, bool)
-        or not (_finite(beta) and beta >= 0)
-    ):
-        raise ConfigError("beta: must be a nonnegative finite number")
+    if beta is not None:
+        beta = _number(beta, "beta", nonneg=True)
     spec = md.ModelSpec(
         m=m,
-        lambda_circ=tuple(float(r) for r in rates),
+        lambda_circ=tuple(rates),
         claims=tuple(
             parse_claim(node, f"claims[{i}]") for i, node in enumerate(claim_nodes)
         ),
@@ -169,7 +163,7 @@ def parse_model(doc: dict) -> tuple:
             parse_regime(node, f"regimes[{i}]") for i, node in enumerate(regime_nodes)
         ),
     )
-    return spec, (None if beta is None else float(beta))
+    return spec, beta
 
 
 def load_model(path) -> tuple:

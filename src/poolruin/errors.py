@@ -9,15 +9,6 @@ class ConfigError(PoolRuinError):
     """A model configuration file is malformed or inconsistent."""
 
 
-class SubordinatorRegime(PoolRuinError):
-    """Operation requires a regime whose running maximum can be split off;
-    a subordinator (a.s. nondecreasing path) has no right inverse."""
-
-
-class NotSubordinator(PoolRuinError):
-    """Operation is only defined for subordinator regimes."""
-
-
 class NoRoot(PoolRuinError):
     """The Laplace exponent never reaches the requested level."""
 

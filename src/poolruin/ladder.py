@@ -42,9 +42,9 @@ differences of claim transforms that way (:mod:`poolruin.overshoot`).
 Two specializations are provided: the generic recursion over explicit
 (nu, C, p0) data, and the model recursion built by :func:`engine`, which
 takes each level's type from its own regime.  A positive pure drift gives a
-plain ladder level with rate lambda_n / r_n; a flat or nondecreasing regime
-switches to a division step without a fixed argument; any other regime
-multiplies its ladder level by the killed-maximum factor of the regime.
+plain ladder level with rate lambda_n / r_n; a nondecreasing regime, flat
+included, switches to a division step without a fixed argument; any other
+regime multiplies its ladder level by the killed-maximum factor of the regime.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .claims import ClaimDistribution
-from .errors import KillingRequired, PoolRuinError, RegimeMismatch
+from .errors import KillingRequired, PoolRuinError
 from .model import (
     LevyRegime,
     ModelSpec,
@@ -68,6 +68,7 @@ from .model import (
     killed_max_series,
     laplace_exponent,
     left_root,
+    require_drift_model,
 )
 from .seriesops import WINDOW, Taylor, TransformJet
 
@@ -118,7 +119,8 @@ class _One:
 
 class _KilledMax:
     """Killed-maximum factor K(z) of ``regime`` at rate ``lam``, removable
-    at ``psi`` (None for a subordinator, whose factor has no such point)."""
+    at ``psi`` (None for a nondecreasing regime, whose factor has no such
+    point)."""
 
     def __init__(self, regime: LevyRegime, lam: float, psi: Optional[float]):
         self.regime = regime
@@ -407,8 +409,7 @@ def generic_spec_from_drift(
 ) -> GenericLadderSpec:
     """Generic ladder data realizing the drift model: C_k is the claim
     transform of the next arrival, nu_k = lam_k / r_k, p0_k = beta / lam_k."""
-    if not is_drift_model(model):
-        raise RegimeMismatch("the generic realization needs the drift model")
+    require_drift_model(model, "the generic ladder realization")
     nu, cls_, p0 = [], [], []
     for k in range(1, n + 1):
         lam = model.rate_for_state(k) + beta
@@ -418,13 +419,14 @@ def generic_spec_from_drift(
     return GenericLadderSpec(n=n, nu=tuple(nu), c_lsts=tuple(cls_), p0=tuple(p0))
 
 
-def _killed_max_piece(regime: LevyRegime, lam: float):
-    """The killed-maximum factor as a recursion piece (None: K = 1)."""
+def _killed_max_piece(regime: LevyRegime, lam: float, psi: Optional[float] = None):
+    """The killed-maximum factor as a recursion piece (None: K = 1, a flat
+    or positive pure drift); ``psi`` as in :func:`killed_max_series`."""
     if regime.kind == "drift" and regime.r >= 0:
         return None
-    if regime.is_subordinator:
+    if regime.nondecreasing:
         return _KilledMax(regime, lam, None)
-    return _KilledMax(regime, lam, inverse_exponent(regime, lam))
+    return _KilledMax(regime, lam, inverse_exponent(regime, lam) if psi is None else psi)
 
 
 def engine(model: ModelSpec, beta: float, n: int) -> _Recursion:
@@ -449,9 +451,9 @@ def engine(model: ModelSpec, beta: float, n: int) -> _Recursion:
         lam_circ = model.rate_for_state(k)
         lam = lam_circ + beta
         claim = model.claim_for_state(k)
-        if reg.is_subordinator or (reg.kind == "drift" and reg.r == 0.0):
-            # flat or nondecreasing path: the segment maximum sits at the
-            # segment end, giving a plain division step
+        if reg.nondecreasing:
+            # the segment maximum sits at the segment end, giving a plain
+            # division step
             levels.append(
                 _SubLevel(beta=beta, lam_circ=lam_circ, lam=lam, claim=claim, regime=reg)
             )
@@ -459,8 +461,7 @@ def engine(model: ModelSpec, beta: float, n: int) -> _Recursion:
         # the ladder rate is psi(lam), the root the killed-maximum factor
         # divides out: solve it once per level
         nu = inverse_exponent(reg, lam)
-        # a positive pure drift has a zero killed maximum
-        post = None if reg.kind == "drift" else _KilledMax(reg, lam, nu)
+        post = _killed_max_piece(reg, lam, nu)
         levels.append(
             _LadderLevel(nu=nu, claim=claim, p0=beta / lam, w=lam_circ / lam, post=post)
         )

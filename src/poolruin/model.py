@@ -5,11 +5,11 @@ per-arrival claim laws, and one spectrally-positive Levy regime per state
 (the state counts clients that have not claimed yet).  The regime is
 described through the exponent ``phi(a) = log E exp(-a Z(1))``; a premium
 drift enters with positive ``r`` so that ``phi`` is convex, vanishes at zero
-and increases without bound unless the path is nondecreasing.  Increasing
-(subordinator) regimes are flagged explicitly and use a separate transform
-for their killed maximum.  The exponent and the killed-maximum factor take
-arrays of complex arguments as well as floats; :func:`left_root` gives the
-factor's singularity on the negative axis.
+and increases without bound unless the path is nondecreasing, which the
+parameters alone decide (:attr:`LevyRegime.nondecreasing`).  The exponent
+and the killed-maximum factor take arrays of complex arguments as well as
+floats; :func:`left_root` gives the factor's singularity on the negative
+axis.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .claims import ClaimDistribution
-from .errors import NoRoot, NotSubordinator, SubordinatorRegime
+from .errors import NoRoot, RegimeMismatch
 from .seriesops import WINDOW, Taylor, div_by_linear_root
 
 # Newton on psi stops once a step is this many ulp of the iterate.
@@ -33,8 +33,8 @@ class LevyRegime:
     """One regime: drift, Brownian part, compound-Poisson jumps.
 
     ``kind`` is one of ``drift``, ``brownian``, ``compound_poisson``,
-    ``subordinator``; the subordinator flag is always explicit since the
-    killed-maximum treatment differs structurally.
+    ``subordinator`` and names the constructor; the shape of the path
+    follows from the parameters (:attr:`nondecreasing`).
     """
 
     kind: str
@@ -66,8 +66,9 @@ class LevyRegime:
                 )
 
     @property
-    def is_subordinator(self) -> bool:
-        return self.kind == "subordinator"
+    def nondecreasing(self) -> bool:
+        """No diffusion and no premium drift: a subordinator, or flat."""
+        return self.sigma2 == 0 and self.r <= 0
 
 
 def drift(r: float) -> LevyRegime:
@@ -137,25 +138,15 @@ def inverse_exponent(regime: LevyRegime, lam: float) -> float:
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if regime.is_subordinator:
-        raise SubordinatorRegime("right inverse is ill-defined for subordinators")
+    if regime.nondecreasing:
+        raise NoRoot("a nondecreasing regime has phi <= 0 < lam: no root")
     if regime.kind == "drift":
-        if regime.r <= 0:
-            raise NoRoot(
-                "nonpositive pure drift never reaches a positive level; "
-                "flag the regime as a subordinator"
-            )
         return lam / regime.r
     if regime.kind == "brownian":
         r, s2 = regime.r, regime.sigma2
         return (-r + math.sqrt(r * r + 2.0 * s2 * lam)) / s2
-    # compound Poisson: phi is convex with phi(0) = 0; unbounded iff r > 0
-    # or sigma2 > 0
-    if regime.sigma2 == 0.0 and regime.r <= 0.0:
-        raise NoRoot(
-            "compound-Poisson regime without premium drift is nondecreasing; "
-            "flag it as a subordinator"
-        )
+    # compound Poisson with r > 0 or sigma2 > 0: phi is convex, vanishes at
+    # zero and is unbounded
     hi = 1.0
     while laplace_exponent(regime, hi) <= lam:
         hi *= 2.0
@@ -230,20 +221,20 @@ def left_root(regime: LevyRegime, lam: float) -> float:
 def killed_max(regime: LevyRegime, z, lam: float, psi: Optional[float] = None):
     """Killed-maximum transform at a float or at an array of complex
     arguments, by its defining formula: lam / (lam - phi(z)) for a
-    subordinator, (psi - z) / (lam - phi(z)) * lam / psi otherwise.  Loses
-    digits near z = psi, where the caller takes contour means instead;
-    ``psi`` as in :func:`wiener_hopf_series`.  Exactly one at z = 0, where
+    nondecreasing regime, (psi - z) / (lam - phi(z)) * lam / psi otherwise.
+    Loses digits near z = psi, where the caller takes contour means instead;
+    ``psi`` as in :func:`killed_max_series`.  Exactly one at z = 0, where
     the formula would round (psi / lam) (lam / psi)."""
     if not isinstance(z, np.ndarray) and z == 0.0:
         return 1.0
-    if regime.is_subordinator:
+    if regime.nondecreasing:
         return lam / (lam - laplace_exponent(regime, z))
     if psi is None:
         psi = inverse_exponent(regime, lam)
     return (psi - z) / (lam - laplace_exponent(regime, z)) * (lam / psi)
 
 
-def wiener_hopf_series(
+def killed_max_series(
     regime: LevyRegime,
     alpha: float,
     lam: float,
@@ -251,23 +242,20 @@ def wiener_hopf_series(
     psi: Optional[float] = None,
 ) -> Taylor:
     """Taylor expansion around ``alpha`` of the transform of the regime
-    maximum over an exponentially killed interval,
+    maximum over an exponentially killed interval.  A nondecreasing regime
+    peaks at its endpoint, giving lam / (lam - phi(a)); otherwise it is
 
         (psi(lam) - a) / (lam - phi(a)) * lam / psi(lam),
 
-    whose removable singularity at a = psi(lam) is divided out.  Identically
-    one for nonnegative pure drifts, whose killed maximum is zero.  ``psi``
-    is the root psi(lam) when the caller already holds it.  An ``alpha``
-    within ``WINDOW`` of psi raises ``ValueError``: the ladder takes a
-    contour mean there.
+    whose removable singularity at a = psi(lam) is divided out, and
+    identically one for a positive pure drift, whose killed maximum is zero.
+    ``psi`` is the root psi(lam) when the caller already holds it.  An
+    ``alpha`` within ``WINDOW`` of psi raises ``ValueError``: the ladder
+    takes a contour mean there.
     """
-    if regime.is_subordinator:
-        raise SubordinatorRegime("use subordinator_max_series")
+    if regime.nondecreasing:
+        return Taylor.constant(lam, order) / (lam - exponent_series(regime, alpha, order))
     if regime.kind == "drift":
-        if regime.r < 0:
-            raise SubordinatorRegime(
-                "negative pure drift must be flagged as a subordinator"
-            )
         return Taylor.constant(1.0, order)
     if psi is None:
         psi = inverse_exponent(regime, lam)
@@ -281,29 +269,6 @@ def wiener_hopf_series(
     # G = (lam - phi(x)) / (psi - x) bounded away from zero near psi
     g = -div_by_linear_root(lam - exponent_series(regime, alpha, order), psi - alpha)
     return Taylor.constant(lam / psi, order) / g
-
-
-def subordinator_max_series(
-    regime: LevyRegime, alpha: float, lam: float, order: int
-) -> Taylor:
-    """Killed-maximum transform lam / (lam - phi(a)) of a nondecreasing path."""
-    if not regime.is_subordinator:
-        raise NotSubordinator("regime is not flagged as a subordinator")
-    return Taylor.constant(lam, order) / (lam - exponent_series(regime, alpha, order))
-
-
-def killed_max_series(
-    regime: LevyRegime,
-    alpha: float,
-    lam: float,
-    order: int,
-    psi: Optional[float] = None,
-) -> Taylor:
-    """Killed-maximum transform for any regime kind; ``psi`` as in
-    :func:`wiener_hopf_series`."""
-    if regime.is_subordinator:
-        return subordinator_max_series(regime, alpha, lam, order)
-    return wiener_hopf_series(regime, alpha, lam, order, psi)
 
 
 @dataclass(frozen=True)
@@ -357,3 +322,12 @@ def is_drift_model(model: ModelSpec) -> bool:
     return all(
         reg.kind == "drift" and reg.r > 0 for reg in model.regimes[1:]
     )
+
+
+def require_drift_model(model: ModelSpec, what: str) -> None:
+    """:class:`RegimeMismatch` naming ``what`` unless :func:`is_drift_model`."""
+    if not is_drift_model(model):
+        raise RegimeMismatch(
+            f"{what} needs the drift model: a positive pure drift in every "
+            "state with clients and a nonnegative pure drift in state 0"
+        )

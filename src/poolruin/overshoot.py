@@ -31,9 +31,9 @@ from itertools import combinations
 import numpy as np
 
 from .claims import ClaimDistribution
-from .errors import ChainBudgetExceeded, KillingRequired, RegimeMismatch
+from .errors import ChainBudgetExceeded, KillingRequired
 from .ladder import _LadderLevel, _Recursion
-from .model import ModelSpec, is_drift_model
+from .model import ModelSpec, require_drift_model
 
 __all__ = [
     "OvershootTable",
@@ -107,8 +107,7 @@ class OvershootTable:
     def __init__(self, model: ModelSpec, beta: float):
         if beta < 0:
             raise ValueError("beta must be nonnegative")
-        if not is_drift_model(model):
-            raise RegimeMismatch("overshoot analysis requires the drift model")
+        require_drift_model(model, "overshoot analysis")
         self.model = model
         self.beta = beta
         m = model.m

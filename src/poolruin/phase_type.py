@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ._lazy import LazyModule
-from .errors import NoConvergence, NotPhaseType, RegimeMismatch, SingularSystem
+from .errors import NoConvergence, NotPhaseType, SingularSystem
 from .seriesops import Taylor
 
 linalg = LazyModule("scipy.linalg")
@@ -238,14 +238,13 @@ def running_max_ph(model, beta: float, n: int) -> PhaseType:
     r_k).
     """
     # model imports claims, which imports this module
-    from .model import is_drift_model
+    from .model import require_drift_model
 
     if beta <= 0.0:
         raise ValueError("running_max_ph needs beta > 0")
     if not 0 <= n <= model.m:
         raise ValueError("n must lie in 0..m")
-    if not is_drift_model(model):
-        raise RegimeMismatch("running_max_ph requires the drift model")
+    require_drift_model(model, "running_max_ph")
     blocks = []
     for k in range(1, n + 1):
         claim = model.claim_for_state(k)

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import RegimeMismatch, SimulationError
+from .errors import SimulationError
 from .model import LevyRegime, ModelSpec, is_drift_model
 
 _BLOCK_SIZE = 16384
@@ -109,12 +109,6 @@ def _validate(model: ModelSpec, beta: float, horizon_t, u_arr, alphas=()) -> Non
             "beta = 0 without a fixed horizon needs the drift model "
             "(paths drain out after the last claim)"
         )
-    for idx, reg in enumerate(model.regimes):
-        if reg.kind == "drift" and reg.r < 0:
-            raise RegimeMismatch(
-                f"regime {idx}: negative pure drift must be flagged as a "
-                "subordinator"
-            )
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -152,7 +146,7 @@ def _segment_draws(reg: LevyRegime, dur, rng):
     regime is that walk's single piece, computed on all paths at once.
     """
     P = dur.shape[0]
-    monotone = reg.r <= 0 and reg.sigma2 == 0
+    monotone = reg.nondecreasing
     if reg.jump_rate == 0:
         if monotone:
             zend = -reg.r * dur + 0.0  # the empty jump sum
@@ -269,8 +263,8 @@ def _run_block(model, beta, horizon_t, u_arr, alphas, seed, block, count):
     def segment(reg, dur, n_state):
         smax, zend, continuous = _segment_draws(reg, dur, rng)
         cand = y + smax
-        # a declining or flat segment can never set a new record
-        if reg.kind == "drift" and (cand > ymax + 1e-12).any():
+        # a declining pure drift can never set a new record
+        if reg.kind == "drift" and reg.r > 0 and (cand > ymax + 1e-12).any():
             raise SimulationError(
                 f"drift segment at n = {n_state} rose above the running maximum"
             )

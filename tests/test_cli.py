@@ -261,6 +261,21 @@ def test_config_parses_all_claim_and_regime_tags(tmp_path, capsys):
     assert 0.0 < pi_one < 1.0
 
 
+def test_negative_drift_transforms_as_its_subordinator_spelling(tmp_path, capsys):
+    client = '{"drift": {"r": 1.0}}]'  # the regime at the client state
+    outs = []
+    for spelling in ('{"drift": {"r": -0.4}}', '{"sub": {"r": -0.4}}'):
+        config = M1_TEXT.replace(client, spelling + "]")
+        assert config != M1_TEXT
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        code, out, _ = run_cli(capsys, "transform", "--config", str(cfg))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") > 1
+
+
 def test_config_rejects_unknown_tags(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poolruin import claims, ladder, model
-from poolruin.errors import KillingRequired, NoRoot, NotSubordinator, SubordinatorRegime
+from poolruin.errors import KillingRequired, NoRoot
 
 REGIMES = [
     model.drift(2.0),
@@ -71,12 +71,12 @@ def test_compound_poisson_inverse_to_a_few_ulp(reg, lam):
 
 
 def test_inverse_errors():
-    with pytest.raises(SubordinatorRegime):
+    with pytest.raises(NoRoot):
         model.inverse_exponent(model.subordinator(r=-1.0), 1.0)
     with pytest.raises(NoRoot):
         model.inverse_exponent(model.drift(0.0), 1.0)
     with pytest.raises(NoRoot):
-        # jumps without premium: nondecreasing, should carry the flag
+        # jumps without premium: nondecreasing, whatever the label
         model.inverse_exponent(
             model.compound_poisson_drift(0.0, 0.0, 1.0, claims.Exponential(1.0)), 1.0
         )
@@ -143,10 +143,10 @@ def test_wiener_hopf_series_refuses_the_removable_point():
     psi = model.inverse_exponent(reg, lam)
     for a in (psi, 0.7 * psi, 1.3 * psi):
         with pytest.raises(ValueError, match="window"):
-            model.wiener_hopf_series(reg, a, lam, 2)
+            model.killed_max_series(reg, a, lam, 2)
     # outside the window the series is the closed form
     a = 0.5 * psi
-    got = model.wiener_hopf_series(reg, a, lam, 2).c[0]
+    got = model.killed_max_series(reg, a, lam, 2).c[0]
     closed = (psi - a) / (lam - model.laplace_exponent(reg, a)) * lam / psi
     assert math.isclose(got, closed, rel_tol=1e-14)
 
@@ -154,14 +154,29 @@ def test_wiener_hopf_series_refuses_the_removable_point():
 def test_subordinator_max_factor():
     sub = model.subordinator(r=-1.0)  # Z(t) = t: the transform is lam / (lam + a)
     for a, lam in ((0.0, 1.0), (1.0, 1.0), (1.0, 1e9), (2.5, 0.3)):
-        got = model.subordinator_max_series(sub, a, lam, 0).c[0]
+        got = model.killed_max_series(sub, a, lam, 0).c[0]
         assert math.isclose(got, lam / (lam + a), rel_tol=1e-14)
         assert killed_max(sub, a, lam) == got
-    assert model.subordinator_max_series(sub, 0.0, 1.0, 0).c[0] == 1.0
-    with pytest.raises(NotSubordinator):
-        model.subordinator_max_series(model.drift(1.0), 1.0, 1.0, 0)
-    with pytest.raises(SubordinatorRegime):
-        model.wiener_hopf_series(sub, 1.0, 1.0, 0)
+    assert model.killed_max_series(sub, 0.0, 1.0, 0).c[0] == 1.0
+
+
+def test_nondecreasing_follows_from_the_parameters():
+    jumps = claims.Exponential(2.0)
+    table = [
+        (model.drift(1.0), False),
+        (model.drift(0.0), True),
+        (model.drift(-0.4), True),
+        (model.brownian_drift(1.0, 1.0), False),
+        (model.brownian_drift(-1.0, 1.0), False),
+        (model.compound_poisson_drift(1.0, 0.0, 0.5, jumps), False),
+        (model.compound_poisson_drift(0.0, 0.0, 0.5, jumps), True),
+        (model.compound_poisson_drift(-0.4, 0.0, 0.5, jumps), True),
+        (model.compound_poisson_drift(-0.4, 0.5, 0.5, jumps), False),
+        (model.subordinator(), True),
+        (model.subordinator(-0.4, 0.5, jumps), True),
+    ]
+    for reg, want in table:
+        assert reg.nondecreasing is want, reg
 
 
 def test_subordinator_exponent_nonpositive():

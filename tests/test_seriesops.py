@@ -219,18 +219,22 @@ def test_dd1_exact_coincidence():
 def test_dd2_confluent_cases(c1, c2, g0):
     val = second_dd(c1, c2, g0)
     with mp.workdps(60):
-        # Hermite-stable integral representation of the second divided
-        # difference: int_0^1 int_0^s f''(c1 + s(c2-c1) + t(g0-c2)) dt ds
-        f = mp.exp
-        want = float(
-            mp.quad(
-                lambda s: mp.quad(
-                    lambda t: f(c1 + s * (mp.mpf(c2) - c1) + t * (mp.mpf(g0) - c2)),
-                    [0, s],
-                ),
-                [0, 1],
+        # exp[c1, c2, g0] in closed form: the sum of e^x / prod (x - y) over
+        # distinct nodes, which 60 digits carry through the cancellation of
+        # nearly coincident ones, and its limits where nodes coincide exactly
+        nodes = [mp.mpf(c1), mp.mpf(c2), mp.mpf(g0)]
+        distinct = set(nodes)
+        if len(distinct) == 3:
+            want = sum(
+                mp.exp(x) / mp.fprod(x - y for y in nodes if y != x) for x in nodes
             )
-        )
+        elif len(distinct) == 2:
+            p = max(distinct, key=nodes.count)  # the double node
+            q = min(distinct, key=nodes.count)
+            want = (mp.exp(q) - mp.exp(p) - (q - p) * mp.exp(p)) / (q - p) ** 2
+        else:
+            want = mp.exp(nodes[0]) / 2
+        want = float(want)
     assert math.isclose(val, want, rel_tol=1e-9, abs_tol=1e-12)
 
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from poolruin import claims, heavy_tail, ladder, model, simulate
+from poolruin import claims, heavy_tail, inversion, ladder, model, simulate
 from poolruin.config import load_model
-from poolruin.errors import RegimeMismatch, SimulationError
+from poolruin.errors import SimulationError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -143,12 +143,44 @@ def test_subordinator_simulation_with_jumps():
     assert abs(est - ladder.pi_max(mdl, 1.0, 1, 0.7)) < 3 * se
 
 
-def test_unflagged_negative_drift_rejected():
-    mdl = model.ModelSpec(
-        m=0, lambda_circ=(), claims=(), regimes=(model.drift(-1.0),)
-    )
-    with pytest.raises(RegimeMismatch):
-        simulate.simulate_paths(mdl, 1.0, n_paths=10, seed=0)
+def test_unlabelled_nondecreasing_regime_is_its_subordinator():
+    # the shape of a regime follows from its parameters: each unlabelled
+    # nondecreasing regime computes exactly as its subordinator spelling, at
+    # state 0 and at a client state, on the ladder, the inversion and the
+    # simulator
+    jumps = claims.Exponential(2.0)
+    spellings = {
+        "drift": (model.drift(-0.4), model.subordinator(-0.4)),
+        "cp": (
+            model.compound_poisson_drift(-0.4, 0.0, 0.5, jumps),
+            model.subordinator(-0.4, 0.5, jumps),
+        ),
+        "cp without premium": (
+            model.compound_poisson_drift(0.0, 0.0, 0.5, jumps),
+            model.subordinator(0.0, 0.5, jumps),
+        ),
+    }
+
+    def results(reg, state):
+        regimes = [model.drift(1.0), model.drift(1.0)]
+        regimes[state] = reg
+        mdl = model.ModelSpec(
+            m=1, lambda_circ=(1.0,), claims=(claims.Exponential(1.0),), regimes=regimes
+        )
+        sim = simulate.simulate_paths(
+            mdl, 1.0, u_queries=(0.5, 2.0), n_paths=2000, seed=5, alphas=(0.7,)
+        )
+        return repr((
+            ladder.pi_max(mdl, 1.0, 1, 0.7),
+            ladder.engine(mdl, 1.0, 1).jet(0.0),
+            inversion.ruin_curve(mdl, 1.0, [1.5]).tolist(),
+            sim.as_dict(),
+        ))
+
+    for name, (plain, sub) in spellings.items():
+        for state in (0, 1):
+            assert plain.kind != "subordinator" and sub.kind == "subordinator"
+            assert results(plain, state) == results(sub, state), (name, state)
 
 
 def test_infinite_horizon_requires_drift_model():
