@@ -24,7 +24,7 @@ import numpy as np
 
 from . import phase_type as pht
 from ._lazy import LazyModule
-from .errors import MomentUndefined, NoConvergence
+from .errors import MomentUndefined, NoConvergence, require_finite
 from .seriesops import Taylor, TransformJet, _from_log
 
 integrate = LazyModule("scipy.integrate")  # the Lomax quadrature only
@@ -55,6 +55,9 @@ class ClaimDistribution:
     """Base interface; concrete laws override the series and sampling."""
 
     kind: str = "abstract"
+    # lst_complex computes each node on its own, so its value at a node does
+    # not depend on the other nodes of the call
+    nodewise: bool = True
 
     def lst(self, alpha: float) -> float:
         if alpha < 0:
@@ -105,6 +108,7 @@ class Exponential(ClaimDistribution):
     kind = "exp"
 
     def __post_init__(self):
+        require_finite("Exponential", mu=self.mu)
         if self.mu <= 0:
             raise ValueError("mu must be positive")
 
@@ -152,6 +156,7 @@ class Erlang(ClaimDistribution):
     kind = "erlang"
 
     def __post_init__(self):
+        require_finite("Erlang", k=self.k, mu=self.mu)
         if self.k < 1 or int(self.k) != self.k:
             raise ValueError("k must be a positive integer")
         if self.mu <= 0:
@@ -258,8 +263,11 @@ class Lomax(ClaimDistribution):
     eps: float
     _kernel_cache: dict = field(default_factory=dict, compare=False, repr=False)
     kind = "lomax"
+    # the series and the continued fraction stop once every node converged
+    nodewise = False
 
     def __post_init__(self):
+        require_finite("Lomax", c=self.c, eps=self.eps)
         if self.c <= 0:
             raise ValueError("c must be positive")
         if self.eps <= 0:
@@ -405,6 +413,7 @@ class PointMass(ClaimDistribution):
     kind = "point"
 
     def __post_init__(self):
+        require_finite("PointMass", b=self.b)
         if self.b < 0:
             raise ValueError("b must be nonnegative")
 

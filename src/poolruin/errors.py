@@ -1,5 +1,7 @@
 """Exception hierarchy for model validation and numerical failures."""
 
+import math
+
 
 class PoolRuinError(Exception):
     """Base class for all package-specific errors."""
@@ -49,3 +51,12 @@ class ChainBudgetExceeded(PoolRuinError):
 class SimulationError(PoolRuinError):
     """A simulated path broke an invariant of its regime (e.g. a drift
     segment rose above the running maximum)."""
+
+
+def require_finite(owner: str, **fields) -> None:
+    """``ValueError`` naming the first of ``fields`` that is NaN or
+    infinite: a comparison such as ``mu <= 0`` is False for NaN, so a sign
+    check alone lets it through."""
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{owner}: {name} must be finite, got {value!r}")

@@ -107,11 +107,16 @@ def invert(F: Callable[[float], float], t: float, plan: StehfestPlan = None) -> 
         raise ValueError("t must be positive")
     if plan is None:
         plan = default_plan()
-    scale = _LN2 / t
+    scale, points = _abscissae(t, plan)
     # exact summation: the alternating weights cancel many digits
-    return scale * math.fsum(
-        w * F(k * scale) for k, w in enumerate(plan.weights, start=1)
-    )
+    return scale * math.fsum(w * F(s) for w, s in zip(plan.weights, points))
+
+
+def _abscissae(t: float, plan: StehfestPlan) -> tuple:
+    """The scale ln 2 / t and the points k ln 2 / t at which the rule
+    samples the transform."""
+    scale = _LN2 / t
+    return scale, [k * scale for k in range(1, plan.n_terms + 1)]
 
 
 def ruin_curve(
@@ -125,11 +130,16 @@ def ruin_curve(
     the raw inversion overshoots beyond numerical tolerance."""
     if model.m == 0:
         return np.zeros(len(u_grid))
+    if plan is None:
+        plan = default_plan()
     eng = engine(model, beta, model.m)
     out = np.empty(len(u_grid))
     for i, u in enumerate(u_grid):
         if u < 0:
             raise ValueError("reserve levels must be nonnegative")
+        if u > 0:
+            # the contour means among this reserve's points in one sweep
+            eng._prefetch(_abscissae(u, plan)[1])
         raw = invert(lambda a: ruin_transform(eng, a), u, plan)
         if raw < -1e-6 or raw > 1.0 + 1e-6:
             warnings.warn(

@@ -35,6 +35,28 @@ law).  The same nodes give the jet at a point inside a window through the
 Cauchy derivative formula.  Values are memoized per (level, point), so a
 value never depends on the order of the requests.
 
+A contour at level ``k`` needs the anchors ``C_j(nu_j) F_{j-1}(nu_j)`` of
+every level up to ``k``, and on a clustered pool each of those is a contour
+mean itself.  One request therefore takes all of its contours in one
+upward sweep: the circles of the anchors not yet held, of the requested
+point (with its jet, when asked) and of any further points asked together
+(the Stehfest points of one reserve level) are stacked in one array, and
+the levels are walked once.  At level ``j`` the circles that end there take
+their mean, which fills anchor ``j + 1``; level ``j + 1`` is then
+evaluated on the rows still open.  The work per level is one vectorised
+pass, so a point costs O(m) passes per 32 stacked circles where a contour
+per anchor, each from the base, cost O(m^2).  The arithmetic per node is
+the one a lone circle gets, so a value does not depend on what it was
+stacked with, on one condition: numpy computes an operator in place when
+an operand is a temporary of 256 KiB or more (temporary elision), and an
+in-place complex product rounds differently.  A sweep therefore stacks at most
+``MAX_STACK`` = 32 circles (8192 nodes, 128 KiB) and continues the rest
+in a further sweep.  A claim or jump law that is not ``nodewise`` (Lomax,
+whose series and continued fraction iterate until every node of the call
+has converged) gives a node a value that depends on its neighbours in the
+call, so a recursion with such a law sweeps one circle at a time.
+Anchors outside every window stay on the real path.
+
 A recursion with no levels evaluates its base piece alone, with the same
 windows and contour means: the overshoot route takes its divided
 differences of claim transforms that way (:mod:`poolruin.overshoot`).
@@ -93,11 +115,15 @@ NODES = 64
 RADII = np.array([0.15, 0.25, 0.35, 0.5, 0.65, 0.8, 0.9, 0.97])
 # Largest accepted error bound of a contour mean.
 MAX_BOUND = 1e-12
+# Circles stacked in one sweep at most: 32 blocks of 8 x 32 nodes stay
+# below numpy's temporary elision (see the module docstring).
+MAX_STACK = 32
 # Rounding by which a transform value may leave [0, 1] before it is refused.
 PROB_TOL = 1e-12
 
 _ANGLES = np.pi * (2 * np.arange(NODES // 2) + 1) / NODES
 _UNIT = np.exp(1j * _ANGLES)  # the nodes in the upper half plane
+_ROWS = len(RADII)  # rows of nodes per circle's block
 _EPS = np.finfo(float).eps
 
 
@@ -106,6 +132,7 @@ class _One:
 
     removable = ()
     left = math.inf
+    laws = ()
 
     def real(self, x):
         return 1.0
@@ -127,6 +154,7 @@ class _KilledMax:
         self.lam = lam
         self.psi = psi
         self.removable = () if psi is None else (psi,)
+        self.laws = _jump_laws(regime)
 
     @cached_property
     def left(self) -> float:
@@ -174,7 +202,8 @@ class _Recursion:
     """Memoized evaluator of the two-point recursion over levels and a base
     piece: ``real(x)`` at a float, ``nodes(z)`` (values and rounding
     amplification) at complex nodes, ``series(x, order)`` for jets,
-    ``removable`` points and ``left`` singularity distance."""
+    ``removable`` points, ``left`` singularity distance and the ``laws``
+    it evaluates at the nodes."""
 
     def __init__(self, base, levels: Sequence):
         self.base = base
@@ -192,6 +221,8 @@ class _Recursion:
     # ------------------------------------------------------------ queries
 
     def value(self, point: float) -> float:
+        if not math.isfinite(point):
+            raise ValueError(f"alpha must be finite, got {point!r}")
         if point < 0:
             raise ValueError("alpha must be nonnegative")
         return self.level_value(len(self.levels), float(point))
@@ -204,7 +235,7 @@ class _Recursion:
         level = len(self.levels)
         point = float(point)
         if self._window_level(point) <= level:
-            out = self._contour(level, point, derivatives=True)
+            out = self._sweep(level, jet_at=point)
         else:
             self._fill_anchors(level)
             out = self.base.series(point, order)
@@ -219,8 +250,8 @@ class _Recursion:
         if hit is not None:
             return hit
         if self._window_level(point) <= level:
-            val = self._cache[(level, point)] = self._contour(level, point)
-            return val
+            self._sweep(level, (point,))
+            return self._cache[(level, point)]
         self._fill_anchors(level)
         val = self._cache.get((0, point))
         if val is None:
@@ -232,26 +263,35 @@ class _Recursion:
             val = nxt
         return val
 
+    def _prefetch(self, points: Sequence[float]):
+        """Memoize the windowed ones of ``points`` at the top level, and
+        the anchors, in one sweep."""
+        self._sweep(len(self.levels), points)
+
     # ------------------------------------------------------ level steps
 
     def _window_level(self, x: float) -> float:
         """Lowest level from which ``x`` lies in a window (inf: none)."""
         hit = self._windows.get(x)
         if hit is None:
-            hit = min(
-                (k for p, k in self._removable if abs(x - p) <= WINDOW * p),
-                default=math.inf,
+            # the removable points are listed by level
+            hit = next(
+                (k for p, k in self._removable if abs(x - p) <= WINDOW * p), math.inf
             )
             self._windows[x] = hit
         return hit
 
     def _fill_anchors(self, level: int):
-        for k in range(len(self._anchors), level + 1):
-            lv = self.levels[k - 1]
-            anchor = None
-            if isinstance(lv, _LadderLevel):
-                anchor = lv.claim.lst(lv.nu) * self.level_value(k - 1, lv.nu)
-            self._anchors.append(anchor)
+        if len(self._anchors) <= level:
+            self._sweep(level)
+
+    def _anchor(self, k: int):
+        """Append the anchor of level ``k``, every anchor below it held."""
+        lv = self.levels[k - 1]
+        anchor = None
+        if isinstance(lv, _LadderLevel):
+            anchor = lv.claim.lst(lv.nu) * self.level_value(k - 1, lv.nu)
+        self._anchors.append(anchor)
 
     def _step_real(self, k: int, x: float, prev: float) -> float:
         lv = self.levels[k - 1]
@@ -279,28 +319,22 @@ class _Recursion:
             out = out * lv.post.series(x, order)
         return out
 
-    def _nodes(self, level: int, z: np.ndarray) -> tuple:
-        """F_level at complex nodes, with the accumulated rounding
-        amplification A (in units of eps)."""
-        f, amp = self.base.nodes(z)
-        claim_at: dict = {}
-        for k in range(1, level + 1):
-            lv = self.levels[k - 1]
-            c = claim_at.get(lv.claim)
-            if c is None:
-                c = claim_at[lv.claim] = lv.claim.lst_complex(z)
-            if isinstance(lv, _SubLevel):
-                den = lv.lam - laplace_exponent(lv.regime, z)
-                f = (lv.beta + lv.lam_circ * c * f) / den
-                amp = amp * np.abs(lv.lam_circ * c / den) + np.abs(lv.lam / den)
-                continue
-            g = (lv.w * lv.nu) / (lv.nu - z)
-            f = lv.p0 + g * (c * f - (z / lv.nu) * self._anchors[k])
-            amp = np.abs(g) * (amp * np.abs(c) + 1.0)
-            if lv.post is not None:
-                kval, kamp = lv.post.nodes(z)
-                f = f * kval
-                amp = amp * np.abs(kval) + kamp
+    def _step_nodes(self, k: int, z: np.ndarray, f, amp, c) -> tuple:
+        """Level ``k`` at complex nodes from the level below, with the
+        accumulated rounding amplification A (in units of eps); ``c`` is
+        the level's claim transform at ``z``."""
+        lv = self.levels[k - 1]
+        if isinstance(lv, _SubLevel):
+            den = lv.lam - laplace_exponent(lv.regime, z)
+            f_next = (lv.beta + lv.lam_circ * c * f) / den
+            return f_next, amp * np.abs(lv.lam_circ * c / den) + np.abs(lv.lam / den)
+        g = (lv.w * lv.nu) / (lv.nu - z)
+        f = lv.p0 + g * (c * f - (z / lv.nu) * self._anchors[k])
+        amp = np.abs(g) * (amp * np.abs(c) + 1.0)
+        if lv.post is not None:
+            kval, kamp = lv.post.nodes(z)
+            f = f * kval
+            amp = amp * np.abs(kval) + kamp
         return f, amp
 
     # ---------------------------------------------------- contour means
@@ -318,16 +352,97 @@ class _Recursion:
             self._lefts.append(d)
         return self._lefts[level]
 
-    def _contour(self, level: int, x: float, derivatives: bool = False):
-        """Mean of F_level over the best circle around ``x``; with
+    @cached_property
+    def _cap(self) -> int:
+        """Circles per sweep: one where a law's value at a node depends on
+        the other nodes of the call."""
+        laws = list(self.base.laws)
+        for lv in self.levels:
+            laws.append(lv.claim)
+            if isinstance(lv, _SubLevel):
+                laws += _jump_laws(lv.regime)
+            elif lv.post is not None:
+                laws += lv.post.laws
+        return MAX_STACK if all(law.nodewise for law in laws) else 1
+
+    def _sweep(self, level: int, points: Sequence[float] = (), jet_at=None):
+        """Fill the anchors up to ``level`` and memoize F_level at the
+        windowed ``points``, every contour mean this needs taken in stacked
+        upward passes of at most ``MAX_STACK`` circles (one, where a law is
+        not ``nodewise``); with ``jet_at``, the order-2 series there from
+        the same pass."""
+        cache, window = self._cache, self._window_level
+        # (level the circle ends at, its centre, derivatives), in order of
+        # level: the anchors' circles, then the requested ones
+        first = len(self._anchors)
+        blocks = [
+            (k - 1, lv.nu, False)
+            for k, lv in enumerate(self.levels[first - 1 : level], start=first)
+            if isinstance(lv, _LadderLevel)
+            and window(lv.nu) < k
+            and (k - 1, lv.nu) not in cache
+        ]
+        for x in dict.fromkeys(points):
+            if (level, x) not in cache and window(x) <= level:
+                blocks.append((level, x, False))
+        if jet_at is not None:
+            blocks.append((level, jet_at, True))
+        out = None
+        if blocks:
+            cap = self._cap if len(blocks) > 1 else 1
+            with np.errstate(all="ignore"):
+                # a derivative block comes last, so the last pass returns it
+                for i in range(0, len(blocks), cap):
+                    out = self._stack(blocks[i : i + cap])
+        for k in range(len(self._anchors), level + 1):
+            self._anchor(k)
+        return out
+
+    def _stack(self, blocks: list):
+        """One upward pass over the stacked circles of ``blocks``: each
+        level is evaluated on the rows still open, and the blocks that end
+        there take their mean (or series) and leave the stack at its
+        front.  Returns the series of a derivative block, if any."""
+        if len(blocks) == 1:  # the same nodes, without the stacking overhead
+            x = blocks[0][1]
+            radii = (RADII * x)[None]
+            z = x + radii[0][:, None] * _UNIT
+        else:
+            centres = np.array([x for _, x, _ in blocks])
+            radii = RADII * centres[:, None]
+            z = centres[:, None, None] + radii[:, :, None] * _UNIT
+            z = z.reshape(-1, NODES // 2)
+        f, amp = self.base.nodes(z)
+        claim_at: dict = {}  # claim -> (blocks ended before, transform)
+        out = None
+        done = 0  # blocks ended
+        for level in range(blocks[-1][0] + 1):
+            if level:
+                if len(self._anchors) <= level:
+                    self._anchor(level)
+                claim = self.levels[level - 1].claim
+                if claim not in claim_at:
+                    claim_at[claim] = (done, claim.lst_complex(z))
+                since, c = claim_at[claim]
+                c = c[(done - since) * _ROWS :]
+                f, amp = self._step_nodes(level, z, f, amp, c)
+            while blocks[done][0] == level:
+                at, x, derivatives = blocks[done]
+                val = self._mean(at, x, radii[done], f[:_ROWS], amp[:_ROWS], derivatives)
+                if derivatives:
+                    out = val
+                else:
+                    self._cache[(at, x)] = val
+                done += 1
+                if done == len(blocks):
+                    return out
+                f, amp, z = f[_ROWS:], amp[_ROWS:], z[_ROWS:]
+
+    def _mean(self, level, x, radii, f, amp, derivatives):
+        """Mean of F_level over the best of the circles around ``x``; with
         ``derivatives``, the order-2 Taylor series from the same nodes."""
-        self._fill_anchors(level)
-        radii = RADII * x
-        z = x + radii[:, None] * _UNIT
-        with np.errstate(all="ignore"):
-            f, amp = self._nodes(level, z)
-            trunc = (radii / (x + self._left(level))) ** NODES
-            bound = _EPS * amp.max(axis=1) + trunc
+        trunc = (radii / (x + self._left(level))) ** NODES
+        bound = _EPS * amp.max(axis=1) + trunc
         bound[~(np.isfinite(f).all(axis=1) & np.isfinite(bound))] = np.inf
         best = int(np.argmin(bound))
         if not bound[best] <= MAX_BOUND:
@@ -338,13 +453,22 @@ class _Recursion:
         # the nodes come in conjugate pairs: the mean is that of the real
         # parts over the upper half
         row = f[best]
-        mean = float(np.mean(row.real))
+        mean = _real_mean(row)
         if not derivatives:
             return mean
         r = float(radii[best])
-        d1 = float(np.mean((row * _UNIT.conj()).real)) / r
-        d2 = float(np.mean((row * _UNIT.conj() ** 2).real)) / (r * r)
+        d1 = _real_mean(row * _UNIT.conj()) / r
+        d2 = _real_mean(row * _UNIT.conj() ** 2) / (r * r)
         return Taylor._wrap((mean, d1, d2))
+
+
+def _jump_laws(regime: LevyRegime) -> tuple:
+    return (regime.jump_law,) if regime.jump_rate > 0 else ()
+
+
+def _real_mean(row: np.ndarray) -> float:
+    """Mean of the real parts of a row of nodes, as ``np.mean`` sums it."""
+    return float(np.add.reduce(row.real)) / (NODES // 2)
 
 
 @dataclass(frozen=True)
@@ -439,6 +563,8 @@ def engine(model: ModelSpec, beta: float, n: int) -> _Recursion:
     """
     if not 0 <= n <= model.m:
         raise ValueError("n must lie in 0..m")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     if beta == 0 and not is_drift_model(model):

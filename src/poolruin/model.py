@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .claims import ClaimDistribution
-from .errors import NoRoot, RegimeMismatch
+from .errors import NoRoot, RegimeMismatch, require_finite
 from .seriesops import WINDOW, Taylor, div_by_linear_root
 
 # Newton on psi stops once a step is this many ulp of the iterate.
@@ -46,6 +46,9 @@ class LevyRegime:
     def __post_init__(self):
         if self.kind not in ("drift", "brownian", "compound_poisson", "subordinator"):
             raise ValueError(f"unknown regime kind {self.kind!r}")
+        require_finite(
+            "LevyRegime", r=self.r, sigma2=self.sigma2, jump_rate=self.jump_rate
+        )
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
         if self.jump_rate < 0:
@@ -294,6 +297,11 @@ class ModelSpec:
             raise ValueError("m must be a nonnegative integer")
         if len(self.lambda_circ) != self.m:
             raise ValueError("lambda_circ must have one rate per client")
+        for i, rate in enumerate(self.lambda_circ):
+            if not math.isfinite(rate):
+                raise ValueError(
+                    f"ModelSpec: lambda_circ[{i}] must be finite, got {rate!r}"
+                )
         if any(rate <= 0 for rate in self.lambda_circ):
             raise ValueError("arrival rates must be positive")
         if len(self.claims) != self.m:

@@ -56,6 +56,7 @@ class _Slope:
         self.c = c
         self.removable = (c,)
         self.left = claim.left_singularity
+        self.laws = (claim,)
         self._at_c = claim.lst(c)
 
     def real(self, x):
@@ -83,6 +84,7 @@ class _OvershootBase:
         self.scale = scale
         self.removable = (alpha, nu)
         self.left = claim.left_singularity
+        self.laws = (claim,)
         self._b_alpha = claim.lst(alpha)
         self._dd = dd
 
@@ -137,7 +139,13 @@ class OvershootTable:
 
     def _xi_engine(self, k: int, alpha: float) -> _Recursion:
         """Recursion in gamma for xi_{., k}(alpha, beta, .); level j of the
-        engine holds xi_{k+1+j, k}."""
+        engine holds xi_{k+1+j, k}.
+
+        The engine's anchors are filled when it is built, in one sweep of
+        its levels: anchor j is C(nu_n) xi_{n-1, k}(alpha, beta, nu_n) with
+        n = k + 1 + j, which is zeta(n, k, alpha) up to the factor
+        lam_n / lam_circ_n, a value both routes ask for anyway.
+        """
         key = (k, alpha)
         engine = self._engines.get(key)
         if engine is not None:
@@ -160,6 +168,7 @@ class OvershootTable:
             for j in range(k + 2, self.model.m + 1)
         ]
         engine = _Recursion(base, levels)
+        engine._fill_anchors(len(levels))
         self._engines[key] = engine
         return engine
 

@@ -37,6 +37,9 @@ class PhaseType:
         S = np.asarray(self.S, dtype=float)
         if delta.ndim != 1:
             raise ValueError("delta must be a vector")
+        for name, value in (("delta", delta), ("S", S), ("delta_abs", self.delta_abs)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"PhaseType: {name} must be finite")
         d = delta.shape[0]
         if S.shape != (d, d):
             raise ValueError(f"S must be {d}x{d}, got {S.shape}")

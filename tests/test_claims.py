@@ -77,6 +77,34 @@ def test_lomax_rejects_integer_tail_index():
         claims.Lomax(1.0, 2.0)
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda v: claims.Exponential(v), "mu"),
+        (lambda v: claims.Erlang(2, v), "mu"),
+        (lambda v: claims.Erlang(v, 1.0), "k"),
+        (lambda v: claims.Lomax(v, 1.5), "c"),
+        (lambda v: claims.Lomax(1.0, v), "eps"),
+        (lambda v: claims.PointMass(v), "b"),
+        (lambda v: PhaseType(delta=[v], S=[[-1.0]]), "delta"),
+        (lambda v: PhaseType(delta=[1.0], S=[[v]]), "S"),
+        (lambda v: PhaseType(delta=[], S=np.zeros((0, 0)), delta_abs=v), "delta_abs"),
+    ],
+    ids=[
+        "Exponential.mu", "Erlang.mu", "Erlang.k", "Lomax.c", "Lomax.eps",
+        "PointMass.b", "PhaseType.delta", "PhaseType.S", "PhaseType.delta_abs",
+    ],
+)
+def test_non_finite_parameters_are_refused(make, field, bad):
+    # a sign check alone passes NaN, and inf gave a transform that is NaN
+    with pytest.raises(ValueError, match=rf"\b{field}\b.*finite"):
+        make(bad)
+
+
 def test_rv_meta_lomax():
     meta = claims.Lomax(1.0, 1.5).rv_meta
     assert meta.delta == 1.5 and meta.n_delta == 1

@@ -441,11 +441,30 @@ def _order_models():
     yield _deep_pool("cp", 8, "spread"), 1.0
     yield load_model(CONFIGS / "fig5.json")
     yield next(_purity_models())
+    # more windowed anchors than one sweep stacks
+    yield _deep_pool("bm", 100, "cluster"), 1.0
+    yield _deep_pool("drift", 60, "cluster"), 1.0
+    # Lomax claims, whose transform at a node depends on the other nodes of
+    # the call, with ladder rates near 1 and near 3
+    yield model.ModelSpec(
+        m=4,
+        lambda_circ=(0.8, 1.0, 4.6, 5.0),
+        claims=(claims.Lomax(1.0, 1.5),) * 4,
+        regimes=(model.drift(1.0),) + (model.drift(2.0),) * 4,
+    ), 1.0
 
 
 def test_values_do_not_depend_on_request_order():
     # windowed and plain points, the ladder rates themselves among them
     for mdl, beta in _order_models():
+        # every anchor stacked in the sweeps of one request, against one
+        # anchor per request, from the bottom level up
+        stacked = ladder.engine(mdl, beta, mdl.m)
+        stepped = ladder.engine(mdl, beta, mdl.m)
+        for k, lv in enumerate(stepped.levels, start=1):
+            if hasattr(lv, "nu"):
+                stepped.level_value(k - 1, lv.nu)
+        assert repr(stacked.value(1.0)) == repr(stepped.value(1.0))
         eng = ladder.engine(mdl, beta, mdl.m)
         rates = [lv.nu for lv in eng.levels if hasattr(lv, "nu")]
         points = [0.0, 1e-3, 0.3, 1.0, 4.0] + rates + [1.01 * x for x in rates]
@@ -472,3 +491,36 @@ def test_unresolved_contour_is_an_error(monkeypatch):
     eng = ladder.engine(R125, 1.0, 6)
     with pytest.raises(PoolRuinError, match="no contour"):
         eng.value(1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=repr)
+def test_non_finite_arguments_are_refused(bad):
+    mdl = _deep_pool("drift", 3)
+    with pytest.raises(ValueError, match="beta must be finite"):
+        ladder.engine(mdl, bad, 3)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        ladder.engine(mdl, 1.0, 3).value(bad)
+
+
+def test_one_sweep_per_request(monkeypatch):
+    # a claim law per client, so each level evaluates its own transform at
+    # the nodes: one upward sweep costs one call per level, where a contour
+    # per anchor, each from the base, cost m (m + 1) / 2
+    m = 30
+    mdl = _deep_pool("drift", m, "cluster")
+    mdl = model.ModelSpec(
+        m=m,
+        lambda_circ=mdl.lambda_circ,
+        claims=tuple(claims.Exponential(1.0 + 1e-3 * k) for k in range(m)),
+        regimes=mdl.regimes,
+    )
+    calls = []
+    lst_complex = claims.Exponential.lst_complex
+
+    def counted(self, z):
+        calls.append(z.shape)
+        return lst_complex(self, z)
+
+    monkeypatch.setattr(claims.Exponential, "lst_complex", counted)
+    ladder.pi_max(mdl, 1.0, m, 1.0)
+    assert len(calls) <= m + 2

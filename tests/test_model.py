@@ -196,6 +196,33 @@ def test_regime_validation():
         model.compound_poisson_drift(1.0, 0.0, -1.0, claims.Exponential(1.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda v: model.drift(v), "r"),
+        (lambda v: model.brownian_drift(v, 1.0), "r"),
+        (lambda v: model.brownian_drift(1.0, v), "sigma2"),
+        (lambda v: model.compound_poisson_drift(1.0, 0.0, v, claims.Exponential(2.0)), "jump_rate"),
+        (lambda v: model.subordinator(r=v), "r"),
+        (
+            lambda v: model.ModelSpec(
+                m=2,
+                lambda_circ=(1.0, v),
+                claims=(claims.Exponential(1.0),) * 2,
+                regimes=(model.drift(1.0),) * 3,
+            ),
+            r"lambda_circ\[1\]",
+        ),
+    ],
+    ids=["drift.r", "brownian.r", "brownian.sigma2", "cp.jump_rate", "subordinator.r",
+         "ModelSpec.lambda_circ"],
+)
+def test_non_finite_parameters_are_refused(make, field, bad):
+    with pytest.raises(ValueError, match=rf"{field} must be finite"):
+        make(bad)
+
+
 def test_model_spec_validation():
     with pytest.raises(ValueError):
         model.ModelSpec(m=1, lambda_circ=(), claims=(claims.Exponential(1.0),),
