@@ -55,9 +55,6 @@ class ClaimDistribution:
     """Base interface; concrete laws override the series and sampling."""
 
     kind: str = "abstract"
-    # lst_complex computes each node on its own, so its value at a node does
-    # not depend on the other nodes of the call
-    nodewise: bool = True
 
     def lst(self, alpha: float) -> float:
         if alpha < 0:
@@ -71,8 +68,12 @@ class ClaimDistribution:
         return self.lst_series(alpha, 2).jet()
 
     def lst_complex(self, z: np.ndarray) -> np.ndarray:
-        """Transform at an array of complex arguments with Re z > -d, where
-        d is :attr:`left_singularity`."""
+        """Transform at complex arguments (an array, or one number) with
+        Re z > -d, where d is :attr:`left_singularity`.  Each node is
+        computed on its own: its value does not depend on the other nodes
+        of the array or on the array's size, so contour means stacked in
+        one call equal those of their circles taken one at a time
+        (:mod:`poolruin.ladder`)."""
         raise NotImplementedError
 
     @property
@@ -263,8 +264,6 @@ class Lomax(ClaimDistribution):
     eps: float
     _kernel_cache: dict = field(default_factory=dict, compare=False, repr=False)
     kind = "lomax"
-    # the series and the continued fraction stop once every node converged
-    nodewise = False
 
     def __post_init__(self):
         require_finite("Lomax", c=self.c, eps=self.eps)
@@ -328,7 +327,8 @@ class Lomax(ClaimDistribution):
     def lst_complex(self, z):
         """eps (cz)^eps e^{cz} Gamma(-eps, cz) on Re z > 0: the power series
         of the lower incomplete gamma function for |cz| < 1, Legendre's
-        continued fraction (modified Lentz) beyond."""
+        continued fraction (modified Lentz) beyond; each node stops at its
+        own convergence."""
         w = self.c * np.asarray(z, dtype=complex)
         small = np.abs(w) < _LOMAX_SERIES_RADIUS
         out = np.empty_like(w)
@@ -341,23 +341,32 @@ class Lomax(ClaimDistribution):
     def _lst_series_form(self, w):
         # Gamma(-eps, w) = Gamma(-eps) - sum_n (-1)^n w^(n-eps) / (n! (n-eps))
         eps = self.eps
+        sums = np.empty_like(w)
+        live = np.arange(w.size)  # nodes still summing
+        neg = -w  # named: never an elided right operand (see poolruin.ladder)
         acc = np.zeros_like(w)
         term = np.ones_like(w)  # (-w)^n / n!
         for n in range(_LOMAX_TERMS):
             step = term / (n - eps)
             acc += step
-            if np.all(np.abs(step) <= 1e-17 * np.abs(acc)):
+            done = np.abs(step) <= 1e-17 * np.abs(acc)
+            sums[live[done]] = acc[done]
+            keep = ~done
+            live, neg, acc, term = live[keep], neg[keep], acc[keep], term[keep]
+            if not live.size:
                 break
-            term = term * (-w) / (n + 1)
+            term = term * neg / (n + 1)
         else:
             raise NoConvergence("Lomax transform series did not converge")
-        return eps * np.exp(w) * (w**eps * math.gamma(-eps) - acc)
+        return eps * np.exp(w) * (w**eps * math.gamma(-eps) - sums)
 
     def _lst_fraction_form(self, w):
         # Gamma(a, w) = e^{-w} w^a / (w + 1 - a - 1 (1 - a) / (w + 3 - a - ...))
         # with a = -eps; the prefactors cancel against eps w^eps e^w
         a = -self.eps
         tiny = 1e-300
+        out = np.empty_like(w)
+        live = np.arange(w.size)  # nodes still iterating
         b = w + 1.0 - a
         c = np.full_like(w, 1.0 / tiny)
         d = 1.0 / b
@@ -372,11 +381,15 @@ class Lomax(ClaimDistribution):
             d = 1.0 / d
             delta = d * c
             h = h * delta
-            if np.all(np.abs(delta - 1.0) <= 1e-15):
+            done = np.abs(delta - 1.0) <= 1e-15
+            out[live[done]] = h[done]
+            keep = ~done
+            live, b, c, d, h = live[keep], b[keep], c[keep], d[keep], h[keep]
+            if not live.size:
                 break
         else:
             raise NoConvergence("Lomax transform continued fraction did not converge")
-        return self.eps * h
+        return self.eps * out
 
     @property
     def left_singularity(self) -> float:

@@ -57,22 +57,39 @@ def _open_out(args):
     return open(args.out, "w", newline="") if args.out else sys.stdout
 
 
+def _require_nonincreasing(name, alphas, values):
+    """A transform E exp(-alpha M) cannot rise with alpha: a column that
+    does by more than ``ladder.PROB_TOL`` is a numerical failure."""
+    pairs = sorted(zip(alphas, values))
+    for (a0, v0), (a1, v1) in zip(pairs, pairs[1:]):
+        if v1 > v0 + ladder.PROB_TOL:
+            raise PoolRuinError(
+                f"{name} rises with alpha: {v0!r} at alpha = {a0!r}, "
+                f"{v1!r} at alpha = {a1!r}"
+            )
+
+
 def cmd_transform(args) -> int:
     model, default_beta = load_model(args.config)
     beta = _require_beta(args, default_beta)
     alphas = _grid(args.alpha_grid, "alpha")
     engine = ladder.engine(model, beta, model.m)
-    table = overshoot.OvershootTable(model, beta) if is_drift_model(model) else None
+    # every row is computed and checked before any is printed
+    pis = [ladder.checked_transform(engine.value(a), a) for a in alphas]
+    _require_nonincreasing("pi_ladder", alphas, pis)
+    pos = None
+    if is_drift_model(model):
+        table = overshoot.OvershootTable(model, beta)
+        pos = [ladder.checked_transform(table.pi_via_ladders(a), a) for a in alphas]
+        _require_nonincreasing("pi_overshoot", alphas, pos)
     out = _open_out(args)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["alpha", "pi_ladder", "pi_overshoot", "abs_diff"])
-    for a in alphas:
-        pi = ladder.checked_transform(engine.value(a), a)
-        if table is not None:
-            po = ladder.checked_transform(table.pi_via_ladders(a), a)
-            writer.writerow([_fmt(a), _fmt(pi), _fmt(po), _fmt(abs(pi - po))])
-        else:
+    for i, (a, pi) in enumerate(zip(alphas, pis)):
+        if pos is None:
             writer.writerow([_fmt(a), _fmt(pi), "", ""])
+        else:
+            writer.writerow([_fmt(a), _fmt(pi), _fmt(pos[i]), _fmt(abs(pi - pos[i]))])
     if out is not sys.stdout:
         out.close()
     return 0

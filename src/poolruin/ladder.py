@@ -44,18 +44,20 @@ point (with its jet, when asked) and of any further points asked together
 the levels are walked once.  At level ``j`` the circles that end there take
 their mean, which fills anchor ``j + 1``; level ``j + 1`` is then
 evaluated on the rows still open.  The work per level is one vectorised
-pass, so a point costs O(m) passes per 32 stacked circles where a contour
-per anchor, each from the base, cost O(m^2).  The arithmetic per node is
-the one a lone circle gets, so a value does not depend on what it was
-stacked with, on one condition: numpy computes an operator in place when
-an operand is a temporary of 256 KiB or more (temporary elision), and an
-in-place complex product rounds differently.  A sweep therefore stacks at most
-``MAX_STACK`` = 32 circles (8192 nodes, 128 KiB) and continues the rest
-in a further sweep.  A claim or jump law that is not ``nodewise`` (Lomax,
-whose series and continued fraction iterate until every node of the call
-has converged) gives a node a value that depends on its neighbours in the
-call, so a recursion with such a law sweeps one circle at a time.
-Anchors outside every window stay on the real path.
+pass, so a point costs O(m) passes where a contour per anchor, each from
+the base, cost O(m^2).  Anchors outside every window stay on the real
+path.
+
+Every node is computed on its own: its value does not depend on the other
+nodes of its array, so a value does not depend on what it was stacked with
+or on how many circles one sweep holds.  Each claim law's complex
+transform is elementwise (the Lomax series and continued fraction stop at
+each node's own convergence), and no complex product takes a temporary as
+its right operand: numpy computes an operator in place when an operand is
+a temporary of 256 KiB or more (temporary elision), and for a temporary on
+the right of a product it computes ``<temporary> * a``, which rounds
+differently from ``a * <temporary>``.  Such an operand is bound to a name
+first.
 
 A recursion with no levels evaluates its base piece alone, with the same
 windows and contour means: the overshoot route takes its divided
@@ -115,9 +117,6 @@ NODES = 64
 RADII = np.array([0.15, 0.25, 0.35, 0.5, 0.65, 0.8, 0.9, 0.97])
 # Largest accepted error bound of a contour mean.
 MAX_BOUND = 1e-12
-# Circles stacked in one sweep at most: 32 blocks of 8 x 32 nodes stay
-# below numpy's temporary elision (see the module docstring).
-MAX_STACK = 32
 # Rounding by which a transform value may leave [0, 1] before it is refused.
 PROB_TOL = 1e-12
 
@@ -132,7 +131,6 @@ class _One:
 
     removable = ()
     left = math.inf
-    laws = ()
 
     def real(self, x):
         return 1.0
@@ -154,7 +152,6 @@ class _KilledMax:
         self.lam = lam
         self.psi = psi
         self.removable = () if psi is None else (psi,)
-        self.laws = _jump_laws(regime)
 
     @cached_property
     def left(self) -> float:
@@ -202,8 +199,7 @@ class _Recursion:
     """Memoized evaluator of the two-point recursion over levels and a base
     piece: ``real(x)`` at a float, ``nodes(z)`` (values and rounding
     amplification) at complex nodes, ``series(x, order)`` for jets,
-    ``removable`` points, ``left`` singularity distance and the ``laws``
-    it evaluates at the nodes."""
+    ``removable`` points and ``left`` singularity distance."""
 
     def __init__(self, base, levels: Sequence):
         self.base = base
@@ -329,7 +325,9 @@ class _Recursion:
             f_next = (lv.beta + lv.lam_circ * c * f) / den
             return f_next, amp * np.abs(lv.lam_circ * c / den) + np.abs(lv.lam / den)
         g = (lv.w * lv.nu) / (lv.nu - z)
-        f = lv.p0 + g * (c * f - (z / lv.nu) * self._anchors[k])
+        # a named right operand: never elided (see the module docstring)
+        bracket = c * f - (z / lv.nu) * self._anchors[k]
+        f = lv.p0 + g * bracket
         amp = np.abs(g) * (amp * np.abs(c) + 1.0)
         if lv.post is not None:
             kval, kamp = lv.post.nodes(z)
@@ -352,25 +350,10 @@ class _Recursion:
             self._lefts.append(d)
         return self._lefts[level]
 
-    @cached_property
-    def _cap(self) -> int:
-        """Circles per sweep: one where a law's value at a node depends on
-        the other nodes of the call."""
-        laws = list(self.base.laws)
-        for lv in self.levels:
-            laws.append(lv.claim)
-            if isinstance(lv, _SubLevel):
-                laws += _jump_laws(lv.regime)
-            elif lv.post is not None:
-                laws += lv.post.laws
-        return MAX_STACK if all(law.nodewise for law in laws) else 1
-
     def _sweep(self, level: int, points: Sequence[float] = (), jet_at=None):
         """Fill the anchors up to ``level`` and memoize F_level at the
-        windowed ``points``, every contour mean this needs taken in stacked
-        upward passes of at most ``MAX_STACK`` circles (one, where a law is
-        not ``nodewise``); with ``jet_at``, the order-2 series there from
-        the same pass."""
+        windowed ``points`` in one stacked upward pass; with ``jet_at``,
+        the order-2 series there from the same pass."""
         cache, window = self._cache, self._window_level
         # (level the circle ends at, its centre, derivatives), in order of
         # level: the anchors' circles, then the requested ones
@@ -387,31 +370,21 @@ class _Recursion:
                 blocks.append((level, x, False))
         if jet_at is not None:
             blocks.append((level, jet_at, True))
-        out = None
-        if blocks:
-            cap = self._cap if len(blocks) > 1 else 1
-            with np.errstate(all="ignore"):
-                # a derivative block comes last, so the last pass returns it
-                for i in range(0, len(blocks), cap):
-                    out = self._stack(blocks[i : i + cap])
+        out = self._stack(blocks) if blocks else None
         for k in range(len(self._anchors), level + 1):
             self._anchor(k)
         return out
 
+    @np.errstate(all="ignore")
     def _stack(self, blocks: list):
         """One upward pass over the stacked circles of ``blocks``: each
         level is evaluated on the rows still open, and the blocks that end
         there take their mean (or series) and leave the stack at its
         front.  Returns the series of a derivative block, if any."""
-        if len(blocks) == 1:  # the same nodes, without the stacking overhead
-            x = blocks[0][1]
-            radii = (RADII * x)[None]
-            z = x + radii[0][:, None] * _UNIT
-        else:
-            centres = np.array([x for _, x, _ in blocks])
-            radii = RADII * centres[:, None]
-            z = centres[:, None, None] + radii[:, :, None] * _UNIT
-            z = z.reshape(-1, NODES // 2)
+        centres = np.array([x for _, x, _ in blocks])
+        radii = RADII * centres[:, None]
+        z = centres[:, None, None] + radii[:, :, None] * _UNIT
+        z = z.reshape(-1, NODES // 2)
         f, amp = self.base.nodes(z)
         claim_at: dict = {}  # claim -> (blocks ended before, transform)
         out = None
@@ -460,10 +433,6 @@ class _Recursion:
         d1 = _real_mean(row * _UNIT.conj()) / r
         d2 = _real_mean(row * _UNIT.conj() ** 2) / (r * r)
         return Taylor._wrap((mean, d1, d2))
-
-
-def _jump_laws(regime: LevyRegime) -> tuple:
-    return (regime.jump_law,) if regime.jump_rate > 0 else ()
 
 
 def _real_mean(row: np.ndarray) -> float:

@@ -105,8 +105,9 @@ def subordinator(
 
 def laplace_exponent(regime: LevyRegime, alpha):
     """phi(a) = r a + sigma2 a^2 / 2 - rate (1 - jump transform), at a
-    nonnegative float or at an array of complex arguments."""
-    if isinstance(alpha, np.ndarray):
+    nonnegative float, or at a complex number or an array of them (through
+    the jump law's complex transform)."""
+    if isinstance(alpha, (complex, np.ndarray)):
         jump = regime.jump_law.lst_complex if regime.jump_rate > 0 else None
     elif alpha < 0:
         raise ValueError("alpha must be nonnegative")
@@ -196,15 +197,12 @@ def left_root(regime: LevyRegime, lam: float) -> float:
         if s2 > 0.0:
             return (r + math.sqrt(r * r + 2.0 * s2 * lam)) / s2
         return -lam / r if r < 0.0 else math.inf
-    law = regime.jump_law
-    wall = law.left_singularity
+    wall = regime.jump_law.left_singularity
     if wall == 0.0:
         return 0.0
 
     def above(a: float) -> bool:
-        z = np.array([complex(-a)])
-        val = -r * a + 0.5 * s2 * a * a - regime.jump_rate * (1.0 - law.lst_complex(z)[0].real)
-        return val > lam
+        return laplace_exponent(regime, complex(-a)).real > lam
 
     lo, hi = 0.0, min(1.0, 0.5 * wall)
     while not above(hi):

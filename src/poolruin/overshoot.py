@@ -56,7 +56,6 @@ class _Slope:
         self.c = c
         self.removable = (c,)
         self.left = claim.left_singularity
-        self.laws = (claim,)
         self._at_c = claim.lst(c)
 
     def real(self, x):
@@ -84,7 +83,6 @@ class _OvershootBase:
         self.scale = scale
         self.removable = (alpha, nu)
         self.left = claim.left_singularity
-        self.laws = (claim,)
         self._b_alpha = claim.lst(alpha)
         self._dd = dd
 
@@ -93,10 +91,11 @@ class _OvershootBase:
         return self.scale * x * (inner - self._dd) / (x - self.nu)
 
     def nodes(self, z):
-        inner = (self.claim.lst_complex(z) - self._b_alpha) / (z - self.alpha)
+        # a named right operand for the product (see :mod:`poolruin.ladder`)
+        inner = (self.claim.lst_complex(z) - self._b_alpha) / (z - self.alpha) - self._dd
         outer = self.scale * z / (z - self.nu)
         amp = np.abs(outer) * (2.0 / np.abs(z - self.alpha) + abs(self._dd))
-        return outer * (inner - self._dd), amp
+        return outer * inner, amp
 
 
 class OvershootTable:

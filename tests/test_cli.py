@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poolruin.cli import main
 
@@ -170,6 +171,28 @@ def test_values_outside_the_unit_interval_fail_loudly(monkeypatch, capsys, argv,
     assert "alpha = " in err and repr(bad) in err
     # the failing row is never written
     assert len(out.strip().splitlines()) <= 1
+
+
+@pytest.mark.parametrize("column", ["pi_ladder", "pi_overshoot"])
+def test_transform_rising_in_alpha_fails_loudly(monkeypatch, capsys, column):
+    # a transform E exp(-alpha M) cannot rise with alpha; the grid is
+    # unsorted, and the column is checked in the order of alpha
+    from poolruin import ladder, overshoot
+
+    def rising(self, alpha):
+        return 0.5 + 0.01 * alpha
+
+    if column == "pi_ladder":
+        monkeypatch.setattr(ladder._Recursion, "value", rising)
+    else:
+        monkeypatch.setattr(overshoot.OvershootTable, "pi_via_ladders", rising)
+    code, out, err = run_cli(
+        capsys, "transform", "--config", str(CONFIGS / "m1_hand.json"),
+        "--alpha-grid", "0.5,0,1",
+    )
+    assert code == 3
+    assert out == ""
+    assert column in err and "alpha = 0.0" in err and "alpha = 0.5" in err
 
 
 def test_simulate_json_deterministic(capsys):
@@ -381,3 +404,72 @@ def test_import_leaves_scipy_for_first_use():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "True"]
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_CLAIM_SPECS = st.one_of(
+    st.builds(lambda mu: {"exp": {"mu": mu}}, _floats(0.05, 5.0)),
+    st.builds(lambda k, mu: {"erlang": {"k": k, "mu": mu}}, st.integers(1, 4), _floats(0.05, 5.0)),
+    st.builds(
+        lambda p, a, b, c: {"ph": {"delta": [p, 1.0 - p], "S": [[-a, b * a], [0.0, -c]]}},
+        _floats(0.0, 1.0), _floats(0.1, 5.0), _floats(0.0, 1.0), _floats(0.1, 5.0),
+    ),
+    st.builds(lambda c, eps: {"lomax": {"c": c, "eps": eps}}, _floats(0.1, 3.0), _floats(0.5, 4.0)),
+    st.builds(lambda b: {"point": {"b": b}}, _floats(0.0, 3.0)),
+)
+_REGIME_SPECS = st.one_of(
+    st.builds(lambda r: {"drift": {"r": r}}, _floats(-2.0, 3.0)),
+    st.builds(lambda r, s2: {"bm": {"r": r, "sigma2": s2}}, _floats(-2.0, 3.0), _floats(0.01, 2.0)),
+    st.builds(
+        lambda r, s2, rate, jump: {"cp": {"r": r, "sigma2": s2, "rate": rate, "jump": jump}},
+        _floats(-2.0, 3.0), _floats(0.0, 2.0), _floats(0.0, 3.0), _CLAIM_SPECS,
+    ),
+    st.builds(
+        lambda r, rate, jump: {"sub": {"r": r, "rate": rate, "jump": jump}},
+        _floats(-2.0, 0.0), _floats(0.0, 3.0), _CLAIM_SPECS,
+    ),
+)
+
+
+@st.composite
+def _configs(draw):
+    m = draw(st.integers(0, 2))
+    doc = {
+        "m": m,
+        "lambda_circ": draw(st.lists(_floats(0.1, 5.0), min_size=m, max_size=m)),
+        "claims": draw(st.lists(_CLAIM_SPECS, min_size=m, max_size=m)),
+        "regimes": draw(st.lists(_REGIME_SPECS, min_size=m + 1, max_size=m + 1)),
+    }
+    beta = draw(st.none() | _floats(0.0, 5.0))
+    if beta is not None:
+        doc["beta"] = beta
+    return doc
+
+
+_FUZZ_COMMANDS = (
+    ("transform",),
+    ("curves", "--mode", "moments"),
+    ("curves", "--mode", "ruin", "--u-grid", "1,5"),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(doc=_configs(), command=st.sampled_from(_FUZZ_COMMANDS))
+def test_fuzzed_configs_exit_cleanly(tmp_path_factory, doc, command):
+    # any model the config grammar admits either prints finite numbers or
+    # fails with a config or numerical error, never with a traceback
+    import contextlib
+    import io
+
+    cfg = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command[0], "--config", str(cfg), *command[1:]])
+    assert code in (0, 2, 3, 141), err.getvalue()
+    if code == 0:
+        text = out.getvalue().lower()
+        assert "nan" not in text and "inf" not in text, text

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poolruin import claims, ladder, model, simulate
+from poolruin import claims, ladder, model, phase_type, simulate
 from poolruin.config import load_model
 from poolruin.errors import KillingRequired, RegimeMismatch
 
@@ -279,8 +279,6 @@ def test_memoization_purity():
 
 def test_coincident_rates_against_phase_type_route():
     # equal rates at every level: all ladder rates coincide
-    from poolruin import phase_type
-
     mdl = model.ModelSpec(
         m=5,
         lambda_circ=(1.0,) * 5,
@@ -324,8 +322,6 @@ def _deep_pool(kind, m, shape="spread"):
 
 def test_spread_pool_of_forty_clients():
     # forty spread ladder rates, each within the window of its neighbours
-    from poolruin import phase_type
-
     drift = _deep_pool("drift", 40)
     want = phase_type.ph_lst(phase_type.running_max_ph(drift, 1.0, 40), 1.0)
     got = ladder.pi_max(drift, 1.0, 40, 1.0)
@@ -375,8 +371,6 @@ def test_levy_identical_regimes_singular_cluster():
 @pytest.mark.parametrize("m", [30, 60, 100])
 def test_deep_drift_pools_match_the_phase_type_law(m, shape):
     # clustered rates need large circles, spread ones small circles
-    from poolruin import phase_type
-
     mdl = _deep_pool("drift", m, shape)
     want = phase_type.ph_lst(phase_type.running_max_ph(mdl, 1.0, m), 1.0)
     got = ladder.pi_max(mdl, 1.0, m, 1.0)
@@ -441,11 +435,11 @@ def _order_models():
     yield _deep_pool("cp", 8, "spread"), 1.0
     yield load_model(CONFIGS / "fig5.json")
     yield next(_purity_models())
-    # more windowed anchors than one sweep stacks
+    # stacks of windowed anchors past numpy's temporary-elision threshold
     yield _deep_pool("bm", 100, "cluster"), 1.0
     yield _deep_pool("drift", 60, "cluster"), 1.0
-    # Lomax claims, whose transform at a node depends on the other nodes of
-    # the call, with ladder rates near 1 and near 3
+    # Lomax claims, whose series and continued fraction stop at each node's
+    # own convergence, with ladder rates near 1 and near 3
     yield model.ModelSpec(
         m=4,
         lambda_circ=(0.8, 1.0, 4.6, 5.0),
@@ -506,21 +500,95 @@ def test_one_sweep_per_request(monkeypatch):
     # a claim law per client, so each level evaluates its own transform at
     # the nodes: one upward sweep costs one call per level, where a contour
     # per anchor, each from the base, cost m (m + 1) / 2
-    m = 30
-    mdl = _deep_pool("drift", m, "cluster")
-    mdl = model.ModelSpec(
-        m=m,
-        lambda_circ=mdl.lambda_circ,
-        claims=tuple(claims.Exponential(1.0 + 1e-3 * k) for k in range(m)),
-        regimes=mdl.regimes,
+    pools = (
+        (30, lambda k: claims.Exponential(1.0 + 1e-3 * k)),
+        (12, lambda k: claims.Lomax(1.0 + 1e-3 * k, 1.5)),
     )
-    calls = []
-    lst_complex = claims.Exponential.lst_complex
+    for m, law in pools:
+        mdl = _deep_pool("drift", m, "cluster")
+        mdl = model.ModelSpec(
+            m=m,
+            lambda_circ=mdl.lambda_circ,
+            claims=tuple(law(k) for k in range(m)),
+            regimes=mdl.regimes,
+        )
+        cls = type(mdl.claims[0])
+        calls = []
+        lst_complex = cls.lst_complex
 
-    def counted(self, z):
-        calls.append(z.shape)
-        return lst_complex(self, z)
+        def counted(self, z):
+            calls.append(z.shape)
+            return lst_complex(self, z)
 
-    monkeypatch.setattr(claims.Exponential, "lst_complex", counted)
-    ladder.pi_max(mdl, 1.0, m, 1.0)
-    assert len(calls) <= m + 2
+        monkeypatch.setattr(cls, "lst_complex", counted)
+        ladder.pi_max(mdl, 1.0, m, 1.0)
+        assert len(calls) <= m + 2, (cls.__name__, len(calls))
+
+
+NODE_LAWS = {
+    "exp": claims.Exponential(1.3),
+    "erlang": claims.Erlang(3, 2.0),
+    "point": claims.PointMass(0.7),
+    "ph2": claims.PhaseTypeClaim(
+        phase_type.PhaseType(delta=np.array([0.6, 0.4]), S=np.array([[-2.0, 1.0], [0.0, -3.0]]))
+    ),
+    "lomax": claims.Lomax(1.0, 1.5),
+}
+
+
+def _node_pieces(law):
+    """Every node evaluation the ladder stacks, with ``law`` as the claim or
+    jump law: name -> function of the nodes returning arrays."""
+    from poolruin.overshoot import _OvershootBase, _Slope
+
+    bm = model.brownian_drift(1.0, 1.0)
+    cp = model.compound_poisson_drift(1.5, 0.2, 0.8, law)
+    # a division level (state 1) under a ladder level with a Brownian
+    # killed-maximum factor (state 2)
+    eng = ladder.engine(
+        model.ModelSpec(
+            m=2,
+            lambda_circ=(1.0, 2.0),
+            claims=(law, law),
+            regimes=(bm, model.subordinator(r=-0.5, jump_rate=0.3, jump_law=law), bm),
+        ),
+        1.0,
+        2,
+    )
+    eng._fill_anchors(2)
+
+    def steps(z):
+        f, amp = eng.base.nodes(z)
+        out = []
+        for k, lv in enumerate(eng.levels, start=1):
+            f, amp = eng._step_nodes(k, z, f, amp, lv.claim.lst_complex(z))
+            out += [f, amp]
+        return out
+
+    return {
+        "lst_complex": lambda z: [law.lst_complex(z)],
+        "slope": _Slope(law, 2.0).nodes,
+        "overshoot_base": _OvershootBase(law, alpha=1.0, nu=2.0, scale=0.8, dd=-0.3).nodes,
+        "killed_max_bm": ladder._KilledMax(bm, 2.0, model.inverse_exponent(bm, 2.0)).nodes,
+        "killed_max_cp": ladder._KilledMax(cp, 2.0, model.inverse_exponent(cp, 2.0)).nodes,
+        "levels": steps,
+    }
+
+
+@pytest.mark.parametrize("law", NODE_LAWS.values(), ids=list(NODE_LAWS))
+def test_every_node_is_computed_on_its_own(law):
+    # the circles the ladder stacks around 70 centres: 70 x 8 x 32 = 17,920
+    # nodes, 280 KiB of complex values, past numpy's temporary-elision
+    # threshold of 256 KiB.  Whole circles, since the ladder never makes a
+    # smaller array.
+    centres = np.linspace(0.3, 6.0, 70)
+    radii = ladder.RADII * centres[:, None]
+    z = (centres[:, None, None] + radii[:, :, None] * ladder._UNIT).reshape(-1, ladder.NODES // 2)
+    rows = len(ladder.RADII)
+    with np.errstate(all="ignore"):
+        for name, piece in _node_pieces(law).items():
+            stacked = piece(z)
+            for i in range(0, len(z), rows):
+                alone = piece(z[i : i + rows])
+                for a, b in zip(alone, stacked):
+                    assert a.tobytes() == b[i : i + rows].tobytes(), (name, float(centres[i // rows]))

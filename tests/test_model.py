@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poolruin import claims, ladder, model
+from poolruin import claims, ladder, model, phase_type
 from poolruin.errors import KillingRequired, NoRoot
 
 REGIMES = [
@@ -29,6 +29,24 @@ def test_exponent_convex_on_grid():
         grid = np.linspace(0.0, 6.0, 13)
         vals = np.array([model.laplace_exponent(reg, a) for a in grid])
         assert (np.diff(vals, 2) >= -1e-9).all()
+
+
+def test_left_root_brackets_the_negative_root():
+    # phi at a complex number is phi at an array of them, and the left root
+    # lies within 1e-3 (relative) below the crossing of phi = lam
+    two_phase = claims.PhaseTypeClaim(
+        phase_type.PhaseType(delta=np.array([0.6, 0.4]), S=np.array([[-2.0, 1.0], [0.0, -3.0]]))
+    )
+    regimes = REGIMES[3:] + [model.compound_poisson_drift(0.5, 0.2, 1.5, two_phase)]
+    for reg in regimes:
+        for lam in (0.3, 1.0, 4.0):
+            d = model.left_root(reg, lam)
+            for a in (d, 0.5 * d, 1.0011 * d):
+                one = model.laplace_exponent(reg, complex(-a))
+                many = model.laplace_exponent(reg, np.array([complex(-a)] * 3))
+                assert np.allclose(many, one, rtol=1e-14, atol=0.0)
+            assert model.laplace_exponent(reg, complex(-d)).real <= lam
+            assert model.laplace_exponent(reg, complex(-1.0011 * d)).real > lam
 
 
 def test_inverse_point_values():
