@@ -69,11 +69,19 @@ takes each level's type from its own regime.  A positive pure drift gives a
 plain ladder level with rate lambda_n / r_n; a nondecreasing regime, flat
 included, switches to a division step without a fixed argument; any other
 regime multiplies its ladder level by the killed-maximum factor of the regime.
+
+Each thread keeps the model engines of its most recent (model object,
+beta), and the overshoot route keeps its ladder heights there too
+(:func:`_memo`), so the calls of one thread for one model reuse every
+value already computed.  Since a value never depends on the order of the
+requests, the reuse moves no value.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -522,13 +530,48 @@ def _killed_max_piece(regime: LevyRegime, lam: float, psi: Optional[float] = Non
     return _KilledMax(regime, lam, inverse_exponent(regime, lam) if psi is None else psi)
 
 
+class _Held:
+    """What one thread keeps for its most recent (model object, beta): the
+    model engines by ``n``, and the overshoot state, which
+    :mod:`poolruin.overshoot` fills in.  The model itself is held by a weak
+    reference only."""
+
+    def __init__(self, model: ModelSpec, beta: float):
+        self.model = weakref.ref(model)
+        self.beta = beta
+        self.engines: dict = {}
+        self.overshoot = None
+
+
+_held = threading.local()
+
+
+def _memo(model: ModelSpec, beta: float) -> _Held:
+    """The state kept for (``model``, ``beta``) in the calling thread.
+
+    A thread keeps one pair only, its most recent: a request for another
+    model object or another beta replaces it.  The model is matched by
+    identity, never by equality, so a fresh model object, even one equal
+    to the kept one, starts cold; and since each thread has its own slot,
+    two threads never share an engine.  Only values that were computed are
+    kept: a request that raised stored nothing and raises again.
+    """
+    held = getattr(_held, "slot", None)
+    if held is None or held.model() is not model or held.beta != beta:
+        held = _held.slot = _Held(model, beta)
+    return held
+
+
 def engine(model: ModelSpec, beta: float, n: int) -> _Recursion:
     """Evaluator of the running-maximum transform started with ``n`` clients
     and killed at rate ``beta`` (beta = 0 gives the infinite horizon and
     needs the drift model).
 
     One engine serves any number of arguments: its memo is keyed on
-    (level, point), so a value never depends on earlier requests.
+    (level, point), so a value never depends on earlier requests.  The
+    engine is shared by the calls of one thread: every call for the same
+    model object, beta and ``n`` returns the same engine while that
+    (model, beta) is the thread's most recent (:func:`_memo`).
     """
     if not 0 <= n <= model.m:
         raise ValueError("n must lie in 0..m")
@@ -540,6 +583,14 @@ def engine(model: ModelSpec, beta: float, n: int) -> _Recursion:
         raise KillingRequired(
             "beta = 0 (infinite horizon) is only supported in the drift model"
         )
+    engines = _memo(model, beta).engines
+    eng = engines.get(n)
+    if eng is None:
+        eng = engines[n] = _model_engine(model, beta, n)
+    return eng
+
+
+def _model_engine(model: ModelSpec, beta: float, n: int) -> _Recursion:
     levels = []
     for k in range(1, n + 1):
         reg = model.regimes[k]
@@ -565,7 +616,8 @@ def engine(model: ModelSpec, beta: float, n: int) -> _Recursion:
 
 
 def pi_max(model: ModelSpec, beta: float, n: int, alpha: float) -> float:
-    """Running-maximum transform at ``alpha`` from a fresh :func:`engine`."""
+    """Running-maximum transform at ``alpha``, from the thread's
+    :func:`engine` for (model, beta, n)."""
     return engine(model, beta, n).value(alpha)
 
 

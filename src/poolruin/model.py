@@ -147,8 +147,12 @@ def inverse_exponent(regime: LevyRegime, lam: float) -> float:
     if regime.kind == "drift":
         return lam / regime.r
     if regime.kind == "brownian":
+        # the root of s2 a^2 / 2 + r a = lam in the form that does not
+        # cancel: for r > 0, (root - r) / s2 loses every digit once
+        # 2 s2 lam << r^2
         r, s2 = regime.r, regime.sigma2
-        return (-r + math.sqrt(r * r + 2.0 * s2 * lam)) / s2
+        root = math.sqrt(r * r + 2.0 * s2 * lam)
+        return 2.0 * lam / (r + root) if r > 0.0 else (root - r) / s2
     # compound Poisson with r > 0 or sigma2 > 0: phi is convex, vanishes at
     # zero and is unbounded
     hi = 1.0
@@ -195,7 +199,9 @@ def left_root(regime: LevyRegime, lam: float) -> float:
     r, s2 = regime.r, regime.sigma2
     if regime.jump_rate == 0.0:
         if s2 > 0.0:
-            return (r + math.sqrt(r * r + 2.0 * s2 * lam)) / s2
+            # the mirror image of the Brownian psi, without cancellation
+            root = math.sqrt(r * r + 2.0 * s2 * lam)
+            return 2.0 * lam / (root - r) if r < 0.0 else (r + root) / s2
         return -lam / r if r < 0.0 else math.inf
     wall = regime.jump_law.left_singularity
     if wall == 0.0:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .claims import ClaimDistribution
 from .errors import ChainBudgetExceeded, KillingRequired
-from .ladder import _LadderLevel, _Recursion
+from .ladder import _LadderLevel, _memo, _Recursion
 from .model import ModelSpec, require_drift_model
 
 __all__ = [
@@ -98,8 +98,30 @@ class _OvershootBase:
         return outer * inner, amp
 
 
+class _Kept:
+    """What the overshoot routes keep for one (model, beta), shared by every
+    table of the thread's kept pair (:func:`poolruin.ladder._memo`): the
+    divided-difference evaluators B[., nu_n] by client, the zeta matrix by
+    alpha, the survival probabilities at level zero, and the xi engines of
+    :meth:`OvershootTable.xi` by (k, alpha).  The routes read zetas only, so
+    their xi engines are not kept."""
+
+    def __init__(self):
+        self.slopes: dict = {}
+        self.zetas: dict = {}
+        self.survive = None
+        self.xi_engines: dict = {}
+
+
 class OvershootTable:
-    """Caching evaluator of xi and zeta for one (model, beta).
+    """Evaluator of xi and zeta for one (model, beta).
+
+    Each zeta is computed once per alpha, with the whole zeta matrix of
+    that alpha, from one transient xi engine per k; the matrices, the
+    survival probabilities at level zero and the divided differences are
+    kept with the thread's most recent (model object, beta), so every table
+    built for that pair, and the module functions, share them.  Only
+    :meth:`xi` keeps engines, since it takes an arbitrary gamma.
 
     beta = 0 evaluates the infinite-horizon quantities by direct
     substitution lam_n = lam_circ_n.
@@ -117,9 +139,10 @@ class OvershootTable:
             self._lam[n - 1] / model.regimes[n].r for n in range(1, m + 1)
         ]
         self._claim = [model.claim_for_state(n) for n in range(1, m + 1)]
-        self._slopes: dict = {}
-        self._engines: dict = {}
-        self._zeta_cache: dict = {}
+        held = _memo(model, beta)
+        if held.overshoot is None:
+            held.overshoot = _Kept()
+        self._kept = held.overshoot
 
     def lam(self, n: int) -> float:
         return self._lam[n - 1]
@@ -129,11 +152,10 @@ class OvershootTable:
 
     def _slope(self, n: int) -> _Recursion:
         """Evaluator of B[., nu_n] for the claim law of state ``n``."""
-        slope = self._slopes.get(n)
+        slopes = self._kept.slopes
+        slope = slopes.get(n)
         if slope is None:
-            slope = self._slopes[n] = _Recursion(
-                _Slope(self._claim[n - 1], self.nu(n)), ()
-            )
+            slope = slopes[n] = _Recursion(_Slope(self._claim[n - 1], self.nu(n)), ())
         return slope
 
     def _xi_engine(self, k: int, alpha: float) -> _Recursion:
@@ -143,12 +165,8 @@ class OvershootTable:
         The engine's anchors are filled when it is built, in one sweep of
         its levels: anchor j is C(nu_n) xi_{n-1, k}(alpha, beta, nu_n) with
         n = k + 1 + j, which is zeta(n, k, alpha) up to the factor
-        lam_n / lam_circ_n, a value both routes ask for anyway.
+        lam_n / lam_circ_n.
         """
-        key = (k, alpha)
-        engine = self._engines.get(key)
-        if engine is not None:
-            return engine
         n0 = k + 1
         base = _OvershootBase(
             claim=self._claim[n0 - 1],
@@ -168,8 +186,36 @@ class OvershootTable:
         ]
         engine = _Recursion(base, levels)
         engine._fill_anchors(len(levels))
-        self._engines[key] = engine
         return engine
+
+    def _zetas(self, alpha: float) -> list:
+        """The zeta matrix at ``alpha``: row n - 1 holds zeta(n, k, alpha)
+        for k = 0..n-1.  Filled whole, from one xi engine per k, and kept
+        only once every entry is computed."""
+        if alpha < 0:
+            raise ValueError("alpha must be nonnegative")
+        rows = self._kept.zetas.get(alpha)
+        if rows is not None:
+            return rows
+        m = self.model.m
+        rows = [[0.0] * n for n in range(1, m + 1)]
+        for n in range(1, m + 1):
+            # (lam_circ / r) (B(nu) - B(alpha)) / (alpha - nu); confluent at
+            # alpha = nu where the value is -(lam_circ / r) B'(nu)
+            lam_circ, r = self.model.rate_for_state(n), self.model.regimes[n].r
+            rows[n - 1][n - 1] = -(lam_circ / r) * self._slope(n).value(alpha)
+        for k in range(m - 1):
+            engine = self._xi_engine(k, alpha)
+            for n in range(k + 2, m + 1):
+                # xi_{n-1, k}(alpha, beta, nu_n) sits at level n - k - 2
+                nu_n = self.nu(n)
+                rows[n - 1][k] = (
+                    (self.model.rate_for_state(n) / self.lam(n))
+                    * self._claim[n - 1].lst(nu_n)
+                    * engine.level_value(n - k - 2, nu_n)
+                )
+        self._kept.zetas[alpha] = rows
+        return rows
 
     def xi(self, n: int, k: int, alpha: float, gamma: float) -> float:
         if not 1 <= n <= self.model.m:
@@ -180,47 +226,37 @@ class OvershootTable:
             raise ValueError("alpha must be nonnegative")
         if gamma <= 0:
             raise ValueError("gamma must be positive")
-        return self._xi_engine(k, alpha).level_value(n - k - 1, float(gamma))
+        engines = self._kept.xi_engines
+        engine = engines.get((k, alpha))
+        if engine is None:
+            engine = engines[(k, alpha)] = self._xi_engine(k, alpha)
+        return engine.level_value(n - k - 1, float(gamma))
 
     def zeta(self, n: int, k: int, alpha: float) -> float:
         if not 1 <= n <= self.model.m:
             raise ValueError("n must lie in 1..m")
         if not 0 <= k <= n - 1:
             raise ValueError("k must lie in 0..n-1")
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        key = (n, k, alpha)
-        hit = self._zeta_cache.get(key)
-        if hit is not None:
-            return hit
-        lam_circ = self.model.rate_for_state(n)
-        nu_n = self.nu(n)
-        if k == n - 1:
-            # (lam_circ / r) (B(nu) - B(alpha)) / (alpha - nu); confluent at
-            # alpha = nu where the value is -(lam_circ / r) B'(nu)
-            r = self.model.regimes[n].r
-            val = -(lam_circ / r) * self._slope(n).value(alpha)
-        else:
-            val = (
-                (lam_circ / self.lam(n))
-                * self._claim[n - 1].lst(nu_n)
-                * self.xi(n - 1, k, alpha, nu_n)
-            )
-        self._zeta_cache[key] = val
-        return val
+        return self._zetas(alpha)[n - 1][k]
 
     def survive_zero(self, n: int) -> float:
         """P_n(level 0 is never exceeded before the kill)."""
+        if not 0 <= n <= self.model.m:
+            raise ValueError("n must lie in 0..m")
         if n == 0:
             return 1.0
-        return 1.0 - sum(self.zeta(n, k, 0.0) for k in range(n))
+        kept = self._kept
+        if kept.survive is None:
+            kept.survive = [1.0] + [1.0 - sum(row) for row in self._zetas(0.0)]
+        return kept.survive[n]
 
     def pi_via_ladders(self, alpha: float) -> float:
         pis = [1.0]
         for j in range(1, self.model.m + 1):
             val = self.survive_zero(j)
+            row = self._zetas(alpha)[j - 1]
             for k in range(j):
-                val += self.zeta(j, k, alpha) * pis[k]
+                val += row[k] * pis[k]
             pis.append(val)
         return pis[self.model.m]
 
@@ -234,13 +270,14 @@ class OvershootTable:
             )
         if m == 0:
             return 1.0
+        zetas = self._zetas(alpha)
         total = 0.0
         for size in range(m + 1):
             for combo in combinations(range(m), size):
                 chain = [m] + sorted(combo, reverse=True)
                 prod = 1.0
                 for a, b in zip(chain, chain[1:]):
-                    prod *= self.zeta(a, b, alpha)
+                    prod *= zetas[a - 1][b]
                 last = chain[-1]
                 if last == 0:
                     total += prod

@@ -73,6 +73,29 @@ def test_numerical_failure_exit_code(capsys):
     assert "numerical failure" in err
 
 
+def test_brownian_pool_at_a_vanishing_killing_rate(tmp_path, capsys):
+    # psi(beta) is about beta / r here: the cancelling root form gave 0.0
+    # and a division by zero
+    bm = {"bm": {"r": 0.9, "sigma2": 0.9}}
+    cfg = tmp_path / "bm.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "m": 1,
+                "lambda_circ": [1.0],
+                "beta": 1.2e-38,
+                "claims": [{"exp": {"mu": 1.0}}],
+                "regimes": [bm, bm],
+            }
+        )
+    )
+    code, out, err = run_cli(capsys, "transform", "--config", str(cfg))
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 6
+    assert all(math.isfinite(float(row[1])) for row in rows)
+
+
 def test_curves_moments(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -1,4 +1,7 @@
+import gc
 import math
+import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ from poolruin import claims, ladder, model, phase_type, simulate
 from poolruin.config import load_model
 from poolruin.errors import KillingRequired, RegimeMismatch
 
-from conftest import random_drift_model
+from conftest import cold, random_drift_model
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -270,9 +273,9 @@ def test_memoization_purity():
     # value bit for bit
     grid = (0.0, 0.25, 0.5, 0.7, 1.0, 2.0, 2.9, 8.0)
     for mdl, beta in _purity_models():
-        fresh = [ladder.pi_max(mdl, beta, mdl.m, a) for a in grid]
+        fresh = [ladder.pi_max(cold(mdl), beta, mdl.m, a) for a in grid]
         for order in (grid, grid[::-1]):
-            eng = ladder.engine(mdl, beta, mdl.m)
+            eng = ladder.engine(cold(mdl), beta, mdl.m)
             shared = {a: eng.value(a) for a in order}
             assert [shared[a] for a in grid] == fresh
 
@@ -453,8 +456,8 @@ def test_values_do_not_depend_on_request_order():
     for mdl, beta in _order_models():
         # every anchor stacked in the sweeps of one request, against one
         # anchor per request, from the bottom level up
-        stacked = ladder.engine(mdl, beta, mdl.m)
-        stepped = ladder.engine(mdl, beta, mdl.m)
+        stacked = ladder.engine(cold(mdl), beta, mdl.m)
+        stepped = ladder.engine(cold(mdl), beta, mdl.m)
         for k, lv in enumerate(stepped.levels, start=1):
             if hasattr(lv, "nu"):
                 stepped.level_value(k - 1, lv.nu)
@@ -462,12 +465,12 @@ def test_values_do_not_depend_on_request_order():
         eng = ladder.engine(mdl, beta, mdl.m)
         rates = [lv.nu for lv in eng.levels if hasattr(lv, "nu")]
         points = [0.0, 1e-3, 0.3, 1.0, 4.0] + rates + [1.01 * x for x in rates]
-        forward = ladder.engine(mdl, beta, mdl.m)
-        backward = ladder.engine(mdl, beta, mdl.m)
+        forward = ladder.engine(cold(mdl), beta, mdl.m)
+        backward = ladder.engine(cold(mdl), beta, mdl.m)
         ahead = {x: repr(forward.value(x)) for x in points}
         behind = {x: repr(backward.value(x)) for x in reversed(points)}
         assert ahead == behind
-        jets = [repr(ladder.engine(mdl, beta, mdl.m).jet(x, order=1)) for x in (0.0, 1.0)]
+        jets = [repr(ladder.engine(cold(mdl), beta, mdl.m).jet(x, order=1)) for x in (0.0, 1.0)]
         assert jets == [repr(forward.jet(x, order=1)) for x in (0.0, 1.0)]
 
 
@@ -482,9 +485,92 @@ def test_unresolved_contour_is_an_error(monkeypatch):
     from poolruin.errors import PoolRuinError
 
     monkeypatch.setattr(ladder, "MAX_BOUND", 0.0)
-    eng = ladder.engine(R125, 1.0, 6)
+    eng = ladder.engine(cold(R125), 1.0, 6)
     with pytest.raises(PoolRuinError, match="no contour"):
         eng.value(1.0)
+
+
+def test_one_engine_per_model_object_beta_and_n():
+    mdl = _deep_pool("bm", 4, "cluster")
+    eng = ladder.engine(mdl, 1.0, 4)
+    assert ladder.engine(mdl, 1.0, 4) is eng
+    assert ladder.engine(mdl, 1.0, 3) is not eng
+    assert ladder.engine(mdl, 1.0, 4) is eng
+    # matched by identity: an equal copy has engines of its own
+    copy = cold(mdl)
+    assert copy == mdl
+    assert ladder.engine(copy, 1.0, 4) is not eng
+    assert ladder.engine(mdl, 1.0, 4) is not eng  # the copy took the slot
+
+
+def test_threads_do_not_share_engines():
+    mdl = _deep_pool("drift", 4, "cluster")
+    eng = ladder.engine(mdl, 1.0, 4)
+    got = []
+    worker = threading.Thread(target=lambda: got.append(ladder.engine(mdl, 1.0, 4)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert got[0] is not eng
+    assert repr(got[0].value(1.0)) == repr(eng.value(1.0))
+    # the other thread's request left this thread's slot alone
+    assert ladder.engine(mdl, 1.0, 4) is eng
+
+
+def test_one_pair_is_kept_per_thread():
+    mdl = _deep_pool("drift", 4, "cluster")
+    held = weakref.ref(ladder.engine(mdl, 1.0, 4))
+    gc.collect()
+    assert held() is not None
+    ladder.pi_max(mdl, 2.0, 4, 1.0)  # another beta replaces the slot
+    gc.collect()
+    assert held() is None
+    # the slot holds no strong reference to its model
+    other = _deep_pool("cp", 4, "cluster")
+    ladder.pi_max(other, 1.0, 4, 1.0)
+    kept = weakref.ref(other)
+    del other
+    gc.collect()
+    assert kept() is None
+
+
+def test_a_kept_engine_skips_the_contours_it_holds(monkeypatch):
+    # clustered ladder rates: every anchor is a contour mean
+    mdl = _deep_pool("drift", 8, "cluster")
+    calls = []
+    lst_complex = claims.Exponential.lst_complex
+
+    def counted(self, z):
+        calls.append(z.shape)
+        return lst_complex(self, z)
+
+    monkeypatch.setattr(claims.Exponential, "lst_complex", counted)
+    ladder.pi_max(mdl, 1.0, 8, 1.0)
+    assert calls
+    calls.clear()
+    ladder.pi_max(mdl, 1.0, 8, 2.0)  # outside every window
+    assert calls == []
+
+
+def test_a_kept_engine_keeps_no_failed_result(monkeypatch):
+    from poolruin import overshoot
+    from poolruin.errors import PoolRuinError
+
+    fresh = cold(R125)
+    want = ladder.pi_max(fresh, 1.0, 6, 1.0), overshoot.pi_via_ladders(fresh, 1.0, 1.0)
+    mdl = cold(R125)
+    monkeypatch.setattr(ladder, "MAX_BOUND", 0.0)
+    eng = ladder.engine(mdl, 1.0, 6)
+    for _ in range(2):
+        with pytest.raises(PoolRuinError, match="no contour"):
+            ladder.pi_max(mdl, 1.0, 6, 1.0)
+        with pytest.raises(PoolRuinError, match="no contour"):
+            overshoot.pi_via_ladders(mdl, 1.0, 1.0)
+    monkeypatch.undo()
+    # the same kept state, now with every contour accepted
+    got = eng.value(1.0), overshoot.pi_via_ladders(mdl, 1.0, 1.0)
+    assert ladder.engine(mdl, 1.0, 6) is eng
+    assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=repr)

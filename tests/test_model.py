@@ -88,6 +88,20 @@ def test_compound_poisson_inverse_to_a_few_ulp(reg, lam):
     assert abs(psi - want) <= 4 * math.ulp(want)
 
 
+@pytest.mark.parametrize("r", [0.9, -0.9])
+@pytest.mark.parametrize("lam", [1e-8, 1e-12, 1e-20])
+def test_brownian_roots_without_cancellation(r, lam):
+    # psi and the left root at a rate far below r^2 / sigma2, where the
+    # root of a difference of near-equal terms would lose every digit
+    reg = model.brownian_drift(r, 0.9)
+    with mp.workdps(60):
+        root = mp.sqrt(mp.mpf(r) ** 2 + 2 * mp.mpf(0.9) * mp.mpf(lam))
+        psi = float((root - mp.mpf(r)) / mp.mpf(0.9))
+        left = float((root + mp.mpf(r)) / mp.mpf(0.9))
+    assert abs(model.inverse_exponent(reg, lam) - psi) <= 4 * math.ulp(psi)
+    assert abs(model.left_root(reg, lam) - left) <= 4 * math.ulp(left)
+
+
 def test_inverse_errors():
     with pytest.raises(NoRoot):
         model.inverse_exponent(model.subordinator(r=-1.0), 1.0)

@@ -8,7 +8,7 @@ from poolruin import claims, ladder, model, overshoot, phase_type, simulate
 from poolruin.errors import ChainBudgetExceeded, KillingRequired, RegimeMismatch
 from poolruin.ladder import _Recursion
 
-from conftest import random_drift_model
+from conftest import battery_models, cold, random_drift_model
 
 
 def test_zeta_hand_values(m1_model):
@@ -121,6 +121,57 @@ def test_three_way_agreement_random_models():
             pd = ladder.pi_max(mdl, beta, mdl.m, a)
             assert abs(pd - table.pi_via_ladders(a)) < 1e-10
             assert abs(pd - table.pi_explicit_chains(a)) < 1e-10
+
+
+# the alpha grid of the transform_battery benchmark workload
+BATTERY_ALPHAS = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+
+
+@pytest.mark.parametrize("seed", [1, 4, 32])
+def test_kept_state_moves_no_value(seed):
+    # every route on a warm (model, beta), row by row as the benchmark asks,
+    # against each alpha on a cold copy of its own
+    for mdl, beta in battery_models(seed):
+        table = overshoot.OvershootTable(mdl, beta)
+        warm = [
+            (
+                ladder.pi_max(mdl, beta, mdl.m, a),
+                table.pi_via_ladders(a),
+                overshoot.OvershootTable(mdl, beta).pi_explicit_chains(a),
+            )
+            for a in BATTERY_ALPHAS
+        ]
+        fresh = [
+            (
+                ladder.pi_max(cold(mdl), beta, mdl.m, a),
+                overshoot.pi_via_ladders(cold(mdl), beta, a),
+                overshoot.pi_explicit_chains(cold(mdl), beta, a),
+            )
+            for a in BATTERY_ALPHAS
+        ]
+        assert repr(warm) == repr(fresh)
+
+
+def test_tables_of_one_pair_share_ladder_heights(monkeypatch):
+    mdl = random_drift_model(np.random.default_rng(41), m_max=6)
+    first = overshoot.OvershootTable(mdl, 1.0)
+    first.pi_via_ladders(0.5)
+    builds = []
+    init = _Recursion.__init__
+
+    def counted(self, *args):
+        builds.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(_Recursion, "__init__", counted)
+    # a fresh table of the same pair reads the zeta matrices it shares
+    overshoot.OvershootTable(mdl, 1.0).pi_explicit_chains(0.5)
+    overshoot.pi_via_ladders(mdl, 1.0, 0.0)
+    assert builds == []
+    # the routes keep zetas; only xi keeps its engines
+    assert first._kept.xi_engines == {}
+    overshoot.xi(mdl, mdl.m, 0, 0.5, 1.0, 2.0)
+    assert list(first._kept.xi_engines) == [(0, 0.5)]
 
 
 def test_chain_budget():
