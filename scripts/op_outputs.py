@@ -6,7 +6,9 @@ benchmark workloads at one seed (from ``perfbench/workloads.py``, imported
 read-only), the ``deep_pool`` points ``pi_max(deep_model(kind, m, shape),
 1, m, 1)`` at m in {30, 60, 100}, and the exit code and stdout md5 of CLI
 ``transform``, ``curves --mode moments`` and ``curves --mode ruin`` on every
-bundled config.
+bundled config, and of ``curves --mode moments`` on fig2 and fig3 over the
+time grid of ``scripts/make_figure_tables.py`` and over a grid that repeats
+a time, where Stehfest nodes recur.
 
 Usage, from the repository root:
 
@@ -41,6 +43,12 @@ CLI_COMMANDS = (
     ("curves", "--mode", "moments"),
     ("curves", "--mode", "ruin"),
 )
+FIGURE_T_GRID = ",".join(str(x / 2) for x in range(1, 41))  # as make_figure_tables.py
+CLI_MOMENT_GRIDS = tuple(
+    (config, ("curves", "--mode", "moments", "--t-grid", grid))
+    for config in ("fig2", "fig3")
+    for grid in (FIGURE_T_GRID, "1,2,1")
+)
 
 
 def workload_outputs(root: Path, seed: int) -> dict:
@@ -69,13 +77,15 @@ def deep_points() -> dict:
 
 def cli_outputs(root: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    configs = sorted((root / "configs").glob("*.json"))
+    runs = [(config, command) for config in configs for command in CLI_COMMANDS]
+    runs += [(root / "configs" / f"{name}.json", cmd) for name, cmd in CLI_MOMENT_GRIDS]
     out = {}
-    for config in sorted((root / "configs").glob("*.json")):
-        for command in CLI_COMMANDS:
-            argv = [sys.executable, "-m", "poolruin.cli", *command, "--config", str(config)]
-            done = subprocess.run(argv, capture_output=True, env=env, cwd=root)
-            key = f"cli/{' '.join(command)} {config.stem}"
-            out[key] = f"exit {done.returncode} md5 {hashlib.md5(done.stdout).hexdigest()}"
+    for config, command in runs:
+        argv = [sys.executable, "-m", "poolruin.cli", *command, "--config", str(config)]
+        done = subprocess.run(argv, capture_output=True, env=env, cwd=root)
+        key = f"cli/{' '.join(command)} {config.stem}"
+        out[key] = f"exit {done.returncode} md5 {hashlib.md5(done.stdout).hexdigest()}"
     return out
 
 

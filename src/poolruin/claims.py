@@ -24,7 +24,7 @@ import numpy as np
 
 from . import phase_type as pht
 from ._lazy import LazyModule
-from .errors import MomentUndefined, NoConvergence, require_finite
+from .errors import MomentUndefined, NoConvergence, PoolRuinError, require_finite
 from .seriesops import Taylor, TransformJet, _from_log
 
 integrate = LazyModule("scipy.integrate")  # the Lomax quadrature only
@@ -295,7 +295,14 @@ class Lomax(ClaimDistribution):
                 return 0.0
             return math.exp(log_term) * self._density(u)
 
-        val, _ = integrate.quad(integrand, 0.0, np.inf, **_QUAD_OPTS)
+        try:
+            val, _ = integrate.quad(integrand, 0.0, np.inf, **_QUAD_OPTS)
+        except OverflowError as exc:
+            raise PoolRuinError(
+                f"Lomax(c={self.c!r}, eps={self.eps!r}) transform at alpha = "
+                f"{alpha!r}: the density overflowed in the quadrature of "
+                f"kernel moment {i}"
+            ) from exc
         out = val * math.exp(peak) if peak < 709.0 else math.inf
         self._kernel_cache[key] = out
         return out

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import PoolRuinError
 from .ladder import engine, pi_jet, ruin_transform
 from .model import ModelSpec
 
@@ -160,7 +161,10 @@ def moment_curves(
     Both raw moments are single Laplace transforms in the killing rate
     (after dividing the jet components by it), so each is inverted on its
     own and the variance is assembled after inversion; the variance itself
-    is not the transform of anything.
+    is not the transform of anything.  The jets come from
+    :func:`poolruin.ladder.pi_jet`, which the thread keeps for the model
+    object, so a node shared by several times is computed once.  A jet
+    that is not finite at a node raises :class:`PoolRuinError`.
     """
     if plan is None:
         plan = default_plan()
@@ -174,6 +178,11 @@ def moment_curves(
         for k, w in enumerate(plan.weights, start=1):
             s = k * scale
             jet = pi_jet(model, s, model.m)
+            if not all(map(math.isfinite, (jet.v, jet.d1, jet.d2))):
+                raise PoolRuinError(
+                    f"moment jet {jet!r} at t = {t!r}, node beta = {s!r} "
+                    "is not finite"
+                )
             terms1.append(w * (-jet.d1 / s))
             terms2.append(w * (jet.d2 / s))
         means[i] = scale * math.fsum(terms1)

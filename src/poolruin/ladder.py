@@ -73,8 +73,11 @@ regime multiplies its ladder level by the killed-maximum factor of the regime.
 Each thread keeps the model engines of its most recent (model object,
 beta), and the overshoot route keeps its ladder heights there too
 (:func:`_memo`), so the calls of one thread for one model reuse every
-value already computed.  Since a value never depends on the order of the
-requests, the reuse moves no value.
+value already computed.  The moment jets of :func:`pi_jet` are kept for
+every beta asked of the thread's most recent model object: a new beta
+replaces the engines but not the jets, so a Stehfest node shared by
+several times is computed once.  Since a value never depends on the order
+of the requests, the reuse moves no value.
 """
 
 from __future__ import annotations
@@ -531,16 +534,18 @@ def _killed_max_piece(regime: LevyRegime, lam: float, psi: Optional[float] = Non
 
 
 class _Held:
-    """What one thread keeps for its most recent (model object, beta): the
-    model engines by ``n``, and the overshoot state, which
-    :mod:`poolruin.overshoot` fills in.  The model itself is held by a weak
-    reference only."""
+    """What one thread keeps for its most recent model object: the jets of
+    :func:`pi_jet` by (beta, n), for every beta asked of it, and for its
+    most recent beta the model engines by ``n`` and the overshoot state,
+    which :mod:`poolruin.overshoot` fills in.  The model itself is held by
+    a weak reference only."""
 
-    def __init__(self, model: ModelSpec, beta: float):
+    def __init__(self, model: ModelSpec, beta: float, jets: dict):
         self.model = weakref.ref(model)
         self.beta = beta
         self.engines: dict = {}
         self.overshoot = None
+        self.jets = jets
 
 
 _held = threading.local()
@@ -549,17 +554,35 @@ _held = threading.local()
 def _memo(model: ModelSpec, beta: float) -> _Held:
     """The state kept for (``model``, ``beta``) in the calling thread.
 
-    A thread keeps one pair only, its most recent: a request for another
-    model object or another beta replaces it.  The model is matched by
-    identity, never by equality, so a fresh model object, even one equal
-    to the kept one, starts cold; and since each thread has its own slot,
-    two threads never share an engine.  Only values that were computed are
-    kept: a request that raised stored nothing and raises again.
+    A thread keeps one model object only, its most recent: a request for
+    another model object replaces everything, and one for another beta
+    replaces the engines and the overshoot state but keeps the jets.  The
+    model is matched by identity, never by equality, so a fresh model
+    object, even one equal to the kept one, starts cold; and since each
+    thread has its own slot, two threads never share an engine or a jet.
+    Only values that were computed are kept: a request that raised stored
+    nothing and raises again.
     """
     held = getattr(_held, "slot", None)
-    if held is None or held.model() is not model or held.beta != beta:
-        held = _held.slot = _Held(model, beta)
+    if held is None or held.model() is not model:
+        held = _held.slot = _Held(model, beta, {})
+    elif held.beta != beta:
+        held = _held.slot = _Held(model, beta, held.jets)
     return held
+
+
+def _check_request(model: ModelSpec, beta: float, n: int):
+    """Refuse (``beta``, ``n``) unless :func:`engine` can serve them."""
+    if not 0 <= n <= model.m:
+        raise ValueError("n must lie in 0..m")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
+    if beta < 0:
+        raise ValueError("beta must be nonnegative")
+    if beta == 0 and not is_drift_model(model):
+        raise KillingRequired(
+            "beta = 0 (infinite horizon) is only supported in the drift model"
+        )
 
 
 def engine(model: ModelSpec, beta: float, n: int) -> _Recursion:
@@ -573,16 +596,7 @@ def engine(model: ModelSpec, beta: float, n: int) -> _Recursion:
     model object, beta and ``n`` returns the same engine while that
     (model, beta) is the thread's most recent (:func:`_memo`).
     """
-    if not 0 <= n <= model.m:
-        raise ValueError("n must lie in 0..m")
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta!r}")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    if beta == 0 and not is_drift_model(model):
-        raise KillingRequired(
-            "beta = 0 (infinite horizon) is only supported in the drift model"
-        )
+    _check_request(model, beta, n)
     engines = _memo(model, beta).engines
     eng = engines.get(n)
     if eng is None:
@@ -646,6 +660,14 @@ def pi_jet(model: ModelSpec, beta: float, n: int) -> TransformJet:
 
     The jet is (1, -E max, E max^2).  Zero is never inside a window, so the
     recursion runs there in order-2 Taylor arithmetic, the fixed-argument
-    branch contributing constants only.
+    branch contributing constants only.  The thread keeps the jet of every
+    (beta, n) asked of its most recent model object, keyed on the exact
+    float beta (:func:`_memo`), so a repeated request builds no engine; the
+    arguments are checked on every call.
     """
-    return engine(model, beta, n).jet(0.0)
+    _check_request(model, beta, n)
+    jets = _memo(model, beta).jets
+    jet = jets.get((beta, n))
+    if jet is None:
+        jet = jets[(beta, n)] = engine(model, beta, n).jet(0.0)
+    return jet

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poolruin import claims
-from poolruin.errors import MomentUndefined
+from poolruin.errors import MomentUndefined, PoolRuinError
 from poolruin.phase_type import PhaseType
 
 ALL_KINDS = [
@@ -75,6 +75,17 @@ def test_lomax_moments():
 def test_lomax_rejects_integer_tail_index():
     with pytest.raises(ValueError):
         claims.Lomax(1.0, 2.0)
+
+
+def test_lomax_density_overflow_is_a_numerical_failure():
+    # c**eps overflows inside the quadrature's integrand: the failure names
+    # the law, the argument and the stage, and raises on every call
+    law = claims.Lomax(1e300, 1.5)
+    for _ in range(2):
+        with pytest.raises(
+            PoolRuinError, match=r"Lomax\(c=1e\+300, eps=1\.5\) .* alpha = 1\.0: .*quadrature"
+        ):
+            law.lst(1.0)
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]

@@ -73,6 +73,41 @@ def test_numerical_failure_exit_code(capsys):
     assert "numerical failure" in err
 
 
+def _write_pool(tmp_path, claim):
+    cfg = tmp_path / "pool.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "m": 2,
+                "lambda_circ": [1, 1],
+                "beta": 1,
+                "claims": [claim, claim],
+                "regimes": [{"drift": {"r": r}} for r in (0, 1, 2)],
+            }
+        )
+    )
+    return str(cfg)
+
+
+def test_moment_overflow_exit_code(tmp_path, capsys):
+    cfg = _write_pool(tmp_path, {"exp": {"mu": 1e-300}})
+    code, out, err = run_cli(capsys, "curves", "--config", cfg, "--mode", "moments")
+    assert code == 3, err
+    assert out == ""
+    assert "numerical failure" in err and "t = 1.0, node beta = " in err
+
+
+@pytest.mark.parametrize(
+    "command", [("transform",), ("curves", "--mode", "ruin"), ("curves", "--mode", "moments")]
+)
+def test_lomax_overflow_exit_code(tmp_path, capsys, command):
+    cfg = _write_pool(tmp_path, {"lomax": {"c": 1e300, "eps": 1.5}})
+    code, out, err = run_cli(capsys, command[0], "--config", cfg, *command[1:])
+    assert code == 3, err
+    assert out == ""
+    assert "numerical failure: Lomax(c=1e+300, eps=1.5) transform at alpha = " in err
+
+
 def test_brownian_pool_at_a_vanishing_killing_rate(tmp_path, capsys):
     # psi(beta) is about beta / r here: the cancelling root form gave 0.0
     # and a division by zero

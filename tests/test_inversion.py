@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from poolruin import claims, inversion, model, phase_type
+from poolruin import claims, inversion, ladder, model, phase_type
+from poolruin.errors import PoolRuinError
 
 
 def fig4_model():
@@ -87,6 +88,27 @@ def test_moment_curves_trivial_and_monotone(m1_model):
     assert (variances >= 0).all()
     # the horizon limit is E(B - T)+ with B ~ Exp(1), T ~ Exp(1): one half
     assert abs(means[-1] - 0.5) < 1e-4
+
+
+def overflow_pool():
+    """Claims of mean 1e300: the second moment of the maximum overflows."""
+    return model.ModelSpec(
+        m=2,
+        lambda_circ=(1.0, 1.0),
+        claims=(claims.Exponential(1e-300),) * 2,
+        regimes=tuple(model.drift(r) for r in (0.0, 1.0, 2.0)),
+    )
+
+
+def test_moment_overflow_is_a_numerical_failure():
+    mdl = overflow_pool()
+    node = math.log(2.0)  # the first Stehfest node at t = 1
+    for _ in range(2):  # the kept jet raises again
+        with pytest.raises(PoolRuinError, match=rf"t = 1\.0, node beta = {node!r} is not finite"):
+            inversion.moment_curves(mdl, [1.0])
+    jet = ladder.pi_jet(mdl, node, 2)
+    assert jet.d2 == math.inf
+    assert ladder.pi_jet(mdl, node, 2) is jet
 
 
 def test_moment_curve_against_closed_form(m1_model):

@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 import threading
 import weakref
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poolruin import claims, ladder, model, phase_type, simulate
+from poolruin import claims, inversion, ladder, model, phase_type, simulate
 from poolruin.config import load_model
 from poolruin.errors import KillingRequired, RegimeMismatch
 
@@ -571,6 +572,127 @@ def test_a_kept_engine_keeps_no_failed_result(monkeypatch):
     got = eng.value(1.0), overshoot.pi_via_ladders(mdl, 1.0, 1.0)
     assert ladder.engine(mdl, 1.0, 6) is eng
     assert repr(got) == repr(want)
+
+
+FIGURE_GRID = [x / 2 for x in range(1, 41)]  # as scripts/make_figure_tables.py
+
+
+def _count_builds(monkeypatch) -> list:
+    """The betas of the model engines built from now on, in every thread."""
+    builds = []
+    model_engine = ladder._model_engine
+
+    def counted(mdl, beta, n):
+        builds.append(beta)
+        return model_engine(mdl, beta, n)
+
+    monkeypatch.setattr(ladder, "_model_engine", counted)
+    return builds
+
+
+def _moments(mdl, grid) -> str:
+    """Per-t (mean, variance) of ``mdl``, as a repr that pins every bit."""
+    return repr([_moment(mdl, t) for t in grid])
+
+
+def _moment(mdl, t) -> tuple:
+    return tuple(float(c[0]) for c in inversion.moment_curves(mdl, [t]))
+
+
+def _distinct_nodes(grid) -> set:
+    plan = inversion.default_plan()
+    return {s for t in grid for s in inversion._abscissae(t, plan)[1]}
+
+
+def test_one_engine_per_distinct_stehfest_node(monkeypatch):
+    mdl, _ = load_model(CONFIGS / "fig2.json")
+    nodes = _distinct_nodes(FIGURE_GRID)
+    n_terms = inversion.default_plan().n_terms
+    assert len(nodes) < len(FIGURE_GRID) * n_terms  # times share nodes
+    builds = _count_builds(monkeypatch)
+    inversion.moment_curves(mdl, FIGURE_GRID)
+    assert len(builds) == len(nodes)
+    assert set(builds) == nodes
+    # every jet stays kept while the model object is the thread's most recent
+    builds.clear()
+    inversion.moment_curves(mdl, FIGURE_GRID[::-1])
+    ladder.pi_max(mdl, 1.0, mdl.m, 1.0)  # a new beta keeps the jets
+    inversion.moment_curves(mdl, FIGURE_GRID)
+    assert builds == [1.0]
+    # a new model object drops them
+    ladder.pi_max(cold(mdl), 1.0, mdl.m, 1.0)
+    builds.clear()
+    inversion.moment_curves(mdl, FIGURE_GRID[:1])
+    assert len(builds) == n_terms
+
+
+def test_kept_jets_equal_cold_ones():
+    mdl, _ = load_model(CONFIGS / "fig3.json")
+    grid = [0.5, 1.0, 1.5, 2.0, 4.0, 1.0, 0.5]
+    warm = _moments(mdl, grid)
+    assert warm == repr([_moment(cold(mdl), t) for t in grid])
+
+
+def test_threads_keep_jets_of_their_own(monkeypatch):
+    mdl, _ = load_model(CONFIGS / "fig2.json")
+    grid = FIGURE_GRID[:6]
+    here = _moments(mdl, grid)
+    builds = _count_builds(monkeypatch)
+    got = []
+    workers = [
+        threading.Thread(target=lambda: got.append(_moments(mdl, grid))) for _ in range(3)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the workers' requests finely
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert got == [here] * 3
+    # each worker built an engine per node of its own
+    assert sorted(builds) == sorted(list(_distinct_nodes(grid)) * 3)
+    builds.clear()
+    assert _moments(mdl, grid) == here
+    assert builds == []  # and left this thread's jets alone
+
+
+def test_a_kept_jet_does_not_skip_the_argument_checks():
+    mdl = _deep_pool("bm", 3)
+    ladder.pi_jet(mdl, 1.0, 3)
+    ladder.pi_jet(mdl, 2.0, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            ladder.pi_jet(mdl, math.nan, 3)
+        with pytest.raises(ValueError, match="beta must be nonnegative"):
+            ladder.pi_jet(mdl, -1.0, 3)
+        for n in (-1, 4):
+            with pytest.raises(ValueError, match="n must lie"):
+                ladder.pi_jet(mdl, 1.0, n)
+        with pytest.raises(KillingRequired):
+            ladder.pi_jet(mdl, 0.0, 3)
+    assert repr(ladder.pi_jet(mdl, 1.0, 3)) == repr(ladder.pi_jet(cold(mdl), 1.0, 3))
+
+
+def test_a_failed_jet_is_not_kept(monkeypatch):
+    from poolruin.errors import PoolRuinError
+
+    # clustered ladder rates: every anchor of the jet is a contour mean
+    mdl = _deep_pool("drift", 8, "cluster")
+    want = ladder.pi_jet(cold(mdl), 1.0, 8)
+    ladder.pi_jet(mdl, 2.0, 8)
+    monkeypatch.setattr(ladder, "MAX_BOUND", 0.0)
+    for _ in range(2):
+        with pytest.raises(PoolRuinError, match="no contour"):
+            ladder.pi_jet(mdl, 1.0, 8)
+    monkeypatch.undo()
+    builds = _count_builds(monkeypatch)
+    assert repr(ladder.pi_jet(mdl, 1.0, 8)) == repr(want)
+    assert ladder.pi_jet(mdl, 2.0, 8) is ladder.pi_jet(mdl, 2.0, 8)
+    assert builds == []  # the engine of the failed request is still kept
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=repr)
