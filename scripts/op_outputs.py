@@ -5,10 +5,13 @@ Writes one JSON object: the ``repr`` of every op output of the four
 benchmark workloads at one seed (from ``perfbench/workloads.py``, imported
 read-only), the ``deep_pool`` points ``pi_max(deep_model(kind, m, shape),
 1, m, 1)`` at m in {30, 60, 100}, and the exit code and stdout md5 of CLI
-``transform``, ``curves --mode moments`` and ``curves --mode ruin`` on every
-bundled config, and of ``curves --mode moments`` on fig2 and fig3 over the
-time grid of ``scripts/make_figure_tables.py`` and over a grid that repeats
-a time, where Stehfest nodes recur.
+``transform``, ``transform --beta 0``, ``curves --mode moments``, ``curves
+--mode ruin`` and ``simulate`` (fixed seed and path count, at the config's
+beta and at ``--beta 0``) on every bundled config, and of ``curves --mode
+moments`` on fig2 and fig3 over the time grid of
+``scripts/make_figure_tables.py`` and over a grid that repeats a time, where
+Stehfest nodes recur.  The ``--beta 0`` routes are those the drift-model
+predicate gates.
 
 Usage, from the repository root:
 
@@ -38,10 +41,14 @@ from pathlib import Path
 HERE_ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD_NAMES = ("figure_curves", "deep_pool", "transform_battery", "mc_oracle")
 DEEP_POINT_M = (30, 60, 100)
+SIMULATE = ("simulate", "--paths", "4000", "--seed", "7")
 CLI_COMMANDS = (
     ("transform",),
+    ("transform", "--beta", "0"),
     ("curves", "--mode", "moments"),
     ("curves", "--mode", "ruin"),
+    SIMULATE,
+    (*SIMULATE, "--beta", "0"),
 )
 FIGURE_T_GRID = ",".join(str(x / 2) for x in range(1, 41))  # as make_figure_tables.py
 CLI_MOMENT_GRIDS = tuple(

@@ -25,6 +25,7 @@ import numpy as np
 from . import phase_type as pht
 from ._lazy import LazyModule
 from .errors import MomentUndefined, NoConvergence, PoolRuinError, require_finite
+from .errors import NotPhaseType
 from .seriesops import Taylor, TransformJet, _from_log
 
 integrate = LazyModule("scipy.integrate")  # the Lomax quadrature only
@@ -95,7 +96,9 @@ class ClaimDistribution:
         raise NotImplementedError
 
     def phase_type(self) -> Optional[pht.PhaseType]:
-        """Phase-type representation, or None when the law has none."""
+        """Phase-type representation, or None when the law has none; one
+        that would build over ``MAX_DENSE_PHASES`` phases raises
+        :class:`NotPhaseType`."""
         return None
 
     @property
@@ -211,6 +214,8 @@ class Erlang(ClaimDistribution):
         return self.k * (self.k + 1) / self.mu**2
 
     def phase_type(self):
+        if self.k > pht.MAX_DENSE_PHASES:
+            raise NotPhaseType(f"Erlang k = {self.k} is above the dense phase bound")
         S = -self.mu * np.eye(self.k) + self.mu * np.eye(self.k, k=1)
         delta = np.zeros(self.k)
         delta[0] = 1.0

@@ -24,7 +24,7 @@ import sys
 
 from . import heavy_tail, inversion, ladder, overshoot, phase_type, simulate
 from .config import load_model
-from .errors import ConfigError, PoolRuinError
+from .errors import ConfigError, NotPhaseType, PoolRuinError
 from .model import is_drift_model
 
 
@@ -98,9 +98,10 @@ def cmd_transform(args) -> int:
 def _ph_tail_column(model, beta, u_values):
     if beta is None or beta <= 0 or model.m == 0 or not is_drift_model(model):
         return None
-    if any(c.phase_type() is None for c in model.claims):
+    try:
+        ph = phase_type.running_max_ph(model, beta, model.m)
+    except NotPhaseType:  # a law without a phase-type form, or too many phases
         return None
-    ph = phase_type.running_max_ph(model, beta, model.m)
     return [phase_type.ph_tail(ph, u) for u in u_values]
 
 

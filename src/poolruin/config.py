@@ -13,6 +13,8 @@ A config is one JSON document:
 Claim tags: exp {mu}, erlang {k, mu}, ph {delta, delta_abs, S}, lomax
 {c, eps}, point {b}.  Regime tags: drift {r}, bm {r, sigma2}, cp {r,
 sigma2, rate, jump: <claim spec>}, sub {r, rate, jump: <claim spec>}.
+A regime tag names the constructor that checks its fields; the parameters
+decide the shape, so ``drift {r: 0}`` and ``sub {r: 0}`` are one regime.
 Numbers must be finite: ``NaN`` and ``Infinity``, which Python's ``json``
 accepts, are rejected, as are literals beyond the float range.  JSON
 ``true``/``false`` is not a number, nor a count.

@@ -59,17 +59,10 @@ def m_distribution(model: ModelSpec, beta: float) -> np.ndarray:
     """Distribution of the number of claims arriving before the kill."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    m = model.m
-    probs = np.empty(m + 1)
-    acc = 1.0
-    for n in range(m + 1):
-        # lam_{m-n} with the convention lam_circ_0 = 0, lam_0 = beta
-        lam_next = beta if n == m else model.lambda_circ[m - n - 1] + beta
-        probs[n] = acc * beta / lam_next
-        if n < m:
-            rate = model.lambda_circ[m - n - 1]
-            acc *= rate / (rate + beta)
-    return probs
+    # P(M >= n), then the kill beats the next arrival (lam_0 = beta)
+    reach = [1.0, *reversed(_thinning_products(model, beta, model.m))]
+    lam_next = [rate + beta for rate in reversed(model.lambda_circ)] + [beta]
+    return np.array([p * beta / lam for p, lam in zip(reach, lam_next)])
 
 
 def expected_claims(model: ModelSpec, beta: float) -> float:

@@ -526,7 +526,7 @@ def generic_spec_from_drift(
 def _killed_max_piece(regime: LevyRegime, lam: float, psi: Optional[float] = None):
     """The killed-maximum factor as a recursion piece (None: K = 1, a flat
     or positive pure drift); ``psi`` as in :func:`killed_max_series`."""
-    if regime.kind == "drift" and regime.r >= 0:
+    if regime.pure_drift and regime.r >= 0:
         return None
     if regime.nondecreasing:
         return _KilledMax(regime, lam, None)

@@ -2,11 +2,12 @@
 
 A model holds ``m`` major clients with state-dependent claim arrival rates,
 per-arrival claim laws, and one spectrally-positive Levy regime per state
-(the state counts clients that have not claimed yet).  The regime is
-described through the exponent ``phi(a) = log E exp(-a Z(1))``; a premium
-drift enters with positive ``r`` so that ``phi`` is convex, vanishes at zero
-and increases without bound unless the path is nondecreasing, which the
-parameters alone decide (:attr:`LevyRegime.nondecreasing`).  The exponent
+(the state counts clients that have not claimed yet).  A regime is its
+parameters, described through the exponent ``phi(a) = log E exp(-a Z(1))``;
+a premium drift enters with positive ``r`` so that ``phi`` is convex,
+vanishes at zero and increases without bound unless the path is
+nondecreasing.  The parameters alone decide every shape question
+(:attr:`LevyRegime.nondecreasing`, :attr:`LevyRegime.pure_drift`).  The exponent
 and the killed-maximum factor take arrays of complex arguments as well as
 floats; :func:`left_root` gives the factor's singularity on the negative
 axis.
@@ -30,22 +31,17 @@ _PSI_ULPS = 4
 
 @dataclass(frozen=True)
 class LevyRegime:
-    """One regime: drift, Brownian part, compound-Poisson jumps.
+    """One regime: drift ``r``, Brownian variance ``sigma2``, jumps at
+    ``jump_rate`` with law ``jump_law``.  The parameters are the process,
+    so two spellings of one process are equal (``drift(0) ==
+    subordinator(0)``), and they decide the shape of the path."""
 
-    ``kind`` is one of ``drift``, ``brownian``, ``compound_poisson``,
-    ``subordinator`` and names the constructor; the shape of the path
-    follows from the parameters (:attr:`nondecreasing`).
-    """
-
-    kind: str
     r: float = 0.0
     sigma2: float = 0.0
     jump_rate: float = 0.0
     jump_law: Optional[ClaimDistribution] = None
 
     def __post_init__(self):
-        if self.kind not in ("drift", "brownian", "compound_poisson", "subordinator"):
-            raise ValueError(f"unknown regime kind {self.kind!r}")
         require_finite(
             "LevyRegime", r=self.r, sigma2=self.sigma2, jump_rate=self.jump_rate
         )
@@ -55,43 +51,35 @@ class LevyRegime:
             raise ValueError("jump_rate must be nonnegative")
         if self.jump_rate > 0 and self.jump_law is None:
             raise ValueError("jump_rate > 0 needs a jump law")
-        if self.kind == "drift" and (self.sigma2 != 0 or self.jump_rate != 0):
-            raise ValueError("drift regime cannot carry diffusion or jumps")
-        if self.kind == "brownian":
-            if self.sigma2 <= 0:
-                raise ValueError("brownian regime needs sigma2 > 0")
-            if self.jump_rate != 0:
-                raise ValueError("brownian regime cannot carry jumps")
-        if self.kind == "subordinator":
-            if self.r > 0 or self.sigma2 != 0:
-                raise ValueError(
-                    "subordinator regime must be nondecreasing: r <= 0, no diffusion"
-                )
+        if self.jump_rate == 0:  # no jumps: the law plays no part
+            object.__setattr__(self, "jump_law", None)
 
     @property
     def nondecreasing(self) -> bool:
         """No diffusion and no premium drift: a subordinator, or flat."""
         return self.sigma2 == 0 and self.r <= 0
 
+    @property
+    def pure_drift(self) -> bool:
+        """No diffusion and no jumps: the path is the line ``-r t``."""
+        return self.sigma2 == 0 and self.jump_rate == 0
+
 
 def drift(r: float) -> LevyRegime:
-    return LevyRegime(kind="drift", r=r)
+    return LevyRegime(r=r)
 
 
 def brownian_drift(r: float, sigma2: float) -> LevyRegime:
-    return LevyRegime(kind="brownian", r=r, sigma2=sigma2)
+    regime = LevyRegime(r=r, sigma2=sigma2)  # the finite checks come first
+    if sigma2 <= 0:
+        raise ValueError("brownian regime needs sigma2 > 0")
+    return regime
 
 
 def compound_poisson_drift(
     r: float, sigma2: float, jump_rate: float, jump_law: ClaimDistribution
 ) -> LevyRegime:
-    return LevyRegime(
-        kind="compound_poisson",
-        r=r,
-        sigma2=sigma2,
-        jump_rate=jump_rate,
-        jump_law=jump_law,
-    )
+    return LevyRegime(r=r, sigma2=sigma2, jump_rate=jump_rate, jump_law=jump_law)
 
 
 def subordinator(
@@ -100,7 +88,10 @@ def subordinator(
     jump_law: Optional[ClaimDistribution] = None,
 ) -> LevyRegime:
     """Nondecreasing regime: upward drift ``-r`` (r <= 0) plus positive jumps."""
-    return LevyRegime(kind="subordinator", r=r, jump_rate=jump_rate, jump_law=jump_law)
+    regime = LevyRegime(r=r, jump_rate=jump_rate, jump_law=jump_law)
+    if r > 0:
+        raise ValueError("subordinator regime must be nondecreasing: r <= 0")
+    return regime
 
 
 def laplace_exponent(regime: LevyRegime, alpha):
@@ -144,16 +135,16 @@ def inverse_exponent(regime: LevyRegime, lam: float) -> float:
         raise ValueError("lam must be positive")
     if regime.nondecreasing:
         raise NoRoot("a nondecreasing regime has phi <= 0 < lam: no root")
-    if regime.kind == "drift":
+    if regime.pure_drift:
         return lam / regime.r
-    if regime.kind == "brownian":
+    if regime.jump_rate == 0:
         # the root of s2 a^2 / 2 + r a = lam in the form that does not
         # cancel: for r > 0, (root - r) / s2 loses every digit once
         # 2 s2 lam << r^2
         r, s2 = regime.r, regime.sigma2
         root = math.sqrt(r * r + 2.0 * s2 * lam)
         return 2.0 * lam / (r + root) if r > 0.0 else (root - r) / s2
-    # compound Poisson with r > 0 or sigma2 > 0: phi is convex, vanishes at
+    # jumps with r > 0 or sigma2 > 0: phi is convex, vanishes at
     # zero and is unbounded
     hi = 1.0
     while laplace_exponent(regime, hi) <= lam:
@@ -262,7 +253,7 @@ def killed_max_series(
     """
     if regime.nondecreasing:
         return Taylor.constant(lam, order) / (lam - exponent_series(regime, alpha, order))
-    if regime.kind == "drift":
+    if regime.pure_drift:
         return Taylor.constant(1.0, order)
     if psi is None:
         psi = inverse_exponent(regime, lam)
@@ -329,11 +320,9 @@ def is_drift_model(model: ModelSpec) -> bool:
     """True when every active regime is a positive pure drift (state 0 may
     be flat: its maximum contribution is zero either way)."""
     reg0 = model.regimes[0]
-    if reg0.kind != "drift" or reg0.r < 0:
+    if not reg0.pure_drift or reg0.r < 0:
         return False
-    return all(
-        reg.kind == "drift" and reg.r > 0 for reg in model.regimes[1:]
-    )
+    return all(reg.pure_drift and reg.r > 0 for reg in model.regimes[1:])
 
 
 def require_drift_model(model: ModelSpec, what: str) -> None:

@@ -1,7 +1,7 @@
 """Monte Carlo oracle: exact path simulation of the net claim process.
 
 Paths are simulated without discretization bias by one segment sampler for
-every regime kind, vectorised over the paths of a block: the jumps of a
+every regime, vectorised over the paths of a block: the jumps of a
 segment split it into pieces, each piece draws its Gaussian endpoint (if
 it has a Brownian part) and then its maximum from the exact conditional
 (bridge) law, and nondecreasing segments use endpoint = maximum.  A
@@ -264,7 +264,7 @@ def _run_block(model, beta, horizon_t, u_arr, alphas, seed, block, count):
         smax, zend, continuous = _segment_draws(reg, dur, rng)
         cand = y + smax
         # a declining pure drift can never set a new record
-        if reg.kind == "drift" and reg.r > 0 and (cand > ymax + 1e-12).any():
+        if reg.pure_drift and reg.r > 0 and (cand > ymax + 1e-12).any():
             raise SimulationError(
                 f"drift segment at n = {n_state} rose above the running maximum"
             )

@@ -97,6 +97,26 @@ def test_moment_overflow_exit_code(tmp_path, capsys):
     assert "numerical failure" in err and "t = 1.0, node beta = " in err
 
 
+@pytest.mark.parametrize("mu", [1e-15, 1e-300])
+def test_exact_column_for_slow_claims(tmp_path, capsys, mu):
+    cfg = _write_pool(tmp_path, {"exp": {"mu": mu}})
+    code, out, err = run_cli(capsys, "curves", "--config", cfg, "--mode", "ruin")
+    assert code == 0, err
+    for line in out.strip().splitlines()[1:]:
+        exact = float(line.split(",")[2])
+        assert 0.0 <= exact <= 1.0
+
+
+def test_exact_column_left_empty_above_the_dense_bound(tmp_path, capsys):
+    # an Erlang law of 10^6 phases has no dense phase-type matrix to build
+    cfg = _write_pool(tmp_path, {"erlang": {"k": 10**6, "mu": 1.0}})
+    code, out, err = run_cli(capsys, "curves", "--config", cfg, "--mode", "ruin")
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(row[1] != "" and row[2] == "" for row in rows)
+
+
 @pytest.mark.parametrize(
     "command", [("transform",), ("curves", "--mode", "ruin"), ("curves", "--mode", "moments")]
 )
@@ -514,11 +534,26 @@ _FUZZ_COMMANDS = (
 )
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(doc=_configs(), command=st.sampled_from(_FUZZ_COMMANDS))
-def test_fuzzed_configs_exit_cleanly(tmp_path_factory, doc, command):
-    # any model the config grammar admits either prints finite numbers or
-    # fails with a config or numerical error, never with a traceback
+def _respelled(doc):
+    """``doc`` with every regime that has a second spelling written the other
+    way: drift {r <= 0} <-> sub {r}, and cp {sigma2: 0, r <= 0} <-> sub."""
+
+    def twin(node):
+        [(tag, body)] = node.items()
+        if tag == "drift" and body["r"] <= 0:
+            return {"sub": {"r": body["r"]}}
+        if tag == "cp" and body["sigma2"] == 0 and body["r"] <= 0 and body["rate"] > 0:
+            return {"sub": {k: body[k] for k in ("r", "rate", "jump")}}
+        if tag == "sub" and body["rate"] > 0:
+            return {"cp": dict(body, sigma2=0.0)}
+        if tag == "sub":
+            return {"drift": {"r": body["r"]}}
+        return node
+
+    return dict(doc, regimes=[twin(node) for node in doc["regimes"]])
+
+
+def _run_doc(tmp_path_factory, doc, command):
     import contextlib
     import io
 
@@ -527,7 +562,41 @@ def test_fuzzed_configs_exit_cleanly(tmp_path_factory, doc, command):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command[0], "--config", str(cfg), *command[1:]])
-    assert code in (0, 2, 3, 141), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(doc=_configs(), command=st.sampled_from(_FUZZ_COMMANDS))
+def test_fuzzed_configs_exit_cleanly(tmp_path_factory, doc, command):
+    # any model the config grammar admits either prints finite numbers or
+    # fails with a config or numerical error, never with a traceback; and a
+    # model computes the same however its regimes are spelled
+    code, out, err = _run_doc(tmp_path_factory, doc, command)
+    assert code in (0, 2, 3, 141), err
     if code == 0:
-        text = out.getvalue().lower()
+        text = out.lower()
         assert "nan" not in text and "inf" not in text, text
+    twin = _respelled(doc)
+    if twin != doc:
+        assert _run_doc(tmp_path_factory, twin, command)[:2] == (code, out)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("transform",),
+        ("transform", "--beta", "0"),
+        ("curves", "--mode", "ruin"),
+        ("curves", "--mode", "moments"),
+        ("simulate", "--beta", "0", "--paths", "2000"),
+    ],
+    ids=["transform", "transform-beta0", "ruin", "moments", "simulate-beta0"],
+)
+def test_flat_state_zero_spellings_agree(tmp_path_factory, command):
+    doc = json.loads(M1_TEXT)
+    runs = []
+    for flat in ({"drift": {"r": 0}}, {"sub": {"r": 0}}):
+        doc["regimes"][0] = flat
+        runs.append(_run_doc(tmp_path_factory, doc, command))
+    assert runs[0][0] == 0, runs[0][2]
+    assert runs[0][:2] == runs[1][:2]

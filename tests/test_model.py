@@ -62,7 +62,12 @@ def test_inverse_point_values():
     )
 
 
-@pytest.mark.parametrize("reg", REGIMES, ids=lambda r: r.kind + repr(r.r))
+REGIME_IDS = [
+    "drift2.0", "brownian1.0", "brownian-0.5", "compound_poisson2.0", "compound_poisson1.0"
+]
+
+
+@pytest.mark.parametrize("reg", REGIMES, ids=REGIME_IDS)
 @pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3])
 def test_inverse_roundtrip(reg, lam):
     psi = model.inverse_exponent(reg, lam)
@@ -71,7 +76,7 @@ def test_inverse_roundtrip(reg, lam):
 
 
 @pytest.mark.parametrize(
-    "reg", [r for r in REGIMES if r.kind == "compound_poisson"], ids=["exp", "erlang"]
+    "reg", [r for r in REGIMES if r.jump_rate > 0], ids=["exp", "erlang"]
 )
 @pytest.mark.parametrize("lam", [1.25, 2.0, 7.0])
 def test_compound_poisson_inverse_to_a_few_ulp(reg, lam):
@@ -223,9 +228,27 @@ def test_regime_validation():
     with pytest.raises(ValueError):
         model.brownian_drift(1.0, 0.0)
     with pytest.raises(ValueError):
-        model.LevyRegime(kind="drift", r=1.0, sigma2=1.0)
+        model.LevyRegime(r=1.0, sigma2=-1.0)
+    with pytest.raises(ValueError):
+        model.LevyRegime(r=1.0, jump_rate=1.0)
     with pytest.raises(ValueError):
         model.compound_poisson_drift(1.0, 0.0, -1.0, claims.Exponential(1.0))
+
+
+def test_one_process_is_one_regime():
+    # a regime is its parameters: every spelling of one process is one object
+    jumps = claims.Exponential(2.0)
+    for r in (0.0, -0.4):
+        assert model.drift(r) == model.subordinator(r)
+        assert model.compound_poisson_drift(r, 0.0, 0.5, jumps) == model.subordinator(
+            r, 0.5, jumps
+        )
+    assert model.compound_poisson_drift(1.0, 0.0, 0.0, jumps) == model.drift(1.0)
+    assert model.compound_poisson_drift(1.0, 0.5, 0.0, jumps) == model.brownian_drift(
+        1.0, 0.5
+    )
+    assert model.drift(0.0).pure_drift and model.drift(0.0).nondecreasing
+    assert not model.brownian_drift(1.0, 0.5).pure_drift
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)

@@ -54,6 +54,33 @@ def test_validation_rejects_bad_generators():
         PhaseType(delta=np.array([1.0, 0.0]), S=np.array([[-1.0, 2.0], [0.0, -1.0]]))
 
 
+def test_stability_is_relative_to_the_rate_scale():
+    # a slow law is stable however small its rates; a singular generator is
+    # refused at every scale
+    for mu in (1e-15, 1e-300):
+        assert claims.Exponential(mu).phase_type().S[0, 0] == -mu
+    for scale in (1.0, 1e-20):
+        with pytest.raises(ValueError, match="stable"):
+            PhaseType(
+                delta=np.array([1.0, 0.0]),
+                S=scale * np.array([[-1.0, 1.0], [1.0, -1.0]]),
+            )
+
+
+def test_running_max_refuses_more_phases_than_the_dense_bound(monkeypatch):
+    huge = model.ModelSpec(
+        m=1, lambda_circ=(1.0,), claims=(claims.Erlang(10**6, 1.0),),
+        regimes=(model.drift(1.0),) * 2,
+    )
+    with pytest.raises(NotPhaseType, match="k = 1000000"):
+        running_max_ph(huge, 1.0, 1)
+    # the bound is on the stacked blocks: five Erlang(2) laws stack 10 phases
+    monkeypatch.setattr(phase_type, "MAX_DENSE_PHASES", 9)
+    assert running_max_ph(fig4_like_model(), 1.0, 4).d == 8
+    with pytest.raises(NotPhaseType, match="10 phases"):
+        running_max_ph(fig4_like_model(), 1.0, 5)
+
+
 def test_convolve_is_transform_product():
     u, v = exp_ph(1.0), exp_ph(2.0)
     w = ph_convolve(u, v)
