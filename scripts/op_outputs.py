@@ -11,7 +11,11 @@ beta and at ``--beta 0``) on every bundled config, and of ``curves --mode
 moments`` on fig2 and fig3 over the time grid of
 ``scripts/make_figure_tables.py`` and over a grid that repeats a time, where
 Stehfest nodes recur.  The ``--beta 0`` routes are those the drift-model
-predicate gates.
+predicate gates.  No bundled config has a nondecreasing state above state
+0, so a model held here (``NONDECREASING``: a subordinator and a flat state
+between ladder levels) adds ``pi_max`` at plain points and at points within
+the windows of its removable points, ``pi_jet``, and CLI ``transform`` and
+``curves --mode moments``.
 
 Usage, from the repository root:
 
@@ -35,6 +39,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -56,6 +61,26 @@ CLI_MOMENT_GRIDS = tuple(
     for config in ("fig2", "fig3")
     for grid in (FIGURE_T_GRID, "1,2,1")
 )
+# subordinator (state 1) and flat (state 3) levels between ladder levels
+NONDECREASING = {
+    "m": 4,
+    "lambda_circ": [1.0, 2.0, 0.5, 1.5],
+    "beta": 0.8,
+    "claims": [
+        {"exp": {"mu": 0.8}},
+        {"erlang": {"k": 2, "mu": 1.5}},
+        {"exp": {"mu": 1.2}},
+        {"exp": {"mu": 2.0}},
+    ],
+    "regimes": [
+        {"bm": {"r": 0.5, "sigma2": 1.0}},
+        {"sub": {"r": -0.5, "rate": 0.5, "jump": {"exp": {"mu": 2.0}}}},
+        {"cp": {"r": 1.5, "sigma2": 0.3, "rate": 1.0, "jump": {"exp": {"mu": 2.0}}}},
+        {"drift": {"r": 0.0}},
+        {"bm": {"r": 1.0, "sigma2": 0.5}},
+    ],
+}
+NONDECREASING_COMMANDS = (("transform",), ("curves", "--mode", "moments"))
 
 
 def workload_outputs(root: Path, seed: int) -> dict:
@@ -82,11 +107,39 @@ def deep_points() -> dict:
     return out
 
 
-def cli_outputs(root: Path) -> dict:
+def nondecreasing_points() -> dict:
+    """``pi_max`` of the ``NONDECREASING`` model at plain points and at
+    every removable point (psi of each level and of the base) and 1.2 times
+    it, each within a window, and ``pi_jet`` at every n."""
+    from poolruin import ladder
+    from poolruin.config import parse_model
+    from poolruin.model import inverse_exponent
+
+    mdl, beta = parse_model(NONDECREASING)
+    rates = [
+        inverse_exponent(reg, beta + (mdl.rate_for_state(k) if k else 0.0))
+        for k, reg in enumerate(mdl.regimes)
+        if not reg.nondecreasing
+    ]
+    points = (0.0, 0.3, 2.5, 7.0, *rates, *(1.2 * x for x in rates))
+    out = {}
+    for n in range(mdl.m + 1):
+        for x in points:
+            value = ladder.pi_max(mdl, beta, n, x)
+            out[f"nondecreasing/pi_max.n{n}.{x!r}"] = repr(value)
+        jet = ladder.pi_jet(mdl, beta, n)
+        out[f"nondecreasing/pi_jet.n{n}"] = repr((jet.v, jet.d1, jet.d2))
+    return out
+
+
+def cli_outputs(root: Path, scratch: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     configs = sorted((root / "configs").glob("*.json"))
     runs = [(config, command) for config in configs for command in CLI_COMMANDS]
     runs += [(root / "configs" / f"{name}.json", cmd) for name, cmd in CLI_MOMENT_GRIDS]
+    held = scratch / "nondecreasing.json"
+    held.write_text(json.dumps(NONDECREASING))
+    runs += [(held, command) for command in NONDECREASING_COMMANDS]
     out = {}
     for config, command in runs:
         argv = [sys.executable, "-m", "poolruin.cli", *command, "--config", str(config)]
@@ -105,7 +158,9 @@ def record(root: Path, seed: int) -> dict:
     warnings.simplefilter("ignore")
     outputs = workload_outputs(root, seed)
     outputs.update(deep_points())
-    outputs.update(cli_outputs(root))
+    outputs.update(nondecreasing_points())
+    with tempfile.TemporaryDirectory() as scratch:
+        outputs.update(cli_outputs(root, Path(scratch)))
     return {"seed": seed, "outputs": outputs}
 
 

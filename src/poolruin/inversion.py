@@ -173,18 +173,14 @@ def moment_curves(
     for i, t in enumerate(t_grid):
         if t <= 0:
             raise ValueError("times must be positive")
-        scale = _LN2 / t
-        terms1, terms2 = [], []
-        for k, w in enumerate(plan.weights, start=1):
-            s = k * scale
-            jet = pi_jet(model, s, model.m)
+        jets = {}  # by node: each inversion samples the same nodes
+        for s in _abscissae(t, plan)[1]:
+            jet = jets[s] = pi_jet(model, s, model.m)
             if not all(map(math.isfinite, (jet.v, jet.d1, jet.d2))):
                 raise PoolRuinError(
                     f"moment jet {jet!r} at t = {t!r}, node beta = {s!r} "
                     "is not finite"
                 )
-            terms1.append(w * (-jet.d1 / s))
-            terms2.append(w * (jet.d2 / s))
-        means[i] = scale * math.fsum(terms1)
-        seconds[i] = scale * math.fsum(terms2)
+        means[i] = invert(lambda s: -jets[s].d1 / s, t, plan)
+        seconds[i] = invert(lambda s: jets[s].d2 / s, t, plan)
     return means, seconds - means**2

@@ -28,25 +28,25 @@ point from a few candidates, evaluated in one stacked pass, by the bound
     eps * max_nodes A + (r / (x + d))^NODES,
 
 where ``A`` accumulates the rounding amplification along the levels
-(``A <- A |g_j| |C_j(z)| + |g_j|`` with ``g_j = w_j nu_j/(nu_j - z)``) and
+(``A <- A |g_j| |C_j(z)| + |g_j|`` with ``g_j = w_j nu_j/(nu_j - z)``, or
+``g_j = w_j`` on a level without a ladder rate) and
 ``-d`` is the nearest singularity on the left (claim and jump-law poles,
 the negative root of ``phi = lam``, the branch point at zero of a Lomax
-law).  The same nodes give the jet at a point inside a window through the
-Cauchy derivative formula.  Values are memoized per (level, point), so a
-value never depends on the order of the requests.
+law).  Contour means give values only: a jet is never taken inside a
+window.  Values are memoized per (level, point), so a value never depends
+on the order of the requests.
 
 A contour at level ``k`` needs the anchors ``C_j(nu_j) F_{j-1}(nu_j)`` of
 every level up to ``k``, and on a clustered pool each of those is a contour
 mean itself.  One request therefore takes all of its contours in one
 upward sweep: the circles of the anchors not yet held, of the requested
-point (with its jet, when asked) and of any further points asked together
-(the Stehfest points of one reserve level) are stacked in one array, and
-the levels are walked once.  At level ``j`` the circles that end there take
-their mean, which fills anchor ``j + 1``; level ``j + 1`` is then
-evaluated on the rows still open.  The work per level is one vectorised
-pass, so a point costs O(m) passes where a contour per anchor, each from
-the base, cost O(m^2).  Anchors outside every window stay on the real
-path.
+point and of any further points asked together (the Stehfest points of
+one reserve level) are stacked in one array, and the levels are walked
+once.  At level ``j`` the circles that end there take their mean, which
+fills anchor ``j + 1``; level ``j + 1`` is then evaluated on the rows
+still open.  The work per level is one vectorised pass, so a point costs
+O(m) passes where a contour per anchor, each from the base, cost O(m^2).
+Anchors outside every window stay on the real path.
 
 Every node is computed on its own: its value does not depend on the other
 nodes of its array, so a value does not depend on what it was stacked with
@@ -65,10 +65,11 @@ differences of claim transforms that way (:mod:`poolruin.overshoot`).
 
 Two specializations are provided: the generic recursion over explicit
 (nu, C, p0) data, and the model recursion built by :func:`engine`, which
-takes each level's type from its own regime.  A positive pure drift gives a
-plain ladder level with rate lambda_n / r_n; a nondecreasing regime, flat
-included, switches to a division step without a fixed argument; any other
-regime multiplies its ladder level by the killed-maximum factor of the regime.
+takes each level's shape from its own regime.  A positive pure drift gives
+a plain ladder level with rate lambda_n / r_n; a nondecreasing regime, flat
+included, gives a level without a ladder rate, ``(p_k + w_k C_k F_{k-1}) K_k``
+with ``K_k = lam / (lam - phi)``; any other regime multiplies its ladder
+level by the killed-maximum factor of the regime.
 
 Each thread keeps the model engines of its most recent (model object,
 beta), and the overshoot route keeps its ladder heights there too
@@ -96,12 +97,10 @@ from .errors import KillingRequired, PoolRuinError
 from .model import (
     LevyRegime,
     ModelSpec,
-    exponent_series,
     inverse_exponent,
     is_drift_model,
     killed_max,
     killed_max_series,
-    laplace_exponent,
     left_root,
     require_drift_model,
 )
@@ -185,32 +184,24 @@ class _KilledMax:
 @dataclass(frozen=True)
 class _LadderLevel:
     """Ladder step with rate ``nu``, claim ``claim``, atom ``p0``, weight
-    ``w`` and killed-maximum factor ``post`` (None: K = 1)."""
+    ``w`` and killed-maximum factor ``post`` (None: K = 1).  A level without
+    a ladder rate (``nu`` None) has no fixed argument: it is
+    ``(p0 + w C F_{k-1}) K``, the step of a nondecreasing regime."""
 
-    nu: float
+    nu: Optional[float]
     claim: ClaimDistribution
     p0: float
     w: float
     post: Optional[_KilledMax] = None
 
 
-@dataclass(frozen=True)
-class _SubLevel:
-    """Division step for an a.s. nondecreasing regime:
-    F_k(z) = (beta + lam_circ * C(z) F_{k-1}(z)) / (lam - phi(z))."""
-
-    beta: float
-    lam_circ: float
-    lam: float
-    claim: ClaimDistribution
-    regime: LevyRegime
-
-
 class _Recursion:
-    """Memoized evaluator of the two-point recursion over levels and a base
-    piece: ``real(x)`` at a float, ``nodes(z)`` (values and rounding
-    amplification) at complex nodes, ``series(x, order)`` for jets,
-    ``removable`` points and ``left`` singularity distance."""
+    """Memoized evaluator of the two-point recursion over
+    :class:`_LadderLevel` levels (one without a ladder rate has no anchor
+    and no removable point) and a base piece: ``real(x)`` at a float,
+    ``nodes(z)`` (values and rounding amplification) at complex nodes,
+    ``series(x, order)`` for jets outside every window, ``removable``
+    points and ``left`` singularity distance."""
 
     def __init__(self, base, levels: Sequence):
         self.base = base
@@ -222,7 +213,7 @@ class _Recursion:
         # (removable point, level that brings it in)
         self._removable = [(p, 0) for p in base.removable if p > 0]
         for k, lv in enumerate(self.levels, start=1):
-            if isinstance(lv, _LadderLevel):
+            if lv.nu is not None:
                 self._removable.append((lv.nu, k))
 
     # ------------------------------------------------------------ queries
@@ -236,18 +227,22 @@ class _Recursion:
 
     def jet(self, point: float, order: int = 2) -> TransformJet:
         """Value and derivatives at ``point``; ``order = 1`` skips the
-        second derivative (NaN), for claim laws without a second moment."""
+        second derivative (NaN), for claim laws without a second moment.
+        A point inside a window raises ``ValueError``: contour means give
+        values only."""
         if order not in (1, 2):
             raise ValueError("jet order must be 1 or 2")
         level = len(self.levels)
         point = float(point)
         if self._window_level(point) <= level:
-            out = self._sweep(level, jet_at=point)
-        else:
-            self._fill_anchors(level)
-            out = self.base.series(point, order)
-            for k in range(1, level + 1):
-                out = self._step_series(k, point, out, order)
+            raise ValueError(
+                f"no jet at {point!r}: it lies within the window of a "
+                "removable point"
+            )
+        self._fill_anchors(level)
+        out = self.base.series(point, order)
+        for k in range(1, level + 1):
+            out = self._step_series(k, point, out, order)
         jet = out.jet()
         return jet if order == 2 else TransformJet(jet.v, jet.d1, math.nan)
 
@@ -296,19 +291,18 @@ class _Recursion:
         """Append the anchor of level ``k``, every anchor below it held."""
         lv = self.levels[k - 1]
         anchor = None
-        if isinstance(lv, _LadderLevel):
+        if lv.nu is not None:
             anchor = lv.claim.lst(lv.nu) * self.level_value(k - 1, lv.nu)
         self._anchors.append(anchor)
 
     def _step_real(self, k: int, x: float, prev: float) -> float:
         lv = self.levels[k - 1]
         c = lv.claim.lst(x)
-        if isinstance(lv, _SubLevel):
-            return (lv.beta + lv.lam_circ * c * prev) / (
-                lv.lam - laplace_exponent(lv.regime, x)
-            )
-        g = lv.w * lv.nu / (lv.nu - x)
-        out = lv.p0 + g * (c * prev - (x / lv.nu) * self._anchors[k])
+        if lv.nu is None:
+            out = lv.p0 + lv.w * (c * prev)
+        else:
+            g = lv.w * lv.nu / (lv.nu - x)
+            out = lv.p0 + g * (c * prev - (x / lv.nu) * self._anchors[k])
         if lv.post is not None:
             out *= lv.post.real(x)
         return out
@@ -316,12 +310,12 @@ class _Recursion:
     def _step_series(self, k: int, x: float, prev: Taylor, order: int) -> Taylor:
         lv = self.levels[k - 1]
         c = lv.claim.lst_series(x, order)
-        if isinstance(lv, _SubLevel):
-            num = lv.beta + lv.lam_circ * (c * prev)
-            return num / (lv.lam - exponent_series(lv.regime, x, order))
-        ident = Taylor.identity(x, order)
-        g = Taylor.constant(lv.w * lv.nu, order) / (lv.nu - ident)
-        out = lv.p0 + g * (c * prev - (self._anchors[k] / lv.nu) * ident)
+        if lv.nu is None:
+            out = lv.p0 + lv.w * (c * prev)
+        else:
+            ident = Taylor.identity(x, order)
+            g = Taylor.constant(lv.w * lv.nu, order) / (lv.nu - ident)
+            out = lv.p0 + g * (c * prev - (self._anchors[k] / lv.nu) * ident)
         if lv.post is not None:
             out = out * lv.post.series(x, order)
         return out
@@ -331,13 +325,13 @@ class _Recursion:
         accumulated rounding amplification A (in units of eps); ``c`` is
         the level's claim transform at ``z``."""
         lv = self.levels[k - 1]
-        if isinstance(lv, _SubLevel):
-            den = lv.lam - laplace_exponent(lv.regime, z)
-            f_next = (lv.beta + lv.lam_circ * c * f) / den
-            return f_next, amp * np.abs(lv.lam_circ * c / den) + np.abs(lv.lam / den)
-        g = (lv.w * lv.nu) / (lv.nu - z)
         # a named right operand: never elided (see the module docstring)
-        bracket = c * f - (z / lv.nu) * self._anchors[k]
+        if lv.nu is None:
+            g = lv.w
+            bracket = c * f
+        else:
+            g = (lv.w * lv.nu) / (lv.nu - z)
+            bracket = c * f - (z / lv.nu) * self._anchors[k]
         f = lv.p0 + g * bracket
         amp = np.abs(g) * (amp * np.abs(c) + 1.0)
         if lv.post is not None:
@@ -354,51 +348,42 @@ class _Recursion:
         for k in range(len(self._lefts), level + 1):
             lv = self.levels[k - 1]
             d = min(self._lefts[-1], lv.claim.left_singularity)
-            if isinstance(lv, _SubLevel):
-                d = min(d, left_root(lv.regime, lv.lam))
-            elif lv.post is not None:
+            if lv.post is not None:
                 d = min(d, lv.post.left)
             self._lefts.append(d)
         return self._lefts[level]
 
-    def _sweep(self, level: int, points: Sequence[float] = (), jet_at=None):
+    def _sweep(self, level: int, points: Sequence[float] = ()):
         """Fill the anchors up to ``level`` and memoize F_level at the
-        windowed ``points`` in one stacked upward pass; with ``jet_at``,
-        the order-2 series there from the same pass."""
+        windowed ``points`` in one stacked upward pass."""
         cache, window = self._cache, self._window_level
-        # (level the circle ends at, its centre, derivatives), in order of
-        # level: the anchors' circles, then the requested ones
+        # (level the circle ends at, its centre), in order of level: the
+        # anchors' circles, then the requested ones
         first = len(self._anchors)
         blocks = [
-            (k - 1, lv.nu, False)
+            (k - 1, lv.nu)
             for k, lv in enumerate(self.levels[first - 1 : level], start=first)
-            if isinstance(lv, _LadderLevel)
-            and window(lv.nu) < k
-            and (k - 1, lv.nu) not in cache
+            if lv.nu is not None and window(lv.nu) < k and (k - 1, lv.nu) not in cache
         ]
         for x in dict.fromkeys(points):
             if (level, x) not in cache and window(x) <= level:
-                blocks.append((level, x, False))
-        if jet_at is not None:
-            blocks.append((level, jet_at, True))
-        out = self._stack(blocks) if blocks else None
+                blocks.append((level, x))
+        if blocks:
+            self._stack(blocks)
         for k in range(len(self._anchors), level + 1):
             self._anchor(k)
-        return out
 
     @np.errstate(all="ignore")
     def _stack(self, blocks: list):
         """One upward pass over the stacked circles of ``blocks``: each
         level is evaluated on the rows still open, and the blocks that end
-        there take their mean (or series) and leave the stack at its
-        front.  Returns the series of a derivative block, if any."""
-        centres = np.array([x for _, x, _ in blocks])
+        there take their mean and leave the stack at its front."""
+        centres = np.array([x for _, x in blocks])
         radii = RADII * centres[:, None]
         z = centres[:, None, None] + radii[:, :, None] * _UNIT
         z = z.reshape(-1, NODES // 2)
         f, amp = self.base.nodes(z)
         claim_at: dict = {}  # claim -> (blocks ended before, transform)
-        out = None
         done = 0  # blocks ended
         for level in range(blocks[-1][0] + 1):
             if level:
@@ -411,20 +396,16 @@ class _Recursion:
                 c = c[(done - since) * _ROWS :]
                 f, amp = self._step_nodes(level, z, f, amp, c)
             while blocks[done][0] == level:
-                at, x, derivatives = blocks[done]
-                val = self._mean(at, x, radii[done], f[:_ROWS], amp[:_ROWS], derivatives)
-                if derivatives:
-                    out = val
-                else:
-                    self._cache[(at, x)] = val
+                at, x = blocks[done]
+                mean = self._mean(at, x, radii[done], f[:_ROWS], amp[:_ROWS])
+                self._cache[(at, x)] = mean
                 done += 1
                 if done == len(blocks):
-                    return out
+                    return
                 f, amp, z = f[_ROWS:], amp[_ROWS:], z[_ROWS:]
 
-    def _mean(self, level, x, radii, f, amp, derivatives):
-        """Mean of F_level over the best of the circles around ``x``; with
-        ``derivatives``, the order-2 Taylor series from the same nodes."""
+    def _mean(self, level, x, radii, f, amp) -> float:
+        """Mean of F_level over the best of the circles around ``x``."""
         trunc = (radii / (x + self._left(level))) ** NODES
         bound = _EPS * amp.max(axis=1) + trunc
         bound[~(np.isfinite(f).all(axis=1) & np.isfinite(bound))] = np.inf
@@ -435,20 +416,8 @@ class _Recursion:
                 f"error bound {bound[best]:.3g} above {MAX_BOUND:g}"
             )
         # the nodes come in conjugate pairs: the mean is that of the real
-        # parts over the upper half
-        row = f[best]
-        mean = _real_mean(row)
-        if not derivatives:
-            return mean
-        r = float(radii[best])
-        d1 = _real_mean(row * _UNIT.conj()) / r
-        d2 = _real_mean(row * _UNIT.conj() ** 2) / (r * r)
-        return Taylor._wrap((mean, d1, d2))
-
-
-def _real_mean(row: np.ndarray) -> float:
-    """Mean of the real parts of a row of nodes, as ``np.mean`` sums it."""
-    return float(np.add.reduce(row.real)) / (NODES // 2)
+        # parts over the upper half, summed as ``np.mean`` sums it
+        return float(np.add.reduce(f[best].real)) / (NODES // 2)
 
 
 @dataclass(frozen=True)
@@ -611,16 +580,10 @@ def _model_engine(model: ModelSpec, beta: float, n: int) -> _Recursion:
         lam_circ = model.rate_for_state(k)
         lam = lam_circ + beta
         claim = model.claim_for_state(k)
-        if reg.nondecreasing:
-            # the segment maximum sits at the segment end, giving a plain
-            # division step
-            levels.append(
-                _SubLevel(beta=beta, lam_circ=lam_circ, lam=lam, claim=claim, regime=reg)
-            )
-            continue
         # the ladder rate is psi(lam), the root the killed-maximum factor
-        # divides out: solve it once per level
-        nu = inverse_exponent(reg, lam)
+        # divides out: solve it once per level; a nondecreasing path peaks
+        # at the segment end and has none
+        nu = None if reg.nondecreasing else inverse_exponent(reg, lam)
         post = _killed_max_piece(reg, lam, nu)
         levels.append(
             _LadderLevel(nu=nu, claim=claim, p0=beta / lam, w=lam_circ / lam, post=post)

@@ -58,11 +58,11 @@ class PhaseType:
                 raise ValueError("off-diagonal rates must be nonnegative")
             if np.any(np.diag(S) >= 0.0):
                 raise ValueError("diagonal of S must be negative")
-            rows = S.sum(axis=1)
-            if np.any(rows > _VALID_ATOL):
+            scale = np.abs(np.diag(S)).max()
+            # a row sum rounds on the scale of its rates
+            if np.any(S.sum(axis=1) > _VALID_ATOL * max(1.0, scale)):
                 raise ValueError("row sums of S must be nonpositive")
             # relative to S's rate scale: slow laws pass, singular S never does
-            scale = np.abs(np.diag(S)).max()
             if np.any(np.linalg.eigvals(S).real >= -1e-14 * scale):
                 raise ValueError("S must be a stable (nonsingular) phase generator")
         exit_vec = -S @ np.ones(d) if d > 0 else np.zeros(0)

@@ -321,9 +321,9 @@ def _run_block(model, beta, horizon_t, u_arr, alphas, seed, block, count):
     return part, paths
 
 
-def _blocks(n_paths: int, block_size: int):
-    full, rem = divmod(n_paths, block_size)
-    sizes = [block_size] * full + ([rem] if rem else [])
+def _blocks(n_paths: int):
+    full, rem = divmod(n_paths, _BLOCK_SIZE)
+    sizes = [_BLOCK_SIZE] * full + ([rem] if rem else [])
     return list(enumerate(sizes))
 
 
@@ -336,7 +336,6 @@ def simulate_paths(
     alphas: Sequence[float] = (),
     horizon_t: Optional[float] = None,
     n_workers: int = 1,
-    block_size: int = _BLOCK_SIZE,
 ) -> SimulationSummary:
     """Simulate paths and aggregate estimates with standard errors.
 
@@ -350,7 +349,7 @@ def simulate_paths(
     _validate(model, beta, horizon_t, u_arr, alphas)
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
-    blocks = _blocks(n_paths, block_size)
+    blocks = _blocks(n_paths)
 
     def work(item):
         block, count = item
@@ -425,13 +424,12 @@ def simulate_trace(
     n_paths: int = 100,
     seed: int = 0,
     horizon_t: Optional[float] = None,
-    block_size: int = _BLOCK_SIZE,
 ) -> list:
     """Per-path results (same streams as :func:`simulate_paths`)."""
     u_arr = np.asarray(list(u_queries), dtype=float)
     _validate(model, beta, horizon_t, u_arr)
     out = []
-    for block, count in _blocks(n_paths, block_size):
+    for block, count in _blocks(n_paths):
         _, paths = _run_block(model, beta, horizon_t, u_arr, (), seed, block, count)
         for i in range(count):
             out.append(

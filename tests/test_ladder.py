@@ -109,6 +109,12 @@ def test_pi_jet_values(m1_model):
     assert (jet0.v, jet0.d1, jet0.d2) == (1.0, 0.0, 0.0)
 
 
+def _unwindowed(eng, x) -> bool:
+    """True when ``x`` lies outside the window of every removable point of
+    ``eng``, where its jet is taken."""
+    return eng._window_level(x) == math.inf
+
+
 def test_pi_jet_matches_finite_differences():
     rng = np.random.default_rng(3)
     h = 1e-5
@@ -123,10 +129,13 @@ def test_pi_jet_matches_finite_differences():
         jet = ladder.pi_jet(mdl, beta, mdl.m)
         d1 = (-3 * f(0.0) + 4 * f(h) - f(2 * h)) / (2 * h)
         assert math.isclose(jet.d1, d1, rel_tol=1e-6, abs_tol=1e-8)
-        # jet at an interior point against centered differences
-        jet_in = ladder.engine(mdl, beta, mdl.m).jet(0.5)
-        d1c = (f(0.5 + h) - f(0.5 - h)) / (2 * h)
-        d2c = (f(0.5 + h) - 2 * f(0.5) + f(0.5 - h)) / h**2
+        # jet at an interior point outside every window against centered
+        # differences
+        eng = ladder.engine(mdl, beta, mdl.m)
+        x = next(x for x in (0.5, 0.25, 1.2, 0.1, 3.0, 0.03) if _unwindowed(eng, x))
+        jet_in = eng.jet(x)
+        d1c = (f(x + h) - f(x - h)) / (2 * h)
+        d2c = (f(x + h) - 2 * f(x) + f(x - h)) / h**2
         assert math.isclose(jet_in.d1, d1c, rel_tol=1e-6, abs_tol=1e-9)
         # the second difference carries an eps/h^2 ~ 1e-6 roundoff floor
         assert math.isclose(jet_in.d2, d2c, rel_tol=1e-3, abs_tol=2e-5)
@@ -236,6 +245,43 @@ def test_normalization_all_paths_including_subordinator():
         ),
     )
     assert abs(ladder.pi_max(mdl, 0.7, 2, 0.0) - 1.0) <= 1e-12
+
+
+def test_nondecreasing_level_is_the_division_step():
+    # a level without a ladder rate, (p0 + w C F_{k-1}) K with
+    # K = lam / (lam - phi), is the division step of a nondecreasing path,
+    # here a subordinator (k = 1) and a flat state (k = 3) between ladder
+    # levels
+    mdl = model.ModelSpec(
+        m=4,
+        lambda_circ=(1.0, 2.0, 0.5, 1.5),
+        claims=(
+            claims.Exponential(0.8),
+            claims.Erlang(2, 1.5),
+            claims.Exponential(1.2),
+            claims.Exponential(2.0),
+        ),
+        regimes=(
+            model.brownian_drift(0.5, 1.0),
+            model.subordinator(r=-0.5, jump_rate=0.5, jump_law=claims.Exponential(2.0)),
+            model.compound_poisson_drift(1.5, 0.3, 1.0, claims.Exponential(2.0)),
+            model.drift(0.0),
+            model.brownian_drift(1.0, 0.5),
+        ),
+    )
+    beta = 0.8
+    eng = ladder.engine(mdl, beta, mdl.m)
+    for k in (1, 3):
+        assert eng.levels[k - 1].nu is None
+        lam_circ = mdl.rate_for_state(k)
+        lam = lam_circ + beta
+        for x in (0.0, 0.3, 2.5, 7.0):
+            assert _unwindowed(eng, x)
+            prev = eng.level_value(k - 1, x)
+            c = mdl.claim_for_state(k).lst(x)
+            phi = model.laplace_exponent(mdl.regimes[k], x)
+            want = (beta + lam_circ * c * prev) / (lam - phi)
+            assert math.isclose(eng.level_value(k, x), want, rel_tol=1e-15)
 
 
 def _purity_models():
@@ -460,24 +506,38 @@ def test_values_do_not_depend_on_request_order():
         stacked = ladder.engine(cold(mdl), beta, mdl.m)
         stepped = ladder.engine(cold(mdl), beta, mdl.m)
         for k, lv in enumerate(stepped.levels, start=1):
-            if hasattr(lv, "nu"):
+            if lv.nu is not None:
                 stepped.level_value(k - 1, lv.nu)
         assert repr(stacked.value(1.0)) == repr(stepped.value(1.0))
         eng = ladder.engine(mdl, beta, mdl.m)
-        rates = [lv.nu for lv in eng.levels if hasattr(lv, "nu")]
+        rates = [lv.nu for lv in eng.levels if lv.nu is not None]
         points = [0.0, 1e-3, 0.3, 1.0, 4.0] + rates + [1.01 * x for x in rates]
         forward = ladder.engine(cold(mdl), beta, mdl.m)
         backward = ladder.engine(cold(mdl), beta, mdl.m)
         ahead = {x: repr(forward.value(x)) for x in points}
         behind = {x: repr(backward.value(x)) for x in reversed(points)}
         assert ahead == behind
-        jets = [repr(ladder.engine(cold(mdl), beta, mdl.m).jet(x, order=1)) for x in (0.0, 1.0)]
-        assert jets == [repr(forward.jet(x, order=1)) for x in (0.0, 1.0)]
+        # jets are taken outside every window only
+        plain = [x for x in points if _unwindowed(eng, x)]
+        assert plain
+        jets = [repr(ladder.engine(cold(mdl), beta, mdl.m).jet(x, order=1)) for x in plain]
+        assert jets == [repr(forward.jet(x, order=1)) for x in plain]
 
 
 def test_generic_spec_takes_claim_laws_only():
     with pytest.raises(TypeError):
         ladder.GenericLadderSpec(n=1, nu=(2.0,), c_lsts=(lambda a: 1.0 / (1.0 + a),), p0=(0.0,))
+
+
+def test_no_jet_inside_a_window(m1_model):
+    # contour means give values only: a jet at a removable point is refused
+    eng = ladder.engine(m1_model, 1.0, 1)
+    nu = eng.levels[0].nu
+    assert 0.0 <= eng.value(nu) <= 1.0
+    with pytest.raises(ValueError, match="window"):
+        eng.jet(nu)
+    with pytest.raises(ValueError, match="window"):
+        eng.jet(1.2 * nu, order=1)
 
 
 def test_unresolved_contour_is_an_error(monkeypatch):

@@ -159,14 +159,9 @@ def test_wiener_hopf_removable_singularity_continuous():
     reg = model.compound_poisson_drift(1.0, 0.5, 0.7, claims.Erlang(2, 3.0))
     lam = 2.0
     psi = model.inverse_exponent(reg, lam)
-    s = ladder.engine(alone(reg), lam, 0).jet(psi)
     # analytic limit of (psi - a) / (lam - phi(a)) * lam / psi at a = psi
     center = lam / (psi * model.exponent_derivative(reg, psi))
-    assert math.isclose(s.v, center, rel_tol=1e-12)
-    # the local expansion at the critical point predicts nearby values
-    for off in (1e-10, -1e-7, 1e-5, -1e-3, 1e-3):
-        near = killed_max(reg, psi + off, lam)
-        assert math.isclose(near, s.v + off * (s.d1 + 0.5 * off * s.d2), rel_tol=1e-7)
+    assert math.isclose(killed_max(reg, psi, lam), center, rel_tol=1e-12)
     # and away from it the series path is the closed form
     for off in (-1e-3, 1e-3, 0.5):
         a = psi + off

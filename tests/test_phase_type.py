@@ -67,6 +67,21 @@ def test_stability_is_relative_to_the_rate_scale():
             )
 
 
+def test_row_sum_tolerance_is_relative_to_the_rate_scale():
+    # the diagonal is minus its row's rates, and the row sum rounds on their
+    # scale: +1.16e-10 for these rates, and more at 1e3 times them
+    a, b, c = 280408.7579860399, 485190.97443163506, 980737.1998012386
+    for scale in (1.0, 1e3):
+        rates = [scale * a, scale * b, scale * c]
+        S = np.diag([-sum(rates), -1.0, -1.0, -1.0])
+        S[0, 1:] = rates
+        ph = PhaseType(delta=np.array([1.0, 0.0, 0.0, 0.0]), S=S)
+        assert ph.S[0, 0] == -sum(rates)
+    # at unit scale a positive row sum is still refused
+    with pytest.raises(ValueError, match="row sums"):
+        PhaseType(delta=np.array([1.0, 0.0]), S=np.array([[-1.0, 1.0 + 1e-6], [0.0, -1.0]]))
+
+
 def test_running_max_refuses_more_phases_than_the_dense_bound(monkeypatch):
     huge = model.ModelSpec(
         m=1, lambda_circ=(1.0,), claims=(claims.Erlang(10**6, 1.0),),

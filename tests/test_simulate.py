@@ -285,9 +285,10 @@ def test_first_crossings_agree_with_the_path_maximum(name):
 
 
 @pytest.mark.parametrize("name", ["drift", "brownian", "jumps"])
-def test_level_order_does_not_change_the_estimates(name):
+def test_level_order_does_not_change_the_estimates(name, monkeypatch):
     mdl = _level_models()[name]
-    kw = dict(n_paths=20_000, seed=37, block_size=7000)
+    monkeypatch.setattr(simulate, "_BLOCK_SIZE", 7000)
+    kw = dict(n_paths=20_000, seed=37)
     a = simulate.simulate_paths(mdl, 1.0, u_queries=LEVELS, **kw)
     b = simulate.simulate_paths(mdl, 1.0, u_queries=sorted(set(LEVELS)), **kw)
     for u in set(LEVELS):
@@ -297,11 +298,12 @@ def test_level_order_does_not_change_the_estimates(name):
 
 
 @pytest.mark.parametrize("name", ["drift", "jumps"])
-def test_summary_matches_the_trace(name):
+def test_summary_matches_the_trace(name, monkeypatch):
     mdl = _level_models()[name]
     n = 6000
-    s = simulate.simulate_paths(mdl, 1.0, u_queries=LEVELS, n_paths=n, seed=41, block_size=2500)
-    paths = simulate.simulate_trace(mdl, 1.0, u_queries=LEVELS, n_paths=n, seed=41, block_size=2500)
+    monkeypatch.setattr(simulate, "_BLOCK_SIZE", 2500)
+    s = simulate.simulate_paths(mdl, 1.0, u_queries=LEVELS, n_paths=n, seed=41)
+    paths = simulate.simulate_trace(mdl, 1.0, u_queries=LEVELS, n_paths=n, seed=41)
     for q, u in enumerate(LEVELS):
         hit = [p for p in paths if p.ruin_level_hit[q]]
         assert s.ruin[u][0] == len(hit) / n
