@@ -5,13 +5,13 @@ Writes one JSON object: the ``repr`` of every op output of the four
 benchmark workloads at one seed (from ``perfbench/workloads.py``, imported
 read-only), the ``deep_pool`` points ``pi_max(deep_model(kind, m, shape),
 1, m, 1)`` at m in {30, 60, 100}, and the exit code and stdout md5 of CLI
-``transform``, ``transform --beta 0``, ``curves --mode moments``, ``curves
---mode ruin`` and ``simulate`` (fixed seed and path count, at the config's
-beta and at ``--beta 0``) on every bundled config, and of ``curves --mode
-moments`` on fig2 and fig3 over the time grid of
-``scripts/make_figure_tables.py`` and over a grid that repeats a time, where
-Stehfest nodes recur.  The ``--beta 0`` routes are those the drift-model
-predicate gates.  No bundled config has a nondecreasing state above state
+``transform``, ``curves --mode moments``, ``curves --mode ruin`` and
+``simulate`` (fixed seed and path count) on every bundled config, each but
+the moments also at ``--beta 0``, and of ``curves --mode moments`` on fig2
+and fig3 over the time grid of ``scripts/make_figure_tables.py`` and over a
+grid that repeats a time, where Stehfest nodes recur.  The ``--beta 0``
+runs are those the killing-rate rule (``poolruin.model.require_killing``)
+gates.  No bundled config has a nondecreasing state above state
 0, so a model held here (``NONDECREASING``: a subordinator and a flat state
 between ladder levels) adds ``pi_max`` at plain points and at points within
 the windows of its removable points, ``pi_jet``, and CLI ``transform`` and
@@ -52,6 +52,7 @@ CLI_COMMANDS = (
     ("transform", "--beta", "0"),
     ("curves", "--mode", "moments"),
     ("curves", "--mode", "ruin"),
+    ("curves", "--mode", "ruin", "--beta", "0"),
     SIMULATE,
     (*SIMULATE, "--beta", "0"),
 )

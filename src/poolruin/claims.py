@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -40,16 +40,12 @@ _LOMAX_TERMS = 2000
 
 @dataclass(frozen=True)
 class RVMeta:
-    """Regular-variation metadata: tail index, transform coefficient, slowly
-    varying part (None means the constant function 1)."""
+    """Regular-variation metadata: tail index, transform coefficient and
+    the integer part of the tail index."""
 
     delta: float
     theta: float
     n_delta: int
-    L: Optional[Callable[[float], float]] = None
-
-    def slowly_varying(self, x: float) -> float:
-        return 1.0 if self.L is None else self.L(x)
 
 
 class ClaimDistribution:

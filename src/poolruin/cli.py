@@ -25,7 +25,7 @@ import sys
 from . import heavy_tail, inversion, ladder, overshoot, phase_type, simulate
 from .config import load_model
 from .errors import ConfigError, NotPhaseType, PoolRuinError
-from .model import is_drift_model
+from .model import is_drift_model, require_killing
 
 
 def _fmt(x) -> str:
@@ -44,12 +44,13 @@ def _grid(text: str, what: str):
     return values
 
 
-def _require_beta(args, default_beta):
+def _require_beta(args, model, default_beta, horizon=None):
+    """The run's killing rate, checked before any route: one message for all."""
     beta = args.beta if args.beta is not None else default_beta
     if beta is None:
         raise ConfigError("no killing rate: set beta in the config or pass --beta")
-    if not math.isfinite(beta):
-        raise ConfigError(f"beta must be finite, got {beta}")
+    if horizon is None:
+        require_killing(model, beta, "the running maximum")
     return beta
 
 
@@ -71,7 +72,7 @@ def _require_nonincreasing(name, alphas, values):
 
 def cmd_transform(args) -> int:
     model, default_beta = load_model(args.config)
-    beta = _require_beta(args, default_beta)
+    beta = _require_beta(args, model, default_beta)
     alphas = _grid(args.alpha_grid, "alpha")
     engine = ladder.engine(model, beta, model.m)
     # every row is computed and checked before any is printed
@@ -96,7 +97,7 @@ def cmd_transform(args) -> int:
 
 
 def _ph_tail_column(model, beta, u_values):
-    if beta is None or beta <= 0 or model.m == 0 or not is_drift_model(model):
+    if model.m == 0 or not is_drift_model(model):
         return None
     try:
         ph = phase_type.running_max_ph(model, beta, model.m)
@@ -125,7 +126,7 @@ def cmd_curves(args) -> int:
                 raise PoolRuinError(f"moments ({mean!r}, {var!r}) at t = {t!r}")
             writer.writerow([_fmt(t), _fmt(mean), _fmt(var)])
     else:
-        beta = _require_beta(args, default_beta)
+        beta = _require_beta(args, model, default_beta)
         u_values = _grid(args.u_grid, "u")
         inverted = inversion.ruin_curve(model, beta, u_values)
         ph_col = _ph_tail_column(model, beta, u_values)
@@ -162,7 +163,7 @@ def cmd_curves(args) -> int:
 
 def cmd_simulate(args) -> int:
     model, default_beta = load_model(args.config)
-    beta = _require_beta(args, default_beta)
+    beta = _require_beta(args, model, default_beta, args.horizon)
     summary = simulate.simulate_paths(
         model,
         beta,

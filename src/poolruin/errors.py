@@ -19,8 +19,8 @@ class RegimeMismatch(PoolRuinError):
     """Operation requires a different family of regimes (e.g. positive pure drifts)."""
 
 
-class KillingRequired(PoolRuinError):
-    """Operation is only defined for a strictly positive killing rate."""
+class KillingRequired(PoolRuinError, ValueError):
+    """beta = 0 (infinite horizon) off the drift model: an invalid argument."""
 
 
 class NonIdenticalClaims(PoolRuinError):

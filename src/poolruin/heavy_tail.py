@@ -17,10 +17,11 @@ import numpy as np
 
 from .claims import ClaimDistribution, RVMeta
 from .errors import NonIdenticalClaims
-from .model import ModelSpec
+from .model import ModelSpec, require_beta, require_killing
 
 
-def _rv_claim(model: ModelSpec) -> tuple[ClaimDistribution, RVMeta]:
+def _rv_claim(model: ModelSpec, beta: float) -> tuple[ClaimDistribution, RVMeta]:
+    require_killing(model, beta, "the regular-variation asymptote")
     if model.m == 0:
         raise ValueError("model has no major claims")
     first = model.claims[0]
@@ -48,35 +49,33 @@ def phi_coefficient(model: ModelSpec, beta: float, n: int) -> float:
     lam_circ_i / lam_i of the running-maximum transform expansion."""
     if not 0 <= n <= model.m:
         raise ValueError("n must lie in 0..m")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    _, meta = _rv_claim(model)
+    _, meta = _rv_claim(model, beta)
     # summed from j = n down, the order in which the products accumulate
     return meta.theta * sum(reversed(_thinning_products(model, beta, n)))
 
 
 def m_distribution(model: ModelSpec, beta: float) -> np.ndarray:
-    """Distribution of the number of claims arriving before the kill."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    # P(M >= n), then the kill beats the next arrival (lam_0 = beta)
+    """Law of the claim count before the kill (the point mass at m at beta = 0)."""
+    require_beta(beta)
+    # P(M >= n), then the kill beats the next arrival; none is left at m
     reach = [1.0, *reversed(_thinning_products(model, beta, model.m))]
-    lam_next = [rate + beta for rate in reversed(model.lambda_circ)] + [beta]
-    return np.array([p * beta / lam for p, lam in zip(reach, lam_next)])
+    lam_next = [rate + beta for rate in reversed(model.lambda_circ)]
+    return np.array([p * beta / lam for p, lam in zip(reach, lam_next)] + reach[-1:])
 
 
 def expected_claims(model: ModelSpec, beta: float) -> float:
     """E M = sum_{j=1..m} prod_{i=j..m} lam_circ_i / lam_i; equals m when
     beta = 0 (no killing, every claim arrives)."""
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    require_beta(beta)
     return float(sum(_thinning_products(model, beta, model.m)))
 
 
 def rv_tail_approx(model: ModelSpec, beta: float, u: float) -> float:
     """Large-u ruin approximation E M * P(B > u) (exact asymptote up to
     lower-order terms; not a probability near u = 0)."""
-    claim, _ = _rv_claim(model)
+    if not u >= 0:
+        raise ValueError("u must be nonnegative")
+    claim, _ = _rv_claim(model, beta)
     return expected_claims(model, beta) * claim.tail(u)
 
 
@@ -92,7 +91,7 @@ class RVAsymptote:
 
 
 def rv_asymptote(model: ModelSpec, beta: float) -> RVAsymptote:
-    claim, meta = _rv_claim(model)
+    claim, meta = _rv_claim(model, beta)
     phi_m = phi_coefficient(model, beta, model.m)
     em = expected_claims(model, beta)
     prefactor = phi_m * (-1.0) ** meta.n_delta / math.gamma(1.0 - meta.delta)

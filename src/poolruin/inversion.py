@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import PoolRuinError
 from .ladder import engine, pi_jet, ruin_transform
-from .model import ModelSpec
+from .model import ModelSpec, require_killing
 
 _LN2 = math.log(2.0)
 
@@ -129,6 +129,7 @@ def ruin_curve(
     """Ruin probabilities p(u, beta) by inverting the ruin transform in the
     reserve level; values are clamped to [0, 1] and a warning is emitted if
     the raw inversion overshoots beyond numerical tolerance."""
+    require_killing(model, beta, "ruin_curve")
     if model.m == 0:
         return np.zeros(len(u_grid))
     if plan is None:
@@ -136,7 +137,7 @@ def ruin_curve(
     eng = engine(model, beta, model.m)
     out = np.empty(len(u_grid))
     for i, u in enumerate(u_grid):
-        if u < 0:
+        if not u >= 0:
             raise ValueError("reserve levels must be nonnegative")
         if u > 0:
             # the contour means among this reserve's points in one sweep

@@ -93,16 +93,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .claims import ClaimDistribution
-from .errors import KillingRequired, PoolRuinError
+from .errors import PoolRuinError
 from .model import (
     LevyRegime,
     ModelSpec,
     inverse_exponent,
-    is_drift_model,
     killed_max,
     killed_max_series,
     left_root,
     require_drift_model,
+    require_killing,
 )
 from .seriesops import WINDOW, Taylor, TransformJet
 
@@ -482,6 +482,7 @@ def generic_spec_from_drift(
 ) -> GenericLadderSpec:
     """Generic ladder data realizing the drift model: C_k is the claim
     transform of the next arrival, nu_k = lam_k / r_k, p0_k = beta / lam_k."""
+    require_killing(model, beta, "the generic ladder realization")
     require_drift_model(model, "the generic ladder realization")
     nu, cls_, p0 = [], [], []
     for k in range(1, n + 1):
@@ -544,14 +545,7 @@ def _check_request(model: ModelSpec, beta: float, n: int):
     """Refuse (``beta``, ``n``) unless :func:`engine` can serve them."""
     if not 0 <= n <= model.m:
         raise ValueError("n must lie in 0..m")
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta!r}")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    if beta == 0 and not is_drift_model(model):
-        raise KillingRequired(
-            "beta = 0 (infinite horizon) is only supported in the drift model"
-        )
+    require_killing(model, beta, "the ladder recursion")
 
 
 def engine(model: ModelSpec, beta: float, n: int) -> _Recursion:

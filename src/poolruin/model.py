@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .claims import ClaimDistribution
-from .errors import NoRoot, RegimeMismatch, require_finite
+from .errors import KillingRequired, NoRoot, RegimeMismatch, require_finite
 from .seriesops import WINDOW, Taylor, div_by_linear_root
 
 # Newton on psi stops once a step is this many ulp of the iterate.
@@ -131,7 +131,7 @@ def inverse_exponent(regime: LevyRegime, lam: float) -> float:
     the convex increasing branch otherwise, until a step or the bracket is
     a few ulp of the iterate.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be positive")
     if regime.nondecreasing:
         raise NoRoot("a nondecreasing regime has phi <= 0 < lam: no root")
@@ -185,7 +185,7 @@ def left_root(regime: LevyRegime, lam: float) -> float:
     zero and the jump law's own singularity, which is all the contour rule
     needs of it.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be positive")
     r, s2 = regime.r, regime.sigma2
     if regime.jump_rate == 0.0:
@@ -331,4 +331,22 @@ def require_drift_model(model: ModelSpec, what: str) -> None:
         raise RegimeMismatch(
             f"{what} needs the drift model: a positive pure drift in every "
             "state with clients and a nonnegative pure drift in state 0"
+        )
+
+
+def require_beta(beta: float) -> None:
+    """Refuse a killing rate that is not finite and nonnegative."""
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
+    if beta < 0:
+        raise ValueError("beta must be nonnegative")
+
+
+def require_killing(model: ModelSpec, beta: float, what: str) -> None:
+    """The one killing-rate rule: :func:`require_beta`, and beta = 0 (the
+    infinite horizon) in the drift model only, else :class:`KillingRequired`."""
+    require_beta(beta)
+    if beta == 0 and not is_drift_model(model):
+        raise KillingRequired(
+            f"{what} at beta = 0 (infinite horizon) needs the drift model"
         )

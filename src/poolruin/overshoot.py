@@ -31,9 +31,9 @@ from itertools import combinations
 import numpy as np
 
 from .claims import ClaimDistribution
-from .errors import ChainBudgetExceeded, KillingRequired
+from .errors import ChainBudgetExceeded
 from .ladder import _LadderLevel, _memo, _Recursion
-from .model import ModelSpec, require_drift_model
+from .model import ModelSpec, require_drift_model, require_killing
 
 __all__ = [
     "OvershootTable",
@@ -128,8 +128,7 @@ class OvershootTable:
     """
 
     def __init__(self, model: ModelSpec, beta: float):
-        if beta < 0:
-            raise ValueError("beta must be nonnegative")
+        require_killing(model, beta, "overshoot analysis")
         require_drift_model(model, "overshoot analysis")
         self.model = model
         self.beta = beta
@@ -224,7 +223,7 @@ class OvershootTable:
             raise ValueError("k must lie in 0..n-1")
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
-        if gamma <= 0:
+        if not gamma > 0:
             raise ValueError("gamma must be positive")
         engines = self._kept.xi_engines
         engine = engines.get((k, alpha))
@@ -290,24 +289,18 @@ def xi(
     model: ModelSpec, n: int, k: int, alpha: float, beta: float, gamma: float
 ) -> float:
     """Overshoot transform over an exponential level of rate gamma, on the
-    event that the level is exceeded while k clients remain."""
-    if beta <= 0:
-        raise KillingRequired("xi is defined for beta > 0")
+    event that the level is exceeded while k clients remain (beta >= 0)."""
     return OvershootTable(model, beta).xi(n, k, alpha, gamma)
 
 
 def zeta(model: ModelSpec, n: int, k: int, alpha: float, beta: float) -> float:
     """Ladder-height transform: overshoot over level zero, joint with the
-    client count k at the exceedance."""
-    if beta <= 0:
-        raise KillingRequired("zeta is defined for beta > 0")
+    client count k at the exceedance (beta >= 0)."""
     return OvershootTable(model, beta).zeta(n, k, alpha)
 
 
 def pi_via_ladders(model: ModelSpec, beta: float, alpha: float) -> float:
-    """Running-maximum transform rebuilt recursively from ladder heights."""
-    if beta <= 0:
-        raise KillingRequired("the ladder representation needs beta > 0")
+    """Running-maximum transform rebuilt from ladder heights (beta >= 0)."""
     return OvershootTable(model, beta).pi_via_ladders(alpha)
 
 
@@ -318,9 +311,7 @@ def pi_explicit_chains(
     budget: int = _DEFAULT_CHAIN_BUDGET,
 ) -> float:
     """Running-maximum transform as the explicit sum over descending chains
-    of ladder indices (2^m terms)."""
-    if beta <= 0:
-        raise KillingRequired("the chain representation needs beta > 0")
+    of ladder indices (2^m terms; beta >= 0)."""
     return OvershootTable(model, beta).pi_explicit_chains(alpha, budget)
 
 

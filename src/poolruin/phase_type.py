@@ -98,6 +98,8 @@ def point_mass_zero() -> PhaseType:
 
 def ph_lst(ph: PhaseType, alpha: float) -> float:
     """Transform delta_abs + delta^T (alpha I - S)^(-1) s via one solve."""
+    if not alpha >= 0:
+        raise ValueError("alpha must be nonnegative")
     if ph.d == 0:
         return ph.delta_abs
     try:
@@ -185,10 +187,10 @@ def ph_convolve(u: PhaseType, v: PhaseType) -> PhaseType:
 
 def ph_tail(ph: PhaseType, u: float) -> float:
     """Survival probability delta^T exp(S u) 1 (excludes the atom at zero)."""
+    if not u >= 0:
+        raise ValueError("u must be nonnegative")
     if ph.d == 0:
         return 0.0
-    if u < 0:
-        raise ValueError("u must be nonnegative")
     if u == 0.0:
         return float(ph.delta.sum())
     val = float(ph.delta @ (linalg.expm(ph.S * u) @ np.ones(ph.d)))
@@ -234,7 +236,8 @@ def ph_sample(ph: PhaseType, rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def running_max_ph(model, beta: float, n: int) -> PhaseType:
-    """Exact phase-type law of the running maximum killed at rate ``beta``.
+    """Exact phase-type law of the running maximum killed at rate ``beta``,
+    or over the infinite horizon at beta = 0 (see ``require_killing``).
 
     Requires the drift model (positive pure drifts in every state with
     clients, see ``is_drift_model``) and a phase-type claim law for every
@@ -247,10 +250,9 @@ def running_max_ph(model, beta: float, n: int) -> PhaseType:
     r_k).  More than ``MAX_DENSE_PHASES`` phases raise :class:`NotPhaseType`.
     """
     # model imports claims, which imports this module
-    from .model import require_drift_model
+    from .model import require_drift_model, require_killing
 
-    if beta <= 0.0:
-        raise ValueError("running_max_ph needs beta > 0")
+    require_killing(model, beta, "running_max_ph")
     if not 0 <= n <= model.m:
         raise ValueError("n must lie in 0..m")
     require_drift_model(model, "running_max_ph")

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import SimulationError
-from .model import LevyRegime, ModelSpec, is_drift_model
+from .model import LevyRegime, ModelSpec, require_beta, require_killing
 
 _BLOCK_SIZE = 16384
 
@@ -96,19 +96,16 @@ class SimulationSummary:
 
 
 def _validate(model: ModelSpec, beta: float, horizon_t, u_arr, alphas=()) -> None:
-    if not 0 <= beta < math.inf:
-        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
-    if horizon_t is not None and not 0 < horizon_t < math.inf:
-        raise ValueError(f"horizon_t must be positive and finite, got {horizon_t}")
+    if horizon_t is None:
+        require_killing(model, beta, "simulation without a fixed horizon")
+    else:
+        require_beta(beta)
+        if not 0 < horizon_t < math.inf:
+            raise ValueError(f"horizon_t must be positive and finite, got {horizon_t}")
     if not np.isfinite(u_arr).all():
         raise ValueError(f"levels must be finite, got {u_arr.tolist()}")
     if not all(math.isfinite(a) for a in alphas):
         raise ValueError(f"alphas must be finite, got {list(alphas)}")
-    if horizon_t is None and beta == 0 and not is_drift_model(model):
-        raise ValueError(
-            "beta = 0 without a fixed horizon needs the drift model "
-            "(paths drain out after the last claim)"
-        )
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:

@@ -59,18 +59,27 @@ def test_missing_config_file(capsys):
     assert "not found" in err
 
 
-def test_numerical_failure_exit_code(capsys):
-    # the general recursion needs a positive killing rate
-    code, _, err = run_cli(
-        capsys,
-        "transform",
-        "--config",
-        str(CONFIGS / "fig3.json"),
-        "--beta",
-        "0",
+def test_beta_zero_off_the_drift_model_is_a_config_error(capsys):
+    # the killing-rate rule, checked before any route: every command that
+    # needs the infinite horizon refuses it with one message
+    fig3 = str(CONFIGS / "fig3.json")
+    runs = [
+        run_cli(capsys, *command, "--config", fig3, "--beta", "0")
+        for command in (
+            ("transform",),
+            ("curves", "--mode", "ruin"),
+            ("simulate", "--paths", "1000"),
+        )
+    ]
+    assert [(code, out) for code, out, _ in runs] == [(2, "")] * 3
+    assert len({err for _, _, err in runs}) == 1
+    assert runs[0][2].startswith("config error: the running maximum at beta = 0 ")
+    # over a fixed horizon beta = 0 needs no drift model
+    code, out, _ = run_cli(
+        capsys, "simulate", "--config", fig3, "--beta", "0", "--paths", "1000",
+        "--horizon", "2",
     )
-    assert code == 3
-    assert "numerical failure" in err
+    assert code == 0 and json.loads(out)["beta"] == 0.0
 
 
 def _write_pool(tmp_path, claim):

@@ -69,6 +69,8 @@ def test_m_distribution_values():
         assert math.isclose(em, float(np.arange(m + 1) @ probs), abs_tol=1e-12)
     big = heavy_tail.m_distribution(lomax_model(3, (1.0, 1.0, 1.0), (1.0,) * 4), 1e9)
     assert big[0] > 1.0 - 1e-8
+    # no kill: every claim arrives
+    assert heavy_tail.m_distribution(mdl, 0.0).tolist() == [0.0] * m + [1.0]
 
 
 def test_expected_claims_values():

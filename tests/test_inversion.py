@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from poolruin import claims, inversion, ladder, model, phase_type
-from poolruin.errors import PoolRuinError
+from poolruin.errors import KillingRequired, PoolRuinError
 
 
 def fig4_model():
@@ -55,6 +55,16 @@ def test_errors_propagate_from_transform():
 def test_ruin_curve_no_clients_is_zero():
     none = model.ModelSpec(m=0, lambda_circ=(), claims=(), regimes=(model.drift(1.0),))
     assert (inversion.ruin_curve(none, 1.0, [0.5, 1.0, 5.0]) == 0.0).all()
+
+
+def test_ruin_curve_checks_beta_before_the_no_client_shortcut():
+    bm = model.ModelSpec(
+        m=0, lambda_circ=(), claims=(), regimes=(model.brownian_drift(1.0, 1.0),)
+    )
+    with pytest.raises(ValueError, match="beta must be finite"):
+        inversion.ruin_curve(bm, math.nan, [1.0])
+    with pytest.raises(KillingRequired):
+        inversion.ruin_curve(bm, 0.0, [1.0])
 
 
 def test_ruin_curve_matches_exact_phase_type():

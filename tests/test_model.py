@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poolruin import claims, ladder, model, phase_type
+from poolruin import (
+    claims,
+    heavy_tail,
+    inversion,
+    ladder,
+    model,
+    overshoot,
+    phase_type,
+    simulate,
+)
 from poolruin.errors import KillingRequired, NoRoot
 
 REGIMES = [
@@ -319,3 +328,101 @@ def test_wiener_hopf_in_unit_interval(r, s2, lam, a):
     reg = model.brownian_drift(r, s2)
     val = killed_max(reg, a, lam)
     assert 0.0 < val <= 1.0 + 1e-12
+
+
+def _one_client(claim, regime):
+    """One client with ``claim`` and ``regime``, a unit drift in state 0."""
+    return model.ModelSpec(
+        m=1, lambda_circ=(1.0,), claims=(claim,), regimes=(model.drift(1.0), regime)
+    )
+
+
+M1 = _one_client(claims.Exponential(1.0), model.drift(1.0))
+
+# every public entry that takes a killing rate, called as f(model, beta)
+BETA_ENTRIES = {
+    "engine": lambda mdl, b: ladder.engine(mdl, b, 1),
+    "pi_max": lambda mdl, b: ladder.pi_max(mdl, b, 1, 1.0),
+    "pi_jet": lambda mdl, b: ladder.pi_jet(mdl, b, 1),
+    "generic_spec_from_drift": lambda mdl, b: ladder.generic_spec_from_drift(mdl, b, 1),
+    "OvershootTable": lambda mdl, b: overshoot.OvershootTable(mdl, b),
+    "xi": lambda mdl, b: overshoot.xi(mdl, 1, 0, 0.5, b, 2.0),
+    "zeta": lambda mdl, b: overshoot.zeta(mdl, 1, 0, 0.5, b),
+    "pi_via_ladders": lambda mdl, b: overshoot.pi_via_ladders(mdl, b, 1.0),
+    "pi_explicit_chains": lambda mdl, b: overshoot.pi_explicit_chains(mdl, b, 1.0),
+    "running_max_ph": lambda mdl, b: phase_type.running_max_ph(mdl, b, 1),
+    "ruin_curve": lambda mdl, b: inversion.ruin_curve(mdl, b, [1.0]),
+    "simulate_paths": lambda mdl, b: simulate.simulate_paths(mdl, b, n_paths=10),
+    "simulate_trace": lambda mdl, b: simulate.simulate_trace(mdl, b, n_paths=10),
+    "phi_coefficient": lambda mdl, b: heavy_tail.phi_coefficient(mdl, b, 1),
+    "rv_tail_approx": lambda mdl, b: heavy_tail.rv_tail_approx(mdl, b, 5.0),
+    "rv_asymptote": lambda mdl, b: heavy_tail.rv_asymptote(mdl, b),
+    # the rule's first half only: the arrivals alone, or a fixed horizon
+    "expected_claims": lambda mdl, b: heavy_tail.expected_claims(mdl, b),
+    "m_distribution": lambda mdl, b: heavy_tail.m_distribution(mdl, b),
+    "simulate_paths_horizon": lambda mdl, b: simulate.simulate_paths(
+        mdl, b, n_paths=10, horizon_t=1.0
+    ),
+    "simulate_trace_horizon": lambda mdl, b: simulate.simulate_trace(
+        mdl, b, n_paths=10, horizon_t=1.0
+    ),
+}
+FIRST_HALF = {
+    "expected_claims",
+    "m_distribution",
+    "simulate_paths_horizon",
+    "simulate_trace_horizon",
+}
+
+
+def _call(entry, regime, beta):
+    # the regular-variation entries need a regularly varying claim law
+    rv = entry in ("phi_coefficient", "rv_tail_approx", "rv_asymptote")
+    claim = claims.Lomax(1.0, 1.5) if rv else claims.Exponential(1.0)
+    return BETA_ENTRIES[entry](_one_client(claim, regime), beta)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("entry", BETA_ENTRIES)
+def test_every_entry_refuses_an_invalid_killing_rate(entry, beta):
+    with pytest.raises(ValueError, match="^beta must be (finite|nonnegative)"):
+        _call(entry, model.drift(1.0), beta)
+
+
+@pytest.mark.parametrize("entry", BETA_ENTRIES)
+def test_beta_zero_needs_the_drift_model_on_every_route(entry):
+    _call(entry, model.drift(1.0), 0.0)  # the infinite horizon
+    brownian = model.brownian_drift(1.0, 1.0)
+    if entry in FIRST_HALF:
+        _call(entry, brownian, 0.0)
+    else:
+        with pytest.raises(KillingRequired, match="at beta = 0 .* needs the drift model"):
+            _call(entry, brownian, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: overshoot.OvershootTable(M1, 1.0).xi(1, 0, 0.5, math.nan),
+        lambda: phase_type.ph_tail(phase_type.running_max_ph(M1, 1.0, 1), math.nan),
+        lambda: phase_type.ph_lst(phase_type.running_max_ph(M1, 1.0, 1), math.nan),
+        lambda: heavy_tail.rv_tail_approx(
+            _one_client(claims.Lomax(1.0, 1.5), model.drift(1.0)), 1.0, math.nan
+        ),
+        lambda: model.inverse_exponent(model.brownian_drift(1.0, 1.0), math.nan),
+        lambda: model.inverse_exponent(model.drift(1.0), math.nan),
+        lambda: model.left_root(model.brownian_drift(1.0, 1.0), math.nan),
+    ],
+    ids=[
+        "xi-gamma",
+        "ph_tail-u",
+        "ph_lst-alpha",
+        "rv_tail_approx-u",
+        "inverse_exponent-lam",
+        "inverse_exponent-drift-lam",
+        "left_root-lam",
+    ],
+)
+def test_nan_arguments_fail_their_sign_checks(call):
+    with pytest.raises(ValueError, match="must be (positive|nonnegative)"):
+        call()

@@ -181,13 +181,33 @@ def test_chain_budget():
         overshoot.pi_explicit_chains(mdl, 1.0, 1.0, budget=2 ** (mdl.m) - 1)
 
 
-def test_killing_required_on_public_wrappers(m1_model):
-    with pytest.raises(KillingRequired):
-        overshoot.xi(m1_model, 1, 0, 0.0, 0.0, 1.0)
-    with pytest.raises(KillingRequired):
-        overshoot.zeta(m1_model, 1, 0, 0.0, 0.0)
-    with pytest.raises(KillingRequired):
-        overshoot.pi_via_ladders(m1_model, 0.0, 1.0)
+def test_public_wrappers_at_the_infinite_horizon(m1_model):
+    # beta = 0 is the drift model's infinite horizon on every route
+    table = overshoot.OvershootTable(m1_model, 0.0)
+    for a in (0.0, 0.5, 1.0, 3.0):
+        assert overshoot.xi(m1_model, 1, 0, a, 0.0, 2.0) == table.xi(1, 0, a, 2.0)
+        assert overshoot.zeta(m1_model, 1, 0, a, 0.0) == table.zeta(1, 0, a)
+        want = ladder.pi_max(m1_model, 0.0, 1, a)
+        for got in (
+            overshoot.pi_via_ladders(m1_model, 0.0, a),
+            overshoot.pi_explicit_chains(m1_model, 0.0, a),
+        ):
+            assert math.isclose(got, want, rel_tol=1e-14)
+    assert overshoot.pi_via_ladders(m1_model, 0.0, 1.0) == table.pi_via_ladders(1.0)
+    # off the drift model: the regime at any beta, the rule first at beta = 0
+    bm = model.ModelSpec(
+        m=1, lambda_circ=(1.0,), claims=(claims.Exponential(1.0),),
+        regimes=(model.drift(1.0), model.brownian_drift(1.0, 1.0)),
+    )
+    for beta, error in ((1.0, RegimeMismatch), (0.0, KillingRequired)):
+        for call in (
+            lambda: overshoot.xi(bm, 1, 0, 0.5, beta, 2.0),
+            lambda: overshoot.zeta(bm, 1, 0, 0.5, beta),
+            lambda: overshoot.pi_via_ladders(bm, beta, 1.0),
+            lambda: overshoot.pi_explicit_chains(bm, beta, 1.0),
+        ):
+            with pytest.raises(error):
+                call()
 
 
 def test_regime_mismatch():

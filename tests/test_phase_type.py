@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from poolruin import claims, ladder, model, phase_type, simulate
+from poolruin.config import load_model
 from poolruin.errors import NoConvergence, NotPhaseType, RegimeMismatch
 from poolruin.phase_type import (
     PhaseType,
@@ -18,6 +20,8 @@ from poolruin.phase_type import (
     running_max_ph,
     spectral_tail,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def exp_ph(mu):
@@ -314,3 +318,12 @@ def test_running_max_with_hyperexponential_claims():
     assert ph.d == 6
     for a in (0.0, 0.2, 0.9, 1.9, 6.0):
         assert abs(ph_lst(ph, a) - ladder.pi_max(mdl, 1.3, 3, a)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["m1_hand", "fig2", "fig4"])
+def test_running_max_ph_at_the_infinite_horizon(name):
+    # absolute: fig4's transform falls to 4e-10 at alpha = 8
+    mdl, _ = load_model(CONFIGS / f"{name}.json")
+    ph = running_max_ph(mdl, 0.0, mdl.m)
+    for a in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0):
+        assert abs(ph_lst(ph, a) - ladder.pi_max(mdl, 0.0, mdl.m, a)) <= 1e-14
