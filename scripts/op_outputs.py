@@ -11,11 +11,13 @@ the moments also at ``--beta 0``, and of ``curves --mode moments`` on fig2
 and fig3 over the time grid of ``scripts/make_figure_tables.py`` and over a
 grid that repeats a time, where Stehfest nodes recur.  The ``--beta 0``
 runs are those the killing-rate rule (``poolruin.model.require_killing``)
-gates.  No bundled config has a nondecreasing state above state
-0, so a model held here (``NONDECREASING``: a subordinator and a flat state
-between ladder levels) adds ``pi_max`` at plain points and at points within
-the windows of its removable points, ``pi_jet``, and CLI ``transform`` and
-``curves --mode moments``.
+gates.  Three models held here cover what no bundled config has:
+``NONDECREASING`` (a subordinator and a flat state between ladder levels),
+``EXP_DIFFUSION`` (diffusion with exponential jumps in every state, whose
+killed-maximum factors have two poles) and ``BROWNIAN_ALONE`` (no clients
+and a Brownian state 0).  Each adds ``pi_max`` at plain points and at
+points within the windows of its removable points, ``pi_jet``, and the CLI
+commands listed with it in ``HELD``.
 
 Usage, from the repository root:
 
@@ -81,7 +83,37 @@ NONDECREASING = {
         {"bm": {"r": 1.0, "sigma2": 0.5}},
     ],
 }
-NONDECREASING_COMMANDS = (("transform",), ("curves", "--mode", "moments"))
+# diffusion with exponential jumps: the cubic branch of the product form,
+# at the base and on both levels
+EXP_DIFFUSION = {
+    "m": 2,
+    "lambda_circ": [1.0, 1.5],
+    "beta": 0.7,
+    "claims": [{"exp": {"mu": 1.0}}, {"erlang": {"k": 2, "mu": 2.0}}],
+    "regimes": [
+        {"cp": {"r": -0.5, "sigma2": 0.4, "rate": 0.8, "jump": {"exp": {"mu": 1.5}}}},
+        {"cp": {"r": 1.0, "sigma2": 0.3, "rate": 1.0, "jump": {"exp": {"mu": 2.0}}}},
+        {"cp": {"r": 2.0, "sigma2": 0.5, "rate": 0.5, "jump": {"exp": {"mu": 3.0}}}},
+    ],
+}
+# no clients: the ruin curve is the Brownian maximum's, e^{-(1 + sqrt 3) u}
+BROWNIAN_ALONE = {
+    "m": 0,
+    "lambda_circ": [],
+    "beta": 1.0,
+    "claims": [],
+    "regimes": [{"bm": {"r": 1.0, "sigma2": 1.0}}],
+}
+MODEL_COMMANDS = (("transform",), ("curves", "--mode", "moments"))
+# name -> (config, CLI commands)
+HELD = {
+    "nondecreasing": (NONDECREASING, MODEL_COMMANDS),
+    "exp_diffusion": (EXP_DIFFUSION, MODEL_COMMANDS),
+    "brownian_alone": (
+        BROWNIAN_ALONE,
+        (("transform",), ("curves", "--mode", "ruin", "--u-grid", "0.5,1")),
+    ),
+}
 
 
 def workload_outputs(root: Path, seed: int) -> dict:
@@ -108,28 +140,30 @@ def deep_points() -> dict:
     return out
 
 
-def nondecreasing_points() -> dict:
-    """``pi_max`` of the ``NONDECREASING`` model at plain points and at
-    every removable point (psi of each level and of the base) and 1.2 times
-    it, each within a window, and ``pi_jet`` at every n."""
+def held_points() -> dict:
+    """``pi_max`` of each ``HELD`` model at plain points and at psi of each
+    level and of the base and 1.2 times it, each within a window (but the
+    base's psi where its killed-maximum factor has a product form), and
+    ``pi_jet`` at every n."""
     from poolruin import ladder
     from poolruin.config import parse_model
     from poolruin.model import inverse_exponent
 
-    mdl, beta = parse_model(NONDECREASING)
-    rates = [
-        inverse_exponent(reg, beta + (mdl.rate_for_state(k) if k else 0.0))
-        for k, reg in enumerate(mdl.regimes)
-        if not reg.nondecreasing
-    ]
-    points = (0.0, 0.3, 2.5, 7.0, *rates, *(1.2 * x for x in rates))
     out = {}
-    for n in range(mdl.m + 1):
-        for x in points:
-            value = ladder.pi_max(mdl, beta, n, x)
-            out[f"nondecreasing/pi_max.n{n}.{x!r}"] = repr(value)
-        jet = ladder.pi_jet(mdl, beta, n)
-        out[f"nondecreasing/pi_jet.n{n}"] = repr((jet.v, jet.d1, jet.d2))
+    for name, (config, _) in HELD.items():
+        mdl, beta = parse_model(config)
+        rates = [
+            inverse_exponent(reg, beta + (mdl.rate_for_state(k) if k else 0.0))
+            for k, reg in enumerate(mdl.regimes)
+            if not reg.nondecreasing
+        ]
+        points = (0.0, 0.3, 2.5, 7.0, *rates, *(1.2 * x for x in rates))
+        for n in range(mdl.m + 1):
+            for x in points:
+                value = ladder.pi_max(mdl, beta, n, x)
+                out[f"{name}/pi_max.n{n}.{x!r}"] = repr(value)
+            jet = ladder.pi_jet(mdl, beta, n)
+            out[f"{name}/pi_jet.n{n}"] = repr((jet.v, jet.d1, jet.d2))
     return out
 
 
@@ -138,9 +172,10 @@ def cli_outputs(root: Path, scratch: Path) -> dict:
     configs = sorted((root / "configs").glob("*.json"))
     runs = [(config, command) for config in configs for command in CLI_COMMANDS]
     runs += [(root / "configs" / f"{name}.json", cmd) for name, cmd in CLI_MOMENT_GRIDS]
-    held = scratch / "nondecreasing.json"
-    held.write_text(json.dumps(NONDECREASING))
-    runs += [(held, command) for command in NONDECREASING_COMMANDS]
+    for name, (config, commands) in HELD.items():
+        held = scratch / f"{name}.json"
+        held.write_text(json.dumps(config))
+        runs += [(held, command) for command in commands]
     out = {}
     for config, command in runs:
         argv = [sys.executable, "-m", "poolruin.cli", *command, "--config", str(config)]
@@ -159,7 +194,7 @@ def record(root: Path, seed: int) -> dict:
     warnings.simplefilter("ignore")
     outputs = workload_outputs(root, seed)
     outputs.update(deep_points())
-    outputs.update(nondecreasing_points())
+    outputs.update(held_points())
     with tempfile.TemporaryDirectory() as scratch:
         outputs.update(cli_outputs(root, Path(scratch)))
     return {"seed": seed, "outputs": outputs}

@@ -130,8 +130,6 @@ def ruin_curve(
     reserve level; values are clamped to [0, 1] and a warning is emitted if
     the raw inversion overshoots beyond numerical tolerance."""
     require_killing(model, beta, "ruin_curve")
-    if model.m == 0:
-        return np.zeros(len(u_grid))
     if plan is None:
         plan = default_plan()
     eng = engine(model, beta, model.m)

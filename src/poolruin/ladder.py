@@ -11,6 +11,11 @@ evaluation argument and at the fixed ladder rate ``nu_k``,
 
 with a removable singularity at ``z = nu_k``; ``K_k`` is the killed-maximum
 (Wiener-Hopf) factor of the level's regime, one for a positive pure drift.
+Where the regime's roots of lam = phi(z) on the negative axis have a closed
+form (Brownian motion with drift, exponential jumps), ``K_k`` is a product
+over them with no removable point of its own
+(:func:`poolruin.model.product_form`); otherwise it is its defining formula,
+removable at psi(lam), which a base piece adds to the removable points.
 
 Every level is evaluated directly by this formula, for three kinds of
 argument: Python floats at real points, numpy arrays of complex nodes, and
@@ -31,10 +36,14 @@ where ``A`` accumulates the rounding amplification along the levels
 (``A <- A |g_j| |C_j(z)| + |g_j|`` with ``g_j = w_j nu_j/(nu_j - z)``, or
 ``g_j = w_j`` on a level without a ladder rate) and
 ``-d`` is the nearest singularity on the left (claim and jump-law poles,
-the negative root of ``phi = lam``, the branch point at zero of a Lomax
-law).  Contour means give values only: a jet is never taken inside a
-window.  Values are memoized per (level, point), so a value never depends
-on the order of the requests.
+the negative root of ``phi = lam``, exact for a product form, the branch
+point at zero of a Lomax law).  The bound assumes ``|F| <= 1`` out to the
+singularity, so the winning circle checks itself: its even and odd nodes
+are two rotated 32-node rules, whose difference estimates their error, and
+a circle whose estimate squared exceeds ``MAX_BOUND |mean|`` gives way to
+the next best.  Contour means give values only: a jet is never taken
+inside a window.  Values are memoized per (level, point), so a value
+never depends on the order of the requests.
 
 A contour at level ``k`` needs the anchors ``C_j(nu_j) F_{j-1}(nu_j)`` of
 every level up to ``k``, and on a clustered pool each of those is a contour
@@ -101,6 +110,7 @@ from .model import (
     killed_max,
     killed_max_series,
     left_root,
+    product_form,
     require_drift_model,
     require_killing,
 )
@@ -132,6 +142,7 @@ PROB_TOL = 1e-12
 
 _ANGLES = np.pi * (2 * np.arange(NODES // 2) + 1) / NODES
 _UNIT = np.exp(1j * _ANGLES)  # the nodes in the upper half plane
+_ALTERNATE = np.resize([1.0, -1.0], NODES // 2)  # even nodes minus odd ones
 _ROWS = len(RADII)  # rows of nodes per circle's block
 _EPS = np.finfo(float).eps
 
@@ -153,31 +164,47 @@ class _One:
 
 
 class _KilledMax:
-    """Killed-maximum factor K(z) of ``regime`` at rate ``lam``, removable
-    at ``psi`` (None for a nondecreasing regime, whose factor has no such
-    point)."""
+    """Killed-maximum factor K(z) of ``regime`` at rate ``lam``: its
+    :func:`~poolruin.model.product_form` where it has one, with no
+    removable point and its nearest pole as ``left``; otherwise the
+    defining formula, removable at ``psi`` (None for a nondecreasing
+    regime, whose factor has no such point)."""
 
     def __init__(self, regime: LevyRegime, lam: float, psi: Optional[float]):
         self.regime = regime
         self.lam = lam
         self.psi = psi
-        self.removable = () if psi is None else (psi,)
+        self.form = product_form(regime, lam, psi)
+        self.removable = (psi,) if self.form is None and psi is not None else ()
+        if self.form is not None:
+            # the exact nearest pole, as an instance attribute that
+            # shadows the lazy bisection below
+            self.left = self.form.left
 
     @cached_property
     def left(self) -> float:
         return left_root(self.regime, self.lam)
 
     def real(self, x):
+        if self.form is not None:
+            return self.form.value(x)
         return killed_max(self.regime, x, self.lam, self.psi)
 
     def nodes(self, z):
-        """K at the nodes with its rounding amplification."""
+        """K at the nodes with its rounding amplification: a few eps of
+        |K| per factor of a product form, |psi / (psi - z)| for the
+        formula's cancellation near psi."""
+        if self.form is not None:
+            val = self.form.value(z)
+            return val, (len(self.form.zeros) + len(self.form.poles)) * np.abs(val)
         val = killed_max(self.regime, z, self.lam, self.psi)
         if self.psi is None:
             return val, np.zeros(z.shape)
         return val, np.abs(self.psi / (self.psi - z))
 
     def series(self, x, order):
+        if self.form is not None:
+            return self.form.series(x, order)
         return killed_max_series(self.regime, x, self.lam, order, self.psi)
 
 
@@ -405,19 +432,39 @@ class _Recursion:
                 f, amp, z = f[_ROWS:], amp[_ROWS:], z[_ROWS:]
 
     def _mean(self, level, x, radii, f, amp) -> float:
-        """Mean of F_level over the best of the circles around ``x``."""
+        """Mean of F_level over the best of the circles around ``x`` whose
+        trapezoid rule passes its own error check."""
         trunc = (radii / (x + self._left(level))) ** NODES
         bound = _EPS * amp.max(axis=1) + trunc
         bound[~(np.isfinite(f).all(axis=1) & np.isfinite(bound))] = np.inf
-        best = int(np.argmin(bound))
-        if not bound[best] <= MAX_BOUND:
-            raise PoolRuinError(
-                f"no contour resolves level {level} at {x!r}: "
-                f"error bound {bound[best]:.3g} above {MAX_BOUND:g}"
-            )
-        # the nodes come in conjugate pairs: the mean is that of the real
-        # parts over the upper half, summed as ``np.mean`` sums it
-        return float(np.add.reduce(f[best].real)) / (NODES // 2)
+        failed = 0  # circles within the bound that failed their estimate
+        while True:
+            best = int(np.argmin(bound))
+            if not bound[best] <= MAX_BOUND:
+                why = (
+                    f"the {failed} circles within the error bound failed "
+                    "their own error estimate"
+                    if failed
+                    else f"error bound {bound[best]:.3g} above {MAX_BOUND:g}"
+                )
+                raise PoolRuinError(f"no contour resolves level {level} at {x!r}: {why}")
+            row = f[best]
+            # the nodes come in conjugate pairs: the mean is that of the
+            # real parts over the upper half, summed as ``np.mean`` sums it
+            mean = float(np.add.reduce(row.real)) / (NODES // 2)
+            # The bound assumes |F| <= 1 out to the left singularity, but F
+            # grows there, so the rule checks itself.  The even and the odd
+            # nodes of the full circle are two 32-node rules, a half step
+            # apart, whose errors are equal and opposite; a conjugate pair
+            # is one even and one odd node, so either rule's error is
+            # |sum over the upper half of Im f (even - odd)| / 32.  The
+            # 64-node error is about its square (the trapezoid error falls
+            # geometrically in the node count).
+            est = abs(float(np.dot(row.imag, _ALTERNATE))) / (NODES // 2)
+            if est * est <= MAX_BOUND * abs(mean):
+                return mean
+            bound[best] = np.inf
+            failed += 1
 
 
 @dataclass(frozen=True)

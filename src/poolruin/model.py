@@ -11,17 +11,25 @@ nondecreasing.  The parameters alone decide every shape question
 and the killed-maximum factor take arrays of complex arguments as well as
 floats; :func:`left_root` gives the factor's singularity on the negative
 axis.
+
+Where the roots of lam = phi(z) on the negative axis have a closed form,
+the killed-maximum factor is a :class:`ProductForm` over them, with no
+removable point (:func:`product_form`): a pure drift, Brownian motion with
+drift, and compound Poisson with exponential jumps (Lewis & Mordecki 2008,
+"Wiener-Hopf factorization for Levy processes having positive jumps with
+rational transforms").  Every other regime keeps the defining formula,
+removable at psi(lam).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .claims import ClaimDistribution
+from .claims import ClaimDistribution, Exponential
 from .errors import KillingRequired, NoRoot, RegimeMismatch, require_finite
 from .seriesops import WINDOW, Taylor, div_by_linear_root
 
@@ -216,17 +224,120 @@ def left_root(regime: LevyRegime, lam: float) -> float:
     return lo
 
 
+class ProductForm(NamedTuple):
+    """A killed-maximum factor from its roots,
+
+        K(z) = prod_a (1 + z/a) / prod_b (1 + z/b),
+
+    over the distances ``zeros`` (a) and ``poles`` (b, ascending) from zero
+    of its zeros and poles on the negative axis.  Exactly one at the float
+    zero, and no removable point: each factor is computed to a few eps
+    relative at every z with Re z >= 0, where the ladder evaluates it."""
+
+    zeros: tuple
+    poles: tuple
+
+    @property
+    def left(self) -> float:
+        """Distance from zero to the nearest pole (inf: none)."""
+        return self.poles[0] if self.poles else math.inf
+
+    def value(self, z):
+        """K at a float or at an array of complex arguments, as the product
+        of b / (b + z) over the poles and 1 + z/a over the zeros."""
+        if not self.poles:  # no roots: a positive pure drift
+            return np.ones_like(z) if isinstance(z, np.ndarray) else 1.0
+        first, *rest = self.poles
+        out = first / (first + z)
+        # a named right operand: a complex temporary on the right of a
+        # product rounds differently once numpy elides it (ladder docstring)
+        for b in rest:
+            factor = b / (b + z)
+            out = out * factor
+        for a in self.zeros:
+            factor = 1.0 + z / a
+            out = out * factor
+        return out
+
+    def series(self, alpha: float, order: int) -> Taylor:
+        """Taylor expansion around ``alpha``: a pole's factor
+        b / (b + alpha + h) is the geometric series in -h / (b + alpha), and
+        a zero's (a + alpha + h) / a is linear in h."""
+        if not self.poles:
+            return Taylor.constant(1.0, order)
+        terms = [
+            Taylor([b * (-1.0) ** i / (b + alpha) ** (i + 1) for i in range(order + 1)])
+            for b in self.poles
+        ]
+        terms += [
+            Taylor([(a + alpha) / a, 1.0 / a, *(0.0,) * (order - 1)][: order + 1])
+            for a in self.zeros
+        ]
+        out = terms[0]
+        for term in terms[1:]:
+            out = out * term
+        return out
+
+
+def product_form(
+    regime: LevyRegime, lam: float, psi: Optional[float] = None
+) -> Optional[ProductForm]:
+    """The killed-maximum factor of a regime that is not nondecreasing, in
+    product form where the roots of lam = phi(z) with z < 0 have a closed
+    form; None otherwise (jump laws other than the exponential keep the
+    defining formula of :func:`killed_max`).  ``psi`` as in
+    :func:`killed_max_series`.
+
+    - A positive pure drift: no roots, K = 1.
+    - Brownian motion with drift: lam - phi(z) = -(s2/2)(z - psi)(z + rho),
+      so K(z) = rho / (rho + z), and Vieta gives rho = 2 lam / (s2 psi)
+      (the :func:`left_root`).
+    - Compound Poisson with Exp(mu) jumps at rate c: (lam - phi(z))(mu + z)
+      is a polynomial with root psi, and K(z) = (1 + z/mu) / prod(1 + z/rho)
+      over its other roots -rho.  Without diffusion it is the quadratic
+      -r z^2 + (lam - r mu + c) z + lam mu, and Vieta gives
+      rho = lam mu / (r psi).  With diffusion the cubic divided by
+      (z - psi) has roots -rho_1, -rho_2 with rho_1 + rho_2 =
+      mu + psi + 2r/s2 and rho_1 rho_2 = 2 lam mu / (s2 psi), one in
+      (0, mu) and one above mu.
+    """
+    if regime.nondecreasing:
+        return None
+    if regime.pure_drift:
+        return ProductForm((), ())
+    law = regime.jump_law
+    if regime.jump_rate > 0.0 and not isinstance(law, Exponential):
+        return None
+    if psi is None:
+        psi = inverse_exponent(regime, lam)
+    s2 = regime.sigma2
+    if regime.jump_rate == 0.0:
+        return ProductForm((), (2.0 * lam / (s2 * psi),))
+    mu, r = float(law.mu), regime.r
+    if s2 == 0.0:
+        return ProductForm((mu,), (lam * mu / (r * psi),))
+    total = mu + psi + 2.0 * r / s2
+    prod = 2.0 * lam * mu / (s2 * psi)
+    # the roots straddle mu, so the discriminant is positive but for rounding
+    big = 0.5 * (total + math.sqrt(max(total * total - 4.0 * prod, 0.0)))
+    return ProductForm((mu,), (prod / big, big))
+
+
 def killed_max(regime: LevyRegime, z, lam: float, psi: Optional[float] = None):
     """Killed-maximum transform at a float or at an array of complex
-    arguments, by its defining formula: lam / (lam - phi(z)) for a
-    nondecreasing regime, (psi - z) / (lam - phi(z)) * lam / psi otherwise.
-    Loses digits near z = psi, where the caller takes contour means instead;
-    ``psi`` as in :func:`killed_max_series`.  Exactly one at z = 0, where
-    the formula would round (psi / lam) (lam / psi)."""
+    arguments: lam / (lam - phi(z)) for a nondecreasing regime, the
+    :func:`product_form` where there is one, and otherwise the defining
+    formula (psi - z) / (lam - phi(z)) * lam / psi, which loses digits near
+    z = psi, where the caller takes contour means instead; ``psi`` as in
+    :func:`killed_max_series`.  Exactly one at z = 0, where the formula
+    would round (psi / lam) (lam / psi)."""
     if not isinstance(z, np.ndarray) and z == 0.0:
         return 1.0
     if regime.nondecreasing:
         return lam / (lam - laplace_exponent(regime, z))
+    form = product_form(regime, lam, psi)
+    if form is not None:
+        return form.value(z)
     if psi is None:
         psi = inverse_exponent(regime, lam)
     return (psi - z) / (lam - laplace_exponent(regime, z)) * (lam / psi)
@@ -241,20 +352,22 @@ def killed_max_series(
 ) -> Taylor:
     """Taylor expansion around ``alpha`` of the transform of the regime
     maximum over an exponentially killed interval.  A nondecreasing regime
-    peaks at its endpoint, giving lam / (lam - phi(a)); otherwise it is
+    peaks at its endpoint, giving lam / (lam - phi(a)); a regime with a
+    :func:`product_form` takes the series of its factors (identically one
+    for a positive pure drift, whose killed maximum is zero); any other is
 
         (psi(lam) - a) / (lam - phi(a)) * lam / psi(lam),
 
-    whose removable singularity at a = psi(lam) is divided out, and
-    identically one for a positive pure drift, whose killed maximum is zero.
-    ``psi`` is the root psi(lam) when the caller already holds it.  An
-    ``alpha`` within ``WINDOW`` of psi raises ``ValueError``: the ladder
-    takes a contour mean there.
+    whose removable singularity at a = psi(lam) is divided out.  ``psi`` is
+    the root psi(lam) when the caller already holds it.  For this last
+    kind, an ``alpha`` within ``WINDOW`` of psi raises ``ValueError``: the
+    ladder takes a contour mean there.
     """
     if regime.nondecreasing:
         return Taylor.constant(lam, order) / (lam - exponent_series(regime, alpha, order))
-    if regime.pure_drift:
-        return Taylor.constant(1.0, order)
+    form = product_form(regime, lam, psi)
+    if form is not None:
+        return form.series(alpha, order)
     if psi is None:
         psi = inverse_exponent(regime, lam)
     if abs(psi - alpha) <= WINDOW * psi:

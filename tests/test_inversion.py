@@ -57,7 +57,22 @@ def test_ruin_curve_no_clients_is_zero():
     assert (inversion.ruin_curve(none, 1.0, [0.5, 1.0, 5.0]) == 0.0).all()
 
 
-def test_ruin_curve_checks_beta_before_the_no_client_shortcut():
+def test_ruin_curve_no_clients_goes_through_the_engine():
+    # Brownian motion with drift 1 and variance 1 killed at rate 1: the
+    # maximum is Exp(1 + sqrt 3), not zero; Stehfest's own error grows in u
+    bm = model.ModelSpec(
+        m=0, lambda_circ=(), claims=(), regimes=(model.brownian_drift(1.0, 1.0),)
+    )
+    got = inversion.ruin_curve(bm, 1.0, [0.5, 1.0])
+    exact = np.exp(-(1.0 + math.sqrt(3.0)) * np.array([0.5, 1.0]))
+    assert abs(got[0] - exact[0]) <= 1e-5 * exact[0]
+    assert abs(got[1] - exact[1]) <= 1e-3 * exact[1]
+    # u = 0 is still refused by the inversion
+    with pytest.raises(ValueError, match="t must be positive"):
+        inversion.ruin_curve(bm, 1.0, [0.0])
+
+
+def test_ruin_curve_checks_beta_with_no_clients():
     bm = model.ModelSpec(
         m=0, lambda_circ=(), claims=(), regimes=(model.brownian_drift(1.0, 1.0),)
     )

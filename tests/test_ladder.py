@@ -5,13 +5,14 @@ import threading
 import weakref
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from poolruin import claims, inversion, ladder, model, phase_type, simulate
 from poolruin.config import load_model
-from poolruin.errors import KillingRequired, RegimeMismatch
+from poolruin.errors import KillingRequired, PoolRuinError, RegimeMismatch
 
 from conftest import cold, random_drift_model
 
@@ -378,6 +379,85 @@ def test_spread_pool_of_forty_clients():
     assert abs(got - want) <= 1e-15 * want
     cp = ladder.pi_max(_deep_pool("cp", 40), 1.0, 40, 1.0)
     assert math.isfinite(cp) and 0.0 <= cp <= 1.0
+
+
+def _mp_direct(mdl, beta, alpha):
+    """pi_max by the recursion's defining formula in mpmath at the working
+    precision: every killed-maximum factor is (psi - z) / (lam - phi(z))
+    lam / psi with psi from ``findroot``, every point is evaluated
+    directly, no contour and no product form.  Exp claims and jumps only."""
+
+    def lst(law, z):
+        return law.mu / (law.mu + z)
+
+    def phi(reg, a):
+        val = reg.r * a + mp.mpf(reg.sigma2) / 2 * a * a
+        if reg.jump_rate > 0:
+            val -= reg.jump_rate * (1 - lst(reg.jump_law, a))
+        return val
+
+    def factor(reg, lam):
+        if reg.pure_drift and reg.r >= 0:
+            return None, lambda z: 1
+        start = mp.mpf(model.inverse_exponent(reg, lam))
+        psi = mp.findroot(lambda a: phi(reg, a) - lam, start)
+        return psi, lambda z: (psi - z) / (lam - phi(reg, z)) * lam / psi
+
+    beta = mp.mpf(beta)
+    levels = []
+    for k in range(1, mdl.m + 1):
+        lam = mdl.rate_for_state(k) + beta
+        nu, post = factor(mdl.regimes[k], lam)
+        claim = mdl.claim_for_state(k)
+        levels.append((nu, claim, beta / lam, mdl.rate_for_state(k) / lam, post))
+    base = factor(mdl.regimes[0], beta)[1]
+    memo = {}
+
+    def f(k, z):
+        if k == 0:
+            return base(z)
+        if (k, z) not in memo:
+            nu, claim, p0, w, post = levels[k - 1]
+            anchor = lst(claim, nu) * f(k - 1, nu)
+            step = lst(claim, z) * f(k - 1, z) - z / nu * anchor
+            memo[(k, z)] = (p0 + w * nu / (nu - z) * step) * post(z)
+        return memo[(k, z)]
+
+    return f(mdl.m, mp.mpf(alpha))
+
+
+@pytest.mark.parametrize("m", [5, 10])
+@pytest.mark.parametrize("shape", ["cluster", "spread"])
+@pytest.mark.parametrize("kind", ["bm", "cp"])
+def test_deep_pools_against_a_direct_recursion(kind, shape, m):
+    # Brownian and exponential-jump regimes: product-form factors on every
+    # level and at the base, against the defining formula at 60 digits
+    mdl = _deep_pool(kind, m, shape)
+    with mp.workdps(60):
+        want = float(_mp_direct(mdl, 1.0, 1.0))
+    assert abs(ladder.pi_max(mdl, 1.0, m, 1.0) - want) <= 1e-14 * want
+
+
+def test_contour_mean_refuses_a_circle_its_own_estimate_refutes(monkeypatch):
+    # The top-level circle of this pool at radius 0.97 x has an error bound
+    # of 8e-15, but F grows like |C(z)|^m left of the centre, beyond the
+    # |F| <= 1 the bound assumes, and its mean is 1.6% off.  Forced to that
+    # circle alone, the point is refused.
+    m = 60
+    mean = ladder._Recursion._mean
+
+    def widest_only(self, level, x, radii, f, amp):
+        if level == m and x == 1.0:
+            return mean(self, level, x, radii[-1:], f[-1:], amp[-1:])
+        return mean(self, level, x, radii, f, amp)
+
+    mdl = _deep_pool("cp", m)
+    monkeypatch.setattr(ladder._Recursion, "_mean", widest_only)
+    with pytest.raises(PoolRuinError, match="own error estimate"):
+        ladder.pi_max(mdl, 1.0, m, 1.0)
+    monkeypatch.undo()
+    # the choice among all radii passes its estimate
+    assert 0.0 < ladder.pi_max(_deep_pool("cp", m), 1.0, m, 1.0) < 1.0
 
 
 @settings(max_examples=25, deadline=None)

@@ -192,6 +192,113 @@ def test_wiener_hopf_series_refuses_the_removable_point():
     assert math.isclose(got, closed, rel_tol=1e-14)
 
 
+# regimes whose killed-maximum factor has a product form over its roots
+CLOSED_FORMS = {
+    "bm": model.brownian_drift(1.0, 1.0),
+    "bm_downward": model.brownian_drift(-0.5, 2.0),
+    "exp": model.compound_poisson_drift(2.0, 0.0, 1.0, claims.Exponential(2.0)),
+    "exp_diffusion": model.compound_poisson_drift(1.5, 0.3, 1.0, claims.Exponential(2.0)),
+    "exp_diffusion_downward": model.compound_poisson_drift(
+        -1.5, 0.3, 1.0, claims.Exponential(2.0)
+    ),
+    "exp_diffusion_wide": model.compound_poisson_drift(0.2, 2.0, 3.0, claims.Exponential(0.5)),
+}
+
+
+def removable_formula(reg, z, lam):
+    psi = model.inverse_exponent(reg, lam)
+    return (psi - z) / (lam - model.laplace_exponent(reg, z)) * (lam / psi)
+
+
+@pytest.mark.parametrize("reg", CLOSED_FORMS.values(), ids=list(CLOSED_FORMS))
+@pytest.mark.parametrize("lam", [0.3, 1.0, 6.0])
+def test_product_form_agrees_with_the_removable_formula(reg, lam):
+    psi = model.inverse_exponent(reg, lam)
+    assert model.product_form(reg, lam) is not None
+    # outside the window of psi, where the formula keeps its digits
+    for x in (0.05 * psi, 0.5 * psi, 1.5 * psi, 3.0 * psi, 10.0):
+        want = removable_formula(reg, x, lam)
+        assert math.isclose(model.killed_max(reg, x, lam), want, rel_tol=1e-13)
+        got = model.killed_max_series(reg, x, lam, 2).c[0]
+        assert math.isclose(got, want, rel_tol=1e-13)
+    z = np.array([psi * (0.5 + 0.5j), psi * (1.0 + 0.8j), 2.0 - 3.0j, 0.3 + 1.0j, -0.02 + 0.1j])
+    want = removable_formula(reg, z, lam)
+    got = model.killed_max(reg, z, lam)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.parametrize("reg", CLOSED_FORMS.values(), ids=list(CLOSED_FORMS))
+@pytest.mark.parametrize("lam", [0.1, 1.3, 20.0])
+def test_product_form_roots_are_the_negative_roots(reg, lam):
+    psi = model.inverse_exponent(reg, lam)
+    form = model.product_form(reg, lam, psi)
+    assert model.killed_max(reg, 0.0, lam) == 1.0
+    assert form.value(0.0) == 1.0
+    assert model.killed_max_series(reg, 0.0, lam, 2).c[0] == 1.0
+    assert form.poles == tuple(sorted(form.poles)) and form.left == form.poles[0]
+    r, s2 = reg.r, reg.sigma2
+    mu = reg.jump_law.mu if reg.jump_rate > 0 else None
+    with mp.workdps(60):
+        # lam - phi(z), times (mu + z) with exponential jumps: a polynomial
+        # with the root psi, whose other roots are the poles, all real and
+        # negative (one in (-mu, 0) and one below -mu with diffusion)
+        coeffs = [-mp.mpf(s2) / 2, -mp.mpf(r), mp.mpf(lam)]
+        if mu is not None:
+            coeffs = [
+                -mp.mpf(s2) / 2,
+                -(mp.mpf(s2) * mu / 2 + r),
+                mp.mpf(lam) - r * mu + reg.jump_rate,
+                mp.mpf(lam) * mu,
+            ]
+        while coeffs[0] == 0:  # no diffusion: one degree less
+            coeffs.pop(0)
+        roots = mp.polyroots(coeffs, maxsteps=200, extraprec=200)
+        negative = sorted(-float(mp.re(x)) for x in roots if mp.re(x) < 0)
+        assert all(abs(mp.im(x)) <= mp.mpf(10) ** -40 for x in roots)
+    assert len(negative) == len(form.poles)
+    for got, want in zip(form.poles, negative):
+        assert math.isclose(got, want, rel_tol=1e-13)
+    if mu is not None:
+        assert form.zeros == (mu,) and form.poles[0] < mu
+        if s2 > 0:
+            assert form.poles[1] > mu
+    # K(0) = 1 from the factored polynomial: its constant term over the
+    # product of the roots
+    if mu is None:
+        one = s2 * psi * form.poles[0] / (2.0 * lam)
+    elif s2 == 0:
+        one = lam * mu / (r * psi * form.poles[0])
+    else:
+        one = s2 * psi * form.poles[0] * form.poles[1] / (2.0 * lam * mu)
+    assert abs(one - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("reg", CLOSED_FORMS.values(), ids=list(CLOSED_FORMS))
+def test_product_form_jets_inside_the_old_window(reg):
+    # no removable point: the jet at 0.8 psi is the series of the factors
+    lam = 2.0
+    psi = model.inverse_exponent(reg, lam)
+    x = 0.8 * psi
+    jet = model.killed_max_series(reg, x, lam, 2).jet()
+    with mp.workdps(40):
+        mpsi = mp.findroot(lambda a: _mp_phi(reg, a) - lam, mp.mpf(psi))
+
+        def k(a):
+            return (mpsi - a) / (lam - _mp_phi(reg, a)) * lam / mpsi
+
+        want = [float(mp.diff(k, mp.mpf(x), n)) for n in (0, 1, 2)]
+    for got, ref in zip((jet.v, jet.d1, jet.d2), want):
+        assert math.isclose(got, ref, rel_tol=1e-13)
+    assert ladder.engine(alone(reg), lam, 0).jet(x) == jet
+
+
+def _mp_phi(reg, a):
+    val = reg.r * a + mp.mpf(reg.sigma2) / 2 * a * a
+    if reg.jump_rate > 0:
+        val -= reg.jump_rate * a / (reg.jump_law.mu + a)
+    return val
+
+
 def test_subordinator_max_factor():
     sub = model.subordinator(r=-1.0)  # Z(t) = t: the transform is lam / (lam + a)
     for a, lam in ((0.0, 1.0), (1.0, 1.0), (1.0, 1e9), (2.5, 0.3)):
