@@ -4,7 +4,7 @@
 Writes one JSON object: the ``repr`` of every op output of the four
 benchmark workloads at one seed (from ``perfbench/workloads.py``, imported
 read-only), the ``deep_pool`` points ``pi_max(deep_model(kind, m, shape),
-1, m, 1)`` at m in {30, 60, 100}, and the exit code and stdout md5 of CLI
+1, m, 1)`` at m in {30, 60, 100, 400}, and the exit code and stdout md5 of CLI
 ``transform``, ``curves --mode moments``, ``curves --mode ruin`` and
 ``simulate`` (fixed seed and path count) on every bundled config, each but
 the moments also at ``--beta 0``, and of ``curves --mode moments`` on fig2
@@ -47,7 +47,7 @@ from pathlib import Path
 
 HERE_ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD_NAMES = ("figure_curves", "deep_pool", "transform_battery", "mc_oracle")
-DEEP_POINT_M = (30, 60, 100)
+DEEP_POINT_M = (30, 60, 100, 400)
 SIMULATE = ("simulate", "--paths", "4000", "--seed", "7")
 CLI_COMMANDS = (
     ("transform",),

@@ -4,7 +4,8 @@ Every claim law exposes its Laplace-Stieltjes transform together with
 derivatives of any order (as truncated Taylor expansions; the package's own
 routes ask for order two at most, the jets of the moments), the transform
 at arrays of complex arguments with the distance ``left_singularity`` from
-zero to its nearest singularity on the left, the survival function, exact
+zero to its nearest singularity on the left and a bound of its modulus on
+a right half-plane (``modulus_bound``), the survival function, exact
 sampling, and the first two moments when they exist.  Divided differences
 of a transform near their removable point are contour means of the complex
 transform (:mod:`poolruin.overshoot`), never high-order expansions.  The
@@ -36,6 +37,19 @@ _QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-13, limit=400)
 # continued fraction above; both stop by this many terms
 _LOMAX_SERIES_RADIUS = 1.0
 _LOMAX_TERMS = 2000
+
+
+def _int_power(q, k: int):
+    """q^k for an integer k >= 1 by squarings: the same operations on a
+    float and on an array."""
+    out = None
+    while True:
+        if k & 1:
+            out = q if out is None else out * q
+        k >>= 1
+        if not k:
+            return out
+        q = q * q
 
 
 @dataclass(frozen=True)
@@ -78,6 +92,15 @@ class ClaimDistribution:
         """d >= 0 such that the transform is analytic on Re z > -d and
         singular at -d (inf for an entire transform)."""
         raise NotImplementedError
+
+    def modulus_bound(self, t):
+        """A bound of |C(z)| on Re z >= t, at a float or an array of floats
+        t >= 0, with the same bits for a float as for that float in an
+        array.  The transform of a nonnegative law has |C(z)| <= C(Re z)
+        <= C(t), so a law with a closed-form transform gives C(t); the
+        others give 1, which holds for every law (the Lomax transform on
+        the real axis is a quadrature, too dear for a bound)."""
+        return 1.0
 
     def tail(self, u: float) -> float:
         raise NotImplementedError
@@ -128,6 +151,9 @@ class Exponential(ClaimDistribution):
 
     def lst_complex(self, z):
         return self.mu / (self.mu + z)
+
+    def modulus_bound(self, t):
+        return self.mu / (self.mu + t)
 
     @property
     def left_singularity(self) -> float:
@@ -186,6 +212,9 @@ class Erlang(ClaimDistribution):
     def lst_complex(self, z):
         return (self.mu / (self.mu + z)) ** self.k
 
+    def modulus_bound(self, t):
+        return _int_power(self.mu / (self.mu + t), self.k)
+
     @property
     def left_singularity(self) -> float:
         return self.mu
@@ -231,6 +260,12 @@ class PhaseTypeClaim(ClaimDistribution):
 
     def lst_complex(self, z):
         return pht.ph_lst_complex(self.ph, z)
+
+    def modulus_bound(self, t):
+        if isinstance(t, np.ndarray):
+            values = [pht.ph_lst(self.ph, v) for v in t.ravel().tolist()]
+            return np.array(values).reshape(t.shape)
+        return pht.ph_lst(self.ph, t)
 
     @property
     def left_singularity(self) -> float:
@@ -452,6 +487,11 @@ class PointMass(ClaimDistribution):
 
     def lst_complex(self, z):
         return np.exp(-self.b * z)
+
+    def modulus_bound(self, t):
+        # e^{bt} >= 1 + bt, in operations that round alike on floats and
+        # arrays
+        return 1.0 / (1.0 + self.b * t)
 
     @property
     def left_singularity(self) -> float:

@@ -28,22 +28,37 @@ around it.  The mean of an analytic function over a circle is its value at
 the centre, and the trapezoid rule on the circle converges geometrically
 (Trefethen & Weideman 2014), so nothing near the removable points is ever
 divided out: the nodes keep their distance.  The radius is chosen per
-point from a few candidates, evaluated in one stacked pass, by the bound
+point from the candidates ``RADII`` by the bound
 
-    eps * max_nodes A + (r / (x + d))^NODES,
+    eps * A + (r / (x + d))^NODES,
 
-where ``A`` accumulates the rounding amplification along the levels
+where ``A`` bounds the rounding amplification along the levels
 (``A <- A |g_j| |C_j(z)| + |g_j|`` with ``g_j = w_j nu_j/(nu_j - z)``, or
-``g_j = w_j`` on a level without a ladder rate) and
-``-d`` is the nearest singularity on the left (claim and jump-law poles,
-the negative root of ``phi = lam``, exact for a product form, the branch
-point at zero of a Lomax law).  The bound assumes ``|F| <= 1`` out to the
-singularity, so the winning circle checks itself: its even and odd nodes
-are two rotated 32-node rules, whose difference estimates their error, and
-a circle whose estimate squared exceeds ``MAX_BOUND |mean|`` gives way to
-the next best.  Contour means give values only: a jet is never taken
-inside a window.  Values are memoized per (level, point), so a value
-never depends on the order of the requests.
+``g_j = w_j`` on a level without a ladder rate, then
+``A <- A |K_j(z)| + a_j`` with ``a_j`` the rounding of ``K_j`` itself)
+and ``-d`` is the nearest
+singularity on the left (claim and jump-law poles, the negative root of
+``phi = lam``, exact for a product form, the branch point at zero of a
+Lomax law).  ``A`` is taken a priori, before any node is evaluated: each
+factor is replaced by its largest modulus on the circle |z - x| = r,
+which lies in Re z >= x - r > 0, that is ``w_j nu_j / ||nu_j - x| - r|``
+for ``g_j``, and ``C_j(x - r)`` and ``K_j(x - r)`` for the transforms of
+nonnegative laws (1 for a claim law whose real transform is a
+quadrature).  The radius with the least bound is certified when that
+bound is within ``MAX_BOUND``, and only its ring of 32 nodes is
+evaluated, without tracking ``A``.  A point whose best bound is larger is
+evaluated on every radius with ``A`` tracked at the nodes, and the least
+tracked bound wins.  The bounds of a small stack are taken in Python
+floats and of a larger one in arrays, by the same operations and so to
+the same bits: the choice depends on the level and the point only.  The
+bound assumes ``|F| <= 1`` out to the singularity, so the chosen circle
+checks itself: its even and odd nodes are two rotated 32-node rules,
+whose difference estimates their error.  A certified circle whose
+estimate squared exceeds ``MAX_BOUND |mean|`` is taken again on every
+radius, tracked, where such a circle gives way to the next best.
+Contour means give values only: a jet is never taken inside a window.
+Values are memoized per (level, point), so a value never depends on the
+order of the requests.
 
 A contour at level ``k`` needs the anchors ``C_j(nu_j) F_{j-1}(nu_j)`` of
 every level up to ``k``, and on a clustered pool each of those is a contour
@@ -92,6 +107,7 @@ of the requests, the reuse moves no value.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 import weakref
@@ -137,14 +153,44 @@ NODES = 64
 RADII = np.array([0.15, 0.25, 0.35, 0.5, 0.65, 0.8, 0.9, 0.97])
 # Largest accepted error bound of a contour mean.
 MAX_BOUND = 1e-12
+# Elements per array of one run of levels in the a priori bound.
+_CHUNK = 1 << 14
+# Most levels above the base, summed over a stack's circles, for which the
+# a priori bound is taken in Python floats.
+_FLOAT_LEVELS = 6
 # Rounding by which a transform value may leave [0, 1] before it is refused.
 PROB_TOL = 1e-12
 
 _ANGLES = np.pi * (2 * np.arange(NODES // 2) + 1) / NODES
 _UNIT = np.exp(1j * _ANGLES)  # the nodes in the upper half plane
 _ALTERNATE = np.resize([1.0, -1.0], NODES // 2)  # even nodes minus odd ones
-_ROWS = len(RADII)  # rows of nodes per circle's block
 _EPS = np.finfo(float).eps
+
+
+def _gap(p, x, r):
+    """Distance from the real point ``p`` to the circle |z - x| = r, at
+    floats or arrays."""
+    return abs(abs(p - x) - r)
+
+
+def _quot(num, den):
+    """``num / den`` for num > 0: inf where den is zero, at floats as at
+    arrays (where numpy gives inf)."""
+    if isinstance(den, float) and not den:
+        return math.inf
+    return num / den
+
+
+def _roots_bound(poles, zeros, t):
+    """A product form's K(t) = prod 1 / (1 + t/b) prod (1 + t/a) at t >= 0,
+    the largest |K| on Re z >= t; an infinite root is a factor one, so
+    arrays of roots of several levels may be padded with inf."""
+    k = 1.0
+    for b in poles:
+        k = k / (1.0 + t / b)
+    for a in zeros:
+        k = k * (1.0 + t / a)
+    return k
 
 
 class _One:
@@ -156,8 +202,11 @@ class _One:
     def real(self, x):
         return 1.0
 
-    def nodes(self, z):
-        return np.ones_like(z), np.zeros(z.shape)
+    def nodes(self, z, track=True):
+        return np.ones_like(z), (np.zeros(z.shape) if track else None)
+
+    def amp_bound(self, x, r):
+        return 0.0
 
     def series(self, x, order):
         return Taylor.constant(1.0, order)
@@ -186,21 +235,45 @@ class _KilledMax:
         return left_root(self.regime, self.lam)
 
     def real(self, x):
+        """K at a float, or at an array of complex nodes."""
         if self.form is not None:
             return self.form.value(x)
         return killed_max(self.regime, x, self.lam, self.psi)
 
-    def nodes(self, z):
-        """K at the nodes with its rounding amplification: a few eps of
-        |K| per factor of a product form, |psi / (psi - z)| for the
-        formula's cancellation near psi."""
+    def nodes(self, z, track=True):
+        """K at the nodes with its rounding amplification (None unless
+        ``track``): a few eps of |K| per factor of a product form,
+        |psi / (psi - z)| for the formula's cancellation near psi."""
+        val = self.real(z)
+        if not track:
+            return val, None
         if self.form is not None:
-            val = self.form.value(z)
             return val, (len(self.form.zeros) + len(self.form.poles)) * np.abs(val)
-        val = killed_max(self.regime, z, self.lam, self.psi)
         if self.psi is None:
             return val, np.zeros(z.shape)
         return val, np.abs(self.psi / (self.psi - z))
+
+    def bound(self, x, r):
+        """Bounds of |K| and of its amplification over the circles
+        |z - x| = r (floats or arrays, 0 < r < x).  K is the transform of a
+        nonnegative law, so |K(z)| <= K(x - r) on the circle: exact for a
+        product form; for a nondecreasing regime with the jump law's
+        :meth:`~poolruin.claims.ClaimDistribution.modulus_bound` in phi,
+        which only lowers lam - phi; and 1 for the defining formula."""
+        t = x - r
+        if self.form is not None:
+            k = _roots_bound(self.form.poles, self.form.zeros, t)
+            return k, (len(self.form.zeros) + len(self.form.poles)) * k
+        if self.psi is None:
+            reg = self.regime
+            jumps = 0.0
+            if reg.jump_rate > 0:
+                jumps = reg.jump_rate * (1.0 - reg.jump_law.modulus_bound(t))
+            return self.lam / (self.lam - reg.r * t + jumps), 0.0
+        return 1.0, _quot(self.psi, _gap(self.psi, x, r))
+
+    def amp_bound(self, x, r):
+        return self.bound(x, r)[1]
 
     def series(self, x, order):
         if self.form is not None:
@@ -236,6 +309,7 @@ class _Recursion:
         self._cache: dict = {}
         self._anchors: list = [None]  # C_k(nu_k) F_{k-1}(nu_k) by level
         self._windows: dict = {}
+        self._refuted: set = set()  # (level, point) of refuted certified rings
         self._lefts: list = [base.left]
         # (removable point, level that brings it in)
         self._removable = [(p, 0) for p in base.removable if p > 0]
@@ -259,6 +333,8 @@ class _Recursion:
         values only."""
         if order not in (1, 2):
             raise ValueError("jet order must be 1 or 2")
+        if not hasattr(self.base, "series"):
+            raise ValueError(f"no jet of a recursion on {type(self.base).__name__}")
         level = len(self.levels)
         point = float(point)
         if self._window_level(point) <= level:
@@ -349,8 +425,8 @@ class _Recursion:
 
     def _step_nodes(self, k: int, z: np.ndarray, f, amp, c) -> tuple:
         """Level ``k`` at complex nodes from the level below, with the
-        accumulated rounding amplification A (in units of eps); ``c`` is
-        the level's claim transform at ``z``."""
+        accumulated rounding amplification A (in units of eps; None: not
+        tracked); ``c`` is the level's claim transform at ``z``."""
         lv = self.levels[k - 1]
         # a named right operand: never elided (see the module docstring)
         if lv.nu is None:
@@ -360,11 +436,13 @@ class _Recursion:
             g = (lv.w * lv.nu) / (lv.nu - z)
             bracket = c * f - (z / lv.nu) * self._anchors[k]
         f = lv.p0 + g * bracket
-        amp = np.abs(g) * (amp * np.abs(c) + 1.0)
+        if amp is not None:
+            amp = np.abs(g) * (amp * np.abs(c) + 1.0)
         if lv.post is not None:
-            kval, kamp = lv.post.nodes(z)
+            kval, kamp = lv.post.nodes(z, track=amp is not None)
             f = f * kval
-            amp = amp * np.abs(kval) + kamp
+            if amp is not None:
+                amp = amp * np.abs(kval) + kamp
         return f, amp
 
     # ---------------------------------------------------- contour means
@@ -402,38 +480,199 @@ class _Recursion:
 
     @np.errstate(all="ignore")
     def _stack(self, blocks: list):
-        """One upward pass over the stacked circles of ``blocks``: each
-        level is evaluated on the rows still open, and the blocks that end
-        there take their mean and leave the stack at its front."""
-        centres = np.array([x for _, x in blocks])
-        radii = RADII * centres[:, None]
-        z = centres[:, None, None] + radii[:, :, None] * _UNIT
-        z = z.reshape(-1, NODES // 2)
-        f, amp = self.base.nodes(z)
-        claim_at: dict = {}  # claim -> (blocks ended before, transform)
-        done = 0  # blocks ended
+        """One upward pass over the stacked circles of ``blocks``, each on
+        the rings :meth:`_rings` gives it: each level is evaluated on the
+        rows still open, and the blocks that end there take their mean and
+        leave the stack at its front.  The amplification is tracked only
+        while a block without a certified ring is open.  A certified ring
+        that fails its own error estimate is taken again, alone and
+        tracked on every radius."""
+        rings = self._rings(blocks)
+        counts = [len(radii) for radii, _ in rings]
+        rows = [(x, r) for (_, x), (radii, _) in zip(blocks, rings) for r in radii.tolist()]
+        centres, radii = np.array(rows).T
+        z = centres[:, None] + radii[:, None] * _UNIT
+        tracked = sum(bound is None for _, bound in rings)
+        f, amp = self.base.nodes(z, track=tracked > 0)
+        claim_at: dict = {}  # claim -> (rows ended before, transform)
+        done = row = 0  # blocks and rows ended
         for level in range(blocks[-1][0] + 1):
             if level:
                 if len(self._anchors) <= level:
                     self._anchor(level)
                 claim = self.levels[level - 1].claim
                 if claim not in claim_at:
-                    claim_at[claim] = (done, claim.lst_complex(z))
+                    claim_at[claim] = (row, claim.lst_complex(z))
                 since, c = claim_at[claim]
-                c = c[(done - since) * _ROWS :]
-                f, amp = self._step_nodes(level, z, f, amp, c)
+                f, amp = self._step_nodes(level, z, f, amp, c[row - since :])
             while blocks[done][0] == level:
                 at, x = blocks[done]
-                mean = self._mean(at, x, radii[done], f[:_ROWS], amp[:_ROWS])
-                self._cache[(at, x)] = mean
+                radii, bound = rings[done]
+                n = counts[done]
+                if bound is None:
+                    self._cache[(at, x)] = self._mean(at, x, radii, f[:n], amp[:n])
+                    tracked -= 1
+                else:
+                    mean = _checked_mean(f[0])
+                    if mean is None:
+                        self._refuted.add((at, x))
+                        self._stack([(at, x)])
+                    else:
+                        self._cache[(at, x)] = mean
                 done += 1
                 if done == len(blocks):
                     return
-                f, amp, z = f[_ROWS:], amp[_ROWS:], z[_ROWS:]
+                row += n
+                f, z = f[n:], z[n:]
+                amp = amp[n:] if tracked else None
+
+    @cached_property
+    def _level_arrays(self) -> tuple:
+        """Per level: its ladder rate (NaN: none) and ``w nu``; and, if any
+        level's killed-maximum factor is a product form with roots, the
+        poles and zeros of each (padded with inf) and their count."""
+        nu = np.array([math.nan if lv.nu is None else lv.nu for lv in self.levels])
+        wnu = np.array([lv.w for lv in self.levels]) * nu
+        forms = [lv.post.form if lv.post is not None else None for lv in self.levels]
+        roots = [(form.poles, form.zeros) if form else ((), ()) for form in forms]
+        if not any(p for p, _ in roots):
+            return nu, wnu, None
+        pads = []
+        for part in (0, 1):
+            pad = np.full((len(roots), max(len(f[part]) for f in roots)), math.inf)
+            for j, f in enumerate(roots):
+                pad[j, : len(f[part])] = f[part]
+            pads.append(pad)
+        count = np.array([len(p) + len(z) for p, z in roots], dtype=float)
+        return nu, wnu, (*pads, count)
+
+    def _amp_bounds(self, blocks: list, centres, radii, amp) -> np.ndarray:
+        """A priori bounds of the rounding amplification of each block's
+        circle |z - x| = r at each radius (rows by block): the recurrence
+        of :meth:`_step_nodes` with every factor replaced by its largest
+        modulus on the circle, where Re z >= x - r > 0.  That is
+        w nu / ||nu - x| - r| for g, the claim law's
+        :meth:`~poolruin.claims.ClaimDistribution.modulus_bound` at x - r
+        for C, K(x - r) and the pieces' own ``bound`` for K, and their
+        ``amp_bound`` for the base.  No node is evaluated and no anchor is
+        needed.  The factors of a run of levels are taken at once, in
+        arrays of at most about ``_CHUNK`` elements, and the recurrence
+        A <- A (g C K) + (g K + kamp) then walks the run, from the base's
+        bounds ``amp``."""
+        ends = [level for level, _ in blocks]
+        near = centres - radii
+        claim_at: dict = {}  # claim -> its modulus bound on every circle
+        out = np.empty(radii.shape)
+        done = bisect.bisect_right(ends, 0)
+        out[:done] = amp[:done]
+        level = first = 0  # first: the block in row 0 of amp
+        while done < len(blocks):
+            rates, wnu, forms = self._level_arrays
+            amp = amp[done - first :]
+            first = done
+            x, r, t = centres[first:], radii[first:], near[first:]
+            top = min(ends[-1], level + max(1, _CHUNK // amp.size))
+            run = slice(level, top)
+            g = wnu[run, None, None] / _gap(rates[run, None, None], x, r)
+            c = []
+            for j, lv in enumerate(self.levels[run]):
+                if lv.nu is None:
+                    g[j] = lv.w
+                bound = claim_at.get(lv.claim)
+                if bound is None:
+                    bound = lv.claim.modulus_bound(near)
+                    if np.ndim(bound) == 0:
+                        bound = np.full(near.shape, bound)
+                    claim_at[lv.claim] = bound
+                c.append(bound[first:])
+            a = g * np.array(c)
+            if forms is not None:
+                poles, zeros, count = (part[run].T[..., None, None] for part in forms)
+                k = _roots_bound(poles, zeros, t)
+                a = a * k
+                g = g * k + count * k
+            for j, lv in enumerate(self.levels[run]):
+                if lv.post is not None and lv.post.form is None:
+                    kmax, kamp = lv.post.bound(x, r)
+                    a[j] = a[j] * kmax
+                    g[j] = g[j] * kmax + kamp
+            for j in range(top - level):
+                amp = amp * a[j] + g[j]
+                end = bisect.bisect_right(ends, level + j + 1)
+                out[done:end] = amp[done - first : end - first]
+                done = end
+            level = top
+        return out
+
+    def _amp_bound_floats(self, level: int, x: float, radii: list, amps: list) -> list:
+        """:meth:`_amp_bounds` of one circle in Python floats, from the
+        base's bounds ``amps``, which cost less than arrays on a small
+        stack: the same operations on each radius, so the same bits."""
+        near = [x - r for r in radii]
+        claim_at: dict = {}
+        for lv in self.levels[:level]:
+            c = claim_at.get(lv.claim)
+            if c is None:
+                c = claim_at[lv.claim] = [lv.claim.modulus_bound(t) for t in near]
+            if lv.nu is None:
+                gs = [lv.w] * len(radii)
+            else:
+                # _quot(w nu, _gap(nu, x, r)), inline
+                wnu, dist = lv.w * lv.nu, abs(lv.nu - x)
+                gs = [wnu / gap if (gap := abs(dist - r)) else math.inf for r in radii]
+            post = lv.post
+            if post is None:
+                amps = [m * (g * ci) + g for m, g, ci in zip(amps, gs, c)]
+            elif post.form is not None:
+                form = post.form
+                n = len(form.poles) + len(form.zeros)
+                ks = [_roots_bound(form.poles, form.zeros, t) for t in near]
+                amps = [
+                    m * ((g * ci) * k) + (g * k + n * k)
+                    for m, g, ci, k in zip(amps, gs, c, ks)
+                ]
+            else:
+                for i, r in enumerate(radii):
+                    kmax, kamp = post.bound(x, r)
+                    amps[i] = amps[i] * ((gs[i] * c[i]) * kmax) + (gs[i] * kmax + kamp)
+        return amps
+
+    def _rings(self, blocks: list) -> list:
+        """Per block, the radii to evaluate and their error bounds: the
+        radius of ``RADII`` whose a priori bound
+
+            eps * (amplification bound) + (r / (x + d))^NODES
+
+        is least, with that bound, when it is within ``MAX_BOUND`` and the
+        circle has not failed its own estimate (certified: one ring, whose
+        amplification need not be tracked); otherwise every radius, with
+        None (tracked).  The amplification bounds of a stack of at most
+        ``_FLOAT_LEVELS`` circle-levels above the base are taken in Python
+        floats, of a larger one in arrays; both forms give the same bits,
+        so the choice depends on the level and the point only."""
+        centres = np.array([x for _, x in blocks])[:, None]
+        radii = RADII * centres
+        amp = np.zeros(radii.shape) + self.base.amp_bound(centres, radii)
+        levels = sum(level for level, _ in blocks)
+        if 0 < levels <= _FLOAT_LEVELS:
+            rows = zip(blocks, radii.tolist(), amp.tolist())
+            amp = np.array([self._amp_bound_floats(*b, rs, a) for b, rs, a in rows])
+        elif levels:
+            amp = self._amp_bounds(blocks, centres, radii, amp)
+        lefts = np.array([self._left(level) for level, _ in blocks])[:, None]
+        bound = _EPS * amp + (radii / (centres + lefts)) ** NODES
+        bound = np.fmin(bound, np.inf)  # NaN: inf
+        out = []
+        for k, (block, i) in enumerate(zip(blocks, bound.argmin(axis=1).tolist())):
+            if bound[k, i] <= MAX_BOUND and block not in self._refuted:
+                out.append((radii[k, i : i + 1], bound[k, i : i + 1]))
+            else:
+                out.append((radii[k], None))
+        return out
 
     def _mean(self, level, x, radii, f, amp) -> float:
-        """Mean of F_level over the best of the circles around ``x`` whose
-        trapezoid rule passes its own error check."""
+        """Mean of F_level over the best of the tracked circles around
+        ``x`` whose trapezoid rule passes its own error check."""
         trunc = (radii / (x + self._left(level))) ** NODES
         bound = _EPS * amp.max(axis=1) + trunc
         bound[~(np.isfinite(f).all(axis=1) & np.isfinite(bound))] = np.inf
@@ -448,23 +687,30 @@ class _Recursion:
                     else f"error bound {bound[best]:.3g} above {MAX_BOUND:g}"
                 )
                 raise PoolRuinError(f"no contour resolves level {level} at {x!r}: {why}")
-            row = f[best]
-            # the nodes come in conjugate pairs: the mean is that of the
-            # real parts over the upper half, summed as ``np.mean`` sums it
-            mean = float(np.add.reduce(row.real)) / (NODES // 2)
-            # The bound assumes |F| <= 1 out to the left singularity, but F
-            # grows there, so the rule checks itself.  The even and the odd
-            # nodes of the full circle are two 32-node rules, a half step
-            # apart, whose errors are equal and opposite; a conjugate pair
-            # is one even and one odd node, so either rule's error is
-            # |sum over the upper half of Im f (even - odd)| / 32.  The
-            # 64-node error is about its square (the trapezoid error falls
-            # geometrically in the node count).
-            est = abs(float(np.dot(row.imag, _ALTERNATE))) / (NODES // 2)
-            if est * est <= MAX_BOUND * abs(mean):
+            mean = _checked_mean(f[best])
+            if mean is not None:
                 return mean
             bound[best] = np.inf
             failed += 1
+
+
+def _checked_mean(row) -> Optional[float]:
+    """The trapezoid mean of one circle's upper-half nodes ``row``, or None
+    when its own error estimate refutes it."""
+    # the nodes come in conjugate pairs: the mean is that of the real parts
+    # over the upper half, summed as ``np.mean`` sums it
+    mean = float(np.add.reduce(row.real)) / (NODES // 2)
+    # The bound assumes |F| <= 1 out to the left singularity, but F grows
+    # there, so the rule checks itself.  The even and the odd nodes of the
+    # full circle are two 32-node rules, a half step apart, whose errors
+    # are equal and opposite; a conjugate pair is one even and one odd
+    # node, so either rule's error is |sum over the upper half of
+    # Im f (even - odd)| / 32.  The 64-node error is about its square (the
+    # trapezoid error falls geometrically in the node count).
+    est = abs(float(np.dot(row.imag, _ALTERNATE))) / (NODES // 2)
+    # a node that is not finite makes the mean or the estimate so
+    ok = math.isfinite(mean) and est * est <= MAX_BOUND * abs(mean)
+    return mean if ok else None
 
 
 @dataclass(frozen=True)

@@ -389,7 +389,9 @@ class ModelSpec:
     ``lambda_circ[n-1]`` is the claim arrival rate while ``n`` clients
     remain; ``claims[i]`` is the law of the (i+1)-th *arriving* claim, so the
     next claim when ``n`` remain follows ``claims[m-n]``; ``regimes[n]`` is
-    active while ``n`` clients remain.
+    active while ``n`` clients remain.  Equal claim laws are held as one
+    object (the first of them), so the caches of a law serve every client
+    that has it.
     """
 
     m: int
@@ -399,7 +401,7 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "lambda_circ", tuple(self.lambda_circ))
-        object.__setattr__(self, "claims", tuple(self.claims))
+        object.__setattr__(self, "claims", _interned(self.claims))
         object.__setattr__(self, "regimes", tuple(self.regimes))
         if self.m < 0 or int(self.m) != self.m:
             raise ValueError("m must be a nonnegative integer")
@@ -427,6 +429,20 @@ class ModelSpec:
         if not 1 <= n <= self.m:
             raise ValueError("state must have at least one remaining client")
         return self.lambda_circ[n - 1]
+
+
+def _interned(laws) -> tuple:
+    """``laws`` with each law replaced by the first one equal to it; an
+    unhashable law is kept as it is."""
+    first: dict = {}
+    out = []
+    for law in laws:
+        try:
+            law = first.setdefault(law, law)
+        except TypeError:
+            pass
+        out.append(law)
+    return tuple(out)
 
 
 def is_drift_model(model: ModelSpec) -> bool:

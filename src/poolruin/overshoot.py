@@ -32,7 +32,7 @@ import numpy as np
 
 from .claims import ClaimDistribution
 from .errors import ChainBudgetExceeded
-from .ladder import _LadderLevel, _memo, _Recursion
+from .ladder import _gap, _LadderLevel, _memo, _Recursion
 from .model import ModelSpec, require_drift_model, require_killing
 
 __all__ = [
@@ -61,10 +61,19 @@ class _Slope:
     def real(self, x):
         return (self.claim.lst(x) - self._at_c) / (x - self.c)
 
-    def nodes(self, z):
+    def nodes(self, z, track=True):
+        """B at the nodes with its rounding amplification (None unless
+        ``track``)."""
         val = self.claim.lst_complex(z)
-        amp = (np.abs(val) + abs(self._at_c)) / np.abs(z - self.c)
+        amp = None
+        if track:
+            amp = (np.abs(val) + abs(self._at_c)) / np.abs(z - self.c)
         return (val - self._at_c) / (z - self.c), amp
+
+    def amp_bound(self, x, r):
+        """Bound of the nodes' amplification over the circles |z - x| = r
+        (arrays; see :meth:`poolruin.ladder._Recursion._amp_bounds`)."""
+        return (self.claim.modulus_bound(x - r) + abs(self._at_c)) / _gap(self.c, x, r)
 
 
 class _OvershootBase:
@@ -82,6 +91,7 @@ class _OvershootBase:
         self.nu = nu
         self.scale = scale
         self.removable = (alpha, nu)
+        self._points = np.array([nu, alpha])[:, None, None]
         self.left = claim.left_singularity
         self._b_alpha = claim.lst(alpha)
         self._dd = dd
@@ -90,12 +100,24 @@ class _OvershootBase:
         inner = (self.claim.lst(x) - self._b_alpha) / (x - self.alpha)
         return self.scale * x * (inner - self._dd) / (x - self.nu)
 
-    def nodes(self, z):
+    def nodes(self, z, track=True):
+        """The base at the nodes with its rounding amplification (None
+        unless ``track``)."""
         # a named right operand for the product (see :mod:`poolruin.ladder`)
         inner = (self.claim.lst_complex(z) - self._b_alpha) / (z - self.alpha) - self._dd
         outer = self.scale * z / (z - self.nu)
-        amp = np.abs(outer) * (2.0 / np.abs(z - self.alpha) + abs(self._dd))
+        amp = None
+        if track:
+            amp = np.abs(outer) * (2.0 / np.abs(z - self.alpha) + abs(self._dd))
         return outer * inner, amp
+
+    def amp_bound(self, x, r):
+        """Bound of the nodes' amplification over the circles |z - x| = r
+        (arrays): |z| <= x + r (see
+        :meth:`poolruin.ladder._Recursion._amp_bounds`)."""
+        to_nu, to_alpha = _gap(self._points, x, r)
+        outer = abs(self.scale) * (x + r) / to_nu
+        return outer * (2.0 / to_alpha + abs(self._dd))
 
 
 class _Kept:

@@ -4,6 +4,7 @@ import sys
 import threading
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -439,20 +440,23 @@ def test_deep_pools_against_a_direct_recursion(kind, shape, m):
 
 
 def test_contour_mean_refuses_a_circle_its_own_estimate_refutes(monkeypatch):
-    # The top-level circle of this pool at radius 0.97 x has an error bound
-    # of 8e-15, but F grows like |C(z)|^m left of the centre, beyond the
-    # |F| <= 1 the bound assumes, and its mean is 1.6% off.  Forced to that
-    # circle alone, the point is refused.
+    # The top-level circle of this pool at radius 0.97 x has a tracked
+    # error bound of 1.2e-14, but F grows like |C(z)|^m left of the centre,
+    # beyond the |F| <= 1 the bound assumes, and its mean is 1.6% off.
+    # Forced by the ring selection to that circle alone, tracked, the point
+    # is refused.
     m = 60
-    mean = ladder._Recursion._mean
+    rings = ladder._Recursion._rings
 
-    def widest_only(self, level, x, radii, f, amp):
-        if level == m and x == 1.0:
-            return mean(self, level, x, radii[-1:], f[-1:], amp[-1:])
-        return mean(self, level, x, radii, f, amp)
+    def widest_only(self, blocks):
+        out = rings(self, blocks)
+        return [
+            (ladder.RADII[-1:] * x, None) if (level, x) == (m, 1.0) else ring
+            for (level, x), ring in zip(blocks, out)
+        ]
 
     mdl = _deep_pool("cp", m)
-    monkeypatch.setattr(ladder._Recursion, "_mean", widest_only)
+    monkeypatch.setattr(ladder._Recursion, "_rings", widest_only)
     with pytest.raises(PoolRuinError, match="own error estimate"):
         ladder.pi_max(mdl, 1.0, m, 1.0)
     monkeypatch.undo()
@@ -618,6 +622,23 @@ def test_no_jet_inside_a_window(m1_model):
         eng.jet(nu)
     with pytest.raises(ValueError, match="window"):
         eng.jet(1.2 * nu, order=1)
+
+
+@pytest.mark.parametrize("piece", ["slope", "overshoot_base"])
+def test_no_jet_of_a_base_without_series(piece):
+    # the overshoot route's bases give values only: a jet is refused up
+    # front, naming the base, at any point
+    from poolruin.overshoot import _OvershootBase, _Slope
+
+    law = claims.Exponential(1.3)
+    base = {
+        "slope": _Slope(law, 2.0),
+        "overshoot_base": _OvershootBase(law, alpha=1.0, nu=2.0, scale=0.8, dd=-0.3),
+    }[piece]
+    eng = ladder._Recursion(base, ())
+    for x in (0.0, 5.0):
+        with pytest.raises(ValueError, match=type(base).__name__):
+            eng.jet(x)
 
 
 def test_unresolved_contour_is_an_error(monkeypatch):
@@ -940,3 +961,107 @@ def test_every_node_is_computed_on_its_own(law):
                 alone = piece(z[i : i + rows])
                 for a, b in zip(alone, stacked):
                     assert a.tobytes() == b[i : i + rows].tobytes(), (name, float(centres[i // rows]))
+
+
+def _bound_law(kind, rng):
+    mu = float(rng.uniform(0.3, 3.0))
+    if kind == "exp":
+        return claims.Exponential(mu)
+    if kind == "erlang":
+        return claims.Erlang(int(rng.integers(2, 4)), mu)
+    if kind == "ph":
+        p = float(rng.uniform(0.1, 0.9))
+        S = np.array([[-mu, mu * p], [0.0, -2.0 * mu]])
+        return claims.PhaseTypeClaim(phase_type.PhaseType(delta=np.array([0.5, 0.5]), S=S))
+    return claims.Lomax(float(rng.uniform(0.5, 2.0)), float(rng.uniform(1.2, 3.5)))
+
+
+def _bound_regime(kind, rng):
+    r = float(rng.uniform(0.3, 3.0))
+    if kind == "drift":
+        return model.drift(r)
+    if kind == "bm":
+        return model.brownian_drift(r, float(rng.uniform(0.2, 2.0)))
+    if kind == "sub":
+        return model.subordinator(r=-0.5 * r, jump_rate=1.0, jump_law=claims.Exponential(2.0))
+    jump = claims.Exponential(2.0) if kind == "cp_exp" else claims.Erlang(2, 3.0)
+    s2 = float(rng.choice([0.0, 0.4]))
+    return model.compound_poisson_drift(r, s2, float(rng.uniform(0.2, 1.5)), jump)
+
+
+def _tracked_amp(eng, level, x):
+    """The rounding amplification tracked on the nodes of every radius of
+    ``RADII`` around ``x``, up to ``level``: its largest over each circle."""
+    z = x + (ladder.RADII * x)[:, None] * ladder._UNIT
+    f, amp = eng.base.nodes(z)
+    for k in range(1, level + 1):
+        f, amp = eng._step_nodes(k, z, f, amp, eng.levels[k - 1].claim.lst_complex(z))
+    return amp.max(axis=1)
+
+
+def _assert_bound_covers(eng, blocks):
+    eng._fill_anchors(blocks[-1][0])
+    centres = np.array([x for _, x in blocks])[:, None]
+    radii = ladder.RADII * centres
+    with np.errstate(all="ignore"):
+        base = np.zeros(radii.shape) + eng.base.amp_bound(centres, radii)
+        bound = eng._amp_bounds(blocks, centres, radii, base)
+        # the array form, in runs of one level or of all, and the float
+        # form agree bit for bit
+        with mock.patch.object(ladder, "_CHUNK", 1):
+            assert eng._amp_bounds(blocks, centres, radii, base).tobytes() == bound.tobytes()
+        rows = zip(blocks, radii.tolist(), base.tolist())
+        floats = [eng._amp_bound_floats(lv, x, rs, a) for (lv, x), rs, a in rows]
+        assert np.array(floats).tobytes() == bound.tobytes()
+        for (level, x), row in zip(blocks, bound):
+            amp = _tracked_amp(eng, level, x)
+            seen = np.isfinite(amp)
+            # equal in exact arithmetic only where no factor varies on the
+            # circle; the slack is the rounding of the two recurrences
+            assert np.all(row[seen] >= amp[seen] * (1.0 - 1e-12)), (level, x, row, amp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(["exp", "erlang", "ph", "lomax"]),
+    st.lists(st.sampled_from(["drift", "bm", "sub", "cp_exp", "cp_erlang"]), min_size=2, max_size=5),
+)
+def test_a_priori_bound_covers_the_tracked_amplification(seed, law, kinds):
+    # every factor of the amplification recurrence replaced by its largest
+    # modulus on the circle: at least the amplification tracked at the
+    # nodes, at every radius, on every level, for every piece
+    rng = np.random.default_rng(seed)
+    m = len(kinds) - 1
+    mdl = model.ModelSpec(
+        m=m,
+        lambda_circ=tuple(float(v) for v in rng.uniform(0.3, 3.0, m)),
+        claims=tuple(_bound_law(law, rng) for _ in range(m)),
+        regimes=tuple(_bound_regime(kind, rng) for kind in kinds),
+    )
+    eng = ladder.engine(mdl, float(rng.uniform(0.3, 2.0)), m)
+    centres = [p * (1.0 + float(rng.uniform(-0.3, 0.3))) for p, _ in eng._removable]
+    centres += [float(rng.uniform(0.05, 5.0))]
+    _assert_bound_covers(eng, [(level, x) for level in range(m + 1) for x in centres])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["exp", "erlang", "ph", "lomax"]))
+def test_a_priori_bound_covers_the_overshoot_bases(seed, law):
+    from poolruin.overshoot import OvershootTable, _Slope
+
+    rng = np.random.default_rng(seed)
+    m = 3
+    mdl = model.ModelSpec(
+        m=m,
+        lambda_circ=tuple(float(v) for v in rng.uniform(0.3, 3.0, m)),
+        claims=tuple(_bound_law(law, rng) for _ in range(m)),
+        regimes=tuple(model.drift(float(r)) for r in rng.uniform(0.3, 3.0, m + 1)),
+    )
+    c = float(rng.uniform(0.3, 3.0))
+    slope = ladder._Recursion(_Slope(mdl.claims[0], c), ())
+    _assert_bound_covers(slope, [(0, c * (1.0 + float(rng.uniform(-0.3, 0.3))))])
+    table = OvershootTable(mdl, float(rng.uniform(0.3, 2.0)))
+    xi = table._xi_engine(0, float(rng.uniform(0.1, 3.0)))
+    centres = [p * (1.0 + float(rng.uniform(-0.3, 0.3))) for p, _ in xi._removable]
+    _assert_bound_covers(xi, [(level, x) for level in range(len(xi.levels) + 1) for x in centres])

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -15,6 +16,7 @@ from poolruin import (
     phase_type,
     simulate,
 )
+from poolruin.config import load_model
 from poolruin.errors import KillingRequired, NoRoot
 
 REGIMES = [
@@ -406,6 +408,20 @@ def test_model_spec_validation():
     assert spec.claim_for_state(2) is spec.claims[0]
     assert spec.claim_for_state(1) is spec.claims[1]
     assert spec.rate_for_state(2) == 2.0
+
+
+def test_equal_claim_laws_are_one_object():
+    fig5, _ = load_model(Path(__file__).resolve().parent.parent / "configs" / "fig5.json")
+    # five equal Lomax laws share one object, and with it their caches
+    assert all(law is fig5.claims[0] for law in fig5.claims)
+    spec = model.ModelSpec(
+        m=3,
+        lambda_circ=(1.0, 2.0, 3.0),
+        claims=(claims.Exponential(1.0), claims.Erlang(2, 1.0), claims.Exponential(1)),
+        regimes=(model.drift(0.0),) + (model.drift(1.0),) * 3,
+    )
+    assert spec.claims[2] is spec.claims[0]
+    assert spec.claims[1] is not spec.claims[0]
 
 
 def test_killed_rates():
