@@ -11,13 +11,15 @@ the moments also at ``--beta 0``, and of ``curves --mode moments`` on fig2
 and fig3 over the time grid of ``scripts/make_figure_tables.py`` and over a
 grid that repeats a time, where Stehfest nodes recur.  The ``--beta 0``
 runs are those the killing-rate rule (``poolruin.model.require_killing``)
-gates.  Three models held here cover what no bundled config has:
+gates.  Four models held here cover what no bundled config has:
 ``NONDECREASING`` (a subordinator and a flat state between ladder levels),
 ``EXP_DIFFUSION`` (diffusion with exponential jumps in every state, whose
-killed-maximum factors have two poles) and ``BROWNIAN_ALONE`` (no clients
-and a Brownian state 0).  Each adds ``pi_max`` at plain points and at
-points within the windows of its removable points, ``pi_jet``, and the CLI
-commands listed with it in ``HELD``.
+killed-maximum factors have two poles), ``BROWNIAN_ALONE`` (no clients
+and a Brownian state 0) and ``SMALL_RATES`` (arrival and killing rates near
+1e-9, where the ladder rates of Exp and Erlang jump regimes are too).  Each
+adds ``pi_max`` at plain points and at points within the windows of its
+removable points, ``pi_jet``, and the CLI commands listed with it in
+``HELD``.
 
 Usage, from the repository root:
 
@@ -104,6 +106,19 @@ BROWNIAN_ALONE = {
     "claims": [],
     "regimes": [{"bm": {"r": 1.0, "sigma2": 1.0}}],
 }
+# rates near 1e-9: ladder rates far below the jump laws' scales, where a
+# residual phi(a) - lam with 1 - C(a) as a difference cancels
+SMALL_RATES = {
+    "m": 2,
+    "lambda_circ": [2e-9, 1e-9],
+    "beta": 1e-9,
+    "claims": [{"exp": {"mu": 1.0}}, {"erlang": {"k": 3, "mu": 2.0}}],
+    "regimes": [
+        {"cp": {"r": 1.5, "sigma2": 0.0, "rate": 0.8, "jump": {"exp": {"mu": 2.0}}}},
+        {"cp": {"r": 2.0, "sigma2": 0.5, "rate": 1.0, "jump": {"erlang": {"k": 3, "mu": 2.0}}}},
+        {"cp": {"r": 1.0, "sigma2": 0.0, "rate": 0.5, "jump": {"exp": {"mu": 1.5}}}},
+    ],
+}
 MODEL_COMMANDS = (("transform",), ("curves", "--mode", "moments"))
 # name -> (config, CLI commands)
 HELD = {
@@ -113,6 +128,7 @@ HELD = {
         BROWNIAN_ALONE,
         (("transform",), ("curves", "--mode", "ruin", "--u-grid", "0.5,1")),
     ),
+    "small_rates": (SMALL_RATES, MODEL_COMMANDS),
 }
 
 
@@ -144,7 +160,9 @@ def held_points() -> dict:
     """``pi_max`` of each ``HELD`` model at plain points and at psi of each
     level and of the base and 1.2 times it, each within a window (but the
     base's psi where its killed-maximum factor has a product form), and
-    ``pi_jet`` at every n."""
+    ``pi_jet`` at every n.  A point at a rate is keyed by the regime's state
+    and its value holds the rate, so a rate that moves shows as a relative
+    difference, not as a renamed entry."""
     from poolruin import ladder
     from poolruin.config import parse_model
     from poolruin.model import inverse_exponent
@@ -152,16 +170,19 @@ def held_points() -> dict:
     out = {}
     for name, (config, _) in HELD.items():
         mdl, beta = parse_model(config)
-        rates = [
-            inverse_exponent(reg, beta + (mdl.rate_for_state(k) if k else 0.0))
+        rates = {
+            k: inverse_exponent(reg, beta + (mdl.rate_for_state(k) if k else 0.0))
             for k, reg in enumerate(mdl.regimes)
             if not reg.nondecreasing
-        ]
-        points = (0.0, 0.3, 2.5, 7.0, *rates, *(1.2 * x for x in rates))
+        }
         for n in range(mdl.m + 1):
-            for x in points:
+            for x in (0.0, 0.3, 2.5, 7.0):
                 value = ladder.pi_max(mdl, beta, n, x)
                 out[f"{name}/pi_max.n{n}.{x!r}"] = repr(value)
+            for k, psi in rates.items():
+                for label, x in ((f"psi{k}", psi), (f"1.2psi{k}", 1.2 * psi)):
+                    value = ladder.pi_max(mdl, beta, n, x)
+                    out[f"{name}/pi_max.n{n}.{label}"] = repr((x, value))
             jet = ladder.pi_jet(mdl, beta, n)
             out[f"{name}/pi_jet.n{n}"] = repr((jet.v, jet.d1, jet.d2))
     return out

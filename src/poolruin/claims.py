@@ -72,6 +72,19 @@ class ClaimDistribution:
             raise ValueError("alpha must be nonnegative")
         return self.lst_series(alpha, 0).c[0]
 
+    def lst_complement(self, alpha: float) -> float:
+        """1 - lst(alpha) at a float alpha >= 0, for the residual of the
+        Newton solve of :func:`poolruin.model.inverse_exponent`.  Erlang,
+        phase-type and point-mass laws override it with a form that does not
+        cancel once alpha is far below the law's scale, where 1 - lst keeps
+        only the digits of alpha times the mean (the exponential law never
+        reaches that solve: its root has a closed form).  This default,
+        which Lomax keeps, is the difference: Lomax has no closed-form
+        transform, only a quadrature whose absolute error 1 - lst keeps in
+        any form, and a complement of its own would be a second quadrature
+        at every Newton step."""
+        return 1.0 - self.lst(alpha)
+
     def lst_series(self, alpha: float, order: int) -> Taylor:
         raise NotImplementedError
 
@@ -209,6 +222,9 @@ class Erlang(ClaimDistribution):
     def lst(self, alpha: float) -> float:
         return (self.mu / (self.mu + alpha)) ** self.k
 
+    def lst_complement(self, alpha: float) -> float:
+        return -math.expm1(-self.k * math.log1p(alpha / self.mu))
+
     def lst_complex(self, z):
         return (self.mu / (self.mu + z)) ** self.k
 
@@ -257,6 +273,9 @@ class PhaseTypeClaim(ClaimDistribution):
 
     def lst(self, alpha: float) -> float:
         return pht.ph_lst(self.ph, alpha)
+
+    def lst_complement(self, alpha: float) -> float:
+        return pht.ph_lst_complement(self.ph, alpha)
 
     def lst_complex(self, z):
         return pht.ph_lst_complex(self.ph, z)
@@ -484,6 +503,9 @@ class PointMass(ClaimDistribution):
 
     def lst(self, alpha: float) -> float:
         return math.exp(-alpha * self.b)
+
+    def lst_complement(self, alpha: float) -> float:
+        return -math.expm1(-alpha * self.b)
 
     def lst_complex(self, z):
         return np.exp(-self.b * z)

@@ -19,6 +19,15 @@ drift, and compound Poisson with exponential jumps (Lewis & Mordecki 2008,
 "Wiener-Hopf factorization for Levy processes having positive jumps with
 rational transforms").  Every other regime keeps the defining formula,
 removable at psi(lam).
+
+The ladder rate psi(lam), the right inverse of phi, has a closed form in
+the same regimes (:func:`inverse_exponent`): lam / r for a pure drift, the
+root of a quadratic for Brownian motion and for Exp jumps without
+diffusion, and for Exp jumps with diffusion the one positive root of a
+cubic, reached by a float Newton that descends from above.  Newton with
+series derivatives remains for the jump laws without a product form; its
+residual takes 1 - C(a) in a form that does not cancel at small a
+(:meth:`~poolruin.claims.ClaimDistribution.lst_complement`).
 """
 
 from __future__ import annotations
@@ -133,11 +142,15 @@ def exponent_derivative(regime: LevyRegime, alpha: float) -> float:
 
 
 def inverse_exponent(regime: LevyRegime, lam: float) -> float:
-    """Largest nonnegative root of phi(a) = lam.
+    """Largest nonnegative root psi of phi(a) = lam.
 
-    Closed forms for pure drifts and Brownian regimes; bracketed Newton on
-    the convex increasing branch otherwise, until a step or the bracket is
-    a few ulp of the iterate.
+    Closed forms for pure drifts and Brownian regimes, and for Exp jumps
+    (:func:`_exp_jump_inverse`).  Every other jump law takes a bracketed
+    Newton on the convex increasing branch, until a step or the bracket is
+    a few ulp of the iterate.  Its residual phi(a) - lam takes the jump
+    part from :meth:`~poolruin.claims.ClaimDistribution.lst_complement`,
+    which does not cancel at a far below the law's scale, so psi keeps its
+    digits at small lam.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
@@ -146,12 +159,9 @@ def inverse_exponent(regime: LevyRegime, lam: float) -> float:
     if regime.pure_drift:
         return lam / regime.r
     if regime.jump_rate == 0:
-        # the root of s2 a^2 / 2 + r a = lam in the form that does not
-        # cancel: for r > 0, (root - r) / s2 loses every digit once
-        # 2 s2 lam << r^2
-        r, s2 = regime.r, regime.sigma2
-        root = math.sqrt(r * r + 2.0 * s2 * lam)
-        return 2.0 * lam / (r + root) if r > 0.0 else (root - r) / s2
+        return _brownian_inverse(regime.r, regime.sigma2, lam)
+    if isinstance(regime.jump_law, Exponential):
+        return _exp_jump_inverse(regime, lam)
     # jumps with r > 0 or sigma2 > 0: phi is convex, vanishes at
     # zero and is unbounded
     hi = 1.0
@@ -161,8 +171,9 @@ def inverse_exponent(regime: LevyRegime, lam: float) -> float:
             raise NoRoot("exponent stays below lam")
     lo = 0.0
     x = hi
+    r, s2, rate, law = regime.r, regime.sigma2, regime.jump_rate, regime.jump_law
     for _ in range(200):
-        f = laplace_exponent(regime, x) - lam
+        f = r * x + 0.5 * s2 * x * x - rate * law.lst_complement(x) - lam
         if f == 0.0:
             return x
         if f > 0:
@@ -173,14 +184,59 @@ def inverse_exponent(regime: LevyRegime, lam: float) -> float:
         if fp > 0:
             step = f / fp
             x_new = x - step
+            # a step of a few ulp ends the search even when it rounds onto
+            # the bracket end x itself; bisecting from there would halve
+            # the bracket [0, psi] down to the ulp
+            if abs(step) <= _PSI_ULPS * math.ulp(x):
+                return x_new
             if lo < x_new < hi:
-                if abs(step) <= _PSI_ULPS * math.ulp(x):
-                    return x_new
                 x = x_new
                 continue
         x = 0.5 * (lo + hi)
         if hi - lo <= _PSI_ULPS * math.ulp(x):
             return x
+    return x
+
+
+def _brownian_inverse(r: float, s2: float, lam: float) -> float:
+    """The positive root of s2 a^2 / 2 + r a = lam (s2 > 0), in the form
+    that does not cancel: for r > 0, (root - r) / s2 loses every digit once
+    2 s2 lam << r^2."""
+    root = math.sqrt(r * r + 2.0 * s2 * lam)
+    return 2.0 * lam / (r + root) if r > 0.0 else (root - r) / s2
+
+
+def _exp_jump_inverse(regime: LevyRegime, lam: float) -> float:
+    """psi for jumps Exp(mu) at rate c, from (lam - phi(a))(mu + a) = 0.
+
+    Without diffusion that is the quadratic r a^2 + b a - lam mu with
+    b = r mu - c - lam, whose positive root is taken in the form without
+    cancellation for either sign of b.  With diffusion it is the cubic
+    (s2/2) a^3 + (s2 mu / 2 + r) a^2 + b a - lam mu, which has one positive
+    root; Newton on phi starts above it, at the least of two Brownian roots
+    (phi(a) is at least (r - c/mu) a + s2 a^2 / 2 and r a + s2 a^2 / 2 - c),
+    and descends on the convex branch.  Either way the last step is Newton
+    on the residual a (r + s2 a / 2 - c / (mu + a)) - lam, whose rounding
+    error is that of its terms, so psi is within a few ulp of the exact root
+    times its condition number (|r| + s2 psi / 2 + c / (mu + psi)) / phi'(psi);
+    the closed form alone rounds its square root and its b.
+    """
+    r, s2, c = regime.r, regime.sigma2, regime.jump_rate
+    mu = float(regime.jump_law.mu)
+    if s2 == 0.0:  # r > 0: not nondecreasing
+        b = r * mu - c - lam
+        root = math.sqrt(b * b + 4.0 * r * lam * mu)
+        x = 2.0 * lam * mu / (b + root) if b > 0.0 else (root - b) / (2.0 * r)
+    else:
+        x = min(_brownian_inverse(r - c / mu, s2, lam), _brownian_inverse(r, s2, lam + c))
+    for _ in range(100):
+        slope = r + s2 * x - c * mu / ((mu + x) * (mu + x))
+        step = (x * (r + 0.5 * s2 * x - c / (mu + x)) - lam) / slope
+        x -= step
+        # from above, every step is a clear descent until the residual is
+        # rounding: a step of a few ulp, or one back up, ends the descent
+        if step <= _PSI_ULPS * math.ulp(x):
+            break
     return x
 
 
@@ -300,6 +356,10 @@ def product_form(
       (z - psi) has roots -rho_1, -rho_2 with rho_1 + rho_2 =
       mu + psi + 2r/s2 and rho_1 rho_2 = 2 lam mu / (s2 psi), one in
       (0, mu) and one above mu.
+
+    :func:`inverse_exponent` takes psi from the same polynomials, so a
+    level of any of these regimes is built without series: no Newton with
+    series derivatives and no :func:`exponent_series`.
     """
     if regime.nondecreasing:
         return None

@@ -109,6 +109,21 @@ def ph_lst(ph: PhaseType, alpha: float) -> float:
     return float(ph.delta_abs + ph.delta @ x)
 
 
+def ph_lst_complement(ph: PhaseType, alpha: float) -> float:
+    """1 - transform as alpha delta^T (alpha I - S)^(-1) 1, which does not
+    cancel at small alpha: (alpha I - S) 1 = alpha 1 + s and delta^T 1 =
+    1 - delta_abs."""
+    if not alpha >= 0:
+        raise ValueError("alpha must be nonnegative")
+    if ph.d == 0:
+        return 1.0 - ph.delta_abs
+    try:
+        x = np.linalg.solve(alpha * np.eye(ph.d) - ph.S, np.ones(ph.d))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - valid PH cannot hit this
+        raise SingularSystem(str(exc)) from exc
+    return float(alpha * (ph.delta @ x))
+
+
 def ph_lst_complex(ph: PhaseType, z: np.ndarray) -> np.ndarray:
     """Transform at an array of complex arguments by one batched solve of
     (z I - S) x = s."""

@@ -23,6 +23,7 @@ recorded value, would never be seen through it.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -95,7 +96,11 @@ class SimulationSummary:
         }
 
 
-def _validate(model: ModelSpec, beta: float, horizon_t, u_arr, alphas=()) -> None:
+def _validate(
+    model: ModelSpec, beta: float, horizon_t, u_arr, n_paths, seed, alphas=()
+) -> None:
+    _require_integer("n_paths", n_paths, 1)
+    _require_integer("seed", seed, 0, 2**64)  # the Philox key is a uint64
     if horizon_t is None:
         require_killing(model, beta, "simulation without a fixed horizon")
     else:
@@ -106,6 +111,21 @@ def _validate(model: ModelSpec, beta: float, horizon_t, u_arr, alphas=()) -> Non
         raise ValueError(f"levels must be finite, got {u_arr.tolist()}")
     if not all(math.isfinite(a) for a in alphas):
         raise ValueError(f"alphas must be finite, got {list(alphas)}")
+    if any(a < 0 for a in alphas):
+        raise ValueError(f"alpha must be nonnegative, got {list(alphas)}")
+
+
+def _require_integer(name: str, value, low: int, high: Optional[int] = None) -> None:
+    """Refuse a ``value`` that is not an integer in [low, high): a float, even
+    an integral one, and a bool are no counts."""
+    bound = f">= {low}" if high is None else f"in [{low}, {high})"
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < low
+        or (high is not None and value >= high)
+    ):
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -343,9 +363,8 @@ def simulate_paths(
     """
     u_arr = np.asarray(list(u_queries), dtype=float)
     alphas = list(alphas)
-    _validate(model, beta, horizon_t, u_arr, alphas)
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
+    _validate(model, beta, horizon_t, u_arr, n_paths, seed, alphas)
+    _require_integer("n_workers", n_workers, 1)
     blocks = _blocks(n_paths)
 
     def work(item):
@@ -424,7 +443,7 @@ def simulate_trace(
 ) -> list:
     """Per-path results (same streams as :func:`simulate_paths`)."""
     u_arr = np.asarray(list(u_queries), dtype=float)
-    _validate(model, beta, horizon_t, u_arr)
+    _validate(model, beta, horizon_t, u_arr, n_paths, seed)
     out = []
     for block, count in _blocks(n_paths):
         _, paths = _run_block(model, beta, horizon_t, u_arr, (), seed, block, count)

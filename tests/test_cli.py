@@ -307,6 +307,24 @@ def test_simulate_json_deterministic(capsys):
     assert "0.5" in doc["estimates"]["ruin"]
 
 
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (("--alpha", "-60", "--alpha", "-1"), "alpha must be nonnegative"),
+        (("--seed", "-1"), "seed"),
+        (("--workers", "0"), "n_workers"),
+        (("--paths", "0"), "n_paths"),
+    ],
+)
+def test_simulate_bad_arguments_exit_2(capsys, flags, name):
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", str(CONFIGS / "fig2.json"), "--paths", "100",
+        *flags,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and name in err
+
+
 def test_simulate_writes_file(tmp_path, capsys):
     out_path = tmp_path / "sim.json"
     code, _, _ = run_cli(

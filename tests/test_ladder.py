@@ -652,6 +652,37 @@ def test_unresolved_contour_is_an_error(monkeypatch):
         eng.value(1.0)
 
 
+def _cp_pool(m, s2, jump_law):
+    return model.ModelSpec(
+        m=m,
+        lambda_circ=tuple(float(i + 1) for i in range(m)),
+        claims=(claims.Exponential(1.0),) * m,
+        regimes=tuple(
+            model.compound_poisson_drift(1.0 + 0.1 * k, s2, 1.0, jump_law)
+            for k in range(m + 1)
+        ),
+    )
+
+
+@pytest.mark.parametrize("s2", [0.0, 0.5])
+def test_exponential_jump_levels_take_no_exponent_series(s2):
+    # psi in closed form and the killed maximum in product form: no Newton
+    # with series derivatives, no series of the exponent, at any level
+    forbidden = mock.patch.object(
+        model, "exponent_series", side_effect=AssertionError("exponent_series")
+    )
+    mdl = _cp_pool(30, s2, claims.Exponential(2.0))
+    with forbidden:
+        eng = ladder.engine(mdl, 1.0, 30)
+        value = ladder.pi_max(mdl, 1.0, 30, 1.0)
+        jet = ladder.pi_jet(mdl, 1.0, 30)
+    assert len(eng.levels) == 30 and 0.0 < value < 1.0
+    assert math.isclose(jet.v, 1.0, rel_tol=1e-14) and jet.d1 < 0.0 < jet.d2
+    # the patch holds: a jump law without a product form takes the series
+    with forbidden, pytest.raises(AssertionError, match="exponent_series"):
+        ladder.engine(_cp_pool(30, s2, claims.Erlang(2, 2.0)), 1.0, 30)
+
+
 def test_one_engine_per_model_object_beta_and_n():
     mdl = _deep_pool("bm", 4, "cluster")
     eng = ladder.engine(mdl, 1.0, 4)

@@ -1,5 +1,6 @@
 import math
 from pathlib import Path
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -102,6 +103,113 @@ def test_compound_poisson_inverse_to_a_few_ulp(reg, lam):
     with mp.workdps(50):
         want = float(mp.findroot(lambda a: phi(a) - lam, mp.mpf(psi)))
     assert abs(psi - want) <= 4 * math.ulp(want)
+
+
+def _mp_root_and_condition(reg, lam, complement, guess):
+    """The root of phi(a) = lam at 50 digits from the float inputs, and its
+    condition number (|r| + s2 psi / 2 + c (1 - C(psi)) / psi) / phi'(psi)
+    for the jump complement 1 - C given at mpmath arguments."""
+    with mp.workdps(50):
+        r, s2, c = mp.mpf(reg.r), mp.mpf(reg.sigma2), mp.mpf(reg.jump_rate)
+
+        def phi(a):
+            return r * a + s2 / 2 * a * a - c * complement(a)
+
+        root = mp.findroot(lambda a: phi(a) - lam, mp.mpf(guess))
+        slope = mp.diff(phi, root)
+        kappa = (abs(r) + s2 * root / 2 + c * complement(root) / root) / slope
+        return root, float(kappa)
+
+
+def _ulps_over_condition(got, reg, lam, complement):
+    want, kappa = _mp_root_and_condition(reg, lam, complement, got)
+    with mp.workdps(50):
+        err = float(abs(mp.mpf(got) - want))
+    return err / (math.ulp(float(want)) * max(1.0, kappa))
+
+
+@pytest.mark.parametrize("s2", [0.0, 0.5, 4.0])
+def test_exponential_jump_inverse_within_its_conditioning(s2):
+    # seeded log grid: r, mu, c in [1e-3, 1e3], lam in [1e-12, 1e4]; with
+    # diffusion r takes either sign
+    rng = np.random.default_rng(1801 + int(10 * s2))
+    n = 150
+    r, mu, c = 10.0 ** rng.uniform(-3.0, 3.0, (3, n))
+    lam = 10.0 ** rng.uniform(-12.0, 4.0, n)
+    if s2 > 0.0:
+        r = np.where(rng.random(n) < 0.5, -r, r)
+    worst = 0.0
+    for ri, mui, ci, li in zip(r.tolist(), mu.tolist(), c.tolist(), lam.tolist()):
+        reg = model.compound_poisson_drift(ri, s2, ci, claims.Exponential(mui))
+        got = model.inverse_exponent(reg, li)
+        ratio = _ulps_over_condition(got, reg, li, lambda a, mu=mui: a / (mu + a))
+        assert ratio <= 4.0, (ri, mui, ci, li, got)
+        worst = max(worst, ratio)
+    assert worst > 0.0  # the grid is not all exact hits
+
+
+def _phase_law():
+    return claims.PhaseTypeClaim(
+        phase_type.PhaseType(
+            delta=np.array([0.3, 0.6]),
+            S=np.array([[-2.0, 1.0], [0.0, -5.0]]),
+            delta_abs=0.1,
+        )
+    )
+
+
+def _mp_phase_complement(ph):
+    def complement(a):
+        # a delta^T (a I - S)^(-1) 1
+        eye, S = mp.eye(ph.d), mp.matrix(ph.S.tolist())
+        x = mp.lu_solve(a * eye - S, mp.matrix([1] * ph.d))
+        return a * sum(mp.mpf(ph.delta[i]) * x[i] for i in range(ph.d))
+    return complement
+
+
+SMALL_RATE_LAWS = {
+    "erlang3": (
+        claims.Erlang(3, 2.0), lambda a: -mp.expm1(-3 * mp.log1p(a / 2))
+    ),
+    "phase_type": (_phase_law(), _mp_phase_complement(_phase_law().ph)),
+    "point": (claims.PointMass(0.7), lambda a: -mp.expm1(-a * mp.mpf(0.7))),
+}
+
+
+@pytest.mark.parametrize("law", SMALL_RATE_LAWS, ids=list(SMALL_RATE_LAWS))
+@pytest.mark.parametrize("s2", [0.0, 0.5])
+@pytest.mark.parametrize("lam", [1e-12, 1e-9, 1e-6])
+def test_newton_inverse_keeps_its_digits_at_small_rates(law, s2, lam):
+    # 1 - C(a) at a far below the law's scale: the difference 1 - lst(a)
+    # would leave the residual only the digits of a times the mean
+    jump_law, complement = SMALL_RATE_LAWS[law]
+    reg = model.compound_poisson_drift(1.5, s2, 0.8, jump_law)
+    got = model.inverse_exponent(reg, lam)
+    assert _ulps_over_condition(got, reg, lam, complement) <= 4.0
+
+
+@pytest.mark.parametrize("law", SMALL_RATE_LAWS, ids=list(SMALL_RATE_LAWS))
+@pytest.mark.parametrize("s2", [0.0, 0.5])
+@pytest.mark.parametrize("lam", [1e-9, 1.7, 1e3])
+def test_newton_inverse_takes_few_steps(law, s2, lam):
+    # one derivative series per Newton step: a last step that rounds onto
+    # the bracket end must end the search, not start a bisection of [0, psi]
+    reg = model.compound_poisson_drift(2.0, s2, 1.0, SMALL_RATE_LAWS[law][0])
+    with mock.patch.object(model, "exponent_series", wraps=model.exponent_series) as series:
+        model.inverse_exponent(reg, lam)
+    assert series.call_count <= 12
+
+
+@pytest.mark.parametrize("law", SMALL_RATE_LAWS, ids=list(SMALL_RATE_LAWS))
+def test_lst_complement_is_one_minus_the_transform(law):
+    jump_law, complement = SMALL_RATE_LAWS[law]
+    for a in (1e-300, 1e-12, 0.3, 4.0, 50.0):
+        with mp.workdps(50):
+            want = float(complement(mp.mpf(a)))
+        assert math.isclose(jump_law.lst_complement(a), want, rel_tol=1e-14)
+        # the difference is right to its absolute rounding only
+        assert abs(jump_law.lst_complement(a) - (1.0 - jump_law.lst(a))) <= 4e-16
+    assert jump_law.lst_complement(0.0) == 0.0
 
 
 @pytest.mark.parametrize("r", [0.9, -0.9])

@@ -399,3 +399,44 @@ def test_non_finite_inputs_rejected(m1_model, kw):
     if "alphas" not in kw:
         with pytest.raises(ValueError, match="finite"):
             simulate.simulate_trace(m1_model, **kw)
+
+
+@pytest.mark.parametrize(
+    "kw, match",
+    [
+        ({"alphas": (1.0, -60.0)}, "alpha must be nonnegative"),
+        ({"alphas": (-1.0,)}, "alpha must be nonnegative"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 2**64}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": 1.0}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"n_paths": 0}, "n_paths"),
+        ({"n_paths": 1000.0}, "n_paths"),
+        ({"n_paths": True}, "n_paths"),
+        ({"n_workers": 0}, "n_workers"),
+        ({"n_workers": -3}, "n_workers"),
+        ({"n_workers": 1.5}, "n_workers"),
+        ({"n_workers": True}, "n_workers"),
+    ],
+)
+def test_bad_arguments_rejected_by_name(m1_model, kw, match):
+    kw = {"beta": 1.0, "n_paths": 10, "seed": 0, **kw}
+    with pytest.raises(ValueError, match=match):
+        simulate.simulate_paths(m1_model, **kw)
+    if "alphas" not in kw and "n_workers" not in kw:
+        with pytest.raises(ValueError, match=match):
+            simulate.simulate_trace(m1_model, **kw)
+
+
+def test_integer_arguments_of_any_integer_type(m1_model):
+    # numpy integers and the largest seed are integers like any other
+    kw = dict(u_queries=(0.5,), alphas=(0.0, 1.0))
+    plain = simulate.simulate_paths(m1_model, 1.0, n_paths=300, seed=5, **kw)
+    numpy = simulate.simulate_paths(
+        m1_model, 1.0, n_paths=np.int64(300), seed=np.uint64(5), n_workers=np.int32(1), **kw
+    )
+    for key in ("estimates", "stderr"):
+        assert repr(numpy.as_dict()[key]) == repr(plain.as_dict()[key])
+    top = simulate.simulate_trace(m1_model, 1.0, n_paths=2, seed=2**64 - 1)
+    assert len(top) == 2
