@@ -30,7 +30,10 @@ Usage, from the repository root:
 ``--root`` takes the package and the workloads from another checkout (by
 default the one holding this script).  ``--compare`` prints every entry
 that differs, with both values and, for float outputs, the largest
-relative difference; it exits 1 when any entry differs.
+relative difference; then one summary line per group (each workload,
+``deep``, each held model and ``cli``): the entries moved, of the group's
+total, and the worst relative move with its key.  It exits 1 when any
+entry differs.
 """
 
 from __future__ import annotations
@@ -234,15 +237,37 @@ def _floats(text: str):
     return None
 
 
-def _rel_diff(a: str, b: str) -> str:
+def _rel_diff(a: str, b: str):
+    """The largest relative difference of two float outputs (NaN when one
+    is not finite), or None when they are not both floats of one shape."""
     fa, fb = _floats(a), _floats(b)
     if fa is None or fb is None or len(fa) != len(fb):
-        return ""
+        return None
     worst = max(
         (abs(x - y) / abs(x) if x != 0.0 else abs(y) for x, y in zip(fa, fb)),
         default=0.0,
     )
-    return f"  rel {worst:.2g}" if math.isfinite(worst) else "  rel nan"
+    return worst if math.isfinite(worst) else math.nan
+
+
+def _severity(move: tuple) -> tuple:
+    """Order of moved entries (relative difference or None, key): an
+    entry that is not a float output below every float one, NaN above."""
+    rel = move[0]
+    if rel is None:
+        return (0, 0.0)
+    return (2, 0.0) if math.isnan(rel) else (1, rel)
+
+
+def _group_line(group: str, total: int, moves: list) -> str:
+    """One group's summary; ``moves`` holds (relative difference or None,
+    key) per moved entry."""
+    line = f"{group}: {len(moves)} of {total} moved"
+    if not moves:
+        return line
+    rel, key = max(moves, key=_severity)
+    worst = "not numeric" if rel is None else f"{rel:.2g}"
+    return f"{line}, worst rel {worst} at {key}"
 
 
 def compare(path_a: str, path_b: str) -> int:
@@ -252,13 +277,21 @@ def compare(path_a: str, path_b: str) -> int:
         print(f"seeds differ: {a['seed']} and {b['seed']}")
         return 1
     oa, ob = a["outputs"], b["outputs"]
-    moved = 0
-    for key in sorted(set(oa) | set(ob)):
+    keys = sorted(set(oa) | set(ob))
+    groups: dict = {}  # group -> [entries, moves]
+    for key in keys:
+        tally = groups.setdefault(key.split("/", 1)[0], [0, []])
+        tally[0] += 1
         va, vb = oa.get(key, "<missing>"), ob.get(key, "<missing>")
         if va != vb:
-            moved += 1
-            print(f"{key}\n  {va}\n  {vb}{_rel_diff(va, vb)}")
-    print(f"{moved} of {len(set(oa) | set(ob))} outputs differ")
+            rel = _rel_diff(va, vb)
+            tally[1].append((rel, key))
+            shown = "" if rel is None else f"  rel {rel:.2g}"
+            print(f"{key}\n  {va}\n  {vb}{shown}")
+    moved = sum(len(moves) for _, moves in groups.values())
+    print(f"{moved} of {len(keys)} outputs differ")
+    for group, (total, moves) in groups.items():
+        print(_group_line(group, total, moves))
     return 1 if moved else 0
 
 

@@ -6,9 +6,13 @@ routes ask for order two at most, the jets of the moments), the transform
 at arrays of complex arguments with the distance ``left_singularity`` from
 zero to its nearest singularity on the left and a bound of its modulus on
 a right half-plane (``modulus_bound``), the survival function, exact
-sampling, and the first two moments when they exist.  Divided differences
-of a transform near their removable point are contour means of the complex
-transform (:mod:`poolruin.overshoot`), never high-order expansions.  The
+sampling, and the first two moments when they exist.  The complement
+1 - C, at floats and at complex arguments, comes in forms that do not
+cancel far below the law's scale (``lst_complement``,
+``lst_complement_complex``), for the Laplace exponents of
+:mod:`poolruin.model`.  Divided differences of a transform near their
+removable point are contour means of the complex transform
+(:mod:`poolruin.overshoot`), never high-order expansions.  The
 Lomax law additionally carries regular-variation metadata (tail index,
 transform coefficient) that drives the heavy-tail asymptotics; exponential,
 Erlang and explicit phase-type laws expose a phase-type representation for
@@ -73,17 +77,25 @@ class ClaimDistribution:
         return self.lst_series(alpha, 0).c[0]
 
     def lst_complement(self, alpha: float) -> float:
-        """1 - lst(alpha) at a float alpha >= 0, for the residual of the
-        Newton solve of :func:`poolruin.model.inverse_exponent`.  Erlang,
-        phase-type and point-mass laws override it with a form that does not
-        cancel once alpha is far below the law's scale, where 1 - lst keeps
-        only the digits of alpha times the mean (the exponential law never
-        reaches that solve: its root has a closed form).  This default,
-        which Lomax keeps, is the difference: Lomax has no closed-form
-        transform, only a quadrature whose absolute error 1 - lst keeps in
-        any form, and a complement of its own would be a second quadrature
-        at every Newton step."""
+        """1 - lst(alpha) at a float alpha >= 0, for the jump part of
+        :func:`poolruin.model.laplace_exponent`.  Exponential, Erlang,
+        phase-type and point-mass laws override it with a form that does
+        not cancel once alpha is far below the law's scale, where 1 - lst
+        keeps only the digits of alpha times the mean.  This default, which
+        Lomax keeps, is the difference: Lomax has no closed-form transform,
+        only a quadrature whose absolute error 1 - lst keeps in any form,
+        and a complement of its own would be a second quadrature at every
+        evaluation."""
         return 1.0 - self.lst(alpha)
+
+    def lst_complement_complex(self, z):
+        """1 - lst_complex(z) at complex arguments, elementwise as
+        :meth:`lst_complex`, in the same cancellation-free forms as
+        :meth:`lst_complement` where the law has one.  This default, which
+        Lomax keeps, is the difference: its series and continued fraction
+        give the transform, not its complement, and the Lomax law's branch
+        point at zero keeps the contour nodes away from small |z|."""
+        return 1.0 - self.lst_complex(z)
 
     def lst_series(self, alpha: float, order: int) -> Taylor:
         raise NotImplementedError
@@ -162,8 +174,14 @@ class Exponential(ClaimDistribution):
     def lst(self, alpha: float) -> float:
         return self.mu / (self.mu + alpha)
 
+    def lst_complement(self, alpha: float) -> float:
+        return alpha / (self.mu + alpha)
+
     def lst_complex(self, z):
         return self.mu / (self.mu + z)
+
+    def lst_complement_complex(self, z):
+        return z / (self.mu + z)
 
     def modulus_bound(self, t):
         return self.mu / (self.mu + t)
@@ -228,6 +246,15 @@ class Erlang(ClaimDistribution):
     def lst_complex(self, z):
         return (self.mu / (self.mu + z)) ** self.k
 
+    def lst_complement_complex(self, z):
+        # 1 - q^k = (1 - q)(1 + q + ... + q^(k-1)), q = mu / (mu + z), and
+        # 1 - q = z / (mu + z): no difference of nearly equal terms
+        q = self.mu / (self.mu + z)
+        total = 1.0
+        for _ in range(self.k - 1):
+            total = 1.0 + q * total
+        return z / (self.mu + z) * total
+
     def modulus_bound(self, t):
         return _int_power(self.mu / (self.mu + t), self.k)
 
@@ -279,6 +306,9 @@ class PhaseTypeClaim(ClaimDistribution):
 
     def lst_complex(self, z):
         return pht.ph_lst_complex(self.ph, z)
+
+    def lst_complement_complex(self, z):
+        return pht.ph_lst_complement_complex(self.ph, z)
 
     def modulus_bound(self, t):
         if isinstance(t, np.ndarray):
@@ -509,6 +539,9 @@ class PointMass(ClaimDistribution):
 
     def lst_complex(self, z):
         return np.exp(-self.b * z)
+
+    def lst_complement_complex(self, z):
+        return -np.expm1(-self.b * z)
 
     def modulus_bound(self, t):
         # e^{bt} >= 1 + bt, in operations that round alike on floats and

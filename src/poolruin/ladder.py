@@ -24,10 +24,11 @@ A real point within ``WINDOW`` (relative, from :mod:`poolruin.seriesops`)
 of a removable point of its level
 or of any level below it (the ladder rates, and the removable points of the
 base) is instead the mean of ``F_k`` over ``NODES`` points on a circle
-around it.  The mean of an analytic function over a circle is its value at
-the centre, and the trapezoid rule on the circle converges geometrically
-(Trefethen & Weideman 2014), so nothing near the removable points is ever
-divided out: the nodes keep their distance.  The radius is chosen per
+around it, unless the direct formula is certified there (below).  The mean
+of an analytic function over a circle is its value at the centre, and the
+trapezoid rule on the circle converges geometrically (Trefethen & Weideman
+2014), so nothing near the removable points is ever divided out: the
+nodes keep their distance.  The radius is chosen per
 point from the candidates ``RADII`` by the bound
 
     eps * A + (r / (x + d))^NODES,
@@ -57,12 +58,28 @@ whose difference estimates their error.  A certified circle whose
 estimate squared exceeds ``MAX_BOUND |mean|`` is taken again on every
 radius, tracked, where such a circle gives way to the next best.
 Contour means give values only: a jet is never taken inside a window.
-Values are memoized per (level, point), so a value never depends on the
-order of the requests.
+
+A windowed real point keeps the direct formula where its rounding is
+certified, on an engine of at most ``_FLOAT_LEVELS`` levels: the bound
+``A`` above at radius zero, that is at the point itself, at its largest
+over the base and every level up to the requested one (so that each value
+the direct chain memoizes is certified too), must give
+``eps * A <= MAX_BOUND * _DIRECT_SHARE``.  Near a removable point the
+formula loses what ``A`` carries, chiefly ``w nu / |nu - x|``: a point a
+few percent from its removable point passes, one on it or within 1e-8 of
+it does not.  ``A`` is memoized per point and level and compared with
+``MAX_BOUND`` at each use.  Larger engines keep contour means, since each
+direct anchor would walk every level below it in Python floats, O(m^2)
+work against the sweep's O(m) vectorised passes.  So do the overshoot
+route's recursions (:mod:`poolruin.overshoot`), built without ``direct``:
+the cross-check treats the windows differently from the ladder it checks.
+Values are memoized per (level, point), and the route of each depends on
+the level and the point only, so a value never depends on the order of
+the requests.
 
 A contour at level ``k`` needs the anchors ``C_j(nu_j) F_{j-1}(nu_j)`` of
-every level up to ``k``, and on a clustered pool each of those is a contour
-mean itself.  One request therefore takes all of its contours in one
+every level up to ``k``, and on a clustered pool each of those not
+certified for the direct formula is a contour mean itself.  One request therefore takes all of its contours in one
 upward sweep: the circles of the anchors not yet held, of the requested
 point and of any further points asked together (the Stehfest points of
 one reserve level) are stacked in one array, and the levels are walked
@@ -70,7 +87,9 @@ once.  At level ``j`` the circles that end there take their mean, which
 fills anchor ``j + 1``; level ``j + 1`` is then evaluated on the rows
 still open.  The work per level is one vectorised pass, so a point costs
 O(m) passes where a contour per anchor, each from the base, cost O(m^2).
-Anchors outside every window stay on the real path.
+Anchors outside every window, and the certified ones within, stay on the
+real path, and so do certified requested points: the sweep leaves them
+out and they are evaluated when asked.
 
 Every node is computed on its own: its value does not depend on the other
 nodes of its array, so a value does not depend on what it was stacked with
@@ -156,8 +175,12 @@ MAX_BOUND = 1e-12
 # Elements per array of one run of levels in the a priori bound.
 _CHUNK = 1 << 14
 # Most levels above the base, summed over a stack's circles, for which the
-# a priori bound is taken in Python floats.
+# a priori bound is taken in Python floats; and most levels of an engine
+# whose windowed real points may take the direct formula.
 _FLOAT_LEVELS = 6
+# Share of MAX_BOUND within which the direct formula's rounding bound
+# certifies its value at a windowed real point.
+_DIRECT_SHARE = 1e-2
 # Rounding by which a transform value may leave [0, 1] before it is refused.
 PROB_TOL = 1e-12
 
@@ -301,11 +324,20 @@ class _Recursion:
     and no removable point) and a base piece: ``real(x)`` at a float,
     ``nodes(z)`` (values and rounding amplification) at complex nodes,
     ``series(x, order)`` for jets outside every window, ``removable``
-    points and ``left`` singularity distance."""
+    points and ``left`` singularity distance.
 
-    def __init__(self, base, levels: Sequence):
+    ``direct`` lets a windowed real point take the direct formula where its
+    rounding bound certifies it, on an engine of at most ``_FLOAT_LEVELS``
+    levels: the ladder's own engines set it, and the overshoot route's
+    recursions, whose base pieces bound their amplification on circles
+    only, keep contour means in every window."""
+
+    def __init__(self, base, levels: Sequence, direct: bool = False):
         self.base = base
         self.levels = list(levels)
+        self._direct = direct and len(self.levels) <= _FLOAT_LEVELS
+        # point -> largest amplification bound at radius zero, by level
+        self._amps: dict = {}
         self._cache: dict = {}
         self._anchors: list = [None]  # C_k(nu_k) F_{k-1}(nu_k) by level
         self._windows: dict = {}
@@ -354,7 +386,7 @@ class _Recursion:
         hit = self._cache.get((level, point))
         if hit is not None:
             return hit
-        if self._window_level(point) <= level:
+        if self._contour(level, point):
             self._sweep(level, (point,))
             return self._cache[(level, point)]
         self._fill_anchors(level)
@@ -372,6 +404,23 @@ class _Recursion:
         """Memoize the windowed ones of ``points`` at the top level, and
         the anchors, in one sweep."""
         self._sweep(len(self.levels), points)
+
+    def _contour(self, level: int, x: float) -> bool:
+        """Whether F_level(x) is a contour mean: ``x`` lies in a window at
+        or below ``level``, and the direct formula is not certified there
+        (see the module docstring)."""
+        if self._window_level(x) > level:
+            return False
+        if not self._direct:
+            return True
+        amps = self._amps.get(x, ())
+        if len(amps) <= level:
+            amps, top = [], 0.0
+            for amp in self._amp_walk(level, x, 0.0, self.base.amp_bound(x, 0.0)):
+                top = max(top, amp) if amp == amp else math.inf  # NaN: refused
+                amps.append(top)
+            self._amps[x] = amps
+        return not _EPS * amps[level] <= MAX_BOUND * _DIRECT_SHARE
 
     # ------------------------------------------------------ level steps
 
@@ -461,17 +510,17 @@ class _Recursion:
     def _sweep(self, level: int, points: Sequence[float] = ()):
         """Fill the anchors up to ``level`` and memoize F_level at the
         windowed ``points`` in one stacked upward pass."""
-        cache, window = self._cache, self._window_level
+        cache, contour = self._cache, self._contour
         # (level the circle ends at, its centre), in order of level: the
         # anchors' circles, then the requested ones
         first = len(self._anchors)
         blocks = [
             (k - 1, lv.nu)
             for k, lv in enumerate(self.levels[first - 1 : level], start=first)
-            if lv.nu is not None and window(lv.nu) < k and (k - 1, lv.nu) not in cache
+            if lv.nu is not None and (k - 1, lv.nu) not in cache and contour(k - 1, lv.nu)
         ]
         for x in dict.fromkeys(points):
-            if (level, x) not in cache and window(x) <= level:
+            if (level, x) not in cache and contour(level, x):
                 blocks.append((level, x))
         if blocks:
             self._stack(blocks)
@@ -608,34 +657,37 @@ class _Recursion:
         """:meth:`_amp_bounds` of one circle in Python floats, from the
         base's bounds ``amps``, which cost less than arrays on a small
         stack: the same operations on each radius, so the same bits."""
-        near = [x - r for r in radii]
+        return [self._amp_walk(level, x, r, a)[-1] for r, a in zip(radii, amps)]
+
+    def _amp_walk(self, level: int, x: float, r: float, amp: float) -> list:
+        """The bound of :meth:`_amp_bound_floats` on the radius ``r`` from
+        the base's bound ``amp``: at the base and at each level up to
+        ``level``, in order."""
+        out = [amp]
+        t = x - r
         claim_at: dict = {}
         for lv in self.levels[:level]:
             c = claim_at.get(lv.claim)
             if c is None:
-                c = claim_at[lv.claim] = [lv.claim.modulus_bound(t) for t in near]
+                c = claim_at[lv.claim] = lv.claim.modulus_bound(t)
             if lv.nu is None:
-                gs = [lv.w] * len(radii)
+                g = lv.w
             else:
                 # _quot(w nu, _gap(nu, x, r)), inline
-                wnu, dist = lv.w * lv.nu, abs(lv.nu - x)
-                gs = [wnu / gap if (gap := abs(dist - r)) else math.inf for r in radii]
+                gap = abs(abs(lv.nu - x) - r)
+                g = lv.w * lv.nu / gap if gap else math.inf
             post = lv.post
             if post is None:
-                amps = [m * (g * ci) + g for m, g, ci in zip(amps, gs, c)]
+                amp = amp * (g * c) + g
             elif post.form is not None:
                 form = post.form
-                n = len(form.poles) + len(form.zeros)
-                ks = [_roots_bound(form.poles, form.zeros, t) for t in near]
-                amps = [
-                    m * ((g * ci) * k) + (g * k + n * k)
-                    for m, g, ci, k in zip(amps, gs, c, ks)
-                ]
+                k = _roots_bound(form.poles, form.zeros, t)
+                amp = amp * ((g * c) * k) + (g * k + (len(form.poles) + len(form.zeros)) * k)
             else:
-                for i, r in enumerate(radii):
-                    kmax, kamp = post.bound(x, r)
-                    amps[i] = amps[i] * ((gs[i] * c[i]) * kmax) + (gs[i] * kmax + kamp)
-        return amps
+                kmax, kamp = post.bound(x, r)
+                amp = amp * ((g * c) * kmax) + (g * kmax + kamp)
+            out.append(amp)
+        return out
 
     def _rings(self, blocks: list) -> list:
         """Per block, the radii to evaluate and their error bounds: the
@@ -750,7 +802,7 @@ def _generic_engine(spec: GenericLadderSpec) -> _Recursion:
         )
         for k in range(spec.n)
     ]
-    return _Recursion(_One(), levels)
+    return _Recursion(_One(), levels, direct=True)
 
 
 def pi_generic(spec: GenericLadderSpec, alpha: float) -> float:
@@ -876,7 +928,7 @@ def _model_engine(model: ModelSpec, beta: float, n: int) -> _Recursion:
             _LadderLevel(nu=nu, claim=claim, p0=beta / lam, w=lam_circ / lam, post=post)
         )
     base = _killed_max_piece(model.regimes[0], beta)
-    return _Recursion(_One() if base is None else base, levels)
+    return _Recursion(_One() if base is None else base, levels, direct=True)
 
 
 def pi_max(model: ModelSpec, beta: float, n: int, alpha: float) -> float:

@@ -25,9 +25,11 @@ the same regimes (:func:`inverse_exponent`): lam / r for a pure drift, the
 root of a quadratic for Brownian motion and for Exp jumps without
 diffusion, and for Exp jumps with diffusion the one positive root of a
 cubic, reached by a float Newton that descends from above.  Newton with
-series derivatives remains for the jump laws without a product form; its
-residual takes 1 - C(a) in a form that does not cancel at small a
-(:meth:`~poolruin.claims.ClaimDistribution.lst_complement`).
+series derivatives remains for the jump laws without a product form.  The
+exponent takes 1 - C(a) in a form that does not cancel at small |a|, at
+floats and at complex arguments (:func:`laplace_exponent`), so the Newton
+residual, the defining formula of the killed-maximum factor and the
+factor of a nondecreasing regime keep their digits at small rates.
 """
 
 from __future__ import annotations
@@ -112,18 +114,26 @@ def subordinator(
 
 
 def laplace_exponent(regime: LevyRegime, alpha):
-    """phi(a) = r a + sigma2 a^2 / 2 - rate (1 - jump transform), at a
-    nonnegative float, or at a complex number or an array of them (through
-    the jump law's complex transform)."""
-    if isinstance(alpha, (complex, np.ndarray)):
-        jump = regime.jump_law.lst_complex if regime.jump_rate > 0 else None
-    elif alpha < 0:
+    """phi(a) = r a + sigma2 a^2 / 2 - rate (1 - C(a)), at a nonnegative
+    float, or at a complex number or an array of them.
+
+    The jump part takes 1 - C(a) from the jump law's complement
+    (:meth:`~poolruin.claims.ClaimDistribution.lst_complement` at a float,
+    ``lst_complement_complex`` at complex arguments), never as the
+    difference 1 - C(a), which keeps only the digits of a times the mean
+    once |a| is far below the law's scale: a / (mu + a) for Exp(mu);
+    a / (mu + a) sum_{i<k} (mu / (mu + a))^i for Erlang(k, mu);
+    a delta^T (a I - S)^(-1) 1 for a phase type; -expm1(-b a) for a point
+    mass at b.  Lomax keeps the difference (its transform has no
+    complement form)."""
+    at_complex = isinstance(alpha, (complex, np.ndarray))
+    if not at_complex and alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    else:
-        jump = regime.jump_law.lst if regime.jump_rate > 0 else None
     val = regime.r * alpha + 0.5 * regime.sigma2 * alpha * alpha
-    if jump is not None:
-        val = val - regime.jump_rate * (1.0 - jump(alpha))
+    if regime.jump_rate > 0:
+        law = regime.jump_law
+        complement = law.lst_complement_complex if at_complex else law.lst_complement
+        val = val - regime.jump_rate * complement(alpha)
     return val
 
 
@@ -148,9 +158,9 @@ def inverse_exponent(regime: LevyRegime, lam: float) -> float:
     (:func:`_exp_jump_inverse`).  Every other jump law takes a bracketed
     Newton on the convex increasing branch, until a step or the bracket is
     a few ulp of the iterate.  Its residual phi(a) - lam takes the jump
-    part from :meth:`~poolruin.claims.ClaimDistribution.lst_complement`,
-    which does not cancel at a far below the law's scale, so psi keeps its
-    digits at small lam.
+    part from :meth:`~poolruin.claims.ClaimDistribution.lst_complement`
+    (:func:`laplace_exponent`), which does not cancel at a far below the
+    law's scale, so psi keeps its digits at small lam.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
@@ -171,9 +181,8 @@ def inverse_exponent(regime: LevyRegime, lam: float) -> float:
             raise NoRoot("exponent stays below lam")
     lo = 0.0
     x = hi
-    r, s2, rate, law = regime.r, regime.sigma2, regime.jump_rate, regime.jump_law
     for _ in range(200):
-        f = r * x + 0.5 * s2 * x * x - rate * law.lst_complement(x) - lam
+        f = laplace_exponent(regime, x) - lam
         if f == 0.0:
             return x
         if f > 0:

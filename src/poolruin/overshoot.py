@@ -21,7 +21,11 @@ B[alpha, nu_n], gamma = alpha and gamma = nu_n in the base) is a contour
 mean of the same evaluator as the running-maximum ladder (see
 :mod:`poolruin.ladder`), and deeper levels follow the same two-point
 recursion in gamma.  The overshoot route stays a separate formula, so it
-remains an independent check of the ladder.
+remains an independent check of the ladder.  Its recursions keep a
+contour mean at every windowed point (they are built without
+``direct``), where the ladder's small engines take the direct formula once
+its rounding bound certifies it, so the two routes treat the windows
+differently too.
 """
 
 from __future__ import annotations

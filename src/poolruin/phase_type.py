@@ -124,6 +124,19 @@ def ph_lst_complement(ph: PhaseType, alpha: float) -> float:
     return float(alpha * (ph.delta @ x))
 
 
+def ph_lst_complement_complex(ph: PhaseType, z: np.ndarray) -> np.ndarray:
+    """1 - transform at an array of complex arguments, as
+    z delta^T (z I - S)^(-1) 1 by one batched solve (see
+    :func:`ph_lst_complement`)."""
+    z = np.asarray(z, dtype=complex)
+    if ph.d == 0:
+        return np.full(z.shape, complex(1.0 - ph.delta_abs))
+    mats = z.reshape(-1, 1, 1) * np.eye(ph.d) - ph.S
+    x = np.linalg.solve(mats, np.ones((mats.shape[0], ph.d, 1)))[..., 0]
+    weighted = x @ ph.delta  # named: never an elided right operand
+    return (z.reshape(-1) * weighted).reshape(z.shape)
+
+
 def ph_lst_complex(ph: PhaseType, z: np.ndarray) -> np.ndarray:
     """Transform at an array of complex arguments by one batched solve of
     (z I - S) x = s."""

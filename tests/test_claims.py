@@ -196,6 +196,44 @@ def test_lst_complex_on_the_real_axis_is_lst(dist):
         assert abs(gi.real - want) <= 1e-14 * want, (xi, gi, want)
 
 
+def _mp_complement(dist, z):
+    """1 - C(z) in mpmath; for a phase type z delta (z I - S)^(-1) 1, which
+    is that difference when delta sums to 1 - delta_abs, as it does but
+    for the rounding of the float parameters."""
+    if not isinstance(dist, claims.PhaseTypeClaim):
+        return 1 - _mp_lst(dist, z)
+    ph = dist.ph
+    x = mp.lu_solve(mp.matrix(z * np.eye(ph.d) - ph.S), mp.matrix([1] * ph.d))
+    return z * sum(ph.delta[i] * x[i] for i in range(ph.d))
+
+
+@pytest.mark.parametrize(
+    "dist", [d for d in COMPLEX_KINDS if d.kind != "lomax"], ids=lambda d: d.kind
+)
+def test_lst_complement_complex_against_mpmath(dist):
+    # 1 - C(z) without the difference: relative accuracy down to tiny |z|,
+    # where 1 - lst_complex keeps only the digits of z times the mean
+    rng = np.random.default_rng(19)
+    tiny = 10.0 ** rng.uniform(-12, -4, 30) * np.exp(1j * rng.uniform(-1.5, 1.5, 30))
+    z = np.concatenate([_complex_grid(), tiny])
+    got = dist.lst_complement_complex(z)
+    assert got.shape == z.shape
+    with mp.workdps(40):
+        for zi, gi in zip(z, got):
+            want = complex(_mp_complement(dist, mp.mpc(zi.real, zi.imag)))
+            assert abs(gi - want) <= 1e-13 * abs(want), (zi, gi, want)
+    # one complex number, as the left-root bisection asks, on the real axis
+    one = dist.lst_complement_complex(complex(0.3))
+    assert abs(one - dist.lst_complement(0.3)) <= 1e-15
+
+
+def test_lomax_complement_is_the_difference():
+    # the series and continued fraction give the transform, not 1 - C
+    law = claims.Lomax(1.0, 1.5)
+    z = _complex_grid()
+    assert np.array_equal(law.lst_complement_complex(z), 1.0 - law.lst_complex(z))
+
+
 def test_left_singularities():
     assert claims.Exponential(2.5).left_singularity == 2.5
     assert claims.Erlang(3, 0.7).left_singularity == 0.7

@@ -608,6 +608,107 @@ def test_values_do_not_depend_on_request_order():
         assert jets == [repr(forward.jet(x, order=1)) for x in plain]
 
 
+def _stack_spy(monkeypatch, refuse=False) -> list:
+    """The blocks of every contour stack built from now on; with
+    ``refuse``, building one fails the test instead."""
+    stacked = []
+    stack = ladder._Recursion._stack
+
+    def spy(self, blocks):
+        if refuse:
+            raise AssertionError(f"contour means at {blocks}")
+        stacked.extend(blocks)
+        return stack(self, blocks)
+
+    monkeypatch.setattr(ladder._Recursion, "_stack", spy)
+    return stacked
+
+
+def test_a_certified_windowed_point_builds_no_contour(monkeypatch):
+    # fig2: five levels, with ladder rates 1.25, 0.75, 0.58, 0.5 and 0.45;
+    # 1.1 times the first lies in its window, where the direct formula's
+    # amplification bound is 2, and so do the anchors below it
+    mdl, beta = load_model(CONFIGS / "fig2.json")
+    eng = ladder.engine(mdl, beta, mdl.m)
+    assert len(eng.levels) <= ladder._FLOAT_LEVELS
+    x = 1.1 * eng.levels[0].nu
+    assert eng._window_level(x) <= mdl.m
+    with monkeypatch.context() as patch:
+        _stack_spy(patch, refuse=True)
+        value = eng.value(x)
+    want = phase_type.ph_lst(phase_type.running_max_ph(mdl, beta, mdl.m), x)
+    assert abs(value - want) <= 1e-15
+    # on a ladder rate, or within 1e-8 of one, the bound is refused
+    stacked = _stack_spy(monkeypatch)
+    for lv in eng.levels:
+        for y in (lv.nu, lv.nu * (1.0 + 1e-8), lv.nu * (1.0 - 1e-8)):
+            eng.value(y)
+            assert (mdl.m, y) in stacked, y
+
+
+def test_a_certified_point_has_one_value_however_asked():
+    mdl, beta = load_model(CONFIGS / "fig2.json")
+    rates = [lv.nu for lv in ladder.engine(mdl, beta, mdl.m).levels]
+    x = 1.1 * rates[0]
+    alone = ladder.engine(cold(mdl), beta, mdl.m)
+    prefetched = ladder.engine(cold(mdl), beta, mdl.m)
+    prefetched._prefetch([*inversion._abscissae(2.0, inversion.default_plan())[1], x])
+    after = ladder.engine(cold(mdl), beta, mdl.m)
+    for y in [*rates, 0.3, 1.2 * rates[-1], 0.9 * rates[1]]:
+        after.value(y)
+    assert not alone._contour(mdl.m, x)
+    assert repr(alone.value(x)) == repr(prefetched.value(x)) == repr(after.value(x))
+
+
+# pi_max of the deep pools at alpha in (0.3, 1.0, 2.6), all contour means
+# in the windows, as before small engines took direct values there
+LARGE_ENGINE_VALUES = {
+    (10, "drift", "spread"): (0.4116703822417267, 0.2029964002998647, 0.13936829383907995),
+    (10, "drift", "cluster"): (0.9389468714253916, 0.8763085040734944, 0.8304561366254373),
+    (10, "bm", "spread"): (0.38643795428306155, 0.17334151637754353, 0.09780515579373827),
+    (10, "bm", "cluster"): (0.9221918587509232, 0.829669038570402, 0.7297115896842828),
+    (10, "cp", "spread"): (0.42800067366297934, 0.21273789730758735, 0.1444876821525371),
+    (10, "cp", "cluster"): (0.9354344795279264, 0.8675633800743341, 0.8160128712612127),
+    (30, "drift", "spread"): (0.145172513947941, 0.06675306676795445, 0.04617678854056978),
+    (30, "drift", "cluster"): (0.932333581916746, 0.8640887130480329, 0.81484116138116),
+    (30, "bm", "spread"): (0.14041389904125692, 0.060242863342739705, 0.03612026371434817),
+    (30, "bm", "cluster"): (0.9266438334483861, 0.848024986682655, 0.7787017842036748),
+    (30, "cp", "spread"): (0.14776163310798074, 0.06758856955051248, 0.04657569985997691),
+    (30, "cp", "cluster"): (0.9312481053312299, 0.8612809168783424, 0.8100856268847343),
+}
+
+
+@pytest.mark.parametrize("m, kind, shape", list(LARGE_ENGINE_VALUES), ids=str)
+def test_large_engines_keep_contour_means(m, kind, shape):
+    mdl = _deep_pool(kind, m, shape)
+    eng = ladder.engine(mdl, 1.0, m)
+    assert len(eng.levels) > ladder._FLOAT_LEVELS
+    contour_only = ladder._Recursion(eng.base, eng.levels)
+    got = tuple(eng.value(x) for x in (0.3, 1.0, 2.6))
+    assert repr(got) == repr(tuple(contour_only.value(x) for x in (0.3, 1.0, 2.6)))
+    assert repr(got) == repr(LARGE_ENGINE_VALUES[(m, kind, shape)])
+
+
+def test_direct_values_in_the_windows_against_the_phase_type_law():
+    # seeded drift models with Exp and Erlang claims: every windowed point
+    # near a ladder rate that takes the direct formula is within the
+    # certificate's level of the exact transform
+    direct = 0
+    for seed in range(60):
+        for beta in (0.5, 1.0, 2.0):
+            mdl = random_drift_model(np.random.default_rng(seed))
+            eng = ladder.engine(mdl, beta, mdl.m)
+            ph = phase_type.running_max_ph(mdl, beta, mdl.m)
+            for lv in eng.levels:
+                for x in (0.7 * lv.nu, 0.9 * lv.nu, 1.1 * lv.nu, 1.3 * lv.nu):
+                    if eng._window_level(x) > mdl.m or eng._contour(mdl.m, x):
+                        continue
+                    direct += 1
+                    err = abs(eng.value(x) - phase_type.ph_lst(ph, x))
+                    assert err <= ladder.MAX_BOUND * ladder._DIRECT_SHARE, (seed, beta, x)
+    assert direct > 1000
+
+
 def test_generic_spec_takes_claim_laws_only():
     with pytest.raises(TypeError):
         ladder.GenericLadderSpec(n=1, nu=(2.0,), c_lsts=(lambda a: 1.0 / (1.0 + a),), p0=(0.0,))

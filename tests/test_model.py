@@ -212,6 +212,82 @@ def test_lst_complement_is_one_minus_the_transform(law):
     assert jump_law.lst_complement(0.0) == 0.0
 
 
+EXPONENT_LAWS = {
+    "exp": (claims.Exponential(2.0), lambda a: a / (2 + a)),
+    **SMALL_RATE_LAWS,
+}
+
+
+@pytest.mark.parametrize("law", EXPONENT_LAWS, ids=list(EXPONENT_LAWS))
+@pytest.mark.parametrize("s2", [0.0, 0.5])
+def test_exponent_keeps_its_digits_at_small_arguments(law, s2):
+    # r a - c (1 - C(a)) at |a| far below the jump law's scale, at floats
+    # and at complex arguments: 1 - C(a) as a difference would keep only
+    # the digits of a times the mean
+    jump_law, complement = EXPONENT_LAWS[law]
+    reg = model.compound_poisson_drift(1.5, s2, 0.8, jump_law)
+    rng = np.random.default_rng(1901)
+    radius = 10.0 ** rng.uniform(-12.0, -3.0, 20)
+    nodes = radius * np.exp(1j * rng.uniform(-1.5, 1.5, 20))
+    got = model.laplace_exponent(reg, nodes)
+    one = model.laplace_exponent(reg, complex(nodes[0]))  # one complex number
+    assert abs(one - got[0]) <= 1e-15 * abs(got[0])
+    with mp.workdps(50):
+        r, c = mp.mpf(reg.r), mp.mpf(reg.jump_rate)
+        half = mp.mpf(reg.sigma2) / 2
+
+        def phi(a):
+            return r * a + half * a * a - c * complement(a)
+
+        for a, value in zip(radius.tolist(), [model.laplace_exponent(reg, a) for a in radius]):
+            want = float(phi(mp.mpf(a)))
+            assert abs(value - want) <= 1e-14 * abs(want), (a, value, want)
+        for z, value in zip(nodes.tolist(), got.tolist()):
+            want = complex(phi(mp.mpc(z.real, z.imag)))
+            assert abs(value - want) <= 1e-13 * abs(want), (z, value, want)
+
+
+# rates near 1e-9: ladder rates far below the jump laws' scales (the
+# ``SMALL_RATES`` model of scripts/op_outputs.py)
+SMALL_RATES = {
+    "m": 2,
+    "lambda_circ": [2e-9, 1e-9],
+    "beta": 1e-9,
+    "claims": [{"exp": {"mu": 1.0}}, {"erlang": {"k": 3, "mu": 2.0}}],
+    "regimes": [
+        {"cp": {"r": 1.5, "sigma2": 0.0, "rate": 0.8, "jump": {"exp": {"mu": 2.0}}}},
+        {"cp": {"r": 2.0, "sigma2": 0.5, "rate": 1.0, "jump": {"erlang": {"k": 3, "mu": 2.0}}}},
+        {"cp": {"r": 1.0, "sigma2": 0.0, "rate": 0.5, "jump": {"exp": {"mu": 1.5}}}},
+    ],
+}
+
+
+def test_small_rates_keep_their_moments():
+    # at rates near 1e-9 the maximum is that of the state-2 regime: a claim
+    # arrives when the path lies about 1e9 below its maximum, and moves no
+    # moment.  For r = 1 and Exp(mu = 1.5) jumps at rate c = 1/2,
+    # P(M > u) = rho e^{-(mu - c/r) u} with rho = c / (r mu) = 1/3, so
+    # E M = rho / (mu - c/r) = 1/3 and E M^2 = 2 rho / (mu - c/r)^2 = 2/3
+    from poolruin.config import parse_model
+
+    mdl, beta = parse_model(SMALL_RATES)
+    jet = ladder.pi_jet(mdl, beta, 2)
+    assert jet.v == 1.0
+    assert math.isclose(-jet.d1, 1.0 / 3.0, rel_tol=1e-6)
+    assert math.isclose(jet.d2, 2.0 / 3.0, rel_tol=1e-6)
+    # and the values at and around every ladder rate lie on that jet, below 1
+    rates = [
+        model.inverse_exponent(reg, beta + (mdl.rate_for_state(k) if k else 0.0))
+        for k, reg in enumerate(mdl.regimes)
+    ]
+    for psi in rates:
+        for alpha in (0.5 * psi, 0.9 * psi, psi, 1.2 * psi, 2.0 * psi):
+            value = ladder.pi_max(mdl, beta, 2, alpha)
+            assert value <= 1.0
+            taylor = 1.0 + alpha * jet.d1 + alpha * alpha * jet.d2 / 2.0
+            assert abs(value - taylor) <= 1e-14, (alpha, value, taylor)
+
+
 @pytest.mark.parametrize("r", [0.9, -0.9])
 @pytest.mark.parametrize("lam", [1e-8, 1e-12, 1e-20])
 def test_brownian_roots_without_cancellation(r, lam):

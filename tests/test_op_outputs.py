@@ -1,0 +1,58 @@
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "op_outputs.py"
+
+
+def _op_outputs():
+    spec = importlib.util.spec_from_file_location("op_outputs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+OUTPUTS = {
+    "figure_curves/fig2.ruin.u5": "0.25",
+    "figure_curves/fig2.moments.t1": "(0.5, 0.125)",
+    "deep/drift.m30.spread": "0.145",
+    "small_rates/pi_jet.n2": "(1.0, -0.3, 0.6)",
+    "cli/transform fig2": "exit 0 md5 aa",
+}
+
+
+def _compare(tmp_path, capsys, after: dict):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"seed": 7, "outputs": OUTPUTS}))
+    b.write_text(json.dumps({"seed": 7, "outputs": {**OUTPUTS, **after}}))
+    code = _op_outputs().compare(str(a), str(b))
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_identical_records_read_zero_moved(tmp_path, capsys):
+    code, lines = _compare(tmp_path, capsys, {})
+    assert code == 0
+    assert lines == [
+        "0 of 5 outputs differ",
+        "cli: 0 of 1 moved",
+        "deep: 0 of 1 moved",
+        "figure_curves: 0 of 2 moved",
+        "small_rates: 0 of 1 moved",
+    ]
+
+
+def test_each_group_names_its_worst_move(tmp_path, capsys):
+    after = {
+        "figure_curves/fig2.ruin.u5": "0.2500001",
+        "figure_curves/fig2.moments.t1": "(0.5, 0.126)",
+        "cli/transform fig2": "exit 0 md5 bb",
+    }
+    code, lines = _compare(tmp_path, capsys, after)
+    assert code == 1
+    assert "3 of 5 outputs differ" in lines
+    assert (
+        "figure_curves: 2 of 2 moved, worst rel 0.008 at figure_curves/fig2.moments.t1"
+        in lines
+    )
+    assert "cli: 1 of 1 moved, worst rel not numeric at cli/transform fig2" in lines
+    assert "deep: 0 of 1 moved" in lines
