@@ -79,17 +79,18 @@ the requests.
 
 A contour at level ``k`` needs the anchors ``C_j(nu_j) F_{j-1}(nu_j)`` of
 every level up to ``k``, and on a clustered pool each of those not
-certified for the direct formula is a contour mean itself.  One request therefore takes all of its contours in one
-upward sweep: the circles of the anchors not yet held, of the requested
-point and of any further points asked together (the Stehfest points of
-one reserve level) are stacked in one array, and the levels are walked
-once.  At level ``j`` the circles that end there take their mean, which
-fills anchor ``j + 1``; level ``j + 1`` is then evaluated on the rows
-still open.  The work per level is one vectorised pass, so a point costs
-O(m) passes where a contour per anchor, each from the base, cost O(m^2).
-Anchors outside every window, and the certified ones within, stay on the
-real path, and so do certified requested points: the sweep leaves them
-out and they are evaluated when asked.
+certified for the direct formula is a contour mean itself.  One request
+therefore takes all of its contours in one upward sweep: the circles of
+the anchors not yet held, of the requested point and of any further points
+asked together (the Stehfest points of one reserve level) are stacked in
+one array, and the levels are walked once.  At level ``j`` the circles
+that end there take their mean, which fills anchor ``j + 1``; level
+``j + 1`` is then evaluated on the rows still open.  The work per level
+is one vectorised pass, so a point costs O(m) passes where a contour per
+anchor, each from the base, cost O(m^2).  Anchors outside every window,
+and the certified ones within, stay on the real path, and so do
+certified requested points: the sweep leaves them out and they are
+evaluated when asked.
 
 Every node is computed on its own: its value does not depend on the other
 nodes of its array, so a value does not depend on what it was stacked with
@@ -517,7 +518,9 @@ class _Recursion:
         blocks = [
             (k - 1, lv.nu)
             for k, lv in enumerate(self.levels[first - 1 : level], start=first)
-            if lv.nu is not None and (k - 1, lv.nu) not in cache and contour(k - 1, lv.nu)
+            if lv.nu is not None
+            and (k - 1, lv.nu) not in cache
+            and contour(k - 1, lv.nu)
         ]
         for x in dict.fromkeys(points):
             if (level, x) not in cache and contour(level, x):
@@ -681,8 +684,9 @@ class _Recursion:
                 amp = amp * (g * c) + g
             elif post.form is not None:
                 form = post.form
+                n = len(form.poles) + len(form.zeros)
                 k = _roots_bound(form.poles, form.zeros, t)
-                amp = amp * ((g * c) * k) + (g * k + (len(form.poles) + len(form.zeros)) * k)
+                amp = amp * ((g * c) * k) + (g * k + n * k)
             else:
                 kmax, kamp = post.bound(x, r)
                 amp = amp * ((g * c) * kmax) + (g * kmax + kamp)

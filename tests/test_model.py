@@ -239,8 +239,8 @@ def test_exponent_keeps_its_digits_at_small_arguments(law, s2):
         def phi(a):
             return r * a + half * a * a - c * complement(a)
 
-        for a, value in zip(radius.tolist(), [model.laplace_exponent(reg, a) for a in radius]):
-            want = float(phi(mp.mpf(a)))
+        for a in radius.tolist():
+            value, want = model.laplace_exponent(reg, a), float(phi(mp.mpf(a)))
             assert abs(value - want) <= 1e-14 * abs(want), (a, value, want)
         for z, value in zip(nodes.tolist(), got.tolist()):
             want = complex(phi(mp.mpc(z.real, z.imag)))
