@@ -19,7 +19,10 @@ and a Brownian state 0) and ``SMALL_RATES`` (arrival and killing rates near
 1e-9, where the ladder rates of Exp and Erlang jump regimes are too).  Each
 adds ``pi_max`` at plain points and at points within the windows of its
 removable points, ``pi_jet``, and the CLI commands listed with it in
-``HELD``.
+``HELD``.  The ``trace`` group holds the ``repr`` of the per-path results of
+``simulate_trace`` on fig4 and on the ``cp`` model of ``mc_models`` (300
+paths at the record's seed, levels (-1, 0, 1, 1, 5): one below zero and
+one repeated).
 
 Usage, from the repository root:
 
@@ -31,7 +34,7 @@ Usage, from the repository root:
 default the one holding this script).  ``--compare`` prints every entry
 that differs, with both values and, for float outputs, the largest
 relative difference; then one summary line per group (each workload,
-``deep``, each held model and ``cli``): the entries moved, of the group's
+``deep``, each held model, ``trace`` and ``cli``): the entries moved, of the group's
 total, and the worst relative move with its key.  It exits 1 when any
 entry differs.
 """
@@ -122,6 +125,8 @@ SMALL_RATES = {
         {"cp": {"r": 1.0, "sigma2": 0.0, "rate": 0.5, "jump": {"exp": {"mu": 1.5}}}},
     ],
 }
+TRACE_PATHS = 300
+TRACE_LEVELS = (-1.0, 0.0, 1.0, 1.0, 5.0)
 MODEL_COMMANDS = (("transform",), ("curves", "--mode", "moments"))
 # name -> (config, CLI commands)
 HELD = {
@@ -191,6 +196,22 @@ def held_points() -> dict:
     return out
 
 
+def trace_outputs(root: Path, seed: int) -> dict:
+    from poolruin.config import load_model
+    from poolruin.simulate import simulate_trace
+    from workloads import mc_models
+
+    models = {
+        "fig4": load_model(root / "configs" / "fig4.json"),
+        "cp": mc_models(seed)["cp"],
+    }
+    out = {}
+    for name, (mdl, beta) in models.items():
+        paths = simulate_trace(mdl, beta, TRACE_LEVELS, n_paths=TRACE_PATHS, seed=seed)
+        out[f"trace/{name}"] = repr(paths)
+    return out
+
+
 def cli_outputs(root: Path, scratch: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     configs = sorted((root / "configs").glob("*.json"))
@@ -219,6 +240,7 @@ def record(root: Path, seed: int) -> dict:
     outputs = workload_outputs(root, seed)
     outputs.update(deep_points())
     outputs.update(held_points())
+    outputs.update(trace_outputs(root, seed))
     with tempfile.TemporaryDirectory() as scratch:
         outputs.update(cli_outputs(root, Path(scratch)))
     return {"seed": seed, "outputs": outputs}

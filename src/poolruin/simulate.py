@@ -9,7 +9,10 @@ jump-free regime is a single piece, drawn for all paths at once.
 Randomness comes from counter-based Philox streams keyed by (seed, block
 index) over a fixed block partition of the paths, so results are
 bit-identical across runs and across any number of worker threads;
-aggregation reduces the per-block partial sums in block order.
+aggregation reduces the per-block partial sums in block order.  A block
+builds its per-path arrays (crossing flags, the state at ruin) only for
+:func:`simulate_trace`; the overshoot sums of :func:`simulate_paths` add
+each level's positive overshoots down the paths in order.
 
 First crossings are found on new records only.  A path has crossed
 exactly the levels below the largest value it has recorded (segment maxima
@@ -208,7 +211,9 @@ def _segment_draws(reg: LevyRegime, dur, rng):
     return peak, level, False
 
 
-def _run_block(model, beta, horizon_t, u_arr, alphas, seed, block, count):
+def _run_block(model, beta, horizon_t, u_arr, alphas, seed, block, count, trace=False):
+    """One block's partial sums, and with ``trace`` its per-path arrays
+    (else None)."""
     rng = _block_rng(seed, block)
     m = model.m
     P = count
@@ -237,7 +242,7 @@ def _run_block(model, beta, horizon_t, u_arr, alphas, seed, block, count):
     y = np.zeros(P)
     ymax = np.zeros(P)
     overshoot = np.full((P, nq), np.nan)
-    n_at_ruin = np.full((P, nq), -1, dtype=np.int64)
+    n_at_ruin = np.full((P, nq), -1, dtype=np.int64) if trace else None
     natr = np.zeros((nq, m + 1), dtype=np.int64)
     over_n = np.zeros(nq, dtype=np.int64)
     # A path has crossed exactly the levels below the largest value it has
@@ -270,7 +275,8 @@ def _run_block(model, beta, horizon_t, u_arr, alphas, seed, block, count):
         rows = np.repeat(p, cnt)
         first = np.repeat(np.cumsum(cnt) - cnt, cnt)  # the path's first entry
         q = order[np.repeat(lo, cnt) + np.arange(rows.size) - first]
-        n_at_ruin[rows, q] = n_state
+        if trace:
+            n_at_ruin[rows, q] = n_state
         overshoot[rows, q] = np.repeat(v, cnt) - u_arr[q] if over is None else over
         new = np.bincount(q, minlength=nq)
         natr[:, n_state] += new
@@ -310,12 +316,17 @@ def _run_block(model, beta, horizon_t, u_arr, alphas, seed, block, count):
     # last claim
 
     lst = [np.exp(-a * ymax) for a in alphas]
-    # NaN (no crossing, or a jump crossing) -> 0.0; overshoots are >= 0.
-    # Both sums run down the paths in order, in one pass.
-    over = np.empty((P, 2, nq))
-    np.fmax(overshoot, 0.0, out=over[:, 0])
-    np.square(over[:, 0], out=over[:, 1])
-    over_sum, over_sq = over.sum(axis=0)
+    # Both sums run down the paths in order over the positive overshoots: a
+    # zero overshoot adds nothing, and NaN (no crossing, or a jump
+    # crossing) counts as zero.
+    over_sum = np.zeros(nq)
+    over_sq = np.zeros(nq)
+    for q in range(nq):
+        col = overshoot[:, q]
+        pos = col[col > 0.0]
+        if pos.size:
+            over_sum[q] = np.add.accumulate(pos)[-1]
+            over_sq[q] = np.add.accumulate(np.square(pos))[-1]
     part = {
         "n": P,
         "pow": np.array([ymax.sum(), (ymax**2).sum(), (ymax**3).sum(), (ymax**4).sum()]),
@@ -328,6 +339,8 @@ def _run_block(model, beta, horizon_t, u_arr, alphas, seed, block, count):
         "lst": np.array([e.sum() for e in lst]),
         "lst_sq": np.array([(e**2).sum() for e in lst]),
     }
+    if not trace:
+        return part, None
     paths = {
         "max": ymax,
         "hit": n_at_ruin >= 0,
@@ -446,7 +459,9 @@ def simulate_trace(
     _validate(model, beta, horizon_t, u_arr, n_paths, seed)
     out = []
     for block, count in _blocks(n_paths):
-        _, paths = _run_block(model, beta, horizon_t, u_arr, (), seed, block, count)
+        _, paths = _run_block(
+            model, beta, horizon_t, u_arr, (), seed, block, count, trace=True
+        )
         for i in range(count):
             out.append(
                 PathResult(

@@ -56,3 +56,21 @@ def test_each_group_names_its_worst_move(tmp_path, capsys):
     )
     assert "cli: 1 of 1 moved, worst rel not numeric at cli/transform fig2" in lines
     assert "deep: 0 of 1 moved" in lines
+
+
+def test_trace_group_holds_every_path(monkeypatch):
+    from poolruin.simulate import PathResult
+
+    module = _op_outputs()
+    root = SCRIPT.parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    out = module.trace_outputs(root, 7)
+    assert sorted(out) == ["trace/cp", "trace/fig4"]
+    for text in out.values():
+        paths = eval(text, {"PathResult": PathResult, "nan": float("nan")})
+        assert len(paths) == module.TRACE_PATHS
+        for p in paths:
+            assert len(p.ruin_level_hit) == len(module.TRACE_LEVELS)
+            assert p.ruin_level_hit[0]  # every path crosses the level below zero
+            assert p.ruin_level_hit[2] == p.ruin_level_hit[3]  # the repeated level
+            assert repr(p.overshoot[2]) == repr(p.overshoot[3])

@@ -2,16 +2,21 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from poolruin import claims, ladder, seriesops
 from poolruin.claims import ClaimDistribution
+from poolruin.config import load_model
 from poolruin.ladder import _Recursion
 from poolruin.overshoot import _OvershootBase, _Slope
 from poolruin.seriesops import Taylor
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class ExpLaw(ClaimDistribution):
@@ -254,3 +259,144 @@ def test_dd2_series_derivative_consistency():
         want = float(mp.diff(dd, x))
     assert math.isclose((up - dn) / (2 * h), want, rel_tol=1e-8)
 
+
+
+# The three-coefficient branches of the operators against the general loops
+# (and, for the elementwise operators, the general expressions), compared by
+# ``repr``: every bit, the sign of a zero and NaN included.
+VANISHING = "series division by a series with vanishing constant term"
+SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -1e308)
+
+
+def triples(seed, count):
+    rng = random.Random(seed)
+
+    def coefficient():
+        # comparable magnitudes, where the order of the operations shows in
+        # the last bit, then the float range's ends and the special values
+        draw = rng.random()
+        if draw < 0.25:
+            return rng.choice(SPECIAL)
+        decades = 300 if draw < 0.4 else 2
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-decades, decades)
+
+    return [tuple(coefficient() for _ in range(3)) for _ in range(count)]
+
+
+def outcome(fn):
+    """The ``repr`` of a result's coefficients, or the error it raised."""
+    try:
+        out = fn()
+    except ZeroDivisionError as exc:
+        return f"ZeroDivisionError({exc})"
+    return repr(out.c if isinstance(out, Taylor) else tuple(out))
+
+
+def reference_rsub(a, s):
+    # s - t as the general code computes it: (-t) + s
+    neg = [-x for x in a]
+    return [neg[0] + float(s)] + neg[1:]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_three_coefficient_series_ops_repeat_the_loops(seed):
+    ops = triples(seed, 200)
+    for a, b in zip(ops, ops[1:] + ops[:1]):
+        ta, tb = Taylor(a), Taylor(b)
+        assert outcome(lambda: ta * tb) == outcome(lambda: seriesops._mul_loop(a, b))
+        if b[0] == 0.0:
+            assert outcome(lambda: ta / tb) == f"ZeroDivisionError({VANISHING})"
+        else:
+            assert outcome(lambda: ta / tb) == outcome(lambda: seriesops._div_loop(a, b))
+        assert outcome(lambda: ta + tb) == outcome(lambda: [x + y for x, y in zip(a, b)])
+        assert outcome(lambda: ta - tb) == outcome(lambda: [x - y for x, y in zip(a, b)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_three_coefficient_products_match_the_test_loops(seed):
+    # the loops of this file, written apart from the package
+    ops = triples(100 + seed, 200)
+    for a, b in zip(ops, ops[1:] + ops[:1]):
+        assert repr((Taylor(a) * Taylor(b)).c) == repr(loop_product(a, b))
+        if b[0] != 0.0:
+            assert repr((Taylor(a) / Taylor(b)).c) == repr(loop_quotient(a, b))
+
+
+SCALARS = (2.5, -0.0, 0.0, 3, -7, 0, np.float64(1.5e-300), np.float64(-2.0), math.inf, math.nan)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_three_coefficient_scalar_ops_repeat_the_loops(seed):
+    for a in triples(200 + seed, 60):
+        t = Taylor(a)
+        for s in SCALARS:
+            f = float(s)
+            scaled = outcome(lambda: [x * f for x in a])
+            assert outcome(lambda: t * s) == scaled
+            assert outcome(lambda: s * t) == scaled
+            assert outcome(lambda: t / s) == outcome(lambda: [x / f for x in a])
+            assert outcome(lambda: t + s) == outcome(lambda: [a[0] + f, a[1], a[2]])
+            assert outcome(lambda: s + t) == outcome(lambda: [a[0] + f, a[1], a[2]])
+            assert outcome(lambda: t - s) == outcome(lambda: [a[0] - f, a[1], a[2]])
+            assert outcome(lambda: s - t) == outcome(lambda: reference_rsub(a, s))
+            for out in (t * s, s * t, s - t, t + s):
+                assert type(out) is Taylor and all(type(x) is float for x in out.c)
+
+
+def test_a_zero_row_forms_no_zero_times_inf():
+    out = Taylor((0.0, 1.0, 0.0)) * Taylor((math.inf, 1.0, 1.0))
+    assert out.c[0] == 0.0 and not math.copysign(1.0, out.c[0]) < 0
+    assert repr(out.c) == repr(tuple(seriesops._mul_loop((0.0, 1.0, 0.0), (math.inf, 1.0, 1.0))))
+    # the product of the nonzero row with the zero coefficient starts from 0.0
+    assert repr((Taylor((-1.0, 0.0, 0.0)) * Taylor((0.0, 0.0, 0.0))).c) == "(0.0, 0.0, 0.0)"
+
+
+@pytest.mark.parametrize("b0", [0.0, -0.0])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_vanishing_constant_term_keeps_its_message(n, b0):
+    with pytest.raises(ZeroDivisionError) as exc:
+        Taylor([1.0] * n) / Taylor([b0] + [1.0] * (n - 1))
+    assert str(exc.value) == VANISHING
+
+
+@pytest.mark.parametrize("na, nb", [(3, 2), (2, 3), (3, 4), (4, 3), (4, 4), (2, 2)])
+def test_other_lengths_take_the_general_loops(monkeypatch, na, nb):
+    rng = random.Random(na * 10 + nb)
+    a = [rng.uniform(-2.0, 2.0) for _ in range(na)]
+    b = [1.0 + rng.random()] + [rng.uniform(-2.0, 2.0) for _ in range(nb - 1)]
+    calls = []
+    for name in ("_mul_loop", "_div_loop"):
+        loop = getattr(seriesops, name)
+        monkeypatch.setattr(
+            seriesops, name, lambda x, y, loop=loop, name=name: calls.append(name) or loop(x, y)
+        )
+    prod, quot = Taylor(a) * Taylor(b), Taylor(a) / Taylor(b)
+    assert calls == ["_mul_loop", "_div_loop"]
+    assert repr(prod.c) == repr(loop_product(a, b))
+    assert repr(quot.c) == repr(loop_quotient(a, b))
+    assert len(prod.c) == len(quot.c) == min(na, nb)
+
+
+def test_fig3_jet_makes_the_same_series_calls(monkeypatch):
+    # the call counts of the benchmark tracer's seriesops and lst_series
+    # spans for one jet; a closed form must not merge or split calls
+    counts = {}
+
+    def counted(owner, name, key):
+        fn = vars(owner)[name]
+
+        def wrapper(*args, **kwargs):
+            counts[key] = counts.get(key, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(Taylor, "__mul__", "mul")
+    counted(Taylor, "__rmul__", "rmul")
+    counted(Taylor, "__truediv__", "div")
+    for cls in vars(claims).values():
+        if isinstance(cls, type) and "lst_series" in vars(cls):
+            counted(cls, "lst_series", "lst_series")
+    mdl, beta = load_model(CONFIGS / "fig3.json")
+    ladder.pi_jet(mdl, beta, mdl.m)
+    assert counts == {"mul": 15, "rmul": 5, "div": 5, "lst_series": 5}

@@ -319,6 +319,31 @@ def test_summary_matches_the_trace(name, monkeypatch):
         assert math.isclose(se, over.std() / math.sqrt(over.size), rel_tol=1e-6, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["drift", "jumps"])
+def test_overshoot_sums_repeat_the_dense_block_reduction(name, monkeypatch):
+    # each block's overshoot sums are those of the dense per-path reduction
+    # (NaN as zero, summed down the paths), to the bit
+    mdl = _level_models()[name]
+    n, block = 6000, 2500
+    monkeypatch.setattr(simulate, "_BLOCK_SIZE", block)
+    s = simulate.simulate_paths(mdl, 1.0, u_queries=LEVELS, n_paths=n, seed=43)
+    paths = simulate.simulate_trace(mdl, 1.0, u_queries=LEVELS, n_paths=n, seed=43)
+    over = np.fmax(np.array([p.overshoot for p in paths]), 0.0)
+    known = np.array([[not math.isnan(v) for v in p.overshoot] for p in paths])
+    total = np.zeros(len(LEVELS))
+    total_sq = np.zeros(len(LEVELS))
+    for lo in range(0, n, block):
+        total = total + over[lo : lo + block].sum(axis=0)
+        total_sq = total_sq + np.square(over[lo : lo + block]).sum(axis=0)
+    for q, u in enumerate(LEVELS):
+        count = int(known[:, q].sum())
+        if not count:
+            continue
+        mean = total[q] / count
+        se = math.sqrt(max(total_sq[q] / count - mean**2, 0.0) / count)
+        assert s.overshoot_mean[u] == (mean, se, count)
+
+
 def test_jump_crossings_inside_a_segment_have_unknown_overshoot():
     # every regime jumps: a level is crossed inside a segment (overshoot
     # NaN) or by a claim (overshoot > 0), never continuously
