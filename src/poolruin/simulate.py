@@ -318,7 +318,8 @@ def _run_block(model, beta, horizon_t, u_arr, alphas, seed, block, count, trace=
     lst = [np.exp(-a * ymax) for a in alphas]
     # Both sums run down the paths in order over the positive overshoots: a
     # zero overshoot adds nothing, and NaN (no crossing, or a jump
-    # crossing) counts as zero.
+    # crossing) counts as zero.  A running sum, since numpy sums a
+    # contiguous run pairwise, in another order.
     over_sum = np.zeros(nq)
     over_sq = np.zeros(nq)
     for q in range(nq):

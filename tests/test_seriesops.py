@@ -260,7 +260,6 @@ def test_dd2_series_derivative_consistency():
     assert math.isclose((up - dn) / (2 * h), want, rel_tol=1e-8)
 
 
-
 # The three-coefficient branches of the operators against the general loops
 # (and, for the elementwise operators, the general expressions), compared by
 # ``repr``: every bit, the sign of a zero and NaN included.
@@ -312,16 +311,6 @@ def test_three_coefficient_series_ops_repeat_the_loops(seed):
         assert outcome(lambda: ta - tb) == outcome(lambda: [x - y for x, y in zip(a, b)])
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_three_coefficient_products_match_the_test_loops(seed):
-    # the loops of this file, written apart from the package
-    ops = triples(100 + seed, 200)
-    for a, b in zip(ops, ops[1:] + ops[:1]):
-        assert repr((Taylor(a) * Taylor(b)).c) == repr(loop_product(a, b))
-        if b[0] != 0.0:
-            assert repr((Taylor(a) / Taylor(b)).c) == repr(loop_quotient(a, b))
-
-
 SCALARS = (2.5, -0.0, 0.0, 3, -7, 0, np.float64(1.5e-300), np.float64(-2.0), math.inf, math.nan)
 
 
@@ -345,7 +334,7 @@ def test_three_coefficient_scalar_ops_repeat_the_loops(seed):
 
 def test_a_zero_row_forms_no_zero_times_inf():
     out = Taylor((0.0, 1.0, 0.0)) * Taylor((math.inf, 1.0, 1.0))
-    assert out.c[0] == 0.0 and not math.copysign(1.0, out.c[0]) < 0
+    assert out.c[0] == 0.0 and math.copysign(1.0, out.c[0]) == 1.0
     assert repr(out.c) == repr(tuple(seriesops._mul_loop((0.0, 1.0, 0.0), (math.inf, 1.0, 1.0))))
     # the product of the nonzero row with the zero coefficient starts from 0.0
     assert repr((Taylor((-1.0, 0.0, 0.0)) * Taylor((0.0, 0.0, 0.0))).c) == "(0.0, 0.0, 0.0)"
