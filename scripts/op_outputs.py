@@ -35,8 +35,14 @@ default the one holding this script).  ``--compare`` prints every entry
 that differs, with both values and, for float outputs, the largest
 relative difference; then one summary line per group (each workload,
 ``deep``, each held model, ``trace`` and ``cli``): the entries moved, of the group's
-total, and the worst relative move with its key.  It exits 1 when any
-entry differs.
+total, and the worst relative move with its key.  Each group holding
+transform rows (``transform_battery``, whose rows hold ``pi_max``, the two
+overshoot routes and the phase-type transform where there is one, and
+``cli``, whose ``transform`` runs the record keeps parsed under
+``cli_transform``) then gets one route-agreement line: the worst relative
+gap of the overshoot routes to ``pi_max`` and to the phase-type transform,
+before and after, so a change that moves values shows which way they
+moved.  It exits 1 when any entry differs.
 """
 
 from __future__ import annotations
@@ -55,6 +61,8 @@ from pathlib import Path
 
 HERE_ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD_NAMES = ("figure_curves", "deep_pool", "transform_battery", "mc_oracle")
+# groups whose transform rows get a route-agreement line
+TRANSFORM_GROUPS = ("transform_battery", "cli")
 DEEP_POINT_M = (30, 60, 100, 400)
 SIMULATE = ("simulate", "--paths", "4000", "--seed", "7")
 CLI_COMMANDS = (
@@ -212,7 +220,16 @@ def trace_outputs(root: Path, seed: int) -> dict:
     return out
 
 
-def cli_outputs(root: Path, scratch: Path) -> dict:
+def _transform_rows(stdout: bytes) -> list:
+    """(pi_ladder, abs_diff) of each row of ``poolruin transform`` output
+    that has an overshoot column."""
+    lines = stdout.decode().splitlines()[1:]
+    rows = [line.split(",") for line in lines]
+    return [(float(r[1]), float(r[3])) for r in rows if len(r) == 4 and r[3]]
+
+
+def cli_outputs(root: Path, scratch: Path) -> tuple:
+    """The CLI entries, and the parsed rows of each ``transform`` run."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     configs = sorted((root / "configs").glob("*.json"))
     runs = [(config, command) for config in configs for command in CLI_COMMANDS]
@@ -221,13 +238,15 @@ def cli_outputs(root: Path, scratch: Path) -> dict:
         held = scratch / f"{name}.json"
         held.write_text(json.dumps(config))
         runs += [(held, command) for command in commands]
-    out = {}
+    out, rows = {}, {}
     for config, command in runs:
         argv = [sys.executable, "-m", "poolruin.cli", *command, "--config", str(config)]
         done = subprocess.run(argv, capture_output=True, env=env, cwd=root)
         key = f"cli/{' '.join(command)} {config.stem}"
         out[key] = f"exit {done.returncode} md5 {hashlib.md5(done.stdout).hexdigest()}"
-    return out
+        if command[0] == "transform" and done.returncode == 0:
+            rows[key] = _transform_rows(done.stdout)
+    return out, rows
 
 
 def record(root: Path, seed: int) -> dict:
@@ -242,8 +261,9 @@ def record(root: Path, seed: int) -> dict:
     outputs.update(held_points())
     outputs.update(trace_outputs(root, seed))
     with tempfile.TemporaryDirectory() as scratch:
-        outputs.update(cli_outputs(root, Path(scratch)))
-    return {"seed": seed, "outputs": outputs}
+        cli, rows = cli_outputs(root, Path(scratch))
+    outputs.update(cli)
+    return {"seed": seed, "outputs": outputs, "cli_transform": rows}
 
 
 def _floats(text: str):
@@ -292,6 +312,50 @@ def _group_line(group: str, total: int, moves: list) -> str:
     return f"{line}, worst rel {worst} at {key}"
 
 
+def _gap(value: float, ref: float) -> float:
+    return abs(value - ref) / abs(ref) if ref != 0.0 else abs(value)
+
+
+def _route_gaps(record: dict, group: str):
+    """The worst relative gaps (gap, key) of the overshoot routes to
+    ``pi_max`` and to the phase-type transform over ``group``'s transform
+    rows, None where it has no such row."""
+    worst = {"pi_max": None, "phase type": None}
+
+    def note(route, gap, key):
+        if worst[route] is None or gap > worst[route][0]:
+            worst[route] = (gap, key)
+
+    if group == "cli":
+        for key, rows in record.get("cli_transform", {}).items():
+            for pi, diff in rows:  # diff = |pi_overshoot - pi_ladder|
+                note("pi_max", diff / abs(pi) if pi != 0.0 else diff, key)
+    else:
+        for key, text in record["outputs"].items():
+            row = _floats(text) if key.startswith(f"{group}/") else None
+            if row is None or len(row) < 3:
+                continue
+            pi, overshoot, ph = row[0], row[1:3], row[3:]
+            for value in overshoot:
+                note("pi_max", _gap(value, pi), key)
+                for ref in ph:
+                    note("phase type", _gap(value, ref), key)
+    return worst
+
+
+def _route_line(group: str, before, after) -> str:
+    parts = []
+    for route in ("pi_max", "phase type"):
+        if before[route] is None and after[route] is None:
+            continue
+        shown = [
+            "none" if gap is None else f"{gap[0]:.2g} ({gap[1]})"
+            for gap in (before[route], after[route])
+        ]
+        parts.append(f"overshoot to {route} {shown[0]} -> {shown[1]}")
+    return f"{group} routes: " + ", ".join(parts)
+
+
 def compare(path_a: str, path_b: str) -> int:
     a = json.loads(Path(path_a).read_text())
     b = json.loads(Path(path_b).read_text())
@@ -314,6 +378,10 @@ def compare(path_a: str, path_b: str) -> int:
     print(f"{moved} of {len(keys)} outputs differ")
     for group, (total, moves) in groups.items():
         print(_group_line(group, total, moves))
+    for group in TRANSFORM_GROUPS:
+        before, after = _route_gaps(a, group), _route_gaps(b, group)
+        if before["pi_max"] is not None or after["pi_max"] is not None:
+            print(_route_line(group, before, after))
     return 1 if moved else 0
 
 

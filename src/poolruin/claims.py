@@ -10,9 +10,12 @@ sampling, and the first two moments when they exist.  The complement
 1 - C, at floats and at complex arguments, comes in forms that do not
 cancel far below the law's scale (``lst_complement``,
 ``lst_complement_complex``), for the Laplace exponents of
-:mod:`poolruin.model`.  Divided differences of a transform near their
-removable point are contour means of the complex transform
-(:mod:`poolruin.overshoot`), never high-order expansions.  The
+:mod:`poolruin.model`.  Exponential and Erlang laws give the first and
+second divided differences of their transform in a form with no
+removable point (``divided_difference``); for the other laws the
+overshoot route takes contour means of the complex transform around the
+removable points (:mod:`poolruin.overshoot`), never high-order
+expansions.  ``atom`` is the law's mass at zero.  The
 Lomax law additionally carries regular-variation metadata (tail index,
 transform coefficient) that drives the heavy-tail asymptotics; exponential,
 Erlang and explicit phase-type laws expose a phase-type representation for
@@ -54,6 +57,103 @@ def _int_power(q, k: int):
         if not k:
             return out
         q = q * q
+
+
+_SPLIT = 134217729.0  # 2^27 + 1: Dekker's splitting constant
+
+
+def _product_error(a, b, p):
+    """a * b - p for p = fl(a * b), exactly (Dekker's two-product), at
+    floats or float arrays."""
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLIT * b
+    bh = t - (t - b)
+    bl = b - bh
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _ratio(mu: float, x):
+    """u = mu / (mu + x) rounded, and its remainder du to first order
+    (u + du is exact to about eps^2 relative), at a float or an array of
+    floats: the rounding of the sum from Knuth's two-sum, that of the
+    quotient from its exact residual.  A remainder that overflows (x near
+    the float range) is zero."""
+    s = mu + x
+    bb = s - mu
+    e = (mu - (s - bb)) + (x - bb)
+    u = mu / s
+    p = u * s
+    if not isinstance(x, np.ndarray):  # floats never warn: no errstate to pay for
+        du = ((mu - p) - _product_error(u, s, p) - u * e) / s
+        return u, du if abs(du) < math.inf else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        du = ((mu - p) - _product_error(u, s, p) - u * e) / s
+    return u, np.where(np.abs(du) < math.inf, du, 0.0)
+
+
+class PowerDividedDifference:
+    """z -> C[z, p_1, ..., p_n] for C(x) = u(x)^k, u(x) = mu / (mu + x),
+    over fixed real points p (n = 1 or 2).  The divided differences of u^k
+    are
+
+        C[z, p_1, ..., p_n] = (-1/mu)^n u(z) u(p_1) ... u(p_n) h_{k-1}(u(z), u(p_1), ...)
+
+    with h_d the complete homogeneous symmetric polynomial of degree d: on
+    the real axis a sum of positive terms, with no removable point.  h over
+    the points comes from the recurrence h_j(P + {v}) = h_j(P) + v
+    h_{j-1}(P + {v}), once, and u(z) enters last, by Horner's rule; O(k).
+    A term of degree k + n would carry k + n times the rounding of each u,
+    so the remainders of :func:`_ratio` ride along to first order (dual
+    numbers) at the points and at a real z; complex nodes take u(z) as
+    rounded."""
+
+    def __init__(self, mu: float, k: int, points: tuple):
+        self.mu = mu
+        self.k = k
+        h = [1.0] + [0.0] * (k - 1)  # h_j over no point
+        dh = [0.0] * k
+        coef, dcoef = 1.0, 0.0
+        for p in points:
+            v, dv = _ratio(mu, p)
+            for j in range(1, k):
+                dh[j] = dh[j] + (v * dh[j - 1] + dv * h[j - 1])
+                h[j] = h[j] + v * h[j - 1]
+            dcoef = dcoef * v + coef * dv
+            coef = coef * v
+        coef = coef + dcoef
+        for _ in points:
+            coef = coef / -mu
+        self._h = [a + b for a, b in zip(h, dh)]
+        self._coef = coef  # (-1/mu)^n prod u(p)
+        # every u, Horner step and product adds a few eps relative to the
+        # sum of the terms' moduli
+        self._rounding = 4.0 * (k + len(points) + 1)
+
+    def __call__(self, z):
+        mu, h = self.mu, self._h
+        if isinstance(z, np.ndarray) and z.dtype.kind == "c":
+            return self._plain(mu / (mu + z))
+        q, dq = _ratio(mu, z)
+        total, dtotal = 1.0, 0.0
+        for j in range(1, self.k):
+            dtotal = q * dtotal + dq * total
+            total = h[j] + q * total
+        return (q * total) * self._coef + (dq * total + q * dtotal) * self._coef
+
+    def _plain(self, q):
+        total = 1.0
+        for j in range(1, self.k):
+            total = self._h[j] + q * total
+        return (q * total) * self._coef
+
+    def bound(self, t):
+        """A bound of the rounding amplification (the absolute error in
+        units of eps) at every z with Re z >= t, at a float or an array of
+        floats t >= 0, the same bits for a float as for that float in an
+        array: every term's modulus is at most its value at t."""
+        return self._rounding * abs(self._plain(self.mu / (self.mu + t)))
 
 
 @dataclass(frozen=True)
@@ -127,6 +227,24 @@ class ClaimDistribution:
         the real axis is a quadrature, too dear for a bound)."""
         return 1.0
 
+    def divided_difference(self, *points) -> Optional["PowerDividedDifference"]:
+        """The divided difference z -> C[z, points] of the transform over
+        one or two real points (c, or a and c, each >= 0), in a form with
+        no removable point: no difference of nearly equal values where z or
+        the points meet.  It is evaluated at a float z >= 0 or at an array
+        of complex z with Re z > 0, elementwise, and with the same bits for
+        a float as for that float in an array, and it carries an a priori
+        bound of its rounding amplification on Re z >= t.  None where the
+        law has no such form (this default): the overshoot route then takes
+        the quotient of differences, removable where the points meet, with
+        contour means around them."""
+        return None
+
+    @property
+    def atom(self) -> float:
+        """P(claim = 0), the transform's limit at infinity."""
+        raise NotImplementedError
+
     def tail(self, u: float) -> float:
         raise NotImplementedError
 
@@ -185,6 +303,11 @@ class Exponential(ClaimDistribution):
 
     def modulus_bound(self, t):
         return self.mu / (self.mu + t)
+
+    def divided_difference(self, *points):
+        return PowerDividedDifference(self.mu, 1, points)
+
+    atom = 0.0
 
     @property
     def left_singularity(self) -> float:
@@ -258,6 +381,11 @@ class Erlang(ClaimDistribution):
     def modulus_bound(self, t):
         return _int_power(self.mu / (self.mu + t), self.k)
 
+    def divided_difference(self, *points):
+        return PowerDividedDifference(self.mu, self.k, points)
+
+    atom = 0.0
+
     @property
     def left_singularity(self) -> float:
         return self.mu
@@ -315,6 +443,10 @@ class PhaseTypeClaim(ClaimDistribution):
             values = [pht.ph_lst(self.ph, v) for v in t.ravel().tolist()]
             return np.array(values).reshape(t.shape)
         return pht.ph_lst(self.ph, t)
+
+    @property
+    def atom(self) -> float:
+        return self.ph.delta_abs
 
     @property
     def left_singularity(self) -> float:
@@ -483,6 +615,8 @@ class Lomax(ClaimDistribution):
             raise NoConvergence("Lomax transform continued fraction did not converge")
         return self.eps * out
 
+    atom = 0.0
+
     @property
     def left_singularity(self) -> float:
         # branch point at zero: the transform exists on Re z >= 0 only
@@ -547,6 +681,10 @@ class PointMass(ClaimDistribution):
         # e^{bt} >= 1 + bt, in operations that round alike on floats and
         # arrays
         return 1.0 / (1.0 + self.b * t)
+
+    @property
+    def atom(self) -> float:
+        return 1.0 if self.b == 0.0 else 0.0
 
     @property
     def left_singularity(self) -> float:

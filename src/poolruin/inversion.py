@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PoolRuinError
-from .ladder import engine, pi_jet, ruin_transform
+from .ladder import checked_transform, engine, pi_jet, ruin_transform
 from .model import ModelSpec, require_killing
 
 _LN2 = math.log(2.0)
@@ -128,7 +128,9 @@ def ruin_curve(
 ) -> np.ndarray:
     """Ruin probabilities p(u, beta) by inverting the ruin transform in the
     reserve level; values are clamped to [0, 1] and a warning is emitted if
-    the raw inversion overshoots beyond numerical tolerance."""
+    the raw inversion overshoots beyond numerical tolerance.  At u = 0 the
+    probability is 1 - P(M = 0), from the engine's atom, with no
+    inversion."""
     require_killing(model, beta, "ruin_curve")
     if plan is None:
         plan = default_plan()
@@ -137,10 +139,12 @@ def ruin_curve(
     for i, u in enumerate(u_grid):
         if not u >= 0:
             raise ValueError("reserve levels must be nonnegative")
-        if u > 0:
+        if u == 0:
+            raw = 1.0 - checked_transform(eng.atom(), math.inf)
+        else:
             # the contour means among this reserve's points in one sweep
             eng._prefetch(_abscissae(u, plan)[1])
-        raw = invert(lambda a: ruin_transform(eng, a), u, plan)
+            raw = invert(lambda a: ruin_transform(eng, a), u, plan)
         if raw < -1e-6 or raw > 1.0 + 1e-6:
             warnings.warn(
                 f"inverted ruin probability {raw} at u={u} clamped to [0, 1]",

@@ -104,8 +104,17 @@ differently from ``a * <temporary>``.  Such an operand is bound to a name
 first.
 
 A recursion with no levels evaluates its base piece alone, with the same
-windows and contour means: the overshoot route takes its divided
-differences of claim transforms that way (:mod:`poolruin.overshoot`).
+windows and contour means: the overshoot route takes the divided
+differences of claim laws without a form of their own that way
+(:mod:`poolruin.overshoot`); exponential and Erlang laws give theirs with
+no removable point, so their overshoot recursions have windows at the
+level rates only.
+
+The transform's limit at infinity, the mass of the maximum at zero, is
+a finite expression of held data (:meth:`_Recursion.atom`): each level's
+bracket leaves its anchor, or the claim law's atom times the level below
+where there is no ladder rate, and each killed-maximum factor its own
+atom.
 
 Two specializations are provided: the generic recursion over explicit
 (nu, C, p0) data, and the model recursion built by :func:`engine`, which
@@ -222,6 +231,7 @@ class _One:
 
     removable = ()
     left = math.inf
+    atom = 1.0
 
     def real(self, x):
         return 1.0
@@ -257,6 +267,21 @@ class _KilledMax:
     @cached_property
     def left(self) -> float:
         return left_root(self.regime, self.lam)
+
+    @property
+    def atom(self) -> float:
+        """K at infinity, the probability that the killed maximum is zero:
+        none with diffusion or an upward drift; lam / (lam + rate P(jump >
+        0)) for jumps alone, which must not come before the kill; and
+        otherwise lam / (r psi), the limit of (psi - z) lam / ((lam -
+        phi(z)) psi) as phi(z) ~ r z."""
+        reg = self.regime
+        if reg.sigma2 > 0 or reg.r < 0:
+            return 0.0
+        if reg.r == 0:
+            jumps = reg.jump_rate * (1.0 - reg.jump_law.atom) if reg.jump_rate else 0.0
+            return self.lam / (self.lam + jumps)
+        return self.lam / (reg.r * self.psi)
 
     def real(self, x):
         """K at a float, or at an array of complex nodes."""
@@ -381,6 +406,24 @@ class _Recursion:
             out = self._step_series(k, point, out, order)
         jet = out.jet()
         return jet if order == 2 else TransformJet(jet.v, jet.d1, math.nan)
+
+    def atom(self) -> float:
+        """The transform's limit as the argument grows without bound, the
+        mass at zero, from held data: ``(p_k + w_k A_k) K_k(inf)`` on a
+        level with a ladder rate, whose anchor A_k is all that survives
+        of the bracket, and ``(p_k + w_k C_k(inf) F_{k-1}(inf)) K_k(inf)``
+        on one without, with C_k(inf) the claim law's atom and K_k(inf)
+        that of the killed maximum."""
+        self._fill_anchors(len(self.levels))
+        val = self.base.atom
+        for k, lv in enumerate(self.levels, start=1):
+            if lv.nu is None:
+                val = lv.p0 + lv.w * (lv.claim.atom * val)
+            else:
+                val = lv.p0 + lv.w * self._anchors[k]
+            if lv.post is not None:
+                val *= lv.post.atom
+        return val
 
     def level_value(self, level: int, point: float) -> float:
         """F_level(point) at a real point, memoized per (level, point)."""
@@ -799,12 +842,13 @@ class GenericLadderSpec:
             raise ValueError("atom probabilities must lie in [0, 1]")
 
 
-def _generic_engine(spec: GenericLadderSpec) -> _Recursion:
+def _generic_engine(spec: GenericLadderSpec, n: Optional[int] = None) -> _Recursion:
+    """The recursion over the first ``n`` levels of ``spec`` (all: None)."""
     levels = [
         _LadderLevel(
             nu=spec.nu[k], claim=spec.c_lsts[k], p0=spec.p0[k], w=1.0 - spec.p0[k]
         )
-        for k in range(spec.n)
+        for k in range(spec.n if n is None else n)
     ]
     return _Recursion(_One(), levels, direct=True)
 
@@ -818,12 +862,7 @@ def atom_at_zero(spec: GenericLadderSpec, k: int) -> float:
     """Probability that the level-``k`` ladder maximum is exactly zero."""
     if not 0 <= k <= spec.n:
         raise ValueError("k must lie in 0..n")
-    if k == 0:
-        return 1.0
-    nu = spec.nu[k - 1]
-    cval = spec.c_lsts[k - 1].lst(nu)
-    prev = _generic_engine(spec).level_value(k - 1, nu)
-    return spec.p0[k - 1] + (1.0 - spec.p0[k - 1]) * cval * prev
+    return _generic_engine(spec, k).atom()
 
 
 def generic_spec_from_drift(

@@ -12,20 +12,27 @@ direct ladder recursion, which is the strongest cross-check in the package.
 The base transform is one second-order divided difference of the claim
 transform,
 
-    xi_{n,n-1}(alpha, beta, gamma) = (lam_circ_n gamma / r_n) B[gamma, alpha, nu_n]
-        = (lam_circ_n gamma / r_n) (B[gamma, alpha] - B[alpha, nu_n]) / (gamma - nu_n),
+    xi_{n,n-1}(alpha, beta, gamma) = (lam_circ_n gamma / r_n) B[gamma, alpha, nu_n],
 
-evaluated directly with one real divided difference B[alpha, nu_n], which
-also gives zeta_{n,n-1}.  Every removable point (alpha = nu_n in
-B[alpha, nu_n], gamma = alpha and gamma = nu_n in the base) is a contour
-mean of the same evaluator as the running-maximum ladder (see
-:mod:`poolruin.ladder`), and deeper levels follow the same two-point
-recursion in gamma.  The overshoot route stays a separate formula, so it
-remains an independent check of the ladder.  Its recursions keep a
-contour mean at every windowed point (they are built without
-``direct``), where the ladder's small engines take the direct formula once
-its rounding bound certifies it, so the two routes treat the windows
-differently too.
+and zeta_{n,n-1} is the first-order one, B[alpha, nu_n].  Where the claim
+law has them in its own form
+(:meth:`~poolruin.claims.ClaimDistribution.divided_difference`: for
+exponential and Erlang laws, sums of positive terms on the real axis),
+they are evaluated directly, with no removable point.  Other laws take the
+quotients
+
+    B[alpha, nu_n] = (B(alpha) - B(nu_n)) / (alpha - nu_n),
+    B[gamma, alpha, nu_n] = (B[gamma, alpha] - B[alpha, nu_n]) / (gamma - nu_n),
+
+whose removable points (alpha = nu_n, gamma = alpha and gamma = nu_n) are
+contour means of the same evaluator as the running-maximum ladder (see
+:mod:`poolruin.ladder`).  Deeper levels follow the same two-point
+recursion in gamma, removable at the level rates nu_j.  The overshoot
+route stays a separate formula, so it remains an independent check of
+the ladder.  Its recursions keep a contour mean at every windowed point
+(they are built without ``direct``), where the ladder's small engines take
+the direct formula once its rounding bound certifies it, so the two
+routes treat the windows differently too.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ _DEFAULT_CHAIN_BUDGET = 4096
 
 class _Slope:
     """Divided difference B[z, c] = (C(z) - C(c)) / (z - c) of a claim
-    transform, removable at z = c."""
+    transform without a form of its own, removable at z = c."""
 
     def __init__(self, claim: ClaimDistribution, c: float):
         self.claim = claim
@@ -81,7 +88,8 @@ class _Slope:
 
 
 class _OvershootBase:
-    """Base of the xi recursion in gamma = z,
+    """Base of the xi recursion in gamma = z for a claim law without a
+    divided difference of its own,
 
         xi_{n,n-1}(z) = (lam_circ/r) z (B[z, alpha] - B[alpha, nu]) / (z - nu),
 
@@ -124,10 +132,46 @@ class _OvershootBase:
         return outer * (2.0 / to_alpha + abs(self._dd))
 
 
+class _OvershootForm:
+    """Base of the xi recursion in gamma = z,
+
+        xi_{n,n-1}(z) = (lam_circ/r) z B[z, alpha, nu],
+
+    from the claim law's own second divided difference ``dd``
+    (:meth:`~poolruin.claims.ClaimDistribution.divided_difference`): no
+    removable point."""
+
+    removable = ()
+
+    def __init__(self, dd, scale: float, left: float):
+        self.dd = dd
+        self.scale = scale
+        self.left = left
+
+    def real(self, x):
+        return self.scale * x * self.dd(x)
+
+    def nodes(self, z, track=True):
+        """The base at the nodes with its rounding amplification (None
+        unless ``track``): the divided difference's bound at Re z, whose
+        margin covers the product, times |scale z|."""
+        outer = self.scale * z
+        # a named right operand for the product (see :mod:`poolruin.ladder`)
+        dd = self.dd(z)
+        amp = np.abs(outer) * self.dd.bound(z.real) if track else None
+        return outer * dd, amp
+
+    def amp_bound(self, x, r):
+        """Bound of the nodes' amplification over the circles |z - x| = r
+        (arrays): |z| <= x + r, and the divided difference's bound at
+        x - r (see :meth:`poolruin.ladder._Recursion._amp_bounds`)."""
+        return abs(self.scale) * (x + r) * self.dd.bound(x - r)
+
+
 class _Kept:
     """What the overshoot routes keep for one (model, beta), shared by every
     table of the thread's kept pair (:func:`poolruin.ladder._memo`): the
-    divided-difference evaluators B[., nu_n] by client, the zeta matrix by
+    divided differences B[., nu_n] by client, the zeta matrix by
     alpha, the survival probabilities at level zero, and the xi engines of
     :meth:`OvershootTable.xi` by (k, alpha).  The routes read zetas only, so
     their xi engines are not kept."""
@@ -175,12 +219,18 @@ class OvershootTable:
     def nu(self, n: int) -> float:
         return self._nu[n - 1]
 
-    def _slope(self, n: int) -> _Recursion:
-        """Evaluator of B[., nu_n] for the claim law of state ``n``."""
+    def _slope(self, n: int):
+        """B[., nu_n] for the claim law of state ``n``: its own divided
+        difference where it has one, and otherwise the evaluator of the
+        quotient, with contour means around nu_n."""
         slopes = self._kept.slopes
         slope = slopes.get(n)
         if slope is None:
-            slope = slopes[n] = _Recursion(_Slope(self._claim[n - 1], self.nu(n)), ())
+            claim, nu = self._claim[n - 1], self.nu(n)
+            slope = claim.divided_difference(nu)
+            if slope is None:
+                slope = _Recursion(_Slope(claim, nu), ()).value
+            slopes[n] = slope
         return slope
 
     def _xi_engine(self, k: int, alpha: float) -> _Recursion:
@@ -193,13 +243,13 @@ class OvershootTable:
         lam_n / lam_circ_n.
         """
         n0 = k + 1
-        base = _OvershootBase(
-            claim=self._claim[n0 - 1],
-            alpha=alpha,
-            nu=self.nu(n0),
-            scale=self.model.rate_for_state(n0) / self.model.regimes[n0].r,
-            dd=self._slope(n0).value(alpha),
-        )
+        claim, nu = self._claim[n0 - 1], self.nu(n0)
+        scale = self.model.rate_for_state(n0) / self.model.regimes[n0].r
+        dd = claim.divided_difference(alpha, nu)
+        if dd is None:
+            base = _OvershootBase(claim, alpha, nu, scale, self._slope(n0)(alpha))
+        else:
+            base = _OvershootForm(dd, scale, claim.left_singularity)
         levels = [
             _LadderLevel(
                 nu=self.nu(j),
@@ -228,7 +278,7 @@ class OvershootTable:
             # (lam_circ / r) (B(nu) - B(alpha)) / (alpha - nu); confluent at
             # alpha = nu where the value is -(lam_circ / r) B'(nu)
             lam_circ, r = self.model.rate_for_state(n), self.model.regimes[n].r
-            rows[n - 1][n - 1] = -(lam_circ / r) * self._slope(n).value(alpha)
+            rows[n - 1][n - 1] = -(lam_circ / r) * self._slope(n)(alpha)
         for k in range(m - 1):
             engine = self._xi_engine(k, alpha)
             for n in range(k + 2, m + 1):

@@ -315,3 +315,104 @@ def test_high_order_coefficients_beyond_the_float_range(law, alpha):
                 assert c[i] == math.copysign(math.inf, want)
             else:
                 assert math.isclose(c[i], float(want), rel_tol=1e-12, abs_tol=1e-320)
+
+
+# ------------------------------------------------- divided differences
+
+EPS = np.finfo(float).eps
+DD_LAWS = [claims.Exponential(1.5)] + [claims.Erlang(k, mu) for k in (1, 2, 3, 7) for mu in (1.5, 0.3)]
+
+
+def _mp_dd(law, z, points):
+    """C[z, points] in 50 digits from the closed form, confluent points
+    included: (-1/mu)^n u(z) prod u(p) h_{k-1}(u(z), u(p), ...)."""
+    from itertools import combinations_with_replacement
+
+    with mp.workdps(50):
+        mu = mp.mpf(law.mu)
+        k = getattr(law, "k", 1)
+        us = [mu / (mu + mp.mpc(x) if isinstance(x, complex) else mu + mp.mpf(x)) for x in (z, *points)]
+        h = sum((mp.fprod(c) for c in combinations_with_replacement(us, k - 1)), mp.mpf(0))
+        return (-1 / mu) ** len(points) * mp.fprod(us) * (h if k > 1 else 1)
+
+
+def _mp_quotient(law, z, c):
+    # the defining quotient in 50 digits, to check the closed form itself
+    with mp.workdps(50):
+        mu, k = mp.mpf(law.mu), getattr(law, "k", 1)
+        lst = lambda x: (mu / (mu + x)) ** k
+        return (lst(mp.mpf(z)) - lst(mp.mpf(c))) / (mp.mpf(z) - mp.mpf(c))
+
+
+# the points of the overshoot route's divided differences: c = nu, a = alpha
+FOUND_C = (1e-4, 1e-3, 1e-2)
+FOUND_RATIOS = (0.5, 0.64, 1.36, 1.5, 2.0, 3.0)
+
+
+def _real_cases():
+    for c in FOUND_C + (0.4, 2.5):
+        for x in [c * q for q in FOUND_RATIOS] + [c, 0.0, 7.0]:
+            yield x, (c,)
+            yield x, (c, c)  # confluent in the points
+            yield x, (x, c)  # confluent in z and a
+            yield x, (0.3 * c + 0.05, c)
+
+
+@pytest.mark.parametrize("law", DD_LAWS, ids=repr)
+def test_divided_differences_against_mpmath(law):
+    # cancellation-free: within 4 eps of 50 digits at real points,
+    # including the confluent ones and the tiny rates where the quotient
+    # (C(x) - C(c)) / (x - c) cancels on the law's own scale
+    worst = 0.0
+    for x, points in _real_cases():
+        got = law.divided_difference(*points)(x)
+        assert type(got) is float
+        want = _mp_dd(law, x, points)
+        worst = max(worst, abs(got - float(want)) / abs(float(want)))
+    assert worst <= 4 * EPS, worst / EPS
+    # the closed form is the divided difference
+    want = _mp_dd(law, 0.7, (0.2,))
+    assert abs(float(want) - float(_mp_quotient(law, 0.7, 0.2))) <= 1e-30
+
+
+@pytest.mark.parametrize("law", DD_LAWS, ids=repr)
+def test_divided_differences_have_the_same_bits_on_floats_and_arrays(law):
+    for points in ((0.4,), (1.3, 0.4), (0.4, 0.4)):
+        dd = law.divided_difference(*points)
+        xs = [0.0, 1e-4, 0.4, 0.52, 3.0, 1e300, 1e305]  # 1e305: the split overflows
+        floats = [dd(x) for x in xs]
+        assert np.array(floats).tobytes() == dd(np.array(xs)).tobytes()
+        bounds = [dd.bound(x) for x in xs]
+        assert np.array(bounds).tobytes() == dd.bound(np.array(xs)).tobytes()
+
+
+@pytest.mark.parametrize("law", DD_LAWS, ids=repr)
+def test_divided_differences_at_complex_nodes_within_their_bound(law):
+    # circles around the points, as the overshoot base's contours take
+    # them: the error against 50 digits is within eps times the bound at
+    # the circle's leftmost real part
+    for points in ((0.4,), (1.3, 0.4)):
+        dd = law.divided_difference(*points)
+        for x in (0.05, 0.4, 1.3, 4.0):
+            r = 0.9 * x
+            z = x + r * np.exp(1j * np.linspace(0.1, 3.0, 9))
+            got = dd(z)
+            bound = dd.bound(x - r)
+            for zi, gi in zip(z, got):
+                want = complex(_mp_dd(law, complex(zi), points))
+                assert abs(gi - want) <= EPS * bound, (x, zi)
+            # every node at least its own real part's bound
+            assert np.all(dd.bound(z.real) <= bound)
+
+
+def test_laws_without_a_closed_form_have_no_divided_difference():
+    for law in ALL_KINDS[2:]:
+        assert law.divided_difference(0.4) is None
+        assert law.divided_difference(1.0, 0.4) is None
+
+
+def test_atoms():
+    assert [law.atom for law in ALL_KINDS] == [0.0, 0.0, 0.0, 0.0, 0.0]
+    assert claims.PointMass(0.0).atom == 1.0
+    ph = PhaseType(delta=np.array([0.75]), S=np.array([[-1.0]]), delta_abs=0.25)
+    assert claims.PhaseTypeClaim(ph).atom == 0.25

@@ -178,6 +178,18 @@ def test_curves_moments(capsys):
     assert means == sorted(means)
 
 
+def test_curves_ruin_at_zero_reserve(capsys):
+    # u = 0 takes the engine's atom, with no inversion
+    code, out, _ = run_cli(
+        capsys, "curves", "--config", str(CONFIGS / "fig2.json"),
+        "--mode", "ruin", "--u-grid", "0,1",
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["0", "1"]
+    assert rows[0][1] == rows[0][2]  # the exact phase-type value, to 12 digits
+
+
 def test_curves_ruin_columns(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -67,9 +67,20 @@ def test_ruin_curve_no_clients_goes_through_the_engine():
     exact = np.exp(-(1.0 + math.sqrt(3.0)) * np.array([0.5, 1.0]))
     assert abs(got[0] - exact[0]) <= 1e-5 * exact[0]
     assert abs(got[1] - exact[1]) <= 1e-3 * exact[1]
-    # u = 0 is still refused by the inversion
-    with pytest.raises(ValueError, match="t must be positive"):
-        inversion.ruin_curve(bm, 1.0, [0.0])
+    # u = 0 takes no inversion: the Brownian maximum has no atom at zero
+    assert inversion.ruin_curve(bm, 1.0, [0.0]).tolist() == [1.0]
+
+
+def test_ruin_curve_at_zero_is_one_minus_the_atom():
+    from pathlib import Path
+
+    from poolruin.config import load_model
+
+    mdl, beta = load_model(Path(__file__).resolve().parent.parent / "configs" / "fig2.json")
+    got = inversion.ruin_curve(mdl, beta, [0.0, 1.0])
+    exact = 1.0 - phase_type.running_max_ph(mdl, beta, mdl.m).delta_abs
+    assert abs(got[0] - exact) <= 1e-14
+    assert got[1] == inversion.ruin_curve(mdl, beta, [1.0])[0]
 
 
 def test_ruin_curve_checks_beta_with_no_clients():

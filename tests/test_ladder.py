@@ -51,6 +51,48 @@ def test_atom_at_zero():
     assert abs(ladder.pi_generic(spec, 1e8) - 2.0 / 3.0) < 1e-6
 
 
+@pytest.mark.parametrize("fig", ["fig2", "fig4", "m1_hand"])
+def test_atom_is_the_exact_mass_at_zero(fig):
+    # P(M = 0) from the anchors the engine holds, against the exact
+    # phase-type law's atom
+    mdl, beta = load_model(CONFIGS / f"{fig}.json")
+    atom = ladder.engine(cold(mdl), beta, mdl.m).atom()
+    assert abs(atom - phase_type.running_max_ph(mdl, beta, mdl.m).delta_abs) <= 1e-14
+
+
+def test_atom_with_diffusion_is_zero():
+    mdl, beta = load_model(CONFIGS / "fig3.json")
+    assert ladder.engine(mdl, beta, mdl.m).atom() == 0.0
+    alone = model.ModelSpec(
+        m=0, lambda_circ=(), claims=(), regimes=(model.brownian_drift(1.0, 1.0),)
+    )
+    assert ladder.engine(alone, 1.0, 0).atom() == 0.0
+
+
+def test_atom_of_jump_levels_against_monte_carlo():
+    # compound-Poisson levels with Erlang jumps (the defining formula of
+    # the killed maximum) and Exp jumps (its product form), and a level of
+    # jumps alone, without a ladder rate
+    mdl = model.ModelSpec(
+        m=3,
+        lambda_circ=(1.0, 1.5, 0.7),
+        claims=(claims.Exponential(0.9), claims.Erlang(2, 2.0), claims.Exponential(1.5)),
+        regimes=(
+            model.compound_poisson_drift(0.5, 0.0, 0.4, claims.Erlang(2, 3.0)),
+            model.compound_poisson_drift(1.0, 0.0, 0.5, claims.Exponential(2.0)),
+            model.subordinator(0.0, 0.3, claims.Exponential(1.0)),
+            model.compound_poisson_drift(2.0, 0.0, 0.8, claims.Erlang(3, 2.0)),
+        ),
+    )
+    beta = 0.8
+    atom = ladder.engine(mdl, beta, mdl.m).atom()
+    # the transform's limit
+    assert 0.0 < atom < ladder.pi_max(mdl, beta, mdl.m, 1e6) < atom + 1e-5
+    sim = simulate.simulate_paths(mdl, beta, u_queries=(0.0,), n_paths=100_000, seed=3)
+    freq, se = sim.ruin[0.0]
+    assert abs(1.0 - atom - freq) < 3 * se
+
+
 def test_pi_drift_hand_values(m1_model):
     assert math.isclose(ladder.pi_max(m1_model, 1.0, 1, 1.0), 5.0 / 6.0, rel_tol=1e-14)
     assert ladder.pi_max(m1_model, 1.0, 1, 0.0) == pytest.approx(1.0, abs=1e-14)
@@ -725,16 +767,17 @@ def test_no_jet_inside_a_window(m1_model):
         eng.jet(1.2 * nu, order=1)
 
 
-@pytest.mark.parametrize("piece", ["slope", "overshoot_base"])
+@pytest.mark.parametrize("piece", ["slope", "overshoot_base", "overshoot_form"])
 def test_no_jet_of_a_base_without_series(piece):
     # the overshoot route's bases give values only: a jet is refused up
     # front, naming the base, at any point
-    from poolruin.overshoot import _OvershootBase, _Slope
+    from poolruin.overshoot import _OvershootBase, _OvershootForm, _Slope
 
     law = claims.Exponential(1.3)
     base = {
         "slope": _Slope(law, 2.0),
         "overshoot_base": _OvershootBase(law, alpha=1.0, nu=2.0, scale=0.8, dd=-0.3),
+        "overshoot_form": _OvershootForm(law.divided_difference(1.0, 2.0), 0.8, law.mu),
     }[piece]
     eng = ladder._Recursion(base, ())
     for x in (0.0, 5.0):
@@ -1040,7 +1083,7 @@ NODE_LAWS = {
 def _node_pieces(law):
     """Every node evaluation the ladder stacks, with ``law`` as the claim or
     jump law: name -> function of the nodes returning arrays."""
-    from poolruin.overshoot import _OvershootBase, _Slope
+    from poolruin.overshoot import _OvershootBase, _OvershootForm, _Slope
 
     bm = model.brownian_drift(1.0, 1.0)
     cp = model.compound_poisson_drift(1.5, 0.2, 0.8, law)
@@ -1066,7 +1109,7 @@ def _node_pieces(law):
             out += [f, amp]
         return out
 
-    return {
+    pieces = {
         "lst_complex": lambda z: [law.lst_complex(z)],
         "slope": _Slope(law, 2.0).nodes,
         "overshoot_base": _OvershootBase(law, alpha=1.0, nu=2.0, scale=0.8, dd=-0.3).nodes,
@@ -1074,6 +1117,10 @@ def _node_pieces(law):
         "killed_max_cp": ladder._KilledMax(cp, 2.0, model.inverse_exponent(cp, 2.0)).nodes,
         "levels": steps,
     }
+    dd = law.divided_difference(1.0, 2.0)
+    if dd is not None:
+        pieces["overshoot_form"] = _OvershootForm(dd, 0.8, law.left_singularity).nodes
+    return pieces
 
 
 @pytest.mark.parametrize("law", NODE_LAWS.values(), ids=list(NODE_LAWS))
@@ -1194,6 +1241,9 @@ def test_a_priori_bound_covers_the_overshoot_bases(seed, law):
     slope = ladder._Recursion(_Slope(mdl.claims[0], c), ())
     _assert_bound_covers(slope, [(0, c * (1.0 + float(rng.uniform(-0.3, 0.3))))])
     table = OvershootTable(mdl, float(rng.uniform(0.3, 2.0)))
-    xi = table._xi_engine(0, float(rng.uniform(0.1, 3.0)))
-    centres = [p * (1.0 + float(rng.uniform(-0.3, 0.3))) for p, _ in xi._removable]
+    alpha = float(rng.uniform(0.1, 3.0))
+    xi = table._xi_engine(0, alpha)
+    # the base's own points, removable in the quotient form only
+    points = [p for p, _ in xi._removable] + [alpha, table.nu(1)]
+    centres = [p * (1.0 + float(rng.uniform(-0.3, 0.3))) for p in points]
     _assert_bound_covers(xi, [(level, x) for level in range(len(xi.levels) + 1) for x in centres])

@@ -74,3 +74,39 @@ def test_trace_group_holds_every_path(monkeypatch):
             assert p.ruin_level_hit[0]  # every path crosses the level below zero
             assert p.ruin_level_hit[2] == p.ruin_level_hit[3]  # the repeated level
             assert repr(p.overshoot[2]) == repr(p.overshoot[3])
+
+
+def test_transform_rows_get_route_lines(tmp_path, capsys):
+    # (pi_max, pi_via_ladders, pi_explicit_chains[, phase type]) rows, and
+    # the parsed rows (pi_ladder, abs_diff) of CLI transform runs
+    before = {
+        "transform_battery/r001.a1": "(0.5, 0.5000000000000002, 0.5, 0.5)",
+        "transform_battery/fig2.a1": "(0.8, 0.8, 0.8000000000000002)",
+        "cli/transform fig2": "exit 0 md5 aa",
+    }
+    after = {
+        "transform_battery/r001.a1": "(0.5, 0.5, 0.5, 0.5000000000000001)",
+        "transform_battery/fig2.a1": "(0.8, 0.8, 0.8)",
+        "cli/transform fig2": "exit 0 md5 bb",
+    }
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"seed": 7, "outputs": before, "cli_transform": {"cli/transform fig2": [[0.5, 1e-16]]}}))
+    b.write_text(json.dumps({"seed": 7, "outputs": after, "cli_transform": {"cli/transform fig2": [[0.5, 0.0]]}}))
+    _op_outputs().compare(str(a), str(b))
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == (
+        "transform_battery routes: overshoot to pi_max 4.4e-16 "
+        "(transform_battery/r001.a1) -> 0 (transform_battery/r001.a1), "
+        "overshoot to phase type 4.4e-16 (transform_battery/r001.a1) -> "
+        "2.2e-16 (transform_battery/r001.a1)"
+    )
+    assert lines[-1] == (
+        "cli routes: overshoot to pi_max 2e-16 (cli/transform fig2) -> 0 (cli/transform fig2)"
+    )
+
+
+def test_transform_rows_of_a_cli_run():
+    text = b"alpha,pi_ladder,pi_overshoot,abs_diff\n0,1,1,0\n1,0.5,0.5,1e-16\n"
+    assert _op_outputs()._transform_rows(text) == [(1.0, 0.0), (0.5, 1e-16)]
+    bm = b"alpha,pi_ladder,pi_overshoot,abs_diff\n0,1,,\n"
+    assert _op_outputs()._transform_rows(bm) == []

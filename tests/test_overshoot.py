@@ -7,6 +7,7 @@ import pytest
 from poolruin import claims, ladder, model, overshoot, phase_type, simulate
 from poolruin.errors import ChainBudgetExceeded, KillingRequired, RegimeMismatch
 from poolruin.ladder import _Recursion
+from poolruin.seriesops import WINDOW
 
 from conftest import battery_models, cold, random_drift_model
 
@@ -329,3 +330,142 @@ def test_slope_against_mpmath(law, c, offset):
         a, b = mp.mpf(alpha), mp.mpf(c)
         want = mp.diff(ref, b) if alpha == c else (ref(a) - ref(b)) / (a - b)
     assert math.isclose(got, float(want), rel_tol=1e-13)
+
+
+# ------------------------------------------- closed-form divided differences
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("law", [claims.Exponential(1.5), claims.Erlang(3, 1.5)], ids=repr)
+@pytest.mark.parametrize("c", [1e-4, 1e-3, 1e-2])
+def test_slope_at_small_ladder_rates(law, c):
+    # a ladder rate far below the claim scale, where the quotient
+    # (C(x) - C(c)) / (x - c) cancels on the law's own scale just outside
+    # its window: the route's own divided difference keeps 4 eps
+    mdl = model.ModelSpec(
+        m=1, lambda_circ=(c / 2,), claims=(law,), regimes=(model.drift(1.0),) * 2
+    )
+    table = overshoot.OvershootTable(mdl, c / 2)
+    assert table.nu(1) == c
+    slope = table._slope(1)
+    for x in [c * q for q in (0.5, 0.64, 1.0, 1.36, 1.5, 2.0, 3.0)]:
+        with mp.workdps(50):
+            mu, k = mp.mpf(law.mu), getattr(law, "k", 1)
+            lst = lambda t: (mu / (mu + t)) ** k
+            a, b = mp.mpf(x), mp.mpf(c)
+            want = mp.diff(lst, b) if x == c else (lst(a) - lst(b)) / (a - b)
+        assert abs(slope(x) - float(want)) <= 4 * EPS * abs(float(want)), x
+
+
+def test_xi_bases_of_closed_form_laws_have_no_removable_point():
+    mdl = random_drift_model(np.random.default_rng(41), m_max=6)
+    table = overshoot.OvershootTable(mdl, 1.0)
+    for k in range(mdl.m - 1):
+        engine = table._xi_engine(k, 0.7)
+        assert isinstance(engine.base, overshoot._OvershootForm)
+        assert engine.base.removable == ()
+        assert [p for p, _ in engine._removable] == [lv.nu for lv in engine.levels]
+
+
+def test_xi_engines_keep_contour_means_at_level_rate_windows(monkeypatch):
+    # seed 4's r125 of the transform battery: six ladder rates from 0.566 to
+    # 1.697, each within a window of another.  The overshoot recursions are
+    # built without ``direct``, so their level-rate windows stay contour
+    # means, unlike the ladder's small engines; no circle is taken for the
+    # bases, which have no removable point
+    mdl, beta = battery_models(4)[125]
+    stacked = []
+    stack = _Recursion._stack
+
+    def spy(self, blocks):
+        stacked.append((self, list(blocks)))
+        return stack(self, blocks)
+
+    monkeypatch.setattr(_Recursion, "_stack", spy)
+    table = overshoot.OvershootTable(cold(mdl), beta)
+    for a in BATTERY_ALPHAS:
+        table.pi_via_ladders(a)
+    xi = [(eng, blocks) for eng, blocks in stacked if isinstance(eng.base, overshoot._OvershootForm)]
+    assert sum(len(blocks) for _, blocks in xi) >= 20
+    assert all(type(eng.base) is overshoot._OvershootForm for eng, _ in stacked)
+    for eng, blocks in xi:
+        assert not eng._direct
+        for level, x in blocks:
+            assert level >= 1
+            assert any(
+                abs(x - lv.nu) <= WINDOW * lv.nu for lv in eng.levels[:level]
+            ), (level, x)
+
+
+# Lomax and point-mass laws have no closed-form divided difference: their
+# slopes, bases and routes keep the quotient and its contour means, bit for
+# bit (values recorded before the closed forms came in)
+PINNED = {
+    ('lomax', 'slope', 0.4, 0.0): -0.7588167240771173,
+    ('lomax', 'slope', 0.4, 0.27999999999999997): -0.49340176751020115,
+    ('lomax', 'slope', 0.4, 0.4): -0.44175177574652424,
+    ('lomax', 'slope', 0.4, 0.48): -0.41418395836403077,
+    ('lomax', 'slope', 0.4, 2.4000000000000004): -0.18081321185310628,
+    ('lomax', 'slope', 2.5, 0.0): -0.26921482696979543,
+    ('lomax', 'slope', 2.5, 1.75): -0.09495458339118454,
+    ('lomax', 'slope', 2.5, 2.5): -0.07685930787918148,
+    ('lomax', 'slope', 2.5, 3.0): -0.06834276722814162,
+    ('lomax', 'slope', 2.5, 15.0): -0.019248394600528348,
+    ('lomax', 'base', 2.0, 0.3): 0.02576386680368441,
+    ('lomax', 'base', 2.0, 1.0): 0.05267899305220184,
+    ('lomax', 'base', 2.0, 1.1): 0.05511277167582085,
+    ('lomax', 'base', 2.0, 2.0): 0.07033550081752071,
+    ('lomax', 'base', 2.0, 2.4): 0.0747745493135316,
+    ('lomax', 'base', 2.0, 5.0): 0.09042301472302285,
+    ('lomax', 'pi_via_ladders', 0.8, 0.0): 1.0,
+    ('lomax', 'xi', 1.3, 0.0): 0.05100072119992105,
+    ('lomax', 'pi_via_ladders', 0.8, 0.5): 0.8236386184059534,
+    ('lomax', 'xi', 1.3, 0.5): 0.025426348961297814,
+    ('lomax', 'pi_via_ladders', 0.8, 2.0): 0.7343561335317819,
+    ('lomax', 'xi', 1.3, 2.0): 0.011959222303192029,
+    ('point', 'slope', 0.4, 0.0): -0.6846274073157729,
+    ('point', 'slope', 0.4, 0.27999999999999997): -0.6097174774639516,
+    ('point', 'slope', 0.4, 0.4): -0.5809192296589527,
+    ('point', 'slope', 0.4, 0.48): -0.5627201236767976,
+    ('point', 'slope', 0.4, 2.4000000000000004): -0.2897710374716703,
+    ('point', 'slope', 2.5, 0.0): -0.3458658867053549,
+    ('point', 'slope', 2.5, 1.75): -0.14834890760665836,
+    ('point', 'slope', 2.5, 2.5): -0.10826822658929014,
+    ('point', 'slope', 2.5, 3.0): -0.08923465989440035,
+    ('point', 'slope', 2.5, 15.0): -0.01082633112194075,
+    ('point', 'base', 2.0, 0.3): 0.03309502883970466,
+    ('point', 'base', 2.0, 1.0): 0.08962458013696888,
+    ('point', 'base', 2.0, 1.1): 0.0958496764953064,
+    ('point', 'base', 2.0, 2.0): 0.13746437076294699,
+    ('point', 'base', 2.0, 2.4): 0.149771734576187,
+    ('point', 'base', 2.0, 5.0): 0.18623881975392576,
+    ('point', 'pi_via_ladders', 0.8, 0.0): 1.0,
+    ('point', 'xi', 1.3, 0.0): 0.040161751159180074,
+    ('point', 'pi_via_ladders', 0.8, 0.5): 0.8839103939382549,
+    ('point', 'xi', 1.3, 0.5): 0.0347393931997346,
+    ('point', 'pi_via_ladders', 0.8, 2.0): 0.7288727969595324,
+    ('point', 'xi', 1.3, 2.0): 0.023713360604454232,
+}
+
+
+def test_lomax_and_point_mass_routes_are_unchanged():
+    laws = {"lomax": claims.Lomax(1.0, 1.5), "point": claims.PointMass(0.8)}
+    got = {}
+    for name, law in laws.items():
+        for c in (0.4, 2.5):
+            for x in (0.0, 0.7 * c, c, 1.2 * c, 6.0 * c):
+                got[(name, "slope", c, x)] = _Recursion(overshoot._Slope(law, c), ()).value(x)
+        dd = _Recursion(overshoot._Slope(law, 2.0), ()).value(1.0)
+        for x in (0.3, 1.0, 1.1, 2.0, 2.4, 5.0):
+            base = overshoot._OvershootBase(law, alpha=1.0, nu=2.0, scale=0.8, dd=dd)
+            got[(name, "base", 2.0, x)] = _Recursion(base, ()).value(x)
+        mdl = model.ModelSpec(
+            m=3, lambda_circ=(1.0, 1.5, 0.7), claims=(law,) * 3,
+            regimes=(model.drift(0.5), model.drift(1.0), model.drift(2.0), model.drift(0.8)),
+        )
+        table = overshoot.OvershootTable(mdl, 0.8)
+        for a in (0.0, 0.5, 2.0):
+            got[(name, "pi_via_ladders", 0.8, a)] = table.pi_via_ladders(a)
+            got[(name, "xi", 1.3, a)] = table.xi(3, 1, a, 1.3)
+    assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in PINNED.items()}
