@@ -93,6 +93,28 @@ def test_atom_of_jump_levels_against_monte_carlo():
     assert abs(1.0 - atom - freq) < 3 * se
 
 
+def test_atom_is_the_transform_at_infinity():
+    # every kind of level: a subordinator with upward drift (no atom), a
+    # flat state (atom one), diffusion with Exp jumps (product form) and a
+    # Brownian base; the transform at 1e12 is within 1e-11 of the atom
+    mdl = model.ModelSpec(
+        m=4,
+        lambda_circ=(1.0, 2.0, 0.5, 1.5),
+        claims=(claims.Exponential(0.8), claims.Erlang(2, 1.5), claims.PointMass(0.0), claims.Exponential(2.0)),
+        regimes=(
+            model.brownian_drift(0.5, 1.0),
+            model.subordinator(r=-0.5, jump_rate=0.5, jump_law=claims.Exponential(2.0)),
+            model.compound_poisson_drift(1.5, 0.3, 1.0, claims.Exponential(2.0)),
+            model.drift(0.0),
+            model.drift(1.0),
+        ),
+    )
+    for n in range(mdl.m + 1):
+        eng = ladder.engine(mdl, 0.8, n)
+        assert abs(eng.atom() - eng.value(1e12)) <= 1e-11, n
+    assert ladder.engine(mdl, 0.8, 3).atom() > 0.5  # the flat state keeps its atom
+
+
 def test_pi_drift_hand_values(m1_model):
     assert math.isclose(ladder.pi_max(m1_model, 1.0, 1, 1.0), 5.0 / 6.0, rel_tol=1e-14)
     assert ladder.pi_max(m1_model, 1.0, 1, 0.0) == pytest.approx(1.0, abs=1e-14)
