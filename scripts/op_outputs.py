@@ -22,7 +22,12 @@ removable points, ``pi_jet``, and the CLI commands listed with it in
 ``HELD``.  The ``trace`` group holds the ``repr`` of the per-path results of
 ``simulate_trace`` on fig4 and on the ``cp`` model of ``mc_models`` (300
 paths at the record's seed, levels (-1, 0, 1, 1, 5): one below zero and
-one repeated).
+one repeated).  The ``simulate`` group holds the whole ``SimulationSummary``
+of ``simulate_paths`` (moments and their standard errors, ruin, overshoot
+means, client counts at ruin, transforms and claim-count frequencies, every
+array written out in full) on each ``mc_oracle`` model at 1 and 2 workers,
+and on its ``cp`` model at a fixed horizon: 20,000 paths (two blocks, the
+second partial) at the record's seed, the same levels and two alphas.
 
 Usage, from the repository root:
 
@@ -34,7 +39,7 @@ Usage, from the repository root:
 default the one holding this script).  ``--compare`` prints every entry
 that differs, with both values and, for float outputs, the largest
 relative difference; then one summary line per group (each workload,
-``deep``, each held model, ``trace`` and ``cli``): the entries moved, of the group's
+``deep``, each held model, ``trace``, ``simulate`` and ``cli``): the entries moved, of the group's
 total, and the worst relative move with its key.  Each group holding
 transform rows (``transform_battery``, whose rows hold ``pi_max``, the two
 overshoot routes and the phase-type transform where there is one, and
@@ -49,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import hashlib
 import json
 import math
@@ -135,6 +141,9 @@ SMALL_RATES = {
 }
 TRACE_PATHS = 300
 TRACE_LEVELS = (-1.0, 0.0, 1.0, 1.0, 5.0)
+SIM_PATHS = 20_000
+SIM_ALPHAS = (0.5, 2.0)
+SIM_HORIZON_T = 2.0
 MODEL_COMMANDS = (("transform",), ("curves", "--mode", "moments"))
 # name -> (config, CLI commands)
 HELD = {
@@ -220,6 +229,42 @@ def trace_outputs(root: Path, seed: int) -> dict:
     return out
 
 
+def _summary_repr(summary) -> str:
+    """The ``repr`` of every field of a ``SimulationSummary``, its arrays as
+    lists: numpy's own ``repr`` rounds them to eight digits."""
+    import numpy as np
+
+    def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    fields = dataclasses.fields(summary)
+    return repr({f.name: plain(getattr(summary, f.name)) for f in fields})
+
+
+def simulate_outputs(root: Path, seed: int) -> dict:
+    from poolruin.config import load_model
+    from poolruin.simulate import simulate_paths
+    from workloads import MC_MODELS, mc_models
+
+    models = mc_models(seed)
+    for name in MC_MODELS:
+        if name not in models:
+            models[name] = load_model(root / "configs" / f"{name}.json")
+    kw = dict(n_paths=SIM_PATHS, seed=seed, alphas=SIM_ALPHAS)
+    out = {}
+    for name in MC_MODELS:
+        mdl, beta = models[name]
+        for w in (1, 2):
+            s = simulate_paths(mdl, beta, TRACE_LEVELS, n_workers=w, **kw)
+            out[f"simulate/{name}.w{w}"] = _summary_repr(s)
+    mdl, beta = models["cp"]
+    s = simulate_paths(mdl, beta, TRACE_LEVELS, horizon_t=SIM_HORIZON_T, **kw)
+    out["simulate/cp.horizon"] = _summary_repr(s)
+    return out
+
+
 def _transform_rows(stdout: bytes) -> list:
     """(pi_ladder, abs_diff) of each row of ``poolruin transform`` output
     that has an overshoot column."""
@@ -260,6 +305,7 @@ def record(root: Path, seed: int) -> dict:
     outputs.update(deep_points())
     outputs.update(held_points())
     outputs.update(trace_outputs(root, seed))
+    outputs.update(simulate_outputs(root, seed))
     with tempfile.TemporaryDirectory() as scratch:
         cli, rows = cli_outputs(root, Path(scratch))
     outputs.update(cli)

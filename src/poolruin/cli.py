@@ -161,6 +161,22 @@ def cmd_curves(args) -> int:
     return 0
 
 
+def _finite_or_null(node, name: str, not_finite: list):
+    """``node`` with every non-finite float replaced by None, which JSON
+    writes as null; (dotted name, value) of each goes to ``not_finite``."""
+    if isinstance(node, dict):
+        return {
+            k: _finite_or_null(v, f"{name}.{k}" if name else k, not_finite)
+            for k, v in node.items()
+        }
+    if isinstance(node, list):
+        return [_finite_or_null(v, f"{name}[{i}]", not_finite) for i, v in enumerate(node)]
+    if isinstance(node, float) and not math.isfinite(node):
+        not_finite.append((name, float(node)))
+        return None
+    return node
+
+
 def cmd_simulate(args) -> int:
     model, default_beta = load_model(args.config)
     beta = _require_beta(args, model, default_beta, args.horizon)
@@ -184,6 +200,10 @@ def cmd_simulate(args) -> int:
         observed = summary.claims_count_freq * summary.n_paths
         _, pvalue = stats.chisquare(observed, expected)
         doc["estimates"]["claims_count_pvalue"] = float(pvalue)
+    not_finite = []
+    doc = _finite_or_null(doc, "", not_finite)
+    for name, value in not_finite:
+        print(f"warning: {name} is {value!r}, written as null", file=sys.stderr)
     text = json.dumps(doc, sort_keys=True, indent=2)
     if args.out:
         with open(args.out, "w") as fh:

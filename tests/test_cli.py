@@ -372,6 +372,24 @@ def test_simulate_reports_claim_count_pvalue(capsys):
     assert doc["estimates"]["claims_count_pvalue"] > 0.001
 
 
+def test_simulate_writes_an_infinite_estimate_as_null(tmp_path, capsys):
+    # so heavy a tail overflows the fourth power sum: the variance's
+    # standard error is inf, which JSON cannot hold
+    cfg = _write_pool(tmp_path, {"lomax": {"c": 1, "eps": 0.05}})
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", cfg, "--paths", "20000", "--seed", "0", "--u", "1"
+    )
+    assert code == 0, err
+
+    def refuse(constant):
+        raise ValueError(f"{constant} in the JSON output")
+
+    doc = json.loads(out, parse_constant=refuse)
+    assert doc["stderr"]["var_max"] is None
+    assert math.isfinite(doc["estimates"]["var_max"])
+    assert err == "warning: stderr.var_max is inf, written as null\n"
+
+
 def test_config_parses_all_claim_and_regime_tags(tmp_path, capsys):
     cfg = tmp_path / "full.json"
     cfg.write_text(json.dumps({

@@ -1,6 +1,9 @@
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
+
+import numpy as np
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "op_outputs.py"
 
@@ -18,6 +21,7 @@ OUTPUTS = {
     "deep/drift.m30.spread": "0.145",
     "small_rates/pi_jet.n2": "(1.0, -0.3, 0.6)",
     "cli/transform fig2": "exit 0 md5 aa",
+    "simulate/fig2.w1": "{'se_var_max': 0.25, 'overshoot_mean': {1.0: (0.5, 0.01, 900)}}",
 }
 
 
@@ -33,10 +37,11 @@ def test_identical_records_read_zero_moved(tmp_path, capsys):
     code, lines = _compare(tmp_path, capsys, {})
     assert code == 0
     assert lines == [
-        "0 of 5 outputs differ",
+        "0 of 6 outputs differ",
         "cli: 0 of 1 moved",
         "deep: 0 of 1 moved",
         "figure_curves: 0 of 2 moved",
+        "simulate: 0 of 1 moved",
         "small_rates: 0 of 1 moved",
     ]
 
@@ -46,16 +51,19 @@ def test_each_group_names_its_worst_move(tmp_path, capsys):
         "figure_curves/fig2.ruin.u5": "0.2500001",
         "figure_curves/fig2.moments.t1": "(0.5, 0.126)",
         "cli/transform fig2": "exit 0 md5 bb",
+        # a moved overshoot sum moves the summary
+        "simulate/fig2.w1": "{'se_var_max': 0.25, 'overshoot_mean': {1.0: (0.5000000000000001, 0.01, 900)}}",
     }
     code, lines = _compare(tmp_path, capsys, after)
     assert code == 1
-    assert "3 of 5 outputs differ" in lines
+    assert "4 of 6 outputs differ" in lines
     assert (
         "figure_curves: 2 of 2 moved, worst rel 0.008 at figure_curves/fig2.moments.t1"
         in lines
     )
     assert "cli: 1 of 1 moved, worst rel not numeric at cli/transform fig2" in lines
     assert "deep: 0 of 1 moved" in lines
+    assert "simulate: 1 of 1 moved, worst rel not numeric at simulate/fig2.w1" in lines
 
 
 def test_trace_group_holds_every_path(monkeypatch):
@@ -74,6 +82,32 @@ def test_trace_group_holds_every_path(monkeypatch):
             assert p.ruin_level_hit[0]  # every path crosses the level below zero
             assert p.ruin_level_hit[2] == p.ruin_level_hit[3]  # the repeated level
             assert repr(p.overshoot[2]) == repr(p.overshoot[3])
+
+
+def test_simulate_group_holds_every_summary(monkeypatch):
+    from poolruin.simulate import SimulationSummary
+
+    module = _op_outputs()
+    root = SCRIPT.parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    out = module.simulate_outputs(root, 7)
+    names = ("fig2", "fig3", "fig4", "fig5", "cp", "cpbm", "sub")
+    keys = [f"simulate/{n}.w{w}" for n in names for w in (1, 2)] + ["simulate/cp.horizon"]
+    assert sorted(out) == sorted(keys)
+    for n in names:
+        assert out[f"simulate/{n}.w1"] == out[f"simulate/{n}.w2"]
+    fields = {f.name for f in dataclasses.fields(SimulationSummary)}
+    for key, text in out.items():
+        summary = eval(text, {"np": np, "nan": float("nan"), "inf": float("inf")})
+        assert set(summary) == fields
+        assert summary["n_paths"] == module.SIM_PATHS
+        assert sorted(summary["ruin"]) == sorted(set(module.TRACE_LEVELS))
+        assert sorted(summary["lst"]) == sorted(module.SIM_ALPHAS)
+        # arrays written out in full, not as numpy's rounded repr
+        assert isinstance(summary["claims_count_freq"], list)
+        assert all(isinstance(v, list) for v in summary["n_at_ruin_freq"].values())
+        assert summary["overshoot_mean"]
+        assert summary["horizon_t"] == (module.SIM_HORIZON_T if key.endswith("horizon") else None)
 
 
 def test_transform_rows_get_route_lines(tmp_path, capsys):

@@ -1,4 +1,7 @@
 import math
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +51,50 @@ def test_reproducible_across_runs_and_workers(m1_model, name):
     b = simulate.simulate_paths(mdl, 1.0, **kw)
     c = simulate.simulate_paths(mdl, 1.0, n_workers=8, **kw)
     assert a.as_dict() == b.as_dict() == c.as_dict()
+
+
+def _bits(summary):
+    """The summary's repr with every array written out to the last bit."""
+
+    def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return repr({k: plain(v) for k, v in vars(summary).items()})
+
+
+def test_concurrent_calls_keep_their_own_block_arrays(monkeypatch):
+    # two calls at once, each with two workers (more threads than cores),
+    # many blocks per worker and a partial last block: each reads as alone
+    monkeypatch.setattr(simulate, "_BLOCK_SIZE", 2500)
+    fig4, beta4 = load_model(CONFIGS / "fig4.json")
+    calls = {"fig4": (fig4, beta4), "jumps": (_jump_regimes_model(), 1.0)}
+    kw = dict(u_queries=(-1.0, 0.0, 1.0, 1.0, 5.0), n_paths=24_321, seed=47, alphas=(0.5, 2.0))
+    serial = {name: _bits(simulate.simulate_paths(*call, **kw)) for name, call in calls.items()}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = {
+                name: pool.submit(simulate.simulate_paths, *call, n_workers=2, **kw)
+                for name, call in calls.items()
+            }
+            together = {name: _bits(f.result(timeout=120)) for name, f in futures.items()}
+    finally:
+        sys.setswitchinterval(interval)
+    assert together == serial
+
+
+def test_fewer_blocks_than_workers_start_no_pool(m1_model, monkeypatch):
+    kw = dict(u_queries=(0.5,), n_paths=1000, seed=3, alphas=(1.0,))
+    serial = simulate.simulate_paths(m1_model, 1.0, **kw)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool for a single block")
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+    assert _bits(simulate.simulate_paths(m1_model, 1.0, n_workers=4, **kw)) == _bits(serial)
 
 
 def test_seed_changes_results(m1_model):
@@ -344,6 +391,44 @@ def test_overshoot_sums_repeat_the_dense_block_reduction(name, monkeypatch):
         assert s.overshoot_mean[u] == (mean, se, count)
 
 
+def test_power_sums_repeat_the_dense_block_reduction(monkeypatch):
+    # each block sums the powers of every path maximum, zeros included,
+    # pairwise down the block, as the dense x**k of the whole block would
+    mdl = _level_models()["drift"]
+    n, block = 6000, 2500
+    monkeypatch.setattr(simulate, "_BLOCK_SIZE", block)
+    s = simulate.simulate_paths(mdl, 1.0, n_paths=n, seed=45)
+    mx = np.array([p.max for p in simulate.simulate_trace(mdl, 1.0, n_paths=n, seed=45)])
+    assert (mx == 0.0).any() and (mx > 0.0).any()
+    pow_sum = np.zeros(4)
+    for lo in range(0, n, block):
+        part = mx[lo : lo + block]
+        pow_sum = pow_sum + np.array([part.sum(), (part**2).sum(), (part**3).sum(), (part**4).sum()])
+    mom = pow_sum / n
+    var = max(mom[1] - mom[0] ** 2, 0.0)
+    mu4 = mom[3] - 4 * mom[0] * mom[2] + 6 * mom[0] ** 2 * mom[1] - 3 * mom[0] ** 4
+    assert (s.mean_max, s.se_mean_max) == (mom[0], math.sqrt(var / n))
+    assert (s.var_max, s.se_var_max) == (var, math.sqrt(max(mu4 - var**2, 0.0) / n))
+
+
+def test_overflowed_power_sums_read_inf_without_warnings():
+    # a Lomax tail this heavy overflows the fourth power sum: its standard
+    # error is inf, not NaN, and numpy warns of nothing
+    lomax = claims.Lomax(1.0, 0.05)
+    mdl = model.ModelSpec(
+        m=2,
+        lambda_circ=(1.0, 1.0),
+        claims=(lomax, lomax),
+        regimes=tuple(model.drift(r) for r in (0.0, 1.0, 2.0)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = simulate.simulate_paths(mdl, 1.0, u_queries=(1.0,), n_paths=200_000, seed=0)
+    assert s.se_var_max == math.inf
+    assert math.isfinite(s.mean_max) and math.isfinite(s.var_max)
+    assert math.isfinite(s.overshoot_mean[1.0][1])
+
+
 def test_jump_crossings_inside_a_segment_have_unknown_overshoot():
     # every regime jumps: a level is crossed inside a segment (overshoot
     # NaN) or by a claim (overshoot > 0), never continuously
@@ -366,6 +451,64 @@ def test_jump_crossings_inside_a_segment_have_unknown_overshoot():
     for u in levels:
         assert s.overshoot_mean[u][2] == by_claim[u]
         assert s.ruin[u][0] == (inside[u] + by_claim[u]) / 5000
+
+
+def test_bridge_maximum_repeats_its_formula():
+    # the in-place bridge maximum against the expression it evaluates
+    rng = np.random.default_rng(3)
+    dur = rng.exponential(1.0, 4000)
+    dur[::5] = 0.0
+    zend = -1.5 * dur + np.sqrt(0.7 * dur) * rng.standard_normal(dur.size)
+    got = simulate._bridge_max(zend, 0.7, dur, simulate._block_rng(4, 0))
+    u01 = 1.0 - simulate._block_rng(4, 0).random(dur.size)
+    disc = zend**2 - 2.0 * 0.7 * dur * np.log(u01)
+    want = np.where(dur > 0, 0.5 * (zend + np.sqrt(disc)), 0.0)
+    assert got.tobytes() == want.tobytes()
+
+
+def _indexed_walk(reg, dur, rng):
+    """The jump walk over whole path arrays, finding the paths that still
+    have piece j anew at every piece, with each path's jump times ordered by
+    ``np.lexsort``: the reference for the compacted walk of
+    ``simulate._segment_draws``."""
+    P = dur.shape[0]
+    counts = rng.poisson(reg.jump_rate * dur)
+    total = int(counts.sum())
+    sizes = np.asarray(reg.jump_law.sample(rng, total), dtype=float) if total else np.empty(0)
+    first = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(P), counts)
+    u = rng.random(total)
+    times = u[np.lexsort((u, owner))] * dur[owner]
+    level, peak, start = np.zeros(P), np.zeros(P), np.zeros(P)
+    for j in range(int(counts.max()) + 1):
+        idx = np.flatnonzero(counts >= j)
+        jumps = counts[idx] > j
+        at = idx[jumps]
+        end = dur[idx]
+        end[jumps] = times[first[at] + j]
+        ze, bmax = simulate._piece(reg, end - start[idx], rng)
+        base = level[idx]
+        peak[idx] = np.maximum(peak[idx], base + bmax)
+        level[idx] = base + ze
+        level[at] += sizes[first[at] + j]
+        peak[at] = np.maximum(peak[at], level[at])
+        start[at] = end[jumps]
+    return peak, level
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 0.6])
+def test_compacted_jump_walk_repeats_the_indexed_walk(sigma2):
+    reg = model.compound_poisson_drift(1.5, sigma2, 2.0, claims.Erlang(2, 3.0))
+    dur = np.random.default_rng(5).exponential(1.0, 5000)
+    dur[::7] = 0.0  # segments cut to nothing by the horizon
+    for block in range(3):
+        rng, ref_rng = simulate._block_rng(9, block), simulate._block_rng(9, block)
+        peak, level, continuous = simulate._segment_draws(reg, dur, rng)
+        ref_peak, ref_level = _indexed_walk(reg, dur, ref_rng)
+        assert not continuous
+        assert peak.tobytes() == ref_peak.tobytes()
+        assert level.tobytes() == ref_level.tobytes()
+        assert rng.random() == ref_rng.random()  # the same draws, in order
 
 
 @pytest.mark.parametrize("kind", ["brownian", "drift"])
