@@ -28,6 +28,12 @@ means, client counts at ruin, transforms and claim-count frequencies, every
 array written out in full) on each ``mc_oracle`` model at 1 and 2 workers,
 and on its ``cp`` model at a fixed horizon: 20,000 paths (two blocks, the
 second partial) at the record's seed, the same levels and two alphas.
+The ``overshoot`` group holds the overshoot route's own values on fig2,
+fig4, fig5 and m1_hand, each at its own beta and at beta = 0: the whole
+zeta matrix at each of ``OVERSHOOT_ALPHAS`` and at the first level rate,
+``survive_zero`` at every n, and ``xi(n, k, alpha, gamma)`` for every
+(n, k) at gammas inside the level-rate windows (each level rate, and 1 +
+``WINDOW`` / 2 times it), which the battery's single ``pi`` column hides.
 
 Usage, from the repository root:
 
@@ -39,8 +45,9 @@ Usage, from the repository root:
 default the one holding this script).  ``--compare`` prints every entry
 that differs, with both values and, for float outputs, the largest
 relative difference; then one summary line per group (each workload,
-``deep``, each held model, ``trace``, ``simulate`` and ``cli``): the entries moved, of the group's
-total, and the worst relative move with its key.  Each group holding
+``deep``, each held model, ``trace``, ``simulate``, ``overshoot`` and
+``cli``): the entries moved, of the group's total, and the worst relative
+move with its key.  Each group holding
 transform rows (``transform_battery``, whose rows hold ``pi_max``, the two
 overshoot routes and the phase-type transform where there is one, and
 ``cli``, whose ``transform`` runs the record keeps parsed under
@@ -144,6 +151,9 @@ TRACE_LEVELS = (-1.0, 0.0, 1.0, 1.0, 5.0)
 SIM_PATHS = 20_000
 SIM_ALPHAS = (0.5, 2.0)
 SIM_HORIZON_T = 2.0
+OVERSHOOT_CONFIGS = ("fig2", "fig4", "fig5", "m1_hand")
+OVERSHOOT_ALPHAS = (0.0, 0.5, 1.0, 4.0)
+XI_ALPHAS = (0.0, 1.0)
 MODEL_COMMANDS = (("transform",), ("curves", "--mode", "moments"))
 # name -> (config, CLI commands)
 HELD = {
@@ -265,6 +275,54 @@ def simulate_outputs(root: Path, seed: int) -> dict:
     return out
 
 
+def _value_repr(fn) -> str:
+    """The ``repr`` of ``fn()``, or of the error it raised."""
+    try:
+        return repr(fn())
+    except Exception as exc:  # a refused pair is an output too
+        return f"raised {type(exc).__name__}: {exc}"
+
+
+def overshoot_outputs(root: Path) -> dict:
+    """Zeta matrices (flattened by row), survival at level zero and xi at
+    windowed gammas on each ``OVERSHOOT_CONFIGS`` model, each (config,
+    beta) on one model object, as the CLI keeps it."""
+    from poolruin.config import load_model
+    from poolruin.overshoot import OvershootTable
+    from poolruin.seriesops import WINDOW
+
+    out = {}
+    for name in OVERSHOOT_CONFIGS:
+        mdl, own = load_model(root / "configs" / f"{name}.json")
+        m = mdl.m
+        for beta in dict.fromkeys((own, 0.0)):
+            key = f"overshoot/{name}.b{beta!r}"
+            try:
+                table = OvershootTable(mdl, beta)
+            except Exception as exc:
+                out[key] = f"raised {type(exc).__name__}: {exc}"
+                continue
+            rates = [table.nu(n) for n in range(1, m + 1)]
+            for alpha in (*OVERSHOOT_ALPHAS, rates[0]):
+                out[f"{key}/zeta.a{alpha!r}"] = _value_repr(
+                    lambda: tuple(table.zeta(n, k, alpha) for n in range(1, m + 1) for k in range(n))
+                )
+            out[f"{key}/survive_zero"] = _value_repr(
+                lambda: tuple(table.survive_zero(n) for n in range(m + 1))
+            )
+            gammas = [g for nu in rates[1:] for g in (nu, nu * (1.0 + WINDOW / 2))]
+            for alpha in XI_ALPHAS:
+                for gamma in gammas:
+                    out[f"{key}/xi.a{alpha!r}.g{gamma!r}"] = _value_repr(
+                        lambda: tuple(
+                            table.xi(n, k, alpha, gamma)
+                            for n in range(1, m + 1)
+                            for k in range(n)
+                        )
+                    )
+    return out
+
+
 def _transform_rows(stdout: bytes) -> list:
     """(pi_ladder, abs_diff) of each row of ``poolruin transform`` output
     that has an overshoot column."""
@@ -306,6 +364,7 @@ def record(root: Path, seed: int) -> dict:
     outputs.update(held_points())
     outputs.update(trace_outputs(root, seed))
     outputs.update(simulate_outputs(root, seed))
+    outputs.update(overshoot_outputs(root))
     with tempfile.TemporaryDirectory() as scratch:
         cli, rows = cli_outputs(root, Path(scratch))
     outputs.update(cli)

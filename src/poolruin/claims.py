@@ -248,7 +248,11 @@ class ClaimDistribution:
     def tail(self, u: float) -> float:
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(
+        self, rng: np.random.Generator, size: int, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``size`` independent draws, into ``out`` (a float array of that
+        length) when given, which is returned."""
         raise NotImplementedError
 
     def mean(self) -> float:
@@ -316,8 +320,11 @@ class Exponential(ClaimDistribution):
     def tail(self, u: float) -> float:
         return math.exp(-self.mu * u)
 
-    def sample(self, rng, size):
-        return rng.exponential(1.0 / self.mu, size)
+    def sample(self, rng, size, out=None):
+        # the draws and products of rng.exponential(1.0 / mu, size)
+        out = rng.standard_exponential(size, out=out)
+        out *= 1.0 / self.mu
+        return out
 
     def mean(self) -> float:
         return 1.0 / self.mu
@@ -400,8 +407,11 @@ class Erlang(ClaimDistribution):
             acc += term
         return math.exp(-x) * acc
 
-    def sample(self, rng, size):
-        return rng.gamma(self.k, 1.0 / self.mu, size)
+    def sample(self, rng, size, out=None):
+        # the draws and products of rng.gamma(k, 1.0 / mu, size)
+        out = rng.standard_gamma(self.k, size, out=out)
+        out *= 1.0 / self.mu
+        return out
 
     def mean(self) -> float:
         return self.k / self.mu
@@ -455,8 +465,12 @@ class PhaseTypeClaim(ClaimDistribution):
     def tail(self, u: float) -> float:
         return pht.ph_tail(self.ph, u)
 
-    def sample(self, rng, size):
-        return pht.ph_sample(self.ph, rng, size)
+    def sample(self, rng, size, out=None):
+        draws = pht.ph_sample(self.ph, rng, size)
+        if out is None:
+            return draws
+        out[...] = draws
+        return out
 
     def mean(self) -> float:
         return pht.ph_mean(self.ph)
@@ -625,9 +639,15 @@ class Lomax(ClaimDistribution):
     def tail(self, u: float) -> float:
         return (self.c / (self.c + u)) ** self.eps
 
-    def sample(self, rng, size):
-        # 1 - U lies in (0, 1]: the inverse survival transform stays finite
-        return self.c * ((1.0 - rng.random(size)) ** (-1.0 / self.eps) - 1.0)
+    def sample(self, rng, size, out=None):
+        # c ((1 - U)^(-1/eps) - 1), in place; 1 - U lies in (0, 1]: the
+        # inverse survival transform stays finite
+        out = rng.random(size, out=out)
+        np.subtract(1.0, out, out=out)
+        np.power(out, -1.0 / self.eps, out=out)
+        out -= 1.0
+        out *= self.c
+        return out
 
     def mean(self) -> float:
         if self.eps <= 1:
@@ -693,8 +713,11 @@ class PointMass(ClaimDistribution):
     def tail(self, u: float) -> float:
         return 1.0 if u < self.b else 0.0
 
-    def sample(self, rng, size):
-        return np.full(size, self.b)
+    def sample(self, rng, size, out=None):
+        if out is None:
+            return np.full(size, self.b)
+        out.fill(self.b)
+        return out
 
     def mean(self) -> float:
         return self.b

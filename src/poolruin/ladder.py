@@ -51,7 +51,14 @@ evaluated, without tracking ``A``.  A point whose best bound is larger is
 evaluated on every radius with ``A`` tracked at the nodes, and the least
 tracked bound wins.  The bounds of a small stack are taken in Python
 floats and of a larger one in arrays, by the same operations and so to
-the same bits: the choice depends on the level and the point only.  The
+the same bits: the choice depends on the level and the point only.  Each
+level's step of ``A`` on a circle is ``A <- A a + b``, its multipliers
+from the level and the circle alone.  A level shared by several
+recursions (the overshoot route's, whose bases differ by alpha and k)
+memoizes the multipliers of the float walk by circle, the radii and
+truncation terms of its circles, and its factors at the nodes of each
+certified ring (:class:`_LevelMemo`); the ladder's own levels keep none
+and look nothing up.  The
 bound assumes ``|F| <= 1`` out to the singularity, so the chosen circle
 checks itself: its even and odd nodes are two rotated 32-node rules,
 whose difference estimates their error.  A certified circle whose
@@ -140,7 +147,7 @@ import bisect
 import math
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -330,18 +337,38 @@ class _KilledMax:
         return killed_max_series(self.regime, x, self.lam, order, self.psi)
 
 
+class _LevelMemo:
+    """What a level shared by several recursions keeps about circles, none
+    of it depending on a recursion's base (see :mod:`poolruin.overshoot`):
+    by circle (x, r), the level's step (a, b) of the a priori bound's walk
+    A <- A a + b, and, for a certified ring, the level's C(z), w nu / (nu -
+    z) and z / nu at its nodes; and, in ``circles``, which the levels of one
+    set share, the candidate radii ``RADII x`` and truncation terms
+    ``(RADII x / (x + d))^NODES`` by centre x and left singularity d."""
+
+    __slots__ = ("walk", "rings", "circles")
+
+    def __init__(self, circles: dict):
+        self.walk: dict = {}
+        self.rings: dict = {}
+        self.circles = circles
+
+
 @dataclass(frozen=True)
 class _LadderLevel:
     """Ladder step with rate ``nu``, claim ``claim``, atom ``p0``, weight
     ``w`` and killed-maximum factor ``post`` (None: K = 1).  A level without
     a ladder rate (``nu`` None) has no fixed argument: it is
-    ``(p0 + w C F_{k-1}) K``, the step of a nondecreasing regime."""
+    ``(p0 + w C F_{k-1}) K``, the step of a nondecreasing regime.  ``memo``
+    is set on a level shared by several recursions, and None on the
+    ladder's own levels."""
 
     nu: Optional[float]
     claim: ClaimDistribution
     p0: float
     w: float
     post: Optional[_KilledMax] = None
+    memo: Optional[_LevelMemo] = field(default=None, compare=False, hash=False, repr=False)
 
 
 class _Recursion:
@@ -362,6 +389,10 @@ class _Recursion:
         self.base = base
         self.levels = list(levels)
         self._direct = direct and len(self.levels) <= _FLOAT_LEVELS
+        # the radii and truncation terms by circle of a shared level set
+        # (None: the levels are the recursion's own)
+        first = self.levels[0].memo if self.levels else None
+        self._circles = None if first is None else first.circles
         # point -> largest amplification bound at radius zero, by level
         self._amps: dict = {}
         self._cache: dict = {}
@@ -516,18 +547,19 @@ class _Recursion:
             out = out * lv.post.series(x, order)
         return out
 
-    def _step_nodes(self, k: int, z: np.ndarray, f, amp, c) -> tuple:
+    def _step_nodes(self, k: int, z: np.ndarray, f, amp, c, rated=None) -> tuple:
         """Level ``k`` at complex nodes from the level below, with the
         accumulated rounding amplification A (in units of eps; None: not
-        tracked); ``c`` is the level's claim transform at ``z``."""
+        tracked); ``c`` is the level's claim transform at ``z``, and
+        ``rated`` its :func:`_rated` factors there (None: computed)."""
         lv = self.levels[k - 1]
         # a named right operand: never elided (see the module docstring)
         if lv.nu is None:
             g = lv.w
             bracket = c * f
         else:
-            g = (lv.w * lv.nu) / (lv.nu - z)
-            bracket = c * f - (z / lv.nu) * self._anchors[k]
+            g, zn = _rated(lv, z) if rated is None else rated
+            bracket = c * f - zn * self._anchors[k]
         f = lv.p0 + g * bracket
         if amp is not None:
             amp = np.abs(g) * (amp * np.abs(c) + 1.0)
@@ -595,11 +627,15 @@ class _Recursion:
             if level:
                 if len(self._anchors) <= level:
                     self._anchor(level)
-                claim = self.levels[level - 1].claim
-                if claim not in claim_at:
-                    claim_at[claim] = (row, claim.lst_complex(z))
-                since, c = claim_at[claim]
-                f, amp = self._step_nodes(level, z, f, amp, c[row - since :])
+                if self._circles is None:
+                    claim = self.levels[level - 1].claim
+                    if claim not in claim_at:
+                        claim_at[claim] = (row, claim.lst_complex(z))
+                    since, c = claim_at[claim]
+                    c, rated = c[row - since :], None
+                else:
+                    c, *rated = self._kept_factors(level, blocks[done:], rings[done:], z)
+                f, amp = self._step_nodes(level, z, f, amp, c, rated)
             while blocks[done][0] == level:
                 at, x = blocks[done]
                 radii, bound = rings[done]
@@ -620,6 +656,32 @@ class _Recursion:
                 row += n
                 f, z = f[n:], z[n:]
                 amp = amp[n:] if tracked else None
+
+    def _kept_factors(self, level: int, blocks: list, rings: list, z) -> tuple:
+        """C, w nu / (nu - z) and z / nu of level ``level`` at the open rows
+        ``z`` of a stack on a shared level set, ``blocks`` and ``rings``
+        those still open: a certified ring's from the level's memo, filled
+        from its row of ``z`` on first use, a tracked block's computed on
+        its rows.  Each node is computed on its own, so the rows are those
+        of the stacked array."""
+        lv = self.levels[level - 1]
+        kept = lv.memo.rings
+        parts = []
+        row = 0
+        for (_, x), (radii, bound) in zip(blocks, rings):
+            n = len(radii)
+            key = None if bound is None else (x, float(radii[0]))
+            part = None if key is None else kept.get(key)
+            if part is None:
+                zs = z[row : row + n]
+                part = (lv.claim.lst_complex(zs), *_rated(lv, zs))
+                if key is not None:
+                    kept[key] = part
+            parts.append(part)
+            row += n
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
     @cached_property
     def _level_arrays(self) -> tuple:
@@ -708,31 +770,40 @@ class _Recursion:
     def _amp_walk(self, level: int, x: float, r: float, amp: float) -> list:
         """The bound of :meth:`_amp_bound_floats` on the radius ``r`` from
         the base's bound ``amp``: at the base and at each level up to
-        ``level``, in order."""
+        ``level``, in order.  Each level's step is A <- A a + b; a shared
+        level keeps its (a, b) by circle."""
         out = [amp]
         t = x - r
         claim_at: dict = {}
         for lv in self.levels[:level]:
-            c = claim_at.get(lv.claim)
-            if c is None:
-                c = claim_at[lv.claim] = lv.claim.modulus_bound(t)
-            if lv.nu is None:
-                g = lv.w
+            memo = lv.memo
+            step = None if memo is None else memo.walk.get((x, r))
+            if step is not None:
+                a, b = step
             else:
-                # _quot(w nu, _gap(nu, x, r)), inline
-                gap = abs(abs(lv.nu - x) - r)
-                g = lv.w * lv.nu / gap if gap else math.inf
-            post = lv.post
-            if post is None:
-                amp = amp * (g * c) + g
-            elif post.form is not None:
-                form = post.form
-                n = len(form.poles) + len(form.zeros)
-                k = _roots_bound(form.poles, form.zeros, t)
-                amp = amp * ((g * c) * k) + (g * k + n * k)
-            else:
-                kmax, kamp = post.bound(x, r)
-                amp = amp * ((g * c) * kmax) + (g * kmax + kamp)
+                c = claim_at.get(lv.claim)
+                if c is None:
+                    c = claim_at[lv.claim] = lv.claim.modulus_bound(t)
+                if lv.nu is None:
+                    g = lv.w
+                else:
+                    # _quot(w nu, _gap(nu, x, r)), inline
+                    gap = abs(abs(lv.nu - x) - r)
+                    g = lv.w * lv.nu / gap if gap else math.inf
+                post = lv.post
+                if post is None:
+                    a, b = g * c, g
+                elif post.form is not None:
+                    form = post.form
+                    n = len(form.poles) + len(form.zeros)
+                    k = _roots_bound(form.poles, form.zeros, t)
+                    a, b = (g * c) * k, g * k + n * k
+                else:
+                    kmax, kamp = post.bound(x, r)
+                    a, b = (g * c) * kmax, g * kmax + kamp
+                if memo is not None:
+                    memo.walk[(x, r)] = (a, b)
+            amp = amp * a + b
             out.append(amp)
         return out
 
@@ -750,7 +821,12 @@ class _Recursion:
         floats, of a larger one in arrays; both forms give the same bits,
         so the choice depends on the level and the point only."""
         centres = np.array([x for _, x in blocks])[:, None]
-        radii = RADII * centres
+        lefts = [self._left(level) for level, _ in blocks]
+        if self._circles is None:
+            radii = RADII * centres
+            trunc = (radii / (centres + np.array(lefts)[:, None])) ** NODES
+        else:
+            radii, trunc = self._kept_circles(blocks, lefts)
         amp = np.zeros(radii.shape) + self.base.amp_bound(centres, radii)
         levels = sum(level for level, _ in blocks)
         if 0 < levels <= _FLOAT_LEVELS:
@@ -758,8 +834,7 @@ class _Recursion:
             amp = np.array([self._amp_bound_floats(*b, rs, a) for b, rs, a in rows])
         elif levels:
             amp = self._amp_bounds(blocks, centres, radii, amp)
-        lefts = np.array([self._left(level) for level, _ in blocks])[:, None]
-        bound = _EPS * amp + (radii / (centres + lefts)) ** NODES
+        bound = _EPS * amp + trunc
         bound = np.fmin(bound, np.inf)  # NaN: inf
         out = []
         for k, (block, i) in enumerate(zip(blocks, bound.argmin(axis=1).tolist())):
@@ -768,6 +843,23 @@ class _Recursion:
             else:
                 out.append((radii[k], None))
         return out
+
+    def _kept_circles(self, blocks: list, lefts: list) -> tuple:
+        """The candidate radii and truncation terms of each block's circle
+        (rows by block), from the shared level set's memo by centre and
+        left singularity: each row by the same operations as a row of the
+        arrays :meth:`_rings` takes for a recursion of its own."""
+        kept = self._circles
+        rows = []
+        for (_, x), d in zip(blocks, lefts):
+            row = kept.get((x, d))
+            if row is None:
+                radii = RADII * x
+                row = kept[(x, d)] = (radii, (radii / (x + d)) ** NODES)
+            rows.append(row)
+        if len(rows) == 1:
+            return rows[0][0][None], rows[0][1][None]
+        return np.array([r for r, _ in rows]), np.array([t for _, t in rows])
 
     def _mean(self, level, x, radii, f, amp) -> float:
         """Mean of F_level over the best of the tracked circles around
@@ -791,6 +883,12 @@ class _Recursion:
                 return mean
             bound[best] = np.inf
             failed += 1
+
+
+def _rated(lv: _LadderLevel, z) -> tuple:
+    """The factors w nu / (nu - z) and z / nu of a level with a ladder rate
+    at the nodes ``z``."""
+    return (lv.w * lv.nu) / (lv.nu - z), z / lv.nu
 
 
 def _checked_mean(row) -> Optional[float]:

@@ -33,6 +33,19 @@ the ladder.  Its recursions keep a contour mean at every windowed point
 (they are built without ``direct``), where the ladder's small engines take
 the direct formula once its rounding bound certifies it, so the two
 routes treat the windows differently too.
+
+Only the base of an xi recursion depends on alpha and k: its levels,
+xi_{k+2,k} up to xi_{m,k}, are levels 2..m of the model whatever alpha
+and k are.  So one set of those levels is kept per (model, beta), and the
+recursion of each (k, alpha) runs on its suffix from level k + 2.  The
+shared levels memoize what a contour needs of them and that does not
+depend on the base (:class:`poolruin.ladder._LevelMemo`): each circle's
+candidate radii and truncation terms, each level's step of the a priori
+bound on each circle, and each level's factors at the nodes of each
+certified ring.  A zeta matrix then costs, per alpha and k, the base's
+bound and node values, the recurrences over the levels, the anchors and
+the means.  Every kept value comes from the same operations on the same
+operands as on a recursion of its own, so the sharing moves no value.
 """
 
 from __future__ import annotations
@@ -43,7 +56,7 @@ import numpy as np
 
 from .claims import ClaimDistribution
 from .errors import ChainBudgetExceeded
-from .ladder import _gap, _LadderLevel, _memo, _Recursion
+from .ladder import _gap, _LadderLevel, _LevelMemo, _memo, _Recursion
 from .model import ModelSpec, require_drift_model, require_killing
 
 __all__ = [
@@ -56,6 +69,28 @@ __all__ = [
 ]
 
 _DEFAULT_CHAIN_BUDGET = 4096
+
+
+_CHAINS: dict = {}  # m -> _chains(m), for 2^m within the default budget
+
+
+def _chains(m: int) -> tuple:
+    """The descending chains m > i_1 > ... > i_s >= 0 of ladder indices, by
+    size and then in lexicographic order of the ascending indices, each as
+    its links (row a - 1 and column b of the zeta matrix per step a -> b)
+    and its last index; enumerated once per m."""
+    chains = _CHAINS.get(m)
+    if chains is None:
+        out = []
+        for size in range(m + 1):
+            for combo in combinations(range(m), size):
+                chain = [m] + sorted(combo, reverse=True)
+                links = tuple((a - 1, b) for a, b in zip(chain, chain[1:]))
+                out.append((links, chain[-1]))
+        chains = tuple(out)
+        if 2**m <= _DEFAULT_CHAIN_BUDGET:
+            _CHAINS[m] = chains
+    return chains
 
 
 class _Slope:
@@ -171,12 +206,16 @@ class _OvershootForm:
 class _Kept:
     """What the overshoot routes keep for one (model, beta), shared by every
     table of the thread's kept pair (:func:`poolruin.ladder._memo`): the
-    divided differences B[., nu_n] by client, the zeta matrix by
-    alpha, the survival probabilities at level zero, and the xi engines of
-    :meth:`OvershootTable.xi` by (k, alpha).  The routes read zetas only, so
-    their xi engines are not kept."""
+    levels 2..m of every xi recursion, with their memos of circles, rings
+    and a priori walks; the divided differences B[., nu_n] by client, the
+    zeta matrix by alpha, the survival probabilities at level zero, and the
+    xi engines of :meth:`OvershootTable.xi` by (k, alpha).  The routes read
+    zetas only, so their xi engines are not kept.  All of it lives as long
+    as the pair is the thread's most recent one: a request for another
+    model object or another beta drops it."""
 
-    def __init__(self):
+    def __init__(self, levels: list):
+        self.levels = levels
         self.slopes: dict = {}
         self.zetas: dict = {}
         self.survive = None
@@ -187,11 +226,13 @@ class OvershootTable:
     """Evaluator of xi and zeta for one (model, beta).
 
     Each zeta is computed once per alpha, with the whole zeta matrix of
-    that alpha, from one transient xi engine per k; the matrices, the
-    survival probabilities at level zero and the divided differences are
-    kept with the thread's most recent (model object, beta), so every table
-    built for that pair, and the module functions, share them.  Only
-    :meth:`xi` keeps engines, since it takes an arbitrary gamma.
+    that alpha, from one transient xi engine per k, built on the suffix of
+    one level set shared by every engine and every alpha (see the module
+    docstring); the level set, the matrices, the survival probabilities at
+    level zero and the divided differences are kept with the thread's most
+    recent (model object, beta), so every table built for that pair, and
+    the module functions, share them.  Only :meth:`xi` keeps engines, since
+    it takes an arbitrary gamma.
 
     beta = 0 evaluates the infinite-horizon quantities by direct
     substitution lam_n = lam_circ_n.
@@ -210,7 +251,18 @@ class OvershootTable:
         self._claim = [model.claim_for_state(n) for n in range(1, m + 1)]
         held = _memo(model, beta)
         if held.overshoot is None:
-            held.overshoot = _Kept()
+            circles: dict = {}
+            levels = [
+                _LadderLevel(
+                    nu=self.nu(n),
+                    claim=self._claim[n - 1],
+                    p0=0.0,
+                    w=model.rate_for_state(n) / self.lam(n),
+                    memo=_LevelMemo(circles),
+                )
+                for n in range(2, m + 1)
+            ]
+            held.overshoot = _Kept(levels)
         self._kept = held.overshoot
 
     def lam(self, n: int) -> float:
@@ -235,7 +287,7 @@ class OvershootTable:
 
     def _xi_engine(self, k: int, alpha: float) -> _Recursion:
         """Recursion in gamma for xi_{., k}(alpha, beta, .); level j of the
-        engine holds xi_{k+1+j, k}.
+        engine holds xi_{k+1+j, k}, on the kept level of state k + 1 + j.
 
         The engine's anchors are filled when it is built, in one sweep of
         its levels: anchor j is C(nu_n) xi_{n-1, k}(alpha, beta, nu_n) with
@@ -250,17 +302,8 @@ class OvershootTable:
             base = _OvershootBase(claim, alpha, nu, scale, self._slope(n0)(alpha))
         else:
             base = _OvershootForm(dd, scale, claim.left_singularity)
-        levels = [
-            _LadderLevel(
-                nu=self.nu(j),
-                claim=self._claim[j - 1],
-                p0=0.0,
-                w=self.model.rate_for_state(j) / self.lam(j),
-            )
-            for j in range(k + 2, self.model.m + 1)
-        ]
-        engine = _Recursion(base, levels)
-        engine._fill_anchors(len(levels))
+        engine = _Recursion(base, self._kept.levels[k:])
+        engine._fill_anchors(len(engine.levels))
         return engine
 
     def _zetas(self, alpha: float) -> list:
@@ -346,18 +389,14 @@ class OvershootTable:
         if m == 0:
             return 1.0
         zetas = self._zetas(alpha)
+        # survive[0] = 1: a chain that ends at zero adds its product, exactly
+        survive = [self.survive_zero(n) for n in range(m + 1)]
         total = 0.0
-        for size in range(m + 1):
-            for combo in combinations(range(m), size):
-                chain = [m] + sorted(combo, reverse=True)
-                prod = 1.0
-                for a, b in zip(chain, chain[1:]):
-                    prod *= zetas[a - 1][b]
-                last = chain[-1]
-                if last == 0:
-                    total += prod
-                else:
-                    total += prod * self.survive_zero(last)
+        for links, last in _chains(m):
+            prod = 1.0
+            for a, b in links:
+                prod *= zetas[a][b]
+            total += prod * survive[last]
         return total
 
 

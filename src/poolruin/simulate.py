@@ -309,7 +309,7 @@ def _run_block(
         if j:
             A[j] += A[j - 1]
     for j, law in enumerate(model.claims):
-        B[j] = law.sample(rng, P)
+        law.sample(rng, P, out=B[j])
 
     y.fill(0.0)
     ymax.fill(0.0)

@@ -277,6 +277,37 @@ def test_sampling_matches_transform(dist):
     assert abs(est - dist.lst(1.0)) < 4 * max(se, 1e-9)
 
 
+# each law's draws as numpy's own samplers give them
+NUMPY_DRAWS = {
+    "exp": lambda rng, n: rng.exponential(1.0 / 0.7, n),
+    "erlang": lambda rng, n: rng.gamma(3, 1.0 / 0.7, n),
+    "lomax": lambda rng, n: 0.6 * ((1.0 - rng.random(n)) ** (-1.0 / 2.3) - 1.0),
+    "point": lambda rng, n: np.full(n, 0.4),
+}
+DRAW_LAWS = {
+    "exp": claims.Exponential(0.7),
+    "erlang": claims.Erlang(3, 0.7),
+    "lomax": claims.Lomax(0.6, 2.3),
+    "point": claims.PointMass(0.4),
+    "ph": ALL_KINDS[2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_LAWS))
+def test_sample_into_a_given_array(name):
+    # drawn in place into a row of a larger buffer: the same bits as a
+    # fresh array, and as numpy's own sampler of the law
+    law = DRAW_LAWS[name]
+    fresh = law.sample(np.random.default_rng(9), 1001)
+    buf = np.full((2, 1001), -1.0)
+    row = buf[1]
+    assert law.sample(np.random.default_rng(9), 1001, out=row) is row
+    assert row.tobytes() == fresh.tobytes()
+    assert (buf[0] == -1.0).all()
+    if name in NUMPY_DRAWS:
+        assert fresh.tobytes() == NUMPY_DRAWS[name](np.random.default_rng(9), 1001).tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(0.1, 5.0), st.integers(1, 4), st.floats(0.0, 20.0))
 def test_erlang_series_consistent_with_power(mu, k, a):

@@ -22,6 +22,7 @@ OUTPUTS = {
     "small_rates/pi_jet.n2": "(1.0, -0.3, 0.6)",
     "cli/transform fig2": "exit 0 md5 aa",
     "simulate/fig2.w1": "{'se_var_max': 0.25, 'overshoot_mean': {1.0: (0.5, 0.01, 900)}}",
+    "overshoot/m1_hand.b1.0/zeta.a1.0": "(0.16666666666666666,)",
 }
 
 
@@ -37,10 +38,11 @@ def test_identical_records_read_zero_moved(tmp_path, capsys):
     code, lines = _compare(tmp_path, capsys, {})
     assert code == 0
     assert lines == [
-        "0 of 6 outputs differ",
+        "0 of 7 outputs differ",
         "cli: 0 of 1 moved",
         "deep: 0 of 1 moved",
         "figure_curves: 0 of 2 moved",
+        "overshoot: 0 of 1 moved",
         "simulate: 0 of 1 moved",
         "small_rates: 0 of 1 moved",
     ]
@@ -53,10 +55,15 @@ def test_each_group_names_its_worst_move(tmp_path, capsys):
         "cli/transform fig2": "exit 0 md5 bb",
         # a moved overshoot sum moves the summary
         "simulate/fig2.w1": "{'se_var_max': 0.25, 'overshoot_mean': {1.0: (0.5000000000000001, 0.01, 900)}}",
+        "overshoot/m1_hand.b1.0/zeta.a1.0": "(0.1666666666666667,)",
     }
     code, lines = _compare(tmp_path, capsys, after)
     assert code == 1
-    assert "4 of 6 outputs differ" in lines
+    assert "5 of 7 outputs differ" in lines
+    assert (
+        "overshoot: 1 of 1 moved, worst rel 3.3e-16 at overshoot/m1_hand.b1.0/zeta.a1.0"
+        in lines
+    )
     assert (
         "figure_curves: 2 of 2 moved, worst rel 0.008 at figure_curves/fig2.moments.t1"
         in lines
@@ -108,6 +115,41 @@ def test_simulate_group_holds_every_summary(monkeypatch):
         assert all(isinstance(v, list) for v in summary["n_at_ruin_freq"].values())
         assert summary["overshoot_mean"]
         assert summary["horizon_t"] == (module.SIM_HORIZON_T if key.endswith("horizon") else None)
+
+
+def test_overshoot_group_holds_every_route_value():
+    from poolruin import overshoot
+    from poolruin.config import load_model
+
+    module = _op_outputs()
+    root = SCRIPT.parent.parent
+    out = module.overshoot_outputs(root)
+    assert all(key.startswith("overshoot/") for key in out)
+    for name in module.OVERSHOOT_CONFIGS:
+        mdl, own = load_model(root / "configs" / f"{name}.json")
+        m = mdl.m
+        for beta in {own, 0.0}:
+            key = f"overshoot/{name}.b{beta!r}"
+            ours = sorted(k for k in out if k.startswith(key + "/"))
+            zetas = [k for k in ours if "/zeta." in k]
+            xis = [k for k in ours if "/xi." in k]
+            # fig5's first ladder rate is one of the alphas, and fig2 at
+            # beta = 0 has one ladder rate, 0.25, at every level
+            table = overshoot.OvershootTable(mdl, beta)
+            assert len(zetas) == len({*module.OVERSHOOT_ALPHAS, table.nu(1)})
+            rates = {table.nu(n) for n in range(2, m + 1)}
+            assert len(xis) == 2 * len(rates) * len(module.XI_ALPHAS)
+            assert len(ours) == len(zetas) + len(xis) + 1
+            for k in ours:
+                values = eval(out[k])
+                size = m + 1 if k.endswith("survive_zero") else m * (m + 1) // 2
+                assert len(values) == size and all(isinstance(v, float) for v in values)
+            # the record holds the table's own values
+            assert eval(out[f"{key}/zeta.a1.0"])[-1] == table.zeta(m, m - 1, 1.0)
+            assert eval(out[f"{key}/survive_zero"])[-1] == table.survive_zero(m)
+            for k in xis[:2]:
+                alpha, gamma = (float(v) for v in k.split("/xi.a")[1].split(".g"))
+                assert eval(out[k])[-1] == table.xi(m, m - 1, alpha, gamma)
 
 
 def test_transform_rows_get_route_lines(tmp_path, capsys):

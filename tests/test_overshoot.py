@@ -1,10 +1,14 @@
+import dataclasses
 import math
+from itertools import combinations
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from poolruin import claims, ladder, model, overshoot, phase_type, simulate
+from poolruin.config import load_model
 from poolruin.errors import ChainBudgetExceeded, KillingRequired, RegimeMismatch
 from poolruin.ladder import _Recursion
 from poolruin.seriesops import WINDOW
@@ -173,6 +177,214 @@ def test_tables_of_one_pair_share_ladder_heights(monkeypatch):
     assert first._kept.xi_engines == {}
     overshoot.xi(mdl, mdl.m, 0, 0.5, 1.0, 2.0)
     assert list(first._kept.xi_engines) == [(0, 0.5)]
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHARED_ALPHAS = (0.0, 0.25, 1.0, 2.7, 8.0)
+
+
+def _shared_cases() -> list:
+    """(model, beta) pairs whose xi engines stack windowed circles: seed 4's
+    r125 of the transform battery (six ladder rates, each within a window of
+    another), fig2 (ladder rates 0.45 to 1.25) and point-mass claims, whose
+    xi bases are removable at alpha and nu."""
+    point = claims.PointMass(0.8)
+    return [
+        battery_models(4)[125],
+        load_model(CONFIGS / "fig2.json"),
+        (
+            model.ModelSpec(
+                m=3, lambda_circ=(1.0, 1.5, 0.7), claims=(point,) * 3,
+                regimes=(model.drift(0.5), model.drift(1.0), model.drift(2.0), model.drift(0.8)),
+            ),
+            0.8,
+        ),
+    ]
+
+
+def _windowed_gammas(mdl, beta) -> list:
+    """A level rate and a point inside its window, for each level 2..m."""
+    table = overshoot.OvershootTable(cold(mdl), beta)
+    return [g for n in range(2, mdl.m + 1) for g in (table.nu(n), table.nu(n) * (1 + WINDOW / 2))]
+
+
+def _routes(table, alpha) -> tuple:
+    m = table.model.m
+    return (
+        [[table.zeta(n, k, alpha) for k in range(n)] for n in range(1, m + 1)],
+        [table.survive_zero(n) for n in range(m + 1)],
+        table.pi_via_ladders(alpha),
+        table.pi_explicit_chains(alpha),
+    )
+
+
+def _xis(table, alpha, gammas) -> list:
+    m = table.model.m
+    return [table.xi(m, k, alpha, g) for k in range(m - 1) for g in gammas]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_shared_level_set_moves_no_value(case):
+    # the alphas in ascending, descending and shuffled order, interleaved
+    # with xi at windowed gammas and with fresh tables of the same pair, on
+    # one model object, against each value on a fresh model object
+    mdl, beta = _shared_cases()[case]
+    gammas = _windowed_gammas(mdl, beta)
+    want = {
+        a: (
+            _routes(overshoot.OvershootTable(cold(mdl), beta), a),
+            _xis(overshoot.OvershootTable(cold(mdl), beta), a, gammas),
+        )
+        for a in SHARED_ALPHAS
+    }
+    shuffled = [SHARED_ALPHAS[i] for i in np.random.default_rng(case).permutation(5)]
+    for order in (SHARED_ALPHAS, SHARED_ALPHAS[::-1], shuffled):
+        warm = cold(mdl)
+        kept = overshoot.OvershootTable(warm, beta)
+        got = {}
+        for i, a in enumerate(order):
+            if i % 2:  # xi first, on the first table
+                xis = _xis(kept, a, gammas)
+                got[a] = (_routes(kept, a), xis)
+            else:  # the routes first, on a fresh table
+                table = overshoot.OvershootTable(warm, beta)
+                assert table._kept is kept._kept
+                got[a] = (_routes(table, a), _xis(table, a, gammas))
+        assert repr({a: got[a] for a in SHARED_ALPHAS}) == repr(want)
+    # the memo was used: the level set keeps walks, rings and circles
+    memos = [lv.memo for lv in kept._kept.levels]
+    assert all(memo.walk for memo in memos)
+    assert any(memo.rings for memo in memos)
+    assert memos[0].circles and all(memo.circles is memos[0].circles for memo in memos)
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_kept_entries_equal_a_fresh_evaluation(case):
+    # every entry of a level set's memo, against the same quantity taken
+    # for a recursion of its own: the a priori walk on levels without a
+    # memo, and the circles' radii, truncation terms and ring factors in
+    # stacked arrays
+    mdl, beta = _shared_cases()[case]
+    table = overshoot.OvershootTable(cold(mdl), beta)
+    for a in SHARED_ALPHAS:
+        table.pi_via_ladders(a)
+    levels = table._kept.levels
+    shared = _Recursion(ladder._One(), levels)
+    plain = _Recursion(ladder._One(), [dataclasses.replace(lv, memo=None) for lv in levels])
+    for j, lv in enumerate(levels, start=1):
+        for x, r in list(lv.memo.walk):
+            for amp in (0.0, 1.5):
+                assert repr(shared._amp_walk(j, x, r, amp)) == repr(plain._amp_walk(j, x, r, amp))
+        keys = list(lv.memo.rings)
+        if not keys:
+            continue
+        centres, radii = np.array(keys).T
+        z = centres[:, None] + radii[:, None] * ladder._UNIT
+        with np.errstate(all="ignore"):
+            want = (lv.claim.lst_complex(z), (lv.w * lv.nu) / (lv.nu - z), z / lv.nu)
+        for i, key in enumerate(keys):
+            for got, stacked in zip(lv.memo.rings[key], want):
+                assert got.tobytes() == stacked[i : i + 1].tobytes(), (j, key)
+    circles = levels[0].memo.circles
+    assert circles
+    centres, lefts = (np.array(v)[:, None] for v in zip(*circles))
+    radii = ladder.RADII * centres
+    trunc = (radii / (centres + lefts)) ** ladder.NODES
+    for i, key in enumerate(circles):
+        assert circles[key][0].tobytes() == radii[i].tobytes()
+        assert circles[key][1].tobytes() == trunc[i].tobytes()
+
+
+def test_pairs_never_share_a_level_set(monkeypatch):
+    # two model objects with equal parameters and two betas, alternated:
+    # each pair's xi engines run on its own level set, which starts empty
+    # when the pair comes back, and every value repeats by repr
+    mdl, beta = _shared_cases()[1]
+    gammas = _windowed_gammas(mdl, beta)
+    betas = (beta, 2.0 * beta)
+    want = {
+        (b, a): (
+            _routes(overshoot.OvershootTable(cold(mdl), b), a),
+            _xis(overshoot.OvershootTable(cold(mdl), b), a, gammas),
+        )
+        for b in betas
+        for a in (0.25, 2.7)
+    }
+    built = []
+    init = _Recursion.__init__
+
+    def spy(self, base, levels, *args):
+        init(self, base, levels, *args)
+        built.append(self)
+
+    monkeypatch.setattr(_Recursion, "__init__", spy)
+    objects = (cold(mdl), cold(mdl))
+    sets = []
+    for _ in range(2):
+        for obj in objects:
+            for b in betas:
+                built.clear()
+                table = overshoot.OvershootTable(obj, b)
+                levels = table._kept.levels
+                assert not any(lv.memo.walk or lv.memo.rings for lv in levels)
+                assert not levels[0].memo.circles
+                for a in (0.25, 2.7):
+                    got = (_routes(table, a), _xis(table, a, gammas))
+                    assert repr(got) == repr(want[(b, a)])
+                engines = [eng for eng in built if eng.levels]
+                assert engines
+                for eng in engines:
+                    assert all(any(lv is own for own in levels) for lv in eng.levels)
+                sets.append(levels)
+    # eight pairs in turn, eight level sets, no level shared between two
+    ids = [id(lv) for levels in sets for lv in levels]
+    assert len(set(ids)) == len(ids)
+
+
+def test_the_ladder_engines_keep_no_memo():
+    mdl, beta = load_model(CONFIGS / "fig2.json")
+    table = overshoot.OvershootTable(mdl, beta)
+    table.pi_via_ladders(1.0)
+    # the ladder's engines of the same pair, and the generic ones, hold no
+    # memo and read no shared circles
+    engines = [ladder.engine(mdl, beta, n) for n in range(mdl.m + 1)]
+    engines.append(ladder._generic_engine(ladder.generic_spec_from_drift(mdl, beta, mdl.m)))
+    for eng in engines:
+        eng.value(0.6)
+        assert eng._circles is None
+        assert all(lv.memo is None for lv in eng.levels)
+    assert all(lv.memo is not None for lv in table._kept.levels)
+    # the memo takes no part in a level's equality or hash
+    shared, own = table._kept.levels[0], ladder._LadderLevel(**{
+        f: getattr(table._kept.levels[0], f) for f in ("nu", "claim", "p0", "w")
+    })
+    assert shared == own and hash(shared) == hash(own)
+
+
+def _chains_sum(table, alpha) -> float:
+    """The explicit chain sum as it was first written: every chain built
+    from ``combinations`` on each call."""
+    m = table.model.m
+    zetas = table._zetas(alpha)
+    total = 0.0
+    for size in range(m + 1):
+        for combo in combinations(range(m), size):
+            chain = [m] + sorted(combo, reverse=True)
+            prod = 1.0
+            for a, b in zip(chain, chain[1:]):
+                prod *= zetas[a - 1][b]
+            last = chain[-1]
+            total += prod if last == 0 else prod * table.survive_zero(last)
+    return total
+
+
+@pytest.mark.parametrize("seed", [4, 7])
+def test_chains_enumerated_once_sum_alike(seed):
+    for mdl, beta in battery_models(seed)[::5]:
+        table = overshoot.OvershootTable(mdl, beta)
+        for a in (0.0, 1.0, 16.0):
+            assert repr(table.pi_explicit_chains(a)) == repr(_chains_sum(table, a))
+    assert overshoot._chains(3) is overshoot._chains(3)
 
 
 def test_chain_budget():
