@@ -54,7 +54,8 @@ overshoot routes and the phase-type transform where there is one, and
 ``cli_transform``) then gets one route-agreement line: the worst relative
 gap of the overshoot routes to ``pi_max`` and to the phase-type transform,
 before and after, so a change that moves values shows which way they
-moved.  It exits 1 when any entry differs.
+moved.  It exits 1 when any entry differs, and 141, printing nothing more,
+when the reader closes stdout early, as ``| head`` does.
 """
 
 from __future__ import annotations
@@ -497,14 +498,25 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path, default=HERE_ROOT, help="checkout to run")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
     args = parser.parse_args(argv)
-    if args.compare:
-        return compare(*args.compare)
-    text = json.dumps(record(args.root.resolve(), args.seed), indent=1, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
-    return 0
+    try:
+        if args.compare:
+            code = compare(*args.compare)
+        else:
+            rec = record(args.root.resolve(), args.seed)
+            text = json.dumps(rec, indent=1, sort_keys=True)
+            code = 0
+            if args.out:
+                Path(args.out).write_text(text + "\n")
+            else:
+                print(text)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): print nothing more, exit as
+        # a shell reports a command stopped by SIGPIPE, and keep the
+        # interpreter's own flush at exit from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

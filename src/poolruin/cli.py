@@ -54,8 +54,16 @@ def _require_beta(args, model, default_beta, horizon=None):
     return beta
 
 
-def _open_out(args):
-    return open(args.out, "w", newline="") if args.out else sys.stdout
+def _write_table(args, rows) -> int:
+    """Write the CSV ``rows`` to ``--out`` or stdout.  Every row is built
+    and checked before this is called, so a failed run writes nothing and
+    leaves an existing ``--out`` file as it was."""
+    if not args.out:
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+        return 0
+    with open(args.out, "w", newline="") as out:
+        csv.writer(out, lineterminator="\n").writerows(rows)
+    return 0
 
 
 def _require_nonincreasing(name, alphas, values):
@@ -83,17 +91,13 @@ def cmd_transform(args) -> int:
         table = overshoot.OvershootTable(model, beta)
         pos = [ladder.checked_transform(table.pi_via_ladders(a), a) for a in alphas]
         _require_nonincreasing("pi_overshoot", alphas, pos)
-    out = _open_out(args)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["alpha", "pi_ladder", "pi_overshoot", "abs_diff"])
+    rows = [["alpha", "pi_ladder", "pi_overshoot", "abs_diff"]]
     for i, (a, pi) in enumerate(zip(alphas, pis)):
         if pos is None:
-            writer.writerow([_fmt(a), _fmt(pi), "", ""])
+            rows.append([_fmt(a), _fmt(pi), "", ""])
         else:
-            writer.writerow([_fmt(a), _fmt(pi), _fmt(pos[i]), _fmt(abs(pi - pos[i]))])
-    if out is not sys.stdout:
-        out.close()
-    return 0
+            rows.append([_fmt(a), _fmt(pi), _fmt(pos[i]), _fmt(abs(pi - pos[i]))])
+    return _write_table(args, rows)
 
 
 def _ph_tail_column(model, beta, u_values):
@@ -115,16 +119,14 @@ def _asymptote_column(model, beta, u_values):
 
 def cmd_curves(args) -> int:
     model, default_beta = load_model(args.config)
-    out = _open_out(args)
-    writer = csv.writer(out, lineterminator="\n")
     if args.mode == "moments":
         t_values = _grid(args.t_grid, "t")
         means, variances = inversion.moment_curves(model, t_values)
-        writer.writerow(["t", "mean", "var"])
+        rows = [["t", "mean", "var"]]
         for t, mean, var in zip(t_values, means, variances):
             if not (math.isfinite(mean) and math.isfinite(var)):
                 raise PoolRuinError(f"moments ({mean!r}, {var!r}) at t = {t!r}")
-            writer.writerow([_fmt(t), _fmt(mean), _fmt(var)])
+            rows.append([_fmt(t), _fmt(mean), _fmt(var)])
     else:
         beta = _require_beta(args, model, default_beta)
         u_values = _grid(args.u_grid, "u")
@@ -141,12 +143,12 @@ def cmd_curves(args) -> int:
                 seed=args.seed,
                 n_workers=args.workers,
             )
-        writer.writerow(
+        rows = [
             ["u", "p_inverted", "p_exact_ph", "p_asymptote", "p_montecarlo", "mc_stderr"]
-        )
+        ]
         for i, u in enumerate(u_values):
             freq, se = mc.ruin[float(u)] if mc is not None else (None, None)
-            writer.writerow(
+            rows.append(
                 [
                     _fmt(u),
                     _fmt(inverted[i]),
@@ -156,9 +158,7 @@ def cmd_curves(args) -> int:
                     _fmt(se),
                 ]
             )
-    if out is not sys.stdout:
-        out.close()
-    return 0
+    return _write_table(args, rows)
 
 
 def _finite_or_null(node, name: str, not_finite: list):

@@ -55,10 +55,9 @@ the same bits: the choice depends on the level and the point only.  Each
 level's step of ``A`` on a circle is ``A <- A a + b``, its multipliers
 from the level and the circle alone.  A level shared by several
 recursions (the overshoot route's, whose bases differ by alpha and k)
-memoizes the multipliers of the float walk by circle, the radii and
-truncation terms of its circles, and its factors at the nodes of each
-certified ring (:class:`_LevelMemo`); the ladder's own levels keep none
-and look nothing up.  The
+memoizes the multipliers of the float walk by circle and its factors at
+the nodes of each certified ring (:class:`_LevelMemo`); the ladder's own
+levels keep none and look nothing up.  The
 bound assumes ``|F| <= 1`` out to the singularity, so the chosen circle
 checks itself: its even and odd nodes are two rotated 32-node rules,
 whose difference estimates their error.  A certified circle whose
@@ -339,19 +338,16 @@ class _KilledMax:
 
 class _LevelMemo:
     """What a level shared by several recursions keeps about circles, none
-    of it depending on a recursion's base (see :mod:`poolruin.overshoot`):
-    by circle (x, r), the level's step (a, b) of the a priori bound's walk
+    of it depending on a recursion's base (see :mod:`poolruin.overshoot`),
+    by circle (x, r): the level's step (a, b) of the a priori bound's walk
     A <- A a + b, and, for a certified ring, the level's C(z), w nu / (nu -
-    z) and z / nu at its nodes; and, in ``circles``, which the levels of one
-    set share, the candidate radii ``RADII x`` and truncation terms
-    ``(RADII x / (x + d))^NODES`` by centre x and left singularity d."""
+    z) and z / nu at its nodes."""
 
-    __slots__ = ("walk", "rings", "circles")
+    __slots__ = ("walk", "rings")
 
-    def __init__(self, circles: dict):
+    def __init__(self):
         self.walk: dict = {}
         self.rings: dict = {}
-        self.circles = circles
 
 
 @dataclass(frozen=True)
@@ -389,10 +385,6 @@ class _Recursion:
         self.base = base
         self.levels = list(levels)
         self._direct = direct and len(self.levels) <= _FLOAT_LEVELS
-        # the radii and truncation terms by circle of a shared level set
-        # (None: the levels are the recursion's own)
-        first = self.levels[0].memo if self.levels else None
-        self._circles = None if first is None else first.circles
         # point -> largest amplification bound at radius zero, by level
         self._amps: dict = {}
         self._cache: dict = {}
@@ -627,7 +619,7 @@ class _Recursion:
             if level:
                 if len(self._anchors) <= level:
                     self._anchor(level)
-                if self._circles is None:
+                if self.levels[0].memo is None:  # not a shared level set
                     claim = self.levels[level - 1].claim
                     if claim not in claim_at:
                         claim_at[claim] = (row, claim.lst_complex(z))
@@ -761,17 +753,13 @@ class _Recursion:
             level = top
         return out
 
-    def _amp_bound_floats(self, level: int, x: float, radii: list, amps: list) -> list:
-        """:meth:`_amp_bounds` of one circle in Python floats, from the
-        base's bounds ``amps``, which cost less than arrays on a small
-        stack: the same operations on each radius, so the same bits."""
-        return [self._amp_walk(level, x, r, a)[-1] for r, a in zip(radii, amps)]
-
     def _amp_walk(self, level: int, x: float, r: float, amp: float) -> list:
-        """The bound of :meth:`_amp_bound_floats` on the radius ``r`` from
+        """The bound of :meth:`_amp_bounds` on the circle |z - x| = r in
+        Python floats, which cost less than arrays on a small stack, from
         the base's bound ``amp``: at the base and at each level up to
-        ``level``, in order.  Each level's step is A <- A a + b; a shared
-        level keeps its (a, b) by circle."""
+        ``level``, in order, by the same operations, so to the same bits.
+        Each level's step is A <- A a + b; a shared level keeps its (a, b)
+        by circle."""
         out = [amp]
         t = x - r
         claim_at: dict = {}
@@ -793,11 +781,6 @@ class _Recursion:
                 post = lv.post
                 if post is None:
                     a, b = g * c, g
-                elif post.form is not None:
-                    form = post.form
-                    n = len(form.poles) + len(form.zeros)
-                    k = _roots_bound(form.poles, form.zeros, t)
-                    a, b = (g * c) * k, g * k + n * k
                 else:
                     kmax, kamp = post.bound(x, r)
                     a, b = (g * c) * kmax, g * kmax + kamp
@@ -821,17 +804,17 @@ class _Recursion:
         floats, of a larger one in arrays; both forms give the same bits,
         so the choice depends on the level and the point only."""
         centres = np.array([x for _, x in blocks])[:, None]
-        lefts = [self._left(level) for level, _ in blocks]
-        if self._circles is None:
-            radii = RADII * centres
-            trunc = (radii / (centres + np.array(lefts)[:, None])) ** NODES
-        else:
-            radii, trunc = self._kept_circles(blocks, lefts)
+        lefts = np.array([self._left(level) for level, _ in blocks])[:, None]
+        radii = RADII * centres
+        trunc = (radii / (centres + lefts)) ** NODES
         amp = np.zeros(radii.shape) + self.base.amp_bound(centres, radii)
         levels = sum(level for level, _ in blocks)
         if 0 < levels <= _FLOAT_LEVELS:
             rows = zip(blocks, radii.tolist(), amp.tolist())
-            amp = np.array([self._amp_bound_floats(*b, rs, a) for b, rs, a in rows])
+            amp = np.array([
+                [self._amp_walk(level, x, r, a)[-1] for r, a in zip(rs, amps)]
+                for (level, x), rs, amps in rows
+            ])
         elif levels:
             amp = self._amp_bounds(blocks, centres, radii, amp)
         bound = _EPS * amp + trunc
@@ -843,23 +826,6 @@ class _Recursion:
             else:
                 out.append((radii[k], None))
         return out
-
-    def _kept_circles(self, blocks: list, lefts: list) -> tuple:
-        """The candidate radii and truncation terms of each block's circle
-        (rows by block), from the shared level set's memo by centre and
-        left singularity: each row by the same operations as a row of the
-        arrays :meth:`_rings` takes for a recursion of its own."""
-        kept = self._circles
-        rows = []
-        for (_, x), d in zip(blocks, lefts):
-            row = kept.get((x, d))
-            if row is None:
-                radii = RADII * x
-                row = kept[(x, d)] = (radii, (radii / (x + d)) ** NODES)
-            rows.append(row)
-        if len(rows) == 1:
-            return rows[0][0][None], rows[0][1][None]
-        return np.array([r for r, _ in rows]), np.array([t for _, t in rows])
 
     def _mean(self, level, x, radii, f, amp) -> float:
         """Mean of F_level over the best of the tracked circles around

@@ -39,13 +39,13 @@ xi_{k+2,k} up to xi_{m,k}, are levels 2..m of the model whatever alpha
 and k are.  So one set of those levels is kept per (model, beta), and the
 recursion of each (k, alpha) runs on its suffix from level k + 2.  The
 shared levels memoize what a contour needs of them and that does not
-depend on the base (:class:`poolruin.ladder._LevelMemo`): each circle's
-candidate radii and truncation terms, each level's step of the a priori
-bound on each circle, and each level's factors at the nodes of each
-certified ring.  A zeta matrix then costs, per alpha and k, the base's
-bound and node values, the recurrences over the levels, the anchors and
-the means.  Every kept value comes from the same operations on the same
-operands as on a recursion of its own, so the sharing moves no value.
+depend on the base (:class:`poolruin.ladder._LevelMemo`): each level's
+step of the a priori bound on each circle, and its factors at the nodes
+of each certified ring.  A zeta matrix then costs, per alpha and k, each
+circle's candidate radii and truncation terms, the base's bound and node
+values, the recurrences over the levels, the anchors and the means.
+Every kept value comes from the same operations on the same operands as
+on a recursion of its own, so the sharing moves no value.
 """
 
 from __future__ import annotations
@@ -206,8 +206,8 @@ class _OvershootForm:
 class _Kept:
     """What the overshoot routes keep for one (model, beta), shared by every
     table of the thread's kept pair (:func:`poolruin.ladder._memo`): the
-    levels 2..m of every xi recursion, with their memos of circles, rings
-    and a priori walks; the divided differences B[., nu_n] by client, the
+    levels 2..m of every xi recursion, with their memos of rings and a
+    priori walks; the divided differences B[., nu_n] by client, the
     zeta matrix by alpha, the survival probabilities at level zero, and the
     xi engines of :meth:`OvershootTable.xi` by (k, alpha).  The routes read
     zetas only, so their xi engines are not kept.  All of it lives as long
@@ -251,14 +251,13 @@ class OvershootTable:
         self._claim = [model.claim_for_state(n) for n in range(1, m + 1)]
         held = _memo(model, beta)
         if held.overshoot is None:
-            circles: dict = {}
             levels = [
                 _LadderLevel(
                     nu=self.nu(n),
                     claim=self._claim[n - 1],
                     p0=0.0,
                     w=model.rate_for_state(n) / self.lam(n),
-                    memo=_LevelMemo(circles),
+                    memo=_LevelMemo(),
                 )
                 for n in range(2, m + 1)
             ]

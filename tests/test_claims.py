@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poolruin import claims
+from poolruin import claims, phase_type
 from poolruin.errors import MomentUndefined, PoolRuinError
 from poolruin.phase_type import PhaseType
 
@@ -41,6 +41,49 @@ def test_tail_values():
     assert math.isclose(claims.Exponential(2.0).tail(1.0), math.exp(-2.0))
     assert claims.PointMass(3.0).tail(2.9) == 1.0
     assert claims.PointMass(3.0).tail(3.0) == 0.0
+
+
+ERLANG_TAILS = [claims.Erlang(1, 0.7), claims.Erlang(3, 2.0), claims.Erlang(7, 0.4)]
+TAIL_POINTS = (0.0, 0.3, 1.0, 2.5, 7.0, 15.0)
+
+
+@pytest.mark.parametrize("law", ERLANG_TAILS, ids=repr)
+def test_erlang_tails_against_the_incomplete_gamma(law):
+    # Erlang.tail and the tail of its phase-type form, as a PhaseTypeClaim,
+    # against the regularized upper incomplete gamma function, and the
+    # law's tail against ph_tail of its own phase-type form
+    ph = law.phase_type()
+    as_ph = claims.PhaseTypeClaim(ph)
+    for u in TAIL_POINTS:
+        with mp.workdps(50):
+            # the upper one, from mu u to infinity
+            want = float(mp.gammainc(law.k, law.mu * mp.mpf(u), regularized=True))
+        assert math.isclose(law.tail(u), want, rel_tol=1e-14), (law, u)
+        assert math.isclose(as_ph.tail(u), want, rel_tol=1e-12), (law, u)
+        assert math.isclose(law.tail(u), phase_type.ph_tail(ph, u), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        claims.Exponential(0.7),
+        claims.Erlang(3, 2.0),
+        claims.PhaseTypeClaim(claims.Erlang(3, 2.0).phase_type()),
+        claims.PointMass(0.0),
+        claims.PointMass(2.5),
+    ],
+    ids=repr,
+)
+def test_moments_are_the_transform_derivatives_at_zero(law):
+    # E X = -C'(0) and E X^2 = C''(0), the series' coefficients c1 and 2 c2
+    c = law.lst_series(0.0, 2).c
+    assert math.isclose(law.mean(), -c[1], rel_tol=1e-15, abs_tol=0.0)
+    assert math.isclose(law.second_moment(), 2.0 * c[2], rel_tol=1e-15, abs_tol=0.0)
+
+
+def test_only_the_point_mass_at_zero_is_phase_type():
+    assert claims.PointMass(0.0).phase_type() == phase_type.point_mass_zero()
+    assert claims.PointMass(2.5).phase_type() is None
 
 
 # frozen against 40-digit quadrature of the transform kernel

@@ -272,6 +272,70 @@ def test_values_outside_the_unit_interval_fail_loudly(monkeypatch, capsys, argv,
     assert len(out.strip().splitlines()) <= 1
 
 
+KEPT = b"kept,bytes\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("curves", "--mode", "moments", "--t-grid", "1,x"),
+        ("curves", "--mode", "ruin", "--beta", "-1"),
+        ("transform", "--alpha-grid", "1,x"),
+    ],
+    ids=["moments-grid", "ruin-beta", "transform-grid"],
+)
+def test_a_config_error_leaves_the_out_file_as_it_was(tmp_path, capsys, argv):
+    out = tmp_path / "existing.csv"
+    out.write_bytes(KEPT)
+    code, stdout, err = run_cli(
+        capsys, argv[0], "--config", str(CONFIGS / "fig2.json"), *argv[1:], "--out", str(out)
+    )
+    assert code == 2, err
+    assert stdout == ""
+    assert out.read_bytes() == KEPT
+
+
+def test_a_non_finite_moment_writes_no_row(monkeypatch, tmp_path, capsys):
+    # the second time's moment is NaN: the first row is not printed either,
+    # and an existing --out file keeps its bytes
+    from poolruin import inversion
+
+    def moment_curves(model, t_values):
+        return [0.5] + [math.nan] * (len(t_values) - 1), [0.1] * len(t_values)
+
+    monkeypatch.setattr(inversion, "moment_curves", moment_curves)
+    argv = ("curves", "--config", str(CONFIGS / "fig2.json"), "--mode", "moments",
+            "--t-grid", "1,2")
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 3 and "t = 2.0" in err
+    assert stdout == ""
+    out = tmp_path / "existing.csv"
+    out.write_bytes(KEPT)
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 3 and stdout == ""
+    assert out.read_bytes() == KEPT
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("curves", "--mode", "moments", "--t-grid", "1,2"),
+        ("curves", "--mode", "ruin", "--u-grid", "1,5"),
+        ("transform", "--alpha-grid", "0,1"),
+    ],
+    ids=["moments", "ruin", "transform"],
+)
+def test_out_file_holds_the_printed_table(tmp_path, capsys, argv):
+    cfg = str(CONFIGS / "m1_hand.json")
+    code, printed, _ = run_cli(capsys, argv[0], "--config", cfg, *argv[1:])
+    assert code == 0
+    out = tmp_path / "table.csv"
+    out.write_bytes(KEPT)
+    code, stdout, _ = run_cli(capsys, argv[0], "--config", cfg, *argv[1:], "--out", str(out))
+    assert code == 0 and stdout == ""
+    assert out.read_bytes() == printed.encode()
+
+
 @pytest.mark.parametrize("column", ["pi_ladder", "pi_overshoot"])
 def test_transform_rising_in_alpha_fails_loudly(monkeypatch, capsys, column):
     # a transform E exp(-alpha M) cannot rise with alpha; the grid is

@@ -185,3 +185,11 @@ def test_ruin_curve_stays_in_unit_band_without_clamping():
         warnings.simplefilter("error")
         curve = inversion.ruin_curve(mdl, 5.0, [0.5, 1.0, 5.0, 10.0, 20.0])
     assert ((curve >= 0.0) & (curve <= 1.0)).all()
+
+
+def test_an_inverted_value_above_one_is_clamped_with_a_warning(monkeypatch):
+    plan = inversion.default_plan()  # self-tested before the patch
+    monkeypatch.setattr(inversion, "invert", lambda f, u, plan: 1.5)
+    with pytest.warns(UserWarning, match=r"1\.5 at u=2\.0 clamped"):
+        curve = inversion.ruin_curve(fig4_model(), 5.0, [2.0], plan)
+    assert curve.tolist() == [1.0]

@@ -1212,7 +1212,10 @@ def _assert_bound_covers(eng, blocks):
         with mock.patch.object(ladder, "_CHUNK", 1):
             assert eng._amp_bounds(blocks, centres, radii, base).tobytes() == bound.tobytes()
         rows = zip(blocks, radii.tolist(), base.tolist())
-        floats = [eng._amp_bound_floats(lv, x, rs, a) for (lv, x), rs, a in rows]
+        floats = [
+            [eng._amp_walk(lv, x, r, a)[-1] for r, a in zip(rs, amps)]
+            for (lv, x), rs, amps in rows
+        ]
         assert np.array(floats).tobytes() == bound.tobytes()
         for (level, x), row in zip(blocks, bound):
             amp = _tracked_amp(eng, level, x)

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 from pathlib import Path
 from unittest import mock
@@ -606,6 +608,41 @@ def test_equal_claim_laws_are_one_object():
     )
     assert spec.claims[2] is spec.claims[0]
     assert spec.claims[1] is not spec.claims[0]
+
+
+def test_equal_phase_type_laws_in_a_config_are_one_object(tmp_path):
+    # two ph claims parsed from one config are distinct objects with equal
+    # generators: PhaseType equality makes them one law
+    ph = {"ph": {"delta": [0.4, 0.6], "S": [[-2.0, 1.0], [0.0, -3.0]]}}
+    other = {"ph": {"delta": [0.4, 0.6], "S": [[-2.0, 1.0], [0.0, -4.0]]}}
+    cfg = tmp_path / "ph.json"
+    cfg.write_text(json.dumps({
+        "m": 3,
+        "lambda_circ": [1.0, 2.0, 3.0],
+        "beta": 1.0,
+        "claims": [ph, other, ph],
+        "regimes": [{"drift": {"r": 0.0}}] + [{"drift": {"r": 1.0}}] * 3,
+    }))
+    spec, _ = load_model(cfg)
+    assert spec.claims[2] is spec.claims[0]
+    assert spec.claims[1] is not spec.claims[0]
+    assert spec.claims[1].ph != spec.claims[0].ph
+    assert spec.claims[0].ph != "not a phase type"
+
+
+def test_an_unhashable_law_is_kept_as_given():
+    @dataclasses.dataclass  # eq without frozen: instances are unhashable
+    class Unhashable(claims.ClaimDistribution):
+        mu: float
+
+    first, equal = Unhashable(1.0), Unhashable(1.0)
+    spec = model.ModelSpec(
+        m=2,
+        lambda_circ=(1.0, 2.0),
+        claims=(first, equal),
+        regimes=(model.drift(0.0),) + (model.drift(1.0),) * 2,
+    )
+    assert spec.claims[0] is first and spec.claims[1] is equal
 
 
 def test_killed_rates():

@@ -1,6 +1,8 @@
 import dataclasses
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +73,24 @@ def test_each_group_names_its_worst_move(tmp_path, capsys):
     assert "cli: 1 of 1 moved, worst rel not numeric at cli/transform fig2" in lines
     assert "deep: 0 of 1 moved" in lines
     assert "simulate: 1 of 1 moved, worst rel not numeric at simulate/fig2.w1" in lines
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # a comparison that prints well over a pipe buffer, read one line at a
+    # time and then closed, as ``| head`` does
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    keys = [f"deep/point{i}" for i in range(5000)]
+    a.write_text(json.dumps({"seed": 7, "outputs": {k: "0.25" for k in keys}}))
+    b.write_text(json.dumps({"seed": 7, "outputs": {k: "0.5" for k in keys}}))
+    proc = subprocess.Popen(
+        [sys.executable, str(SCRIPT), "--compare", str(a), str(b)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"deep/point0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_trace_group_holds_every_path(monkeypatch):

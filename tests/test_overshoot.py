@@ -116,6 +116,14 @@ def test_pi_explicit_chains_m1(m1_model):
     )
 
 
+def test_no_clients_sum_one_empty_chain():
+    # m = 0: the one chain is empty and its product is one
+    mdl = model.ModelSpec(m=0, lambda_circ=(), claims=(), regimes=(model.drift(1.0),))
+    for beta in (0.0, 1.0):
+        assert overshoot.pi_explicit_chains(mdl, beta, 0.5) == 1.0
+        assert overshoot.pi_via_ladders(mdl, beta, 0.5) == 1.0
+
+
 def test_three_way_agreement_random_models():
     rng = np.random.default_rng(31)
     for _ in range(12):
@@ -251,19 +259,17 @@ def test_shared_level_set_moves_no_value(case):
                 assert table._kept is kept._kept
                 got[a] = (_routes(table, a), _xis(table, a, gammas))
         assert repr({a: got[a] for a in SHARED_ALPHAS}) == repr(want)
-    # the memo was used: the level set keeps walks, rings and circles
+    # the memo was used: the level set keeps walks and rings
     memos = [lv.memo for lv in kept._kept.levels]
     assert all(memo.walk for memo in memos)
     assert any(memo.rings for memo in memos)
-    assert memos[0].circles and all(memo.circles is memos[0].circles for memo in memos)
 
 
 @pytest.mark.parametrize("case", range(3))
 def test_kept_entries_equal_a_fresh_evaluation(case):
     # every entry of a level set's memo, against the same quantity taken
     # for a recursion of its own: the a priori walk on levels without a
-    # memo, and the circles' radii, truncation terms and ring factors in
-    # stacked arrays
+    # memo, and the ring factors in stacked arrays
     mdl, beta = _shared_cases()[case]
     table = overshoot.OvershootTable(cold(mdl), beta)
     for a in SHARED_ALPHAS:
@@ -285,14 +291,6 @@ def test_kept_entries_equal_a_fresh_evaluation(case):
         for i, key in enumerate(keys):
             for got, stacked in zip(lv.memo.rings[key], want):
                 assert got.tobytes() == stacked[i : i + 1].tobytes(), (j, key)
-    circles = levels[0].memo.circles
-    assert circles
-    centres, lefts = (np.array(v)[:, None] for v in zip(*circles))
-    radii = ladder.RADII * centres
-    trunc = (radii / (centres + lefts)) ** ladder.NODES
-    for i, key in enumerate(circles):
-        assert circles[key][0].tobytes() == radii[i].tobytes()
-        assert circles[key][1].tobytes() == trunc[i].tobytes()
 
 
 def test_pairs_never_share_a_level_set(monkeypatch):
@@ -327,7 +325,6 @@ def test_pairs_never_share_a_level_set(monkeypatch):
                 table = overshoot.OvershootTable(obj, b)
                 levels = table._kept.levels
                 assert not any(lv.memo.walk or lv.memo.rings for lv in levels)
-                assert not levels[0].memo.circles
                 for a in (0.25, 2.7):
                     got = (_routes(table, a), _xis(table, a, gammas))
                     assert repr(got) == repr(want[(b, a)])
@@ -346,12 +343,11 @@ def test_the_ladder_engines_keep_no_memo():
     table = overshoot.OvershootTable(mdl, beta)
     table.pi_via_ladders(1.0)
     # the ladder's engines of the same pair, and the generic ones, hold no
-    # memo and read no shared circles
+    # memo
     engines = [ladder.engine(mdl, beta, n) for n in range(mdl.m + 1)]
     engines.append(ladder._generic_engine(ladder.generic_spec_from_drift(mdl, beta, mdl.m)))
     for eng in engines:
         eng.value(0.6)
-        assert eng._circles is None
         assert all(lv.memo is None for lv in eng.levels)
     assert all(lv.memo is not None for lv in table._kept.levels)
     # the memo takes no part in a level's equality or hash

@@ -327,3 +327,23 @@ def test_running_max_ph_at_the_infinite_horizon(name):
     ph = running_max_ph(mdl, 0.0, mdl.m)
     for a in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0):
         assert abs(ph_lst(ph, a) - ladder.pi_max(mdl, 0.0, mdl.m, a)) <= 1e-14
+
+
+def test_running_max_of_claims_at_zero():
+    # every claim the point mass at zero: the maximum is zero, the law of
+    # point_mass_zero; a zero claim in state 1 under an exponential one in
+    # state 2 adds no phase, and the law's transform is the ladder's
+    zero = claims.PointMass(0.0)
+    regimes = (model.drift(0.0), model.drift(1.0), model.drift(2.0))
+    flat = model.ModelSpec(m=2, lambda_circ=(1.0, 2.0), claims=(zero, zero), regimes=regimes)
+    for beta in (0.0, 1.0):
+        assert running_max_ph(flat, beta, 2) == point_mass_zero()
+    mixed = model.ModelSpec(
+        m=2, lambda_circ=(1.0, 2.0), claims=(claims.Exponential(1.5), zero), regimes=regimes
+    )
+    ph = running_max_ph(mixed, 1.0, 2)
+    assert ph.d == 1
+    for alpha in (0.0, 0.5, 3.0):
+        assert math.isclose(
+            ph_lst(ph, alpha), ladder.pi_max(mixed, 1.0, 2, alpha), rel_tol=1e-13
+        )
