@@ -10,16 +10,19 @@ sampling, and the first two moments when they exist.  The complement
 1 - C, at floats and at complex arguments, comes in forms that do not
 cancel far below the law's scale (``lst_complement``,
 ``lst_complement_complex``), for the Laplace exponents of
-:mod:`poolruin.model`.  Exponential and Erlang laws give the first and
-second divided differences of their transform in a form with no
-removable point (``divided_difference``); for the other laws the
+:mod:`poolruin.model`.  The exponential law is the Erlang law with one
+phase: :class:`Exponential` is :class:`Erlang` at k = 1, with one form
+of its own, the complement a / (mu + a) at floats, which Erlang's form
+rounds differently.  Erlang laws give the first and second
+divided differences of their transform in a form with no removable
+point (``divided_difference``); for the other laws the
 overshoot route takes contour means of the complex transform around the
 removable points (:mod:`poolruin.overshoot`), never high-order
 expansions.  ``atom`` is the law's mass at zero.  The
 Lomax law additionally carries regular-variation metadata (tail index,
-transform coefficient) that drives the heavy-tail asymptotics; exponential,
-Erlang and explicit phase-type laws expose a phase-type representation for
-the exact running-maximum construction.
+transform coefficient) that drives the heavy-tail asymptotics; Erlang and
+explicit phase-type laws expose a phase-type representation for the exact
+running-maximum construction.
 """
 
 from __future__ import annotations
@@ -273,77 +276,13 @@ class ClaimDistribution:
 
 
 @dataclass(frozen=True)
-class Exponential(ClaimDistribution):
-    mu: float
-    kind = "exp"
-
-    def __post_init__(self):
-        require_finite("Exponential", mu=self.mu)
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-
-    def lst_series(self, alpha: float, order: int) -> Taylor:
-        base = self.mu + alpha
-        coeffs = []
-        for i in range(order + 1):
-            try:
-                coeffs.append(self.mu * (-1.0) ** i / base ** (i + 1))
-            except (OverflowError, ZeroDivisionError):
-                log_abs = math.log(self.mu) - (i + 1) * math.log(base)
-                coeffs.append(_from_log((-1.0) ** i, log_abs))
-        return Taylor(coeffs)
-
-    def lst(self, alpha: float) -> float:
-        return self.mu / (self.mu + alpha)
-
-    def lst_complement(self, alpha: float) -> float:
-        return alpha / (self.mu + alpha)
-
-    def lst_complex(self, z):
-        return self.mu / (self.mu + z)
-
-    def lst_complement_complex(self, z):
-        return z / (self.mu + z)
-
-    def modulus_bound(self, t):
-        return self.mu / (self.mu + t)
-
-    def divided_difference(self, *points):
-        return PowerDividedDifference(self.mu, 1, points)
-
-    atom = 0.0
-
-    @property
-    def left_singularity(self) -> float:
-        return self.mu
-
-    def tail(self, u: float) -> float:
-        return math.exp(-self.mu * u)
-
-    def sample(self, rng, size, out=None):
-        # the draws and products of rng.exponential(1.0 / mu, size)
-        out = rng.standard_exponential(size, out=out)
-        out *= 1.0 / self.mu
-        return out
-
-    def mean(self) -> float:
-        return 1.0 / self.mu
-
-    def second_moment(self) -> float:
-        return 2.0 / self.mu**2
-
-    def phase_type(self):
-        return pht.PhaseType(delta=np.array([1.0]), S=np.array([[-self.mu]]))
-
-
-@dataclass(frozen=True)
 class Erlang(ClaimDistribution):
     k: int
     mu: float
     kind = "erlang"
 
     def __post_init__(self):
-        require_finite("Erlang", k=self.k, mu=self.mu)
+        require_finite(type(self).__name__, k=self.k, mu=self.mu)
         if self.k < 1 or int(self.k) != self.k:
             raise ValueError("k must be a positive integer")
         if self.mu <= 0:
@@ -373,17 +312,19 @@ class Erlang(ClaimDistribution):
     def lst_complement(self, alpha: float) -> float:
         return -math.expm1(-self.k * math.log1p(alpha / self.mu))
 
-    def lst_complex(self, z):
-        return (self.mu / (self.mu + z)) ** self.k
+    lst_complex = lst
 
     def lst_complement_complex(self, z):
         # 1 - q^k = (1 - q)(1 + q + ... + q^(k-1)), q = mu / (mu + z), and
         # 1 - q = z / (mu + z): no difference of nearly equal terms
+        c = z / (self.mu + z)
+        if self.k == 1:
+            return c
         q = self.mu / (self.mu + z)
         total = 1.0
         for _ in range(self.k - 1):
             total = 1.0 + q * total
-        return z / (self.mu + z) * total
+        return c * total
 
     def modulus_bound(self, t):
         return _int_power(self.mu / (self.mu + t), self.k)
@@ -426,6 +367,17 @@ class Erlang(ClaimDistribution):
         delta = np.zeros(self.k)
         delta[0] = 1.0
         return pht.PhaseType(delta=delta, S=S)
+
+
+@dataclass(frozen=True)
+class Exponential(Erlang):
+    """Exp(mu), the Erlang law with one phase."""
+
+    k: int = field(default=1, init=False, repr=False)
+    kind = "exp"
+
+    def lst_complement(self, alpha: float) -> float:
+        return alpha / (self.mu + alpha)  # Erlang's form rounds differently
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .claims import ClaimDistribution, Exponential
+from .claims import ClaimDistribution, Erlang
 from .errors import KillingRequired, NoRoot, RegimeMismatch, require_finite
 from .seriesops import WINDOW, Taylor, div_by_linear_root
 
@@ -170,7 +170,7 @@ def inverse_exponent(regime: LevyRegime, lam: float) -> float:
         return lam / regime.r
     if regime.jump_rate == 0:
         return _brownian_inverse(regime.r, regime.sigma2, lam)
-    if isinstance(regime.jump_law, Exponential):
+    if _exp_law(regime.jump_law):
         return _exp_jump_inverse(regime, lam)
     # jumps with r > 0 or sigma2 > 0: phi is convex, vanishes at
     # zero and is unbounded
@@ -205,6 +205,12 @@ def inverse_exponent(regime: LevyRegime, lam: float) -> float:
         if hi - lo <= _PSI_ULPS * math.ulp(x):
             return x
     return x
+
+
+def _exp_law(law) -> bool:
+    """Whether a jump law is Exp(mu): the Erlang law with one phase,
+    written as ``exp`` or as ``erlang`` with k = 1."""
+    return isinstance(law, Erlang) and law.k == 1
 
 
 def _brownian_inverse(r: float, s2: float, lam: float) -> float:
@@ -375,7 +381,7 @@ def product_form(
     if regime.pure_drift:
         return ProductForm((), ())
     law = regime.jump_law
-    if regime.jump_rate > 0.0 and not isinstance(law, Exponential):
+    if regime.jump_rate > 0.0 and not _exp_law(law):
         return None
     if psi is None:
         psi = inverse_exponent(regime, lam)

@@ -10,13 +10,14 @@ phase-type claims, and the Erlang-like spectral tail extraction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from ._lazy import LazyModule
-from .errors import NoConvergence, NotPhaseType, SingularSystem
+from .errors import NoConvergence, NotPhaseType, PoolRuinError, SingularSystem
 from .seriesops import Taylor
 
 linalg = LazyModule("scipy.linalg")
@@ -213,6 +214,21 @@ def ph_convolve(u: PhaseType, v: PhaseType) -> PhaseType:
     return PhaseType(delta=delta, S=S, delta_abs=u.delta_abs * v.delta_abs)
 
 
+def _absorbed(ph: PhaseType, u: float, right: np.ndarray) -> float:
+    """delta^T exp(S u) right at u >= 0.  Once |S u| passes about 1e38,
+    scipy's expm turns NaN, far past where every entry underflows: then
+    exp(S u) = exp(S v) exp(S (u - v)) is zero if exp(S v) is exactly zero
+    at the smaller reserve v with |S v| = 2^100; otherwise
+    :class:`PoolRuinError` names u."""
+    val = float(ph.delta @ (linalg.expm(ph.S * u) @ right))
+    if math.isfinite(val):
+        return val
+    v = math.ldexp(1.0, 100) / np.linalg.norm(ph.S, 1)
+    if v < u and not linalg.expm(ph.S * v).any():
+        return 0.0
+    raise PoolRuinError(f"phase-type matrix exponential at u = {u!r} is not finite")
+
+
 def ph_tail(ph: PhaseType, u: float) -> float:
     """Survival probability delta^T exp(S u) 1 (excludes the atom at zero)."""
     if not u >= 0:
@@ -221,8 +237,7 @@ def ph_tail(ph: PhaseType, u: float) -> float:
         return 0.0
     if u == 0.0:
         return float(ph.delta.sum())
-    val = float(ph.delta @ (linalg.expm(ph.S * u) @ np.ones(ph.d)))
-    return min(max(val, 0.0), 1.0)
+    return min(max(_absorbed(ph, u, np.ones(ph.d)), 0.0), 1.0)
 
 
 def ph_density(ph: PhaseType, u: float) -> float:
@@ -231,7 +246,7 @@ def ph_density(ph: PhaseType, u: float) -> float:
         return 0.0
     if u < 0:
         raise ValueError("u must be nonnegative")
-    return max(float(ph.delta @ (linalg.expm(ph.S * u) @ ph.s)), 0.0)
+    return max(_absorbed(ph, u, ph.s), 0.0)
 
 
 def ph_sample(ph: PhaseType, rng: np.random.Generator, size: int) -> np.ndarray:

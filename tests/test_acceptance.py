@@ -234,3 +234,42 @@ def test_criterion_8_simulation_reproducibility(capsys, tmp_path):
     assert abs(est - 5.0 / 6.0) < 4 * se
     with capsys.disabled():
         _report(8, "byte-identical across reruns and 1 vs 8 workers")
+
+
+def test_figure_script_writes_the_four_tables(monkeypatch, capsys, tmp_path):
+    # scripts/make_figure_tables.py end to end: each table's header and rows,
+    # finite inverted and reference values, and moment tables byte-identical
+    # to the CLI on the same grid
+    import importlib.util
+    import sys
+
+    path = CONFIGS.parent / "scripts" / "make_figure_tables.py"
+    spec = importlib.util.spec_from_file_location("make_figure_tables", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", [str(path), "--out", str(tmp_path), "--mc-paths", "2000"])
+    script.main()
+    assert capsys.readouterr().out == f"wrote tables to {tmp_path}/\n"
+
+    ruin_header = "u,p_inverted,p_exact_ph,p_asymptote,p_montecarlo,mc_stderr"
+    tables = {
+        "fig2_moments": ("t,mean,var", 40, (1, 2)),
+        "fig3_moments": ("t,mean,var", 40, (1, 2)),
+        "fig4_ruin": (ruin_header, 10, (1, 2, 4)),  # inverted, exact, Monte Carlo
+        "fig5_ruin": (ruin_header, 8, (1, 3, 4)),  # inverted, asymptote, Monte Carlo
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.csv" for n in tables)
+    for name, (header, n_rows, finite_cols) in tables.items():
+        lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+        assert lines[0] == header, name
+        assert len(lines) == 1 + n_rows, name
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert all(math.isfinite(float(cells[i])) for i in finite_cols), (name, line)
+
+    t_grid = ",".join(str(x / 2) for x in range(1, 41))
+    for fig in ("fig2", "fig3"):
+        code = cli_main(["curves", "--config", str(CONFIGS / f"{fig}.json"),
+                         "--mode", "moments", "--t-grid", t_grid])
+        assert code == 0
+        assert capsys.readouterr().out.encode() == (tmp_path / f"{fig}_moments.csv").read_bytes()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poolruin import claims, phase_type
+from poolruin import claims, ladder, phase_type
 from poolruin.errors import MomentUndefined, PoolRuinError
 from poolruin.phase_type import PhaseType
 
@@ -490,3 +490,119 @@ def test_atoms():
     assert claims.PointMass(0.0).atom == 1.0
     ph = PhaseType(delta=np.array([0.75]), S=np.array([[-1.0]]), delta_abs=0.25)
     assert claims.PhaseTypeClaim(ph).atom == 0.25
+
+
+# Exp(mu) is the Erlang law with one phase: every member it shares with
+# Erlang(1, mu) gives the same bits, or raises the same error
+ONE_PHASE_MU = (1e-200, 0.7, 5.0)
+REAL_ARGS = (0.0, 1e-300, 1e-9, 0.3, 1.0, 7.5, 1e20, 1e300)
+# the upper-half nodes of a few ladder circles: centre x, radius r x
+CIRCLE_NODES = np.concatenate(
+    [x + q * x * ladder._UNIT for x in (1e-3, 0.4, 2.5) for q in (0.5, 0.97)]
+)
+
+
+def _outcome(call, *args):
+    """The repr of call(*args) (bytes for an array), or its error."""
+    try:
+        out = call(*args)
+    except Exception as exc:  # the same error type and message on both sides
+        return type(exc).__name__, str(exc)
+    if isinstance(out, np.ndarray):
+        return out.dtype.str, out.shape, out.tobytes()
+    return repr(out)
+
+
+def _one_phase_cases(law):
+    """(name, outcome) of every member Exponential shares with Erlang."""
+    nodes = law.mu * CIRCLE_NODES
+    yield "lst", [_outcome(law.lst, a) for a in REAL_ARGS]
+    yield "lst_complex", _outcome(law.lst_complex, nodes)
+    yield "lst_complex one", [_outcome(law.lst_complex, complex(z)) for z in nodes[:4]]
+    yield "lst_complement_complex", _outcome(law.lst_complement_complex, nodes)
+    for order in (0, 1, 2):
+        for a in REAL_ARGS:
+            yield f"lst_series {order} {a}", _outcome(lambda: law.lst_series(a, order).c)
+    yield "lst_jet", _outcome(lambda: law.lst_jet(0.3))
+    yield "modulus_bound", [_outcome(law.modulus_bound, t) for t in REAL_ARGS]
+    yield "modulus_bound array", _outcome(law.modulus_bound, np.array(REAL_ARGS))
+    for points in ((0.4,), (1.3, 0.4), (0.0, 0.0)):
+        dd = law.divided_difference(*points)
+        yield f"dd {points}", [_outcome(dd, x) for x in REAL_ARGS]
+        yield f"dd array {points}", _outcome(dd, np.array(REAL_ARGS))
+        yield f"dd complex {points}", _outcome(dd, nodes)
+        yield f"dd bound {points}", [_outcome(dd.bound, t) for t in REAL_ARGS]
+        yield f"dd bound array {points}", _outcome(dd.bound, np.array(REAL_ARGS))
+    yield "tail", [_outcome(law.tail, u) for u in REAL_ARGS]
+    yield "mean", _outcome(law.mean)
+    yield "second_moment", _outcome(law.second_moment)
+    ph = law.phase_type()
+    yield "phase_type", (ph.delta.tobytes(), ph.S.tobytes(), ph.delta_abs)
+    yield "atom", repr(law.atom)
+    yield "left_singularity", repr(law.left_singularity)
+    rng = np.random.Generator(np.random.Philox(key=2024))
+    yield "sample", _outcome(law.sample, rng, 4099)
+
+
+@pytest.mark.parametrize("mu", ONE_PHASE_MU)
+def test_exponential_is_the_one_phase_erlang_law(mu):
+    exp_cases = dict(_one_phase_cases(claims.Exponential(mu)))
+    erlang_cases = dict(_one_phase_cases(claims.Erlang(1, mu)))
+    assert exp_cases.keys() == erlang_cases.keys()
+    for name in exp_cases:
+        assert exp_cases[name] == erlang_cases[name], name
+
+
+@pytest.mark.parametrize("mu", ONE_PHASE_MU)
+def test_one_phase_erlang_keeps_the_closed_forms(mu):
+    # the one-phase forms mu / (mu + a), a / (mu + a), e^{-mu u}, 1 / mu and
+    # 2 / mu^2, bit for bit, and the complement at floats in its own form
+    law = claims.Exponential(mu)
+    nodes = mu * CIRCLE_NODES
+    for a in REAL_ARGS:
+        assert repr(law.lst(a)) == repr(mu / (mu + a))
+        assert repr(law.modulus_bound(a)) == repr(mu / (mu + a))
+        assert repr(law.lst_complement(a)) == repr(a / (mu + a))
+        assert repr(law.tail(a)) == repr(math.exp(-mu * a))
+        for order in (0, 1, 2):
+            base = mu + a
+            try:
+                want = [mu * (-1.0) ** i / base ** (i + 1) for i in range(order + 1)]
+            except (OverflowError, ZeroDivisionError):
+                continue  # the log form, the same on both sides above
+            assert repr(law.lst_series(a, order).c) == repr(tuple(want))
+    assert law.lst_complex(nodes).tobytes() == (mu / (mu + nodes)).tobytes()
+    assert law.lst_complement_complex(nodes).tobytes() == (nodes / (mu + nodes)).tobytes()
+    assert _outcome(law.mean) == _outcome(lambda: 1.0 / mu)
+    assert _outcome(law.second_moment) == _outcome(lambda: 2.0 / mu**2)
+    if mu == 1e-200:  # mu (mu + 0)^-(i + 1) leaves the float range: the log form
+        c = law.lst_series(0.0, 2).c
+        assert c[0] == 1.0 and math.isclose(c[1], -1e200) and c[2] == math.inf
+
+
+def test_exponential_keeps_its_identity():
+    law = claims.Exponential(0.7)
+    assert repr(law) == "Exponential(mu=0.7)"
+    assert law.kind == "exp" and law.k == 1
+    assert isinstance(law, claims.Erlang)
+    assert law == claims.Exponential(0.7) and hash(law) == hash(claims.Exponential(0.7))
+    assert law != claims.Exponential(0.8)
+    # a different spelling of the same law is a different object
+    assert law != claims.Erlang(1, 0.7)
+    assert len({law, claims.Exponential(0.7), claims.Erlang(1, 0.7)}) == 2
+    with pytest.raises(TypeError):
+        claims.Exponential(0.7, 1)
+    with pytest.raises(ValueError, match="Exponential: mu must be finite"):
+        claims.Exponential(math.nan)
+    with pytest.raises(ValueError, match="Erlang: mu must be finite"):
+        claims.Erlang(1, math.nan)
+    with pytest.raises(ValueError, match="mu must be positive"):
+        claims.Exponential(0.0)
+
+
+def test_erlang_complex_transform_is_its_transform():
+    assert claims.Erlang.lst_complex is claims.Erlang.lst
+    assert claims.Exponential.lst_complex is claims.Erlang.lst
+    # Exponential's own body: only k, kind and its one form of its own
+    own = {n for n in vars(claims.Exponential) if not n.startswith("__")}
+    assert own == {"k", "kind", "lst_complement"}

@@ -721,3 +721,49 @@ def test_flat_state_zero_spellings_agree(tmp_path_factory, command):
         runs.append(_run_doc(tmp_path_factory, doc, command))
     assert runs[0][0] == 0, runs[0][2]
     assert runs[0][:2] == runs[1][:2]
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig4"])
+def test_exact_column_far_past_the_tail_reads_zero(capsys, name):
+    # the phase-type tail where scipy's expm overflows: zero, never nan
+    code, out, err = run_cli(
+        capsys, "curves", "--config", str(CONFIGS / f"{name}.json"),
+        "--mode", "ruin", "--u-grid", "1e40,1e100,1e300",
+    )
+    assert code == 0, err
+    assert out.splitlines()[1:] == ["1e+40,0,0,,,", "1e+100,0,0,,,", "1e+300,0,0,,,"]
+
+
+@pytest.mark.parametrize(
+    "name,t",
+    [("fig2", "1e300"), ("fig4", "1e300"), ("fig3", "1e200"), ("fig3", "1e300"),
+     ("fig3", "1e-300"), ("fig3", "1e-200")],
+)
+def test_moments_past_the_float_range_are_numerical_failures(tmp_path, capsys, name, t):
+    # an overflowing Stehfest sum, a series that overflows or divides by
+    # zero at a node, and a variance that underflows below zero: exit 3
+    # naming t, and no row written
+    out_file = tmp_path / "out.csv"
+    code, out, err = run_cli(
+        capsys, "curves", "--config", str(CONFIGS / f"{name}.json"),
+        "--mode", "moments", "--t-grid", t, "--out", str(out_file),
+    )
+    assert code == 3, err
+    assert f"t = {float(t)!r}" in err
+    assert "config error" not in err
+    assert out == "" and not out_file.exists()
+
+
+def test_a_deterministic_maximum_is_no_numerical_failure(tmp_path_factory):
+    # M_t = t: the variance is inversion noise of either sign, printed
+    doc = {"m": 0, "lambda_circ": [], "claims": [], "regimes": [{"drift": {"r": -1}}]}
+    grid = "1e-100,1e-06,0.5,1,3,1000,1e+100"
+    code, out, err = _run_doc(
+        tmp_path_factory, doc, ("curves", "--mode", "moments", "--t-grid", grid)
+    )
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[0] for row in rows] == grid.split(",")
+    for t, mean, var in ((float(x) for x in row) for row in rows):
+        assert abs(mean - t) < 1e-6 * t
+        assert abs(var) < 1e-5 * t * t

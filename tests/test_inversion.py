@@ -52,6 +52,30 @@ def test_errors_propagate_from_transform():
         inversion.invert(bad, 1.0)
 
 
+_WEIGHTS = inversion.default_plan().weights
+
+
+def _each_near_1e308(w):
+    return math.copysign(1e308, w) / max(abs(w), 1.0)
+
+
+@pytest.mark.parametrize(
+    "F,message",
+    [
+        (lambda s: 1.0 / (s - s), r"transform at t = 2\.0, node 0\.34\d* divides by zero"),
+        (lambda s: math.exp(1e3 * s), r"transform at t = 2\.0, node 1\.03\d* overflows"),
+        (lambda s: 1e305 / s, r"Stehfest sum at t = 2\.0 .*inf at node"),  # inf - inf
+        # every weighted value near 1e308: finite terms whose sum is not
+        (lambda s: _each_near_1e308(_WEIGHTS[round(s / (math.log(2.0) / 2.0)) - 1]),
+         r"Stehfest sum at t = 2\.0 .*transform \d\S*e\+308 at node"),
+    ],
+    ids=["zero-division", "overflow", "inf-minus-inf", "sum-overflow"],
+)
+def test_arithmetic_failures_name_t_and_the_node(F, message):
+    with pytest.raises(PoolRuinError, match=message):
+        inversion.invert(F, 2.0)
+
+
 def test_ruin_curve_no_clients_is_zero():
     none = model.ModelSpec(m=0, lambda_circ=(), claims=(), regimes=(model.drift(1.0),))
     assert (inversion.ruin_curve(none, 1.0, [0.5, 1.0, 5.0]) == 0.0).all()
@@ -124,6 +148,39 @@ def test_moment_curves_trivial_and_monotone(m1_model):
     assert (variances >= 0).all()
     # the horizon limit is E(B - T)+ with B ~ Exp(1), T ~ Exp(1): one half
     assert abs(means[-1] - 0.5) < 1e-4
+
+
+_DETERMINISTIC_T = [1e-100, 1e-6, 0.5, 1.0, 3.0, 1e3, 1e100]
+
+
+@pytest.mark.parametrize(
+    "mdl",
+    [
+        # M_t = t
+        model.ModelSpec(m=0, lambda_circ=(), claims=(), regimes=(model.drift(-1.0),)),
+        # claims of size zero under nondecreasing drifts: M_t = X_t
+        model.ModelSpec(
+            m=2,
+            lambda_circ=(1.0, 2.0),
+            claims=(claims.PointMass(0.0),) * 2,
+            regimes=tuple(model.drift(r) for r in (-1.0, -1.0, -1.0)),
+        ),
+        # a jump rate of 1e-12: M_t = t up to a 1e-12 chance
+        model.ModelSpec(
+            m=0, lambda_circ=(), claims=(),
+            regimes=(model.compound_poisson_drift(-1.0, 0.0, 1e-12, claims.Exponential(1.0)),),
+        ),
+    ],
+    ids=["drift", "point-zero-claims", "rare-jumps"],
+)
+def test_a_deterministic_maximum_reads_a_variance_of_inversion_noise(mdl):
+    # seconds - means**2 is the rule's error on t**2 and t, a few 1e-6 of
+    # t**2 and of either sign, plus the rare jumps' 2e-12 t: no numerical
+    # failure
+    means, variances = inversion.moment_curves(mdl, _DETERMINISTIC_T)
+    t = np.array(_DETERMINISTIC_T)
+    assert np.allclose(means, t, rtol=1e-6, atol=0.0)
+    assert (np.abs(variances) < 1e-5 * t * t + 3e-12 * t).all()
 
 
 def overflow_pool():

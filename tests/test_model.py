@@ -770,3 +770,27 @@ def test_beta_zero_needs_the_drift_model_on_every_route(entry):
 def test_nan_arguments_fail_their_sign_checks(call):
     with pytest.raises(ValueError, match="must be (positive|nonnegative)"):
         call()
+
+
+@pytest.mark.parametrize("mu", (0.7, 2.0))
+@pytest.mark.parametrize("r,s2", [(1.5, 0.0), (1.0, 0.4), (-0.3, 0.5)])
+def test_one_phase_erlang_jumps_take_the_exponential_route(r, s2, mu):
+    # {"erlang": {"k": 1, ...}} is Exp(mu) written another way: the same
+    # closed-form psi and product form, hence the same transforms, bit for bit
+    def spelled(law):
+        reg = model.compound_poisson_drift(r, s2, 0.8, law)
+        spec = model.ModelSpec(
+            m=2, lambda_circ=(0.6, 1.1), claims=(claims.Exponential(1.0),) * 2,
+            regimes=(reg, model.drift(2.0), reg),
+        )
+        out = []
+        for lam in (1e-6, 0.3, 1.0, 4.0):
+            out.append(repr(model.inverse_exponent(reg, lam)))
+            out.append(repr(model.product_form(reg, lam)))
+        out += [repr(ladder.pi_max(spec, 1.0, 2, a)) for a in (0.3, 1.7)]
+        out.append(repr(ladder.pi_jet(spec, 1.0, 2)))
+        return out
+
+    exp_route = spelled(claims.Exponential(mu))
+    assert "None" not in exp_route[1]
+    assert spelled(claims.Erlang(1, mu)) == exp_route

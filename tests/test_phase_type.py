@@ -1,4 +1,5 @@
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy import integrate
 
 from poolruin import claims, ladder, model, phase_type, simulate
 from poolruin.config import load_model
-from poolruin.errors import NoConvergence, NotPhaseType, RegimeMismatch
+from poolruin.errors import NoConvergence, NotPhaseType, PoolRuinError, RegimeMismatch
 from poolruin.phase_type import (
     PhaseType,
     ph_convolve,
@@ -347,3 +348,26 @@ def test_running_max_of_claims_at_zero():
         assert math.isclose(
             ph_lst(ph, alpha), ladder.pi_max(mixed, 1.0, 2, alpha), rel_tol=1e-13
         )
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig4"])
+def test_tail_and_density_far_past_the_float_range_of_expm(name):
+    # scipy's expm turns NaN once |S u| nears 2^127; the tail has long
+    # underflowed there, and it reads exactly zero as it does at 1e20
+    spec, beta = load_model(CONFIGS / f"{name}.json")
+    ph = running_max_ph(spec, beta, spec.m)
+    assert ph_tail(ph, 1e20) == 0.0
+    for u in (1e40, 1e100, 1e300):
+        assert ph_tail(ph, u) == 0.0
+        assert ph_density(ph, u) == 0.0
+
+
+def test_tail_with_a_matrix_exponential_that_never_settles(monkeypatch):
+    # were exp(S v) not exactly zero at the smaller reserve, the NaN would
+    # be refused, naming u
+    nan_expm = types.SimpleNamespace(expm=lambda a: np.full(a.shape, np.nan))
+    monkeypatch.setattr(phase_type, "linalg", nan_expm)
+    with pytest.raises(PoolRuinError, match=r"u = 1e\+300"):
+        ph_tail(exp_ph(1.0), 1e300)
+    with pytest.raises(PoolRuinError, match=r"u = 1e\+300"):
+        ph_density(exp_ph(1.0), 1e300)
