@@ -34,6 +34,12 @@ zeta matrix at each of ``OVERSHOOT_ALPHAS`` and at the first level rate,
 ``survive_zero`` at every n, and ``xi(n, k, alpha, gamma)`` for every
 (n, k) at gammas inside the level-rate windows (each level rate, and 1 +
 ``WINDOW`` / 2 times it), which the battery's single ``pi`` column hides.
+The ``phase_type`` group holds the exact law of ``running_max_ph`` on the
+same models and betas, each (config, beta) on one model object: its
+``delta`` and its ``S`` (flattened by row) as tuples, its ``delta_abs``,
+``ph_lst`` at each of ``OVERSHOOT_ALPHAS`` and ``ph_tail`` at each of
+``PH_TAIL_U``; a refused law (fig5's Lomax claims) is recorded as the
+error it raised.
 
 Usage, from the repository root:
 
@@ -45,8 +51,8 @@ Usage, from the repository root:
 default the one holding this script).  ``--compare`` prints every entry
 that differs, with both values and, for float outputs, the largest
 relative difference; then one summary line per group (each workload,
-``deep``, each held model, ``trace``, ``simulate``, ``overshoot`` and
-``cli``): the entries moved, of the group's total, and the worst relative
+``deep``, each held model, ``trace``, ``simulate``, ``overshoot``,
+``phase_type`` and ``cli``): the entries moved, of the group's total, and the worst relative
 move with its key.  Each group holding
 transform rows (``transform_battery``, whose rows hold ``pi_max``, the two
 overshoot routes and the phase-type transform where there is one, and
@@ -155,6 +161,7 @@ SIM_HORIZON_T = 2.0
 OVERSHOOT_CONFIGS = ("fig2", "fig4", "fig5", "m1_hand")
 OVERSHOOT_ALPHAS = (0.0, 0.5, 1.0, 4.0)
 XI_ALPHAS = (0.0, 1.0)
+PH_TAIL_U = (1.0, 5.0, 20.0)
 MODEL_COMMANDS = (("transform",), ("curves", "--mode", "moments"))
 # name -> (config, CLI commands)
 HELD = {
@@ -324,6 +331,33 @@ def overshoot_outputs(root: Path) -> dict:
     return out
 
 
+def phase_type_outputs(root: Path) -> dict:
+    """The exact phase-type law of the running maximum on each
+    ``OVERSHOOT_CONFIGS`` model, its transform and its tail, each (config,
+    beta) on one model object."""
+    from poolruin.config import load_model
+    from poolruin.phase_type import ph_lst, ph_tail, running_max_ph
+
+    out = {}
+    for name in OVERSHOOT_CONFIGS:
+        mdl, own = load_model(root / "configs" / f"{name}.json")
+        for beta in dict.fromkeys((own, 0.0)):
+            key = f"phase_type/{name}.b{beta!r}"
+            try:
+                law = running_max_ph(mdl, beta, mdl.m)
+            except Exception as exc:
+                out[key] = f"raised {type(exc).__name__}: {exc}"
+                continue
+            out[f"{key}/delta"] = repr(tuple(law.delta.tolist()))
+            out[f"{key}/S"] = repr(tuple(law.S.ravel().tolist()))
+            out[f"{key}/delta_abs"] = repr(law.delta_abs)
+            for alpha in OVERSHOOT_ALPHAS:
+                out[f"{key}/lst.a{alpha!r}"] = _value_repr(lambda: ph_lst(law, alpha))
+            for u in PH_TAIL_U:
+                out[f"{key}/tail.u{u!r}"] = _value_repr(lambda: ph_tail(law, u))
+    return out
+
+
 def _transform_rows(stdout: bytes) -> list:
     """(pi_ladder, abs_diff) of each row of ``poolruin transform`` output
     that has an overshoot column."""
@@ -366,6 +400,7 @@ def record(root: Path, seed: int) -> dict:
     outputs.update(trace_outputs(root, seed))
     outputs.update(simulate_outputs(root, seed))
     outputs.update(overshoot_outputs(root))
+    outputs.update(phase_type_outputs(root))
     with tempfile.TemporaryDirectory() as scratch:
         cli, rows = cli_outputs(root, Path(scratch))
     outputs.update(cli)

@@ -111,10 +111,13 @@ def _ph_tail_column(model, beta, u_values):
 
 
 def _asymptote_column(model, beta, u_values):
+    """The heavy-tail asymptote at each u, None where it is not in [0, 1]:
+    E M * P(B > u) is no probability at small u, where it passes 1."""
     try:
-        return [heavy_tail.rv_tail_approx(model, beta, u) for u in u_values]
+        values = [heavy_tail.rv_tail_approx(model, beta, u) for u in u_values]
     except (PoolRuinError, ValueError):
         return None
+    return [v if 0.0 <= v <= 1.0 else None for v in values]
 
 
 def cmd_curves(args) -> int:

@@ -11,6 +11,7 @@ targets here (ruin probabilities in the reserve, moments in time).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,8 @@ from .ladder import checked_transform, engine, pi_jet, ruin_transform
 from .model import ModelSpec, require_killing
 
 _LN2 = math.log(2.0)
+# Least normal float: a Stehfest term below it has lost its digits.
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -207,9 +210,10 @@ def moment_curves(
     is not the transform of anything.  The jets come from
     :func:`poolruin.ladder.pi_jet`, which the thread keeps for the model
     object, so a node shared by several times is computed once.  A jet
-    that is not finite or overflows at a node, and a variance that is
-    negative beyond the inversion's own error, raise
-    :class:`PoolRuinError`.
+    that is not finite or overflows at a node, a nonzero jet component
+    whose Stehfest term (``-d1/s`` or ``d2/s``) falls below the least
+    normal float, and a variance that is negative beyond the inversion's
+    own error, raise :class:`PoolRuinError`.
     """
     if plan is None:
         plan = default_plan()
@@ -230,6 +234,12 @@ def moment_curves(
                 raise PoolRuinError(
                     f"moment jet {jet!r} at t = {t!r}, node beta = {s!r} "
                     "is not finite"
+                )
+            # a moment that underflows in its Stehfest term would read as 0
+            if (jet.d1 and abs(jet.d1 / s) < _TINY) or (jet.d2 and abs(jet.d2 / s) < _TINY):
+                raise PoolRuinError(
+                    f"moment jet {jet!r} at t = {t!r}, node beta = {s!r} "
+                    "underflows in its Stehfest term"
                 )
         means[i] = invert(lambda s: -jets[s].d1 / s, t, plan)
         seconds[i] = invert(lambda s: jets[s].d2 / s, t, plan)

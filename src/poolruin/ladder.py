@@ -131,13 +131,15 @@ with ``K_k = lam / (lam - phi)``; any other regime multiplies its ladder
 level by the killed-maximum factor of the regime.
 
 Each thread keeps the model engines of its most recent (model object,
-beta), and the overshoot route keeps its ladder heights there too
-(:func:`_memo`), so the calls of one thread for one model reuse every
-value already computed.  The moment jets of :func:`pi_jet` are kept for
-every beta asked of the thread's most recent model object: a new beta
-replaces the engines but not the jets, so a Stehfest node shared by
-several times is computed once.  Since a value never depends on the order
-of the requests, the reuse moves no value.
+beta), the overshoot route keeps its ladder heights there too, and the
+exact phase-type law of :func:`poolruin.phase_type.running_max_ph` is kept
+there by client count (:func:`_memo`), so the calls of one thread for one
+model reuse every value already computed.  The moment jets of
+:func:`pi_jet` are kept for every beta asked of the thread's most recent
+model object: a new beta replaces the engines and the laws but not the
+jets, so a Stehfest node shared by several times is computed once.  Since
+a value never depends on the order of the requests, the reuse moves no
+value.
 """
 
 from __future__ import annotations
@@ -958,15 +960,17 @@ def _killed_max_piece(regime: LevyRegime, lam: float, psi: Optional[float] = Non
 class _Held:
     """What one thread keeps for its most recent model object: the jets of
     :func:`pi_jet` by (beta, n), for every beta asked of it, and for its
-    most recent beta the model engines by ``n`` and the overshoot state,
-    which :mod:`poolruin.overshoot` fills in.  The model itself is held by
-    a weak reference only."""
+    most recent beta the model engines by ``n``, the overshoot state, which
+    :mod:`poolruin.overshoot` fills in, and the exact phase-type laws of
+    :func:`poolruin.phase_type.running_max_ph` by ``n``.  The model itself
+    is held by a weak reference only."""
 
     def __init__(self, model: ModelSpec, beta: float, jets: dict):
         self.model = weakref.ref(model)
         self.beta = beta
         self.engines: dict = {}
         self.overshoot = None
+        self.laws: dict = {}
         self.jets = jets
 
 
@@ -978,10 +982,11 @@ def _memo(model: ModelSpec, beta: float) -> _Held:
 
     A thread keeps one model object only, its most recent: a request for
     another model object replaces everything, and one for another beta
-    replaces the engines and the overshoot state but keeps the jets.  The
-    model is matched by identity, never by equality, so a fresh model
-    object, even one equal to the kept one, starts cold; and since each
-    thread has its own slot, two threads never share an engine or a jet.
+    replaces the engines, the overshoot state and the phase-type laws but
+    keeps the jets.  The model is matched by identity, never by equality,
+    so a fresh model object, even one equal to the kept one, starts cold;
+    and since each thread has its own slot, two threads never share an
+    engine, a law or a jet.
     Only values that were computed are kept: a request that raised stored
     nothing and raises again.
     """

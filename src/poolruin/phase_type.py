@@ -291,14 +291,29 @@ def running_max_ph(model, beta: float, n: int) -> PhaseType:
     initial vector follows the two-step induction (append the claim block,
     then resolve it against the exponential ladder rate nu_k = lambda_k /
     r_k).  More than ``MAX_DENSE_PHASES`` phases raise :class:`NotPhaseType`.
+
+    The law is kept by ``n`` in the thread's slot for (model object, beta),
+    beside the ladder engines (:func:`poolruin.ladder._memo`), so a repeated
+    call returns the same object; the arguments are checked on every call,
+    and a build that raised keeps nothing.  The law is frozen and its
+    arrays read-only, so the sharing moves no value.
     """
-    # model imports claims, which imports this module
+    # model imports claims, which imports this module; ladder imports model
+    from .ladder import _memo
     from .model import require_drift_model, require_killing
 
     require_killing(model, beta, "running_max_ph")
     if not 0 <= n <= model.m:
         raise ValueError("n must lie in 0..m")
     require_drift_model(model, "running_max_ph")
+    laws = _memo(model, beta).laws
+    law = laws.get(n)
+    if law is None:
+        law = laws[n] = _running_max_law(model, beta, n)
+    return law
+
+
+def _running_max_law(model, beta: float, n: int) -> PhaseType:
     blocks = []
     for k in range(1, n + 1):
         claim = model.claim_for_state(k)

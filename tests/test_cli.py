@@ -233,6 +233,28 @@ def test_curves_ruin_fig5_asymptote_column(capsys):
     assert row[4] == "" and row[5] == ""
 
 
+def test_asymptote_column_is_empty_where_it_is_no_probability(capsys):
+    # E M * P(B > u) passes 1 at small u (5 at u = 0 on fig5); a cell
+    # holds it only where it lies in [0, 1], and then as it is
+    from poolruin import cli, heavy_tail
+    from poolruin.config import load_model
+
+    grid = [1e-300, 0.5, 1.0, 5.0, 100.0]
+    code, out, err = run_cli(
+        capsys, "curves", "--config", str(CONFIGS / "fig5.json"),
+        "--mode", "ruin", "--u-grid", ",".join(map(repr, grid)),
+    )
+    assert code == 0, err
+    column = [line.split(",")[3] for line in out.splitlines()[1:]]
+    mdl, beta = load_model(CONFIGS / "fig5.json")
+    raw = [heavy_tail.rv_tail_approx(mdl, beta, u) for u in grid]
+    assert all(v > 1.0 for v in raw[:3])
+    assert column == ["", "", "", f"{raw[3]:.12g}", f"{raw[4]:.12g}"]
+    kept = cli._asymptote_column(mdl, beta, grid)
+    assert kept[:3] == [None] * 3
+    assert repr(kept[3:]) == repr(raw[3:])
+
+
 MIXED_CLAIMS = """{
   "m": 2, "lambda_circ": [1.0, 2.0], "beta": 1.0,
   "claims": [{"exp": {"mu": 1.0}}, {"erlang": {"k": 2, "mu": 3.0}}],

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +182,20 @@ def test_a_deterministic_maximum_reads_a_variance_of_inversion_noise(mdl):
     t = np.array(_DETERMINISTIC_T)
     assert np.allclose(means, t, rtol=1e-6, atol=0.0)
     assert (np.abs(variances) < 1e-5 * t * t + 3e-12 * t).all()
+
+
+@pytest.mark.parametrize("t", [1e-200, 1e-150])
+def test_an_underflowing_moment_term_is_a_numerical_failure(t):
+    # M_t = t: at t = 1e-200 the nodes lie near 7e199, where the mean's
+    # term -d1/s = 1/s**2 underflows to 0, and at 1e-150 the second
+    # moment's 2/s**3 does; neither reads as a moment of 0
+    mdl = model.ModelSpec(m=0, lambda_circ=(), claims=(), regimes=(model.drift(-1.0),))
+    node = math.log(2.0) / t  # the first Stehfest node
+    for _ in range(2):  # the kept jet raises again
+        with pytest.raises(
+            PoolRuinError, match=re.escape(f"t = {t!r}, node beta = {node!r} underflows")
+        ):
+            inversion.moment_curves(mdl, [t])
 
 
 def overflow_pool():

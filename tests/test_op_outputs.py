@@ -172,6 +172,35 @@ def test_overshoot_group_holds_every_route_value():
                 assert eval(out[k])[-1] == table.xi(m, m - 1, alpha, gamma)
 
 
+def test_phase_type_group_holds_every_law_value():
+    from poolruin import phase_type
+    from poolruin.config import load_model
+
+    module = _op_outputs()
+    root = SCRIPT.parent.parent
+    out = module.phase_type_outputs(root)
+    assert all(key.startswith("phase_type/") for key in out)
+    # fig5's Lomax claims have no phase-type law: the refusal is the output
+    assert out["phase_type/fig5.b0.0"] == (
+        "raised NotPhaseType: claim kind 'lomax' has no phase-type representation"
+    )
+    fields = ["S", "delta", "delta_abs"]
+    fields += [f"lst.a{a!r}" for a in module.OVERSHOOT_ALPHAS]
+    fields += [f"tail.u{u!r}" for u in module.PH_TAIL_U]
+    for name in ("fig2", "fig4", "m1_hand"):
+        mdl, own = load_model(root / "configs" / f"{name}.json")
+        for beta in {own, 0.0}:
+            key = f"phase_type/{name}.b{beta!r}"
+            ours = sorted(k[len(key) + 1:] for k in out if k.startswith(key + "/"))
+            assert ours == sorted(fields)
+            law = phase_type.running_max_ph(mdl, beta, mdl.m)
+            assert eval(out[f"{key}/delta"]) == tuple(law.delta)
+            assert eval(out[f"{key}/S"]) == tuple(law.S.ravel())
+            assert eval(out[f"{key}/delta_abs"]) == law.delta_abs
+            assert eval(out[f"{key}/lst.a1.0"]) == phase_type.ph_lst(law, 1.0)
+            assert eval(out[f"{key}/tail.u5.0"]) == phase_type.ph_tail(law, 5.0)
+
+
 def test_transform_rows_get_route_lines(tmp_path, capsys):
     # (pi_max, pi_via_ladders, pi_explicit_chains[, phase type]) rows, and
     # the parsed rows (pi_ladder, abs_diff) of CLI transform runs

@@ -1,4 +1,5 @@
 import math
+import threading
 import types
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from poolruin.phase_type import (
     running_max_ph,
     spectral_tail,
 )
+
+from conftest import cold
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -371,3 +374,106 @@ def test_tail_with_a_matrix_exponential_that_never_settles(monkeypatch):
         ph_tail(exp_ph(1.0), 1e300)
     with pytest.raises(PoolRuinError, match=r"u = 1e\+300"):
         ph_density(exp_ph(1.0), 1e300)
+
+
+def _count_builds(monkeypatch) -> list:
+    """The (beta, n) of the laws built from now on, in every thread."""
+    builds = []
+    build = phase_type._running_max_law
+
+    def counted(mdl, beta, n):
+        builds.append((beta, n))
+        return build(mdl, beta, n)
+
+    monkeypatch.setattr(phase_type, "_running_max_law", counted)
+    return builds
+
+
+def test_a_repeated_call_returns_the_kept_law(monkeypatch):
+    mdl = fig4_like_model()
+    builds = _count_builds(monkeypatch)
+    law = running_max_ph(mdl, 1.0, 4)
+    assert running_max_ph(mdl, 1.0, 4) is law
+    assert builds == [(1.0, 4)]
+    # the law sits beside the engines of the same (model, beta)
+    ladder.pi_max(mdl, 1.0, 4, 0.5)
+    assert running_max_ph(mdl, 1.0, 4) is law
+    assert builds == [(1.0, 4)]
+
+
+def test_a_new_model_object_beta_or_n_starts_cold(monkeypatch):
+    mdl = fig4_like_model()
+    law = running_max_ph(mdl, 1.0, 4)
+    builds = _count_builds(monkeypatch)
+    assert running_max_ph(mdl, 1.0, 3) is not law
+    assert running_max_ph(mdl, 1.0, 4) is law  # one law per n
+    # matched by identity: an equal copy has laws of its own
+    copy = cold(mdl)
+    assert copy == mdl
+    assert running_max_ph(copy, 1.0, 4) is not law
+    law = running_max_ph(mdl, 1.0, 4)  # the copy took the slot
+    assert running_max_ph(mdl, 2.0, 4) is not law
+    assert running_max_ph(mdl, 1.0, 4) is not law  # another beta replaced it
+    assert builds == [(1.0, 3), (1.0, 4), (1.0, 4), (2.0, 4), (1.0, 4)]
+
+
+def test_threads_keep_laws_of_their_own():
+    mdl = fig4_like_model()
+    law = running_max_ph(mdl, 1.0, 5)
+    got = []
+    worker = threading.Thread(target=lambda: got.append(running_max_ph(mdl, 1.0, 5)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert got[0] is not law and got[0] == law
+    # the other thread's request left this thread's slot alone
+    assert running_max_ph(mdl, 1.0, 5) is law
+
+
+def test_a_kept_law_does_not_skip_the_argument_checks():
+    mdl = fig4_like_model()
+    law = running_max_ph(mdl, 1.0, 5)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            running_max_ph(mdl, math.nan, 5)
+        with pytest.raises(ValueError, match="beta must be nonnegative"):
+            running_max_ph(mdl, -1.0, 5)
+        for n in (-1, 6):
+            with pytest.raises(ValueError, match="n must lie"):
+                running_max_ph(mdl, 1.0, n)
+    # a refused request leaves the slot as it was
+    assert running_max_ph(mdl, 1.0, 5) is law
+
+
+def test_a_failed_build_is_not_kept(monkeypatch):
+    mdl, _ = load_model(CONFIGS / "fig5.json")
+    for beta in (0.0, 1.0):
+        for _ in range(2):
+            with pytest.raises(NotPhaseType, match="lomax"):
+                running_max_ph(mdl, beta, mdl.m)
+        assert ladder._memo(mdl, beta).laws == {}
+    mdl = fig4_like_model()
+    want = running_max_ph(cold(mdl), 1.0, 5)
+    monkeypatch.setattr(phase_type, "MAX_DENSE_PHASES", 9)
+    for _ in range(2):
+        with pytest.raises(NotPhaseType, match="10 phases"):
+            running_max_ph(mdl, 1.0, 5)
+    monkeypatch.undo()
+    builds = _count_builds(monkeypatch)
+    law = running_max_ph(mdl, 1.0, 5)
+    assert builds == [(1.0, 5)] and law == want
+    assert running_max_ph(mdl, 1.0, 5) is law
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig4", "m1_hand"])
+def test_a_kept_law_equals_a_cold_build(name):
+    mdl, own = load_model(CONFIGS / f"{name}.json")
+    for beta in dict.fromkeys((own, 0.0)):
+        running_max_ph(mdl, beta, mdl.m)
+        kept = running_max_ph(mdl, beta, mdl.m)
+        fresh = running_max_ph(cold(mdl), beta, mdl.m)
+        assert kept is not fresh
+        for u in (0.0, 1.0, 5.0, 20.0):
+            assert repr(ph_tail(kept, u)) == repr(ph_tail(fresh, u))
+        for alpha in (0.0, 0.5, 1.0, 4.0):
+            assert repr(ph_lst(kept, alpha)) == repr(ph_lst(fresh, alpha))
