@@ -37,9 +37,10 @@ zeta matrix at each of ``OVERSHOOT_ALPHAS`` and at the first level rate,
 The ``phase_type`` group holds the exact law of ``running_max_ph`` on the
 same models and betas, each (config, beta) on one model object: its
 ``delta`` and its ``S`` (flattened by row) as tuples, its ``delta_abs``,
-``ph_lst`` at each of ``OVERSHOOT_ALPHAS`` and ``ph_tail`` at each of
-``PH_TAIL_U``; a refused law (fig5's Lomax claims) is recorded as the
-error it raised.
+``ph_lst`` at each of ``OVERSHOOT_ALPHAS``, ``ph_tail`` at each of
+``PH_TAIL_U`` and each field of its ``spectral_tail`` (``mu``, ``mult``,
+``coeff`` and the Laurent coefficients ``laurent``); a refused law (fig5's
+Lomax claims) is recorded as the error it raised.
 
 Usage, from the repository root:
 
@@ -333,10 +334,10 @@ def overshoot_outputs(root: Path) -> dict:
 
 def phase_type_outputs(root: Path) -> dict:
     """The exact phase-type law of the running maximum on each
-    ``OVERSHOOT_CONFIGS`` model, its transform and its tail, each (config,
-    beta) on one model object."""
+    ``OVERSHOOT_CONFIGS`` model, its transform, its tail and its dominant
+    tail term, each (config, beta) on one model object."""
     from poolruin.config import load_model
-    from poolruin.phase_type import ph_lst, ph_tail, running_max_ph
+    from poolruin.phase_type import ph_lst, ph_tail, running_max_ph, spectral_tail
 
     out = {}
     for name in OVERSHOOT_CONFIGS:
@@ -355,6 +356,10 @@ def phase_type_outputs(root: Path) -> dict:
                 out[f"{key}/lst.a{alpha!r}"] = _value_repr(lambda: ph_lst(law, alpha))
             for u in PH_TAIL_U:
                 out[f"{key}/tail.u{u!r}"] = _value_repr(lambda: ph_tail(law, u))
+            for field in ("mu", "mult", "coeff", "laurent"):
+                out[f"{key}/spectral_tail.{field}"] = _value_repr(
+                    lambda: getattr(spectral_tail(law), field)
+                )
     return out
 
 

@@ -5,14 +5,14 @@ transient generator block ``S``, initial distribution ``delta`` over the
 transient states and an atom ``delta_abs`` at zero.  The module provides the
 transform, density and survival function, convolution, the inductive
 construction of the running-maximum law in the drift model with
-phase-type claims, and the Erlang-like spectral tail extraction.
+phase-type claims, and the exact dominant tail term from the resolvent's
+Laurent coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -235,9 +235,8 @@ def ph_tail(ph: PhaseType, u: float) -> float:
         raise ValueError("u must be nonnegative")
     if ph.d == 0:
         return 0.0
-    if u == 0.0:
-        return float(ph.delta.sum())
-    return min(max(_absorbed(ph, u, np.ones(ph.d)), 0.0), 1.0)
+    tail = float(ph.delta.sum()) if u == 0.0 else _absorbed(ph, u, np.ones(ph.d))
+    return min(max(tail, 0.0), 1.0)
 
 
 def ph_density(ph: PhaseType, u: float) -> float:
@@ -328,6 +327,7 @@ def _running_max_law(model, beta: float, n: int) -> PhaseType:
         raise NotPhaseType(f"{dim} phases are above the dense phase bound")
 
     S_cur = np.zeros((0, 0))
+    s_cur = np.zeros(0)
     delta_cur = np.zeros(0)
     atom_cur = 1.0
     for k, claim_ph in enumerate(blocks, start=1):
@@ -335,10 +335,10 @@ def _running_max_law(model, beta: float, n: int) -> PhaseType:
         kd = d0 + claim_ph.d
         S_new = np.zeros((kd, kd))
         S_new[:d0, :d0] = S_cur
-        s_prev = -S_cur @ np.ones(d0)
-        S_new[:d0, d0:] = np.outer(s_prev, claim_ph.delta)
+        S_new[:d0, d0:] = np.outer(s_cur, claim_ph.delta)
         S_new[d0:, d0:] = claim_ph.S
         S_cur = S_new
+        s_cur = -S_cur @ np.ones(kd)
         if kd == 0:  # every claim so far is the point mass at zero
             continue
         # append the new claim block to the initial vector
@@ -348,7 +348,12 @@ def _running_max_law(model, beta: float, n: int) -> PhaseType:
         nu = lam / model.regimes[k].r
         resolvent = np.linalg.solve((nu * np.eye(kd) - S_cur).T, delta_prime)
         delta_cur = (lam_circ / lam) * nu * resolvent
-        atom_cur = 1.0 - float(delta_cur.sum())
+        # 1 - sum(delta_cur) as nonnegative terms (nu (nu I - S)^(-1) 1 =
+        # 1 - (nu I - S)^(-1) s): the difference cancels below zero where
+        # ruin is nearly certain
+        atom_cur = beta / lam + (lam_circ / lam) * (
+            atom_cur * claim_ph.delta_abs + float(resolvent @ s_cur)
+        )
     if S_cur.shape[0] == 0:
         return point_mass_zero()
     return PhaseType(delta=delta_cur, S=S_cur, delta_abs=atom_cur)
@@ -356,75 +361,45 @@ def _running_max_law(model, beta: float, n: int) -> PhaseType:
 
 @dataclass(frozen=True)
 class SpectralTail:
-    """Dominant tail e^{-mu u} u^{mult-1} with its limiting coefficient."""
+    """Dominant tail term coeff u^(mult-1) e^(-mu u), and the Laurent
+    coefficients (a_{-1}, ..., a_{-mult}) of the tail's transform at -mu: the
+    cluster's whole term is e^(-mu u) sum_j a_{-j} u^(j-1) / (j-1)!."""
 
     mu: float
     mult: int
     coeff: float
+    laurent: tuple
 
 
-def spectral_tail(
-    ph: PhaseType,
-    d1: int,
-    claim_dim: Optional[int] = None,
-    rtol: float = 0.005,
-) -> SpectralTail:
-    """Extract the Erlang-like tail of a stacked running-maximum phase type.
-
-    ``d1`` is the algebraic multiplicity of the dominant eigenvalue within one
-    claim block and ``claim_dim`` the block size (defaults to the whole
-    matrix).  The decay rate comes from the claim block spectrum; the
-    polynomial order is *extracted* by scanning candidate multiplicities for
-    the one whose ratio tail(u) / (e^{-mu u} u^{mult-1}) stabilizes on a
-    geometric grid, and the coefficient is the Richardson-extrapolated limit.
-    Raises :class:`NoConvergence` when no candidate stabilizes (complex or
-    non-dominant spectrum).
-    """
-    if claim_dim is None:
-        claim_dim = ph.d
-    if ph.d % claim_dim != 0:
-        raise ValueError("claim_dim must divide the phase dimension")
-    m_blocks = ph.d // claim_dim
-    block = ph.S[:claim_dim, :claim_dim]
-    eigs = np.linalg.eigvals(block)
-    lead = eigs[np.argmax(eigs.real)]
-    if abs(lead.imag) > 1e-8 * max(1.0, abs(lead.real)):
-        raise NoConvergence("dominant eigenvalue of the claim block is complex")
-    mu = -float(lead.real)
-    if mu <= 0.0:
-        raise NoConvergence("claim block is not stable")
-
-    q = 1.25
-    u0 = max(2.0 / mu, 1.0)
-    n_grid = 40
-    grid = [u0 * q**i for i in range(n_grid)]
-    tails = []
-    for u in grid:
-        if mu * u > 600.0:
-            break
-        t = ph_tail(ph, u)
-        if t <= 1e-280:
-            break
-        tails.append((u, t))
-    if len(tails) < 6:
-        raise NoConvergence("tail underflows before the asymptote stabilizes")
-
-    best = None
-    for cand in range(1, m_blocks * d1 + d1 + 1):
-        ratios = [t / (np.exp(-mu * u) * u ** (cand - 1)) for u, t in tails]
-        # Richardson step removes the O(1/u) correction on a geometric grid
-        extrap = [
-            (q * ratios[i + 1] - ratios[i]) / (q - 1.0)
-            for i in range(len(ratios) - 1)
-        ]
-        tail_win = extrap[-4:]
-        mid = tail_win[-1]
-        if mid <= 0.0 or not np.isfinite(mid):
-            continue
-        drift = max(abs(x / mid - 1.0) for x in tail_win)
-        if drift < rtol:
-            if best is None or drift < best[1]:
-                best = (cand, drift, mid)
-    if best is None:
-        raise NoConvergence("no candidate multiplicity stabilized the tail ratio")
-    return SpectralTail(mu=mu, mult=best[0], coeff=float(best[2]))
+def spectral_tail(ph: PhaseType) -> SpectralTail:
+    """Exact dominant term of the tail delta^T exp(S u) 1 from the Laurent
+    coefficients of its transform R(z) = delta^T (z I - S)^(-1) 1 at the
+    rightmost eigenvalue -mu of S (Asmussen & Albrecher 2010, *Ruin
+    Probabilities*, ch. IX): a_{-j} = mean(R(z) w^j) over 256 nodes z = -mu
+    + w on a circle of radius half the gap to the rest of the spectrum, at
+    most mu / 2, so R = ``ph_lst_complement_complex(ph, z) / z`` there.  The
+    multiplicity is the last j whose coefficient is above the rounding floor,
+    the coefficient a_{-mult} / (mult - 1)!.  :class:`NoConvergence` where the
+    coefficients do not resolve (none above the floor, one past the
+    eigenvalue's multiplicity, or a leading one not positive and real);
+    :class:`ValueError` for the point mass at zero."""
+    if ph.d == 0:
+        raise ValueError("the point mass at zero has no tail")
+    eigs = np.linalg.eigvals(ph.S)
+    mu = -float(eigs.real.max())
+    dist = np.abs(eigs + mu)
+    cluster = dist <= 1e-8 * mu  # -mu and its copies up to rounding
+    radius = min(dist[~cluster].min(initial=math.inf), mu) / 2.0
+    w = radius * np.exp(2j * np.pi * np.arange(256) / 256)
+    z = w - mu
+    R = ph_lst_complement_complex(ph, z) / z
+    # up to one past the eigenvalue's multiplicity, far below the aliasing order
+    js = np.arange(1, min(int(cluster.sum()) + 1, 128) + 1)
+    coeffs = (R * w ** js[:, None]).mean(axis=1)
+    floor = 1e-12 * np.abs(R).max() * radius**js  # the mean rounds near eps of this
+    above = np.nonzero(np.abs(coeffs) > floor)[0]
+    mult = int(above[-1]) + 1 if above.size else 0
+    if mult in (0, js.size) or coeffs[mult - 1].real <= 0.0 or (abs(coeffs.imag) > floor).any():
+        raise NoConvergence(f"Laurent coefficients of the tail at -{mu!r} do not resolve")
+    laurent = tuple(coeffs[:mult].real.tolist())
+    return SpectralTail(mu, mult, laurent[-1] / math.factorial(mult - 1), laurent)

@@ -166,9 +166,9 @@ def test_criterion_6_spectral_tail():
                 regimes=(model.drift(1.0),) * (m + 1),
             )
             ph = phase_type.running_max_ph(mdl, 1.0, m)
-            spec = phase_type.spectral_tail(ph, d1=d1, claim_dim=d1)
+            spec = phase_type.spectral_tail(ph)
             assert spec.mult == m * d1
-            # ratio against the extracted coefficient stabilizes within 1%:
+            # ratio against the exact coefficient stabilizes within 1%:
             # one Richardson step over a geometric pair removes the 1/u term
             def ratio(u):
                 psi_u = math.exp(-spec.mu * u) * u ** (spec.mult - 1)

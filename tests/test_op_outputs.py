@@ -187,6 +187,7 @@ def test_phase_type_group_holds_every_law_value():
     fields = ["S", "delta", "delta_abs"]
     fields += [f"lst.a{a!r}" for a in module.OVERSHOOT_ALPHAS]
     fields += [f"tail.u{u!r}" for u in module.PH_TAIL_U]
+    fields += [f"spectral_tail.{f}" for f in ("mu", "mult", "coeff", "laurent")]
     for name in ("fig2", "fig4", "m1_hand"):
         mdl, own = load_model(root / "configs" / f"{name}.json")
         for beta in {own, 0.0}:
@@ -199,6 +200,9 @@ def test_phase_type_group_holds_every_law_value():
             assert eval(out[f"{key}/delta_abs"]) == law.delta_abs
             assert eval(out[f"{key}/lst.a1.0"]) == phase_type.ph_lst(law, 1.0)
             assert eval(out[f"{key}/tail.u5.0"]) == phase_type.ph_tail(law, 5.0)
+            tail = phase_type.spectral_tail(law)
+            assert eval(out[f"{key}/spectral_tail.laurent"]) == tail.laurent
+            assert eval(out[f"{key}/spectral_tail.coeff"]) == tail.coeff
 
 
 def test_transform_rows_get_route_lines(tmp_path, capsys):

@@ -3,6 +3,7 @@ import threading
 import types
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -239,6 +240,18 @@ def test_tail_matches_monte_carlo():
         assert abs(ph_tail(rmax, u) - freq) < 3 * max(se, 1e-6)
 
 
+def test_atom_is_the_ladder_atom():
+    # at beta = 0 fig4's ruin is nearly certain: 1 - sum(delta) cancels
+    for name in ("fig2", "fig4", "m1_hand"):
+        mdl, own = load_model(CONFIGS / f"{name}.json")
+        for beta in (own, 0.0):
+            law = running_max_ph(mdl, beta, mdl.m)
+            ref = ladder.engine(mdl, beta, mdl.m).atom()
+            assert law.delta_abs >= 0.0, (name, beta)
+            assert abs(law.delta_abs - ref) <= 1e-12 * ref, (name, beta)
+            assert 0.0 <= ph_tail(law, 0.0) <= 1.0, (name, beta)
+
+
 def test_tail_of_a_201_phase_law():
     # one slow phase and 200 fast ones: the fast phases are gone by u = 80,
     # where exp(-q u) of a uniformization at rate q = 10 would underflow
@@ -260,11 +273,12 @@ def test_sampling_matches_tail():
 
 def test_spectral_tail_exponential_single_client(m1_model):
     ph = running_max_ph(m1_model, 1.0, 1)
-    st = spectral_tail(ph, d1=1)
+    st = spectral_tail(ph)
     assert st.mult == 1
     assert math.isclose(st.mu, 1.0, rel_tol=1e-12)
     # d = 1: the tail is exactly delta_1 e^{-mu u}
-    assert math.isclose(st.coeff, ph.delta[0], rel_tol=1e-6)
+    assert math.isclose(st.coeff, ph.delta[0], rel_tol=1e-14)
+    assert st.laurent == (st.coeff,)
 
 
 def test_spectral_tail_erlang_multiplicity():
@@ -275,7 +289,7 @@ def test_spectral_tail_erlang_multiplicity():
         regimes=(model.drift(1.0),) * 3,
     )
     ph = running_max_ph(mdl, 1.0, 2)
-    st = spectral_tail(ph, d1=2, claim_dim=2)
+    st = spectral_tail(ph)
     assert st.mult == 4
     assert math.isclose(st.mu, 1.0, rel_tol=1e-10)
 
@@ -293,19 +307,122 @@ def test_spectral_tail_erlang_multiplicity():
     assert 0.99 < ratio(590.0) < 1.01
 
 
-def test_spectral_tail_multiplicity_mismatch_detected():
-    # a generator's off-diagonal rates are nonnegative, so the dominant
-    # eigenvalue is always real (Perron-Frobenius); the reachable failure is
-    # a claimed block multiplicity that excludes the true polynomial order
+def criterion_6_laws():
+    """(name, law) of acceptance criterion 6: unit drifts, lambda_k = k,
+    Exp(1) or Erlang(2, 1) claims, m = 1, 2, 3, killed at rate 1."""
+    for claim in (claims.Exponential(1.0), claims.Erlang(2, 1.0)):
+        for m in (1, 2, 3):
+            mdl = model.ModelSpec(
+                m=m,
+                lambda_circ=tuple(float(k) for k in range(1, m + 1)),
+                claims=(claim,) * m,
+                regimes=(model.drift(1.0),) * (m + 1),
+            )
+            yield f"{claim.kind}.m{m}", running_max_ph(mdl, 1.0, m)
+
+
+def config_laws():
+    """(name, law) of fig2 and fig4 at their own killing rate and at 0."""
+    for name in ("fig2", "fig4"):
+        mdl, own = load_model(CONFIGS / f"{name}.json")
+        for beta in (own, 0.0):
+            yield f"{name}.b{beta}", running_max_ph(mdl, beta, mdl.m)
+
+
+def test_spectral_tail_coefficients_are_exact():
+    expected = {
+        "exp.m1": (1, 1 / 3),
+        "exp.m2": (2, 1 / 6),
+        "exp.m3": (3, 1 / 20),
+        "erlang.m1": (2, 1 / 3),
+        "erlang.m2": (4, 1 / 36),
+        "erlang.m3": (6, 1 / 1200),
+    }
+    for name, ph in criterion_6_laws():
+        st = spectral_tail(ph)
+        mult, coeff = expected[name]
+        assert st.mu == 1.0, name
+        assert st.mult == mult, name
+        assert math.isclose(st.coeff, coeff, rel_tol=1e-13), name
+
+
+def mp_laurent(ph, mu, radius, count, nodes=128):
+    """a_{-1}..a_{-count} of delta^T (z I - S)^(-1) 1 at -mu by 50-digit
+    solves on the circle of ``radius`` around -mu."""
+    with mpmath.workdps(50):
+        S = mpmath.matrix(ph.S.tolist())
+        eye = mpmath.eye(ph.d)
+        ones = mpmath.matrix([1] * ph.d)
+        sums = [mpmath.mpc(0)] * count
+        for k in range(nodes):
+            w = radius * mpmath.expjpi(mpmath.mpf(2 * k) / nodes)
+            x = mpmath.lu_solve((w - mu) * eye - S, ones)
+            R = mpmath.fsum(float(p) * xi for p, xi in zip(ph.delta, x))
+            sums = [s + R * w ** (j + 1) for j, s in enumerate(sums)]
+        return [complex(s / nodes) for s in sums]
+
+
+def test_laurent_coefficients_against_mpmath():
+    for name, ph in (*criterion_6_laws(), *config_laws()):
+        st = spectral_tail(ph)
+        # one eigenvalue on these laws: the circle's radius is mu / 2
+        assert (np.linalg.eigvals(ph.S) == -st.mu).all(), name
+        ref = mp_laurent(ph, st.mu, st.mu / 2, st.mult + 1)
+        assert abs(ref[-1]) < 1e-40, name  # the pole has order mult
+        for ours, theirs in zip(st.laurent, ref):
+            assert abs(ours - theirs) <= 1e-12 * abs(theirs), name
+
+
+def test_cluster_expansion_is_the_tail():
+    # one eigenvalue: the dominant cluster's term is the whole tail
+    us = np.linspace(0.0, 60.0, 241)[1:]
+    for name, ph in config_laws():
+        st = spectral_tail(ph)
+        for u in us:
+            term = sum(a * u**j / math.factorial(j) for j, a in enumerate(st.laurent))
+            tail = ph_tail(ph, u)
+            assert abs(math.exp(-st.mu * u) * term - tail) <= 1e-12 * tail, (name, u)
+
+
+def test_spectral_tail_of_fast_claims():
     mdl = model.ModelSpec(
         m=2,
         lambda_circ=(1.0, 2.0),
-        claims=(claims.Erlang(2, 1.0),) * 2,
+        claims=(claims.Exponential(500.0),) * 2,
         regimes=(model.drift(1.0),) * 3,
     )
     ph = running_max_ph(mdl, 1.0, 2)
+    st = spectral_tail(ph)
+    assert (st.mu, st.mult) == (500.0, 2)
+    for u in (0.01, 0.1, 1.0):
+        a1, a2 = st.laurent
+        tail = ph_tail(ph, u)
+        assert math.isclose(math.exp(-500.0 * u) * (a1 + a2 * u), tail, rel_tol=1e-12)
+
+
+def test_spectral_tail_of_a_mixed_pool():
+    mdl = model.ModelSpec(
+        m=3,
+        lambda_circ=(1.0, 2.0, 0.5),
+        claims=(claims.Exponential(1.0), claims.Erlang(2, 1.5), claims.Exponential(0.7)),
+        regimes=(model.drift(1.0),) * 4,
+    )
+    ph = running_max_ph(mdl, 1.0, 3)
+    st = spectral_tail(ph)
+    assert math.isclose(st.mu, 0.7, rel_tol=1e-15)
+    assert st.mult == 1
+    # the next pole is at -1: at u = 120 the leading term is the tail
+    u = 120.0
+    assert math.isclose(st.coeff * math.exp(-0.7 * u), ph_tail(ph, u), rel_tol=1e-12)
+
+
+def test_spectral_tail_refuses_what_it_cannot_resolve():
+    with pytest.raises(ValueError):
+        spectral_tail(point_mass_zero())
+    # no mass on the slow phase: -1 is no pole of the tail's transform
+    fast_only = PhaseType(delta=np.array([0.0, 1.0]), S=np.diag([-1.0, -2.0]))
     with pytest.raises(NoConvergence):
-        spectral_tail(ph, d1=1, claim_dim=2)  # true order 4 is out of range
+        spectral_tail(fast_only)
 
 
 def test_running_max_with_hyperexponential_claims():
