@@ -13,7 +13,7 @@ from .heavy_tail import (
     rv_asymptote,
     rv_tail_approx,
 )
-from .inversion import StehfestPlan, invert, moment_curves, ruin_curve, stehfest_plan
+from .inversion import invert, moment_curves, ruin_curve
 from .ladder import (
     GenericLadderSpec,
     TransformJet,

@@ -11,13 +11,11 @@ sampling, and the first two moments when they exist.  The complement
 cancel far below the law's scale (``lst_complement``,
 ``lst_complement_complex``), for the Laplace exponents of
 :mod:`poolruin.model`.  The exponential law is the Erlang law with one
-phase: :class:`Exponential` is :class:`Erlang` at k = 1, with one form
-of its own, the complement a / (mu + a) at floats, which Erlang's form
-rounds differently.  Erlang laws give the first and second
-divided differences of their transform in a form with no removable
-point (``divided_difference``); for the other laws the
-overshoot route takes contour means of the complex transform around the
-removable points (:mod:`poolruin.overshoot`), never high-order
+phase: :class:`Exponential` is :class:`Erlang` at k = 1.  Erlang laws
+give the first and second divided differences of their transform in a
+form with no removable point (``divided_difference``); for the other laws
+the overshoot route takes contour means of the complex transform around
+the removable points (:mod:`poolruin.overshoot`), never high-order
 expansions.  ``atom`` is the law's mass at zero.  The
 Lomax law additionally carries regular-variation metadata (tail index,
 transform coefficient) that drives the heavy-tail asymptotics; Erlang and
@@ -310,6 +308,8 @@ class Erlang(ClaimDistribution):
         return (self.mu / (self.mu + alpha)) ** self.k
 
     def lst_complement(self, alpha: float) -> float:
+        if self.k == 1:
+            return alpha / (self.mu + alpha)
         return -math.expm1(-self.k * math.log1p(alpha / self.mu))
 
     lst_complex = lst
@@ -375,9 +375,6 @@ class Exponential(Erlang):
 
     k: int = field(default=1, init=False, repr=False)
     kind = "exp"
-
-    def lst_complement(self, alpha: float) -> float:
-        return alpha / (self.mu + alpha)  # Erlang's form rounds differently
 
 
 @dataclass(frozen=True)
@@ -445,7 +442,7 @@ class Lomax(ClaimDistribution):
 
     c: float
     eps: float
-    _kernel_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _kernel_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     kind = "lomax"
 
     def __post_init__(self):

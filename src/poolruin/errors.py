@@ -45,7 +45,7 @@ class NoConvergence(PoolRuinError):
 
 
 class ChainBudgetExceeded(PoolRuinError):
-    """Explicit ladder-chain enumeration would exceed the configured budget."""
+    """Explicit ladder-chain enumeration would exceed the overshoot module's chain budget."""
 
 
 class SimulationError(PoolRuinError):

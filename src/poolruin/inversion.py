@@ -1,6 +1,6 @@
 """Numerical Laplace inversion (Gaver-Stehfest) of the package transforms.
 
-The Stehfest rule approximates f(t) by (ln 2 / t) * sum_k V_k F(k ln 2 / t)
+The Stehfest rule of 14 terms approximates f(t) by (ln 2 / t) * sum_k V_k F(k ln 2 / t)
 with rational weights that alternate and grow combinatorially; they are
 computed once in exact rational arithmetic and rounded, since assembling
 them in floating point cancels catastrophically.  The rule samples the
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -27,13 +26,10 @@ _LN2 = math.log(2.0)
 # Least normal float: a Stehfest term below it has lost its digits.
 _TINY = sys.float_info.min
 
-
-@dataclass(frozen=True)
-class StehfestPlan:
-    """Inversion rule of even order ``n_terms`` with frozen weights."""
-
-    n_terms: int
-    weights: tuple
+# The rule's order: reference-pair accuracy peaks around order 14-16 in
+# double precision; lower orders are coarse, higher ones lose digits to the
+# alternating-weight cancellation.
+_N_TERMS = 14
 
 
 def _exact_weights(n: int) -> list:
@@ -56,67 +52,49 @@ def _exact_weights(n: int) -> list:
     return out
 
 
-def stehfest_plan(n_terms: int = 14) -> StehfestPlan:
-    """Build and self-test an inversion plan.
+_weights = None
+
+
+def default_plan() -> tuple:
+    """The rule's weights V_1..V_14, built once and self-tested.
 
     Construction aborts unless the alternating-weight identity holds and
-    the rule reproduces the three reference transform pairs at their
-    stated accuracies.
+    the rule reproduces the reference transform pairs at their stated
+    accuracies.
     """
-    if n_terms < 2 or n_terms % 2:
-        raise ValueError("n_terms must be a positive even number")
-    exact = _exact_weights(n_terms)
-    plan = StehfestPlan(n_terms=n_terms, weights=tuple(float(w) for w in exact))
-    if sum(exact) != 0:
-        raise ArithmeticError("Stehfest weights lost the alternating identity")
-    # reference-pair accuracy peaks around order 14-16 in double precision:
-    # lower orders are legitimately coarse, higher orders lose digits to the
-    # alternating-weight cancellation
-    if n_terms == 14:
-        pair_tol, const_tol = 1e-6, 1e-8
-    elif n_terms < 14:
-        pair_tol, const_tol = 1e-3, 1e-8
-    else:
-        # the term-rounding floor eps * sum|V_k|/k exceeds 1e-8 from order 16
-        # on and grows combinatorially; orders beyond ~22 abort here
-        pair_tol, const_tol = 1e-3, 1e-4
-    checks = [
-        (lambda s: 1.0 / s, 1.0, 1.0, const_tol),
-        (lambda s: 1.0 / s, 7.0, 1.0, const_tol),
-        (lambda s: 1.0 / (s + 1.0), 1.0, math.exp(-1.0), pair_tol),
-        (lambda s: 1.0 / (s * s), 3.0, 3.0, pair_tol),
-    ]
-    for F, t, target, tol in checks:
-        got = invert(F, t, plan)
-        if abs(got - target) > tol * max(1.0, abs(target)):
-            raise ArithmeticError(
-                f"Stehfest self-test failed at t={t}: {got} vs {target}"
-            )
-    return plan
+    global _weights
+    if _weights is None:
+        exact = _exact_weights(_N_TERMS)
+        if sum(exact) != 0:
+            raise ArithmeticError("Stehfest weights lost the alternating identity")
+        _weights = tuple(float(w) for w in exact)
+        checks = [
+            (lambda s: 1.0 / s, 1.0, 1.0, 1e-8),
+            (lambda s: 1.0 / s, 7.0, 1.0, 1e-8),
+            (lambda s: 1.0 / (s + 1.0), 1.0, math.exp(-1.0), 1e-6),
+            (lambda s: 1.0 / (s * s), 3.0, 3.0, 1e-6),
+        ]
+        for F, t, target, tol in checks:
+            got = invert(F, t)
+            if abs(got - target) > tol * max(1.0, abs(target)):
+                _weights = None
+                raise ArithmeticError(
+                    f"Stehfest self-test failed at t={t}: {got} vs {target}"
+                )
+    return _weights
 
 
-_default_plan = None
-
-
-def default_plan() -> StehfestPlan:
-    global _default_plan
-    if _default_plan is None:
-        _default_plan = stehfest_plan()
-    return _default_plan
-
-
-def invert(F: Callable[[float], float], t: float, plan: StehfestPlan = None) -> float:
+def invert(F: Callable[[float], float], t: float) -> float:
     """Approximate the original function at ``t`` from its transform ``F``.
     A transform that overflows or divides by zero at a node, or a weighted
     sum that leaves the float range, raises :class:`PoolRuinError` naming t
     and the node."""
     if t <= 0:
         raise ValueError("t must be positive")
-    if plan is None:
-        plan = default_plan()
-    scale, points = _abscissae(t, plan)
+    weights = default_plan()
+    scale, points = _abscissae(t)
     terms = []
-    for w, s in zip(plan.weights, points):
+    for w, s in zip(weights, points):
         try:
             terms.append(w * F(s))
         except (OverflowError, ZeroDivisionError) as exc:
@@ -137,7 +115,7 @@ def _failed(exc: ArithmeticError) -> str:
     return "overflows" if isinstance(exc, OverflowError) else "divides by zero"
 
 
-def _variance_tolerance(plan: StehfestPlan) -> float:
+def _variance_tolerance() -> float:
     """How far below zero, relative to the second moment, the rule's own
     error can put an inverted variance.
 
@@ -150,24 +128,23 @@ def _variance_tolerance(plan: StehfestPlan) -> float:
     bound of 1.3e-5.
     """
     delta = max(
-        abs(invert(lambda s: 1.0 / (s * s), 1.0, plan) - 1.0),
-        abs(invert(lambda s: 2.0 / (s * s * s), 1.0, plan) - 1.0),
+        abs(invert(lambda s: 1.0 / (s * s), 1.0) - 1.0),
+        abs(invert(lambda s: 2.0 / (s * s * s), 1.0) - 1.0),
     )
     return 4.0 * delta
 
 
-def _abscissae(t: float, plan: StehfestPlan) -> tuple:
+def _abscissae(t: float) -> tuple:
     """The scale ln 2 / t and the points k ln 2 / t at which the rule
     samples the transform."""
     scale = _LN2 / t
-    return scale, [k * scale for k in range(1, plan.n_terms + 1)]
+    return scale, [k * scale for k in range(1, _N_TERMS + 1)]
 
 
 def ruin_curve(
     model: ModelSpec,
     beta: float,
     u_grid: Sequence[float],
-    plan: StehfestPlan = None,
 ) -> np.ndarray:
     """Ruin probabilities p(u, beta) by inverting the ruin transform in the
     reserve level; values are clamped to [0, 1] and a warning is emitted if
@@ -175,8 +152,6 @@ def ruin_curve(
     probability is 1 - P(M = 0), from the engine's atom, with no
     inversion."""
     require_killing(model, beta, "ruin_curve")
-    if plan is None:
-        plan = default_plan()
     eng = engine(model, beta, model.m)
     out = np.empty(len(u_grid))
     for i, u in enumerate(u_grid):
@@ -186,8 +161,8 @@ def ruin_curve(
             raw = 1.0 - checked_transform(eng.atom(), math.inf)
         else:
             # the contour means among this reserve's points in one sweep
-            eng._prefetch(_abscissae(u, plan)[1])
-            raw = invert(lambda a: ruin_transform(eng, a), u, plan)
+            eng._prefetch(_abscissae(u)[1])
+            raw = invert(lambda a: ruin_transform(eng, a), u)
         if raw < -1e-6 or raw > 1.0 + 1e-6:
             warnings.warn(
                 f"inverted ruin probability {raw} at u={u} clamped to [0, 1]",
@@ -200,7 +175,6 @@ def ruin_curve(
 def moment_curves(
     model: ModelSpec,
     t_grid: Sequence[float],
-    plan: StehfestPlan = None,
 ) -> tuple:
     """Mean and variance of the running maximum as functions of time.
 
@@ -215,15 +189,13 @@ def moment_curves(
     normal float, and a variance that is negative beyond the inversion's
     own error, raise :class:`PoolRuinError`.
     """
-    if plan is None:
-        plan = default_plan()
     means = np.empty(len(t_grid))
     seconds = np.empty(len(t_grid))
     for i, t in enumerate(t_grid):
         if t <= 0:
             raise ValueError("times must be positive")
         jets = {}  # by node: each inversion samples the same nodes
-        for s in _abscissae(t, plan)[1]:
+        for s in _abscissae(t)[1]:
             try:
                 jet = jets[s] = pi_jet(model, s, model.m)
             except (OverflowError, ZeroDivisionError) as exc:
@@ -241,11 +213,11 @@ def moment_curves(
                     f"moment jet {jet!r} at t = {t!r}, node beta = {s!r} "
                     "underflows in its Stehfest term"
                 )
-        means[i] = invert(lambda s: -jets[s].d1 / s, t, plan)
-        seconds[i] = invert(lambda s: jets[s].d2 / s, t, plan)
+        means[i] = invert(lambda s: -jets[s].d1 / s, t)
+        seconds[i] = invert(lambda s: jets[s].d2 / s, t)
     variances = seconds - means**2
     for t, mean, second, var in zip(t_grid, means, seconds, variances):
-        if var < 0 and var < -_variance_tolerance(plan) * second:
+        if var < 0 and var < -_variance_tolerance() * second:
             raise PoolRuinError(
                 f"negative variance {float(var)!r} at t = {t!r}: inverted second "
                 f"moment {float(second)!r} below the squared mean {float(mean * mean)!r}"

@@ -68,10 +68,10 @@ __all__ = [
     "ruin_prob_at_zero",
 ]
 
-_DEFAULT_CHAIN_BUDGET = 4096
+# Most descending chains pi_explicit_chains sums: 2^m of them, so m <= 12.
+_CHAIN_BUDGET = 4096
 
-
-_CHAINS: dict = {}  # m -> _chains(m), for 2^m within the default budget
+_CHAINS: dict = {}  # m -> _chains(m)
 
 
 def _chains(m: int) -> tuple:
@@ -87,9 +87,7 @@ def _chains(m: int) -> tuple:
                 chain = [m] + sorted(combo, reverse=True)
                 links = tuple((a - 1, b) for a, b in zip(chain, chain[1:]))
                 out.append((links, chain[-1]))
-        chains = tuple(out)
-        if 2**m <= _DEFAULT_CHAIN_BUDGET:
-            _CHAINS[m] = chains
+        chains = _CHAINS[m] = tuple(out)
     return chains
 
 
@@ -377,13 +375,11 @@ class OvershootTable:
             pis.append(val)
         return pis[self.model.m]
 
-    def pi_explicit_chains(
-        self, alpha: float, budget: int = _DEFAULT_CHAIN_BUDGET
-    ) -> float:
+    def pi_explicit_chains(self, alpha: float) -> float:
         m = self.model.m
-        if 2**m > budget:
+        if 2**m > _CHAIN_BUDGET:
             raise ChainBudgetExceeded(
-                f"2^{m} descending chains exceed the budget of {budget}"
+                f"2^{m} descending chains exceed the budget of {_CHAIN_BUDGET}"
             )
         if m == 0:
             return 1.0
@@ -418,15 +414,10 @@ def pi_via_ladders(model: ModelSpec, beta: float, alpha: float) -> float:
     return OvershootTable(model, beta).pi_via_ladders(alpha)
 
 
-def pi_explicit_chains(
-    model: ModelSpec,
-    beta: float,
-    alpha: float,
-    budget: int = _DEFAULT_CHAIN_BUDGET,
-) -> float:
+def pi_explicit_chains(model: ModelSpec, beta: float, alpha: float) -> float:
     """Running-maximum transform as the explicit sum over descending chains
     of ladder indices (2^m terms; beta >= 0)."""
-    return OvershootTable(model, beta).pi_explicit_chains(alpha, budget)
+    return OvershootTable(model, beta).pi_explicit_chains(alpha)
 
 
 def ruin_prob_at_zero(model: ModelSpec) -> float:

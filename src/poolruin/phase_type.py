@@ -50,7 +50,11 @@ class PhaseType:
             raise ValueError(f"S must be {d}x{d}, got {S.shape}")
         if np.any(delta < -_VALID_ATOL):
             raise ValueError("delta entries must be nonnegative")
+        if self.delta_abs < -_VALID_ATOL:
+            raise ValueError("delta_abs must be nonnegative")
         delta = np.clip(delta, 0.0, None)
+        if self.delta_abs < 0.0:
+            object.__setattr__(self, "delta_abs", 0.0)
         if abs(delta.sum() + self.delta_abs - 1.0) > 1e-12:
             raise ValueError("delta must sum to 1 - delta_abs")
         if d > 0:

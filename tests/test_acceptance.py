@@ -185,13 +185,13 @@ def test_criterion_6_spectral_tail():
 
 
 def test_criterion_7_inversion_self_tests_and_atom_consistency():
-    plan = inversion.stehfest_plan(14)
-    assert abs(inversion.invert(lambda s: 1.0 / s, 1.0, plan) - 1.0) < 1e-8
+    assert len(inversion.default_plan()) == 14
+    assert abs(inversion.invert(lambda s: 1.0 / s, 1.0) - 1.0) < 1e-8
     assert (
-        abs(inversion.invert(lambda s: 1.0 / (s + 1.0), 1.0, plan) - math.exp(-1.0))
+        abs(inversion.invert(lambda s: 1.0 / (s + 1.0), 1.0) - math.exp(-1.0))
         < 1e-6
     )
-    assert abs(inversion.invert(lambda s: 1.0 / s**2, 3.0, plan) - 3.0) < 3e-6
+    assert abs(inversion.invert(lambda s: 1.0 / s**2, 3.0) - 3.0) < 3e-6
     worst_norm = 0.0
     worst_atom = 0.0
     for mdl, beta in BATTERY:

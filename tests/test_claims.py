@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -118,6 +119,16 @@ def test_lomax_moments():
 def test_lomax_rejects_integer_tail_index():
     with pytest.raises(ValueError):
         claims.Lomax(1.0, 2.0)
+
+
+def test_lomax_kernel_cache_is_its_own():
+    # the quadrature cache is no constructor field: a copy starts empty
+    with pytest.raises(TypeError):
+        claims.Lomax(1.0, 1.5, _kernel_cache={})
+    law = claims.Lomax(1.0, 1.5)
+    law.lst(0.5)
+    copy = dataclasses.replace(law, c=2.0)
+    assert law._kernel_cache and not copy._kernel_cache
 
 
 def test_lomax_density_overflow_is_a_numerical_failure():
@@ -517,6 +528,7 @@ def _one_phase_cases(law):
     """(name, outcome) of every member Exponential shares with Erlang."""
     nodes = law.mu * CIRCLE_NODES
     yield "lst", [_outcome(law.lst, a) for a in REAL_ARGS]
+    yield "lst_complement", [_outcome(law.lst_complement, a) for a in REAL_ARGS]
     yield "lst_complex", _outcome(law.lst_complex, nodes)
     yield "lst_complex one", [_outcome(law.lst_complex, complex(z)) for z in nodes[:4]]
     yield "lst_complement_complex", _outcome(law.lst_complement_complex, nodes)
@@ -556,7 +568,7 @@ def test_exponential_is_the_one_phase_erlang_law(mu):
 @pytest.mark.parametrize("mu", ONE_PHASE_MU)
 def test_one_phase_erlang_keeps_the_closed_forms(mu):
     # the one-phase forms mu / (mu + a), a / (mu + a), e^{-mu u}, 1 / mu and
-    # 2 / mu^2, bit for bit, and the complement at floats in its own form
+    # 2 / mu^2, bit for bit
     law = claims.Exponential(mu)
     nodes = mu * CIRCLE_NODES
     for a in REAL_ARGS:
@@ -603,6 +615,6 @@ def test_exponential_keeps_its_identity():
 def test_erlang_complex_transform_is_its_transform():
     assert claims.Erlang.lst_complex is claims.Erlang.lst
     assert claims.Exponential.lst_complex is claims.Erlang.lst
-    # Exponential's own body: only k, kind and its one form of its own
+    # Exponential's own body: only k and kind
     own = {n for n in vars(claims.Exponential) if not n.startswith("__")}
-    assert own == {"k", "kind", "lst_complement"}
+    assert own == {"k", "kind"}

@@ -716,7 +716,7 @@ def test_a_certified_point_has_one_value_however_asked():
     x = 1.1 * rates[0]
     alone = ladder.engine(cold(mdl), beta, mdl.m)
     prefetched = ladder.engine(cold(mdl), beta, mdl.m)
-    prefetched._prefetch([*inversion._abscissae(2.0, inversion.default_plan())[1], x])
+    prefetched._prefetch([*inversion._abscissae(2.0)[1], x])
     after = ladder.engine(cold(mdl), beta, mdl.m)
     for y in [*rates, 0.3, 1.2 * rates[-1], 0.9 * rates[1]]:
         after.value(y)
@@ -958,14 +958,13 @@ def _moment(mdl, t) -> tuple:
 
 
 def _distinct_nodes(grid) -> set:
-    plan = inversion.default_plan()
-    return {s for t in grid for s in inversion._abscissae(t, plan)[1]}
+    return {s for t in grid for s in inversion._abscissae(t)[1]}
 
 
 def test_one_engine_per_distinct_stehfest_node(monkeypatch):
     mdl, _ = load_model(CONFIGS / "fig2.json")
     nodes = _distinct_nodes(FIGURE_GRID)
-    n_terms = inversion.default_plan().n_terms
+    n_terms = len(inversion.default_plan())
     assert len(nodes) < len(FIGURE_GRID) * n_terms  # times share nodes
     builds = _count_builds(monkeypatch)
     inversion.moment_curves(mdl, FIGURE_GRID)

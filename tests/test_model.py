@@ -794,3 +794,13 @@ def test_one_phase_erlang_jumps_take_the_exponential_route(r, s2, mu):
     exp_route = spelled(claims.Exponential(mu))
     assert "None" not in exp_route[1]
     assert spelled(claims.Erlang(1, mu)) == exp_route
+
+
+@pytest.mark.parametrize("mu", (0.7, 2.0))
+def test_one_phase_erlang_subordinator_has_the_exponential_bits(mu):
+    # a nondecreasing regime's exponent takes the jump law's real complement
+    def exponents(law):
+        reg = model.subordinator(-0.5, 0.8, law)
+        return [repr(model.laplace_exponent(reg, a)) for a in (1e-9, 0.003, 0.3, 1.0, 1.7, 5.0)]
+
+    assert exponents(claims.Erlang(1, mu)) == exponents(claims.Exponential(mu))

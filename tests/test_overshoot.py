@@ -383,11 +383,19 @@ def test_chains_enumerated_once_sum_alike(seed):
     assert overshoot._chains(3) is overshoot._chains(3)
 
 
-def test_chain_budget():
-    rng = np.random.default_rng(37)
-    mdl = random_drift_model(rng, m_max=4)
-    with pytest.raises(ChainBudgetExceeded):
-        overshoot.pi_explicit_chains(mdl, 1.0, 1.0, budget=2 ** (mdl.m) - 1)
+def test_chain_budget(monkeypatch):
+    # 2^13 chains are past the budget: refused before any zeta matrix
+    mdl = model.ModelSpec(
+        m=13, lambda_circ=(1.0,) * 13, claims=(claims.Exponential(1.0),) * 13,
+        regimes=tuple(model.drift(1.0 + 0.1 * n) for n in range(14)),
+    )
+    zetas = []
+    monkeypatch.setattr(
+        overshoot.OvershootTable, "_zetas", lambda table, alpha: zetas.append(alpha)
+    )
+    with pytest.raises(ChainBudgetExceeded, match=r"2\^13 descending chains"):
+        overshoot.pi_explicit_chains(mdl, 1.0, 1.0)
+    assert zetas == []
 
 
 def test_public_wrappers_at_the_infinite_horizon(m1_model):

@@ -63,6 +63,14 @@ def test_validation_rejects_bad_generators():
         PhaseType(delta=np.array([1.0, 0.0]), S=np.array([[-1.0, 2.0], [0.0, -1.0]]))
 
 
+def test_atom_is_checked_like_delta():
+    # a rounding-level negative atom is clipped to 0, as delta's entries are
+    ph = PhaseType(delta=[1 + 1e-13], S=[[-1.0]], delta_abs=-1e-13)
+    assert ph.delta_abs == 0.0
+    with pytest.raises(ValueError, match="delta_abs must be nonnegative"):
+        PhaseType(delta=[1 + 1e-9], S=[[-1.0]], delta_abs=-1e-9)
+
+
 def test_stability_is_relative_to_the_rate_scale():
     # a slow law is stable however small its rates; a singular generator is
     # refused at every scale
