@@ -40,7 +40,10 @@ same models and betas, each (config, beta) on one model object: its
 ``ph_lst`` at each of ``OVERSHOOT_ALPHAS``, ``ph_tail`` at each of
 ``PH_TAIL_U`` and each field of its ``spectral_tail`` (``mu``, ``mult``,
 ``coeff`` and the Laurent coefficients ``laurent``); a refused law (fig5's
-Lomax claims) is recorded as the error it raised.
+Lomax claims) is recorded as the error it raised.  The ``killed_max``
+group holds the killed-maximum factor itself on one regime of each kind
+(``KILLED_MAX_REGIMES``), and the atom of every bundled config's and held
+model's engine (:func:`killed_max_outputs`).
 
 Usage, from the repository root:
 
@@ -53,7 +56,7 @@ default the one holding this script).  ``--compare`` prints every entry
 that differs, with both values and, for float outputs, the largest
 relative difference; then one summary line per group (each workload,
 ``deep``, each held model, ``trace``, ``simulate``, ``overshoot``,
-``phase_type`` and ``cli``): the entries moved, of the group's total, and the worst relative
+``phase_type``, ``killed_max`` and ``cli``): the entries moved, of the group's total, and the worst relative
 move with its key.  Each group holding
 transform rows (``transform_battery``, whose rows hold ``pi_max``, the two
 overshoot routes and the phase-type transform where there is one, and
@@ -163,6 +166,27 @@ OVERSHOOT_CONFIGS = ("fig2", "fig4", "fig5", "m1_hand")
 OVERSHOOT_ALPHAS = (0.0, 0.5, 1.0, 4.0)
 XI_ALPHAS = (0.0, 1.0)
 PH_TAIL_U = (1.0, 5.0, 20.0)
+# one regime of each kind, each at two rates, for the killed_max group
+KILLED_MAX_REGIMES = {
+    "flat": {"drift": {"r": 0.0}},
+    "sub_exp": {"sub": {"r": -0.5, "rate": 0.5, "jump": {"exp": {"mu": 2.0}}}},
+    "bm": {"bm": {"r": 1.0, "sigma2": 0.5}},
+    "cp_exp": {"cp": {"r": 1.5, "rate": 0.8, "jump": {"exp": {"mu": 2.0}}}},
+    "cp_exp_bm": {"cp": {"r": 1.0, "sigma2": 0.3, "rate": 1.0, "jump": {"exp": {"mu": 2.0}}}},
+    "cp_erlang": {"cp": {"r": 1.2, "rate": 0.7, "jump": {"erlang": {"k": 2, "mu": 3.0}}}},
+    "cp_ph": {
+        "cp": {
+            "r": 2.0,
+            "rate": 0.9,
+            "jump": {"ph": {"delta": [0.4, 0.6], "S": [[-2.0, 1.0], [0.0, -3.0]]}},
+        }
+    },
+    "cp_point": {"cp": {"r": 1.0, "sigma2": 0.2, "rate": 0.6, "jump": {"point": {"b": 0.7}}}},
+}
+KILLED_MAX_LAMS = (0.7, 2.0)
+KILLED_MAX_X = (0.0, 0.3, 2.5)
+# the complex circle |z - 0.8| = 0.5, at eight nodes
+KILLED_MAX_CIRCLE = (0.8, 0.5, 8)
 MODEL_COMMANDS = (("transform",), ("curves", "--mode", "moments"))
 # name -> (config, CLI commands)
 HELD = {
@@ -363,6 +387,64 @@ def phase_type_outputs(root: Path) -> dict:
     return out
 
 
+def killed_max_outputs(root: Path) -> dict:
+    """The killed-maximum factor of each ``KILLED_MAX_REGIMES`` regime at
+    each of ``KILLED_MAX_LAMS``: ``killed_max`` at ``KILLED_MAX_X``, at
+    1.2 psi (within the window of its removable point) and on the circle
+    ``KILLED_MAX_CIRCLE``; ``killed_max_series`` of order 2 at zero and at
+    2 psi (1 where there is no psi), outside the window; and the atom and
+    the values at 0.3, psi and 1.2 psi of the engine of the regime alone (no
+    clients, killed at the rate).  Then the atom of the engine of every
+    bundled config and held model, at its own beta and at zero where the
+    model admits it.  Each value is recorded with its point, (x, value), so
+    a psi that moves shows as a relative difference, as in
+    :func:`held_points`; a series as (x, *coefficients)."""
+    import numpy as np
+
+    from poolruin import ladder
+    from poolruin.config import load_model, parse_model, parse_regime
+    from poolruin.model import (
+        ModelSpec,
+        inverse_exponent,
+        is_drift_model,
+        killed_max,
+        killed_max_series,
+    )
+
+    centre, radius, count = KILLED_MAX_CIRCLE
+    circle = centre + radius * np.exp(2j * np.pi * np.arange(count) / count)
+    out = {}
+    for name, node in KILLED_MAX_REGIMES.items():
+        reg = parse_regime(node, name)
+        alone = ModelSpec(m=0, lambda_circ=(), claims=(), regimes=(reg,))
+        for lam in KILLED_MAX_LAMS:
+            key = f"killed_max/{name}.l{lam!r}"
+            psi = None if reg.nondecreasing else inverse_exponent(reg, lam)
+            windowed = [] if psi is None else [("1.2psi", 1.2 * psi)]
+            at_psi = [] if psi is None else [("psi", psi)]
+            for label, x in [(repr(x), x) for x in KILLED_MAX_X] + windowed:
+                out[f"{key}/real.{label}"] = _value_repr(lambda: (x, killed_max(reg, x, lam)))
+            out[f"{key}/circle"] = _value_repr(
+                lambda: tuple(killed_max(reg, circle, lam).tolist())
+            )
+            for label, x in (("0.0", 0.0), ("far", 1.0 if psi is None else 2.0 * psi)):
+                out[f"{key}/series.{label}"] = _value_repr(
+                    lambda: (x, *killed_max_series(reg, x, lam, 2).c)
+                )
+            eng = ladder.engine(alone, lam, 0)
+            out[f"{key}/engine.atom"] = _value_repr(eng.atom)
+            for label, x in [("0.3", 0.3), *at_psi, *windowed]:
+                out[f"{key}/engine.{label}"] = _value_repr(lambda: (x, eng.value(x)))
+    held = {name: parse_model(config) for name, (config, _) in HELD.items()}
+    configs = {path.stem: load_model(path) for path in sorted((root / "configs").glob("*.json"))}
+    for name, (mdl, own) in {**configs, **held}.items():
+        for beta in dict.fromkeys((own, 0.0) if is_drift_model(mdl) else (own,)):
+            out[f"killed_max/atom.{name}.b{beta!r}"] = _value_repr(
+                lambda: ladder.engine(mdl, beta, mdl.m).atom()
+            )
+    return out
+
+
 def _transform_rows(stdout: bytes) -> list:
     """(pi_ladder, abs_diff) of each row of ``poolruin transform`` output
     that has an overshoot column."""
@@ -406,6 +488,7 @@ def record(root: Path, seed: int) -> dict:
     outputs.update(simulate_outputs(root, seed))
     outputs.update(overshoot_outputs(root))
     outputs.update(phase_type_outputs(root))
+    outputs.update(killed_max_outputs(root))
     with tempfile.TemporaryDirectory() as scratch:
         cli, rows = cli_outputs(root, Path(scratch))
     outputs.update(cli)

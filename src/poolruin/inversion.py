@@ -88,9 +88,9 @@ def invert(F: Callable[[float], float], t: float) -> float:
     """Approximate the original function at ``t`` from its transform ``F``.
     A transform that overflows or divides by zero at a node, or a weighted
     sum that leaves the float range, raises :class:`PoolRuinError` naming t
-    and the node."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    and the node; a t that is not positive and finite, ``ValueError``."""
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t!r}")
     weights = default_plan()
     scale, points = _abscissae(t)
     terms = []
@@ -150,13 +150,14 @@ def ruin_curve(
     reserve level; values are clamped to [0, 1] and a warning is emitted if
     the raw inversion overshoots beyond numerical tolerance.  At u = 0 the
     probability is 1 - P(M = 0), from the engine's atom, with no
-    inversion."""
+    inversion.  A reserve level that is not finite and nonnegative raises
+    ``ValueError``."""
     require_killing(model, beta, "ruin_curve")
     eng = engine(model, beta, model.m)
     out = np.empty(len(u_grid))
     for i, u in enumerate(u_grid):
-        if not u >= 0:
-            raise ValueError("reserve levels must be nonnegative")
+        if not 0 <= u < math.inf:
+            raise ValueError(f"reserve levels must be finite and nonnegative, got {u!r}")
         if u == 0:
             raw = 1.0 - checked_transform(eng.atom(), math.inf)
         else:
@@ -187,13 +188,14 @@ def moment_curves(
     that is not finite or overflows at a node, a nonzero jet component
     whose Stehfest term (``-d1/s`` or ``d2/s``) falls below the least
     normal float, and a variance that is negative beyond the inversion's
-    own error, raise :class:`PoolRuinError`.
+    own error, raise :class:`PoolRuinError`; a time that is not positive
+    and finite, ``ValueError``.
     """
     means = np.empty(len(t_grid))
     seconds = np.empty(len(t_grid))
     for i, t in enumerate(t_grid):
-        if t <= 0:
-            raise ValueError("times must be positive")
+        if not 0 < t < math.inf:
+            raise ValueError(f"times must be positive and finite, got {t!r}")
         jets = {}  # by node: each inversion samples the same nodes
         for s in _abscissae(t)[1]:
             try:

@@ -10,10 +10,11 @@ evaluation argument and at the fixed ladder rate ``nu_k``,
               * (C_k(z) F_{k-1}(z) - (z/nu_k) C_k(nu_k) F_{k-1}(nu_k))] * K_k(z),
 
 with a removable singularity at ``z = nu_k``; ``K_k`` is the killed-maximum
-(Wiener-Hopf) factor of the level's regime, one for a positive pure drift.
-Where the regime's roots of lam = phi(z) on the negative axis have a closed
-form (Brownian motion with drift, exponential jumps), ``K_k`` is a product
-over them with no removable point of its own
+(Wiener-Hopf) factor of the level's regime, one for a positive pure drift,
+and otherwise a :class:`poolruin.model.KilledMax`, which decides its form and
+evaluates it.  Where the regime's roots of lam = phi(z) on the negative axis
+have a closed form (Brownian motion with drift, exponential jumps), ``K_k``
+is a product over them with no removable point of its own
 (:func:`poolruin.model.product_form`); otherwise it is its defining formula,
 removable at psi(lam), which a base piece adds to the removable points.
 
@@ -128,7 +129,10 @@ takes each level's shape from its own regime.  A positive pure drift gives
 a plain ladder level with rate lambda_n / r_n; a nondecreasing regime, flat
 included, gives a level without a ladder rate, ``(p_k + w_k C_k F_{k-1}) K_k``
 with ``K_k = lam / (lam - phi)``; any other regime multiplies its ladder
-level by the killed-maximum factor of the regime.
+level by the killed-maximum factor of the regime.  Each factor but the
+flat level's and the positive pure drift's (both one) is a ``KilledMax`` at
+psi = nu_k, and so is the base of a state 0 that is neither (``_One``
+otherwise).
 
 Each thread keeps the model engines of its most recent (model object,
 beta), the overshoot route keeps its ladder heights there too, and the
@@ -157,13 +161,10 @@ import numpy as np
 from .claims import ClaimDistribution
 from .errors import PoolRuinError
 from .model import (
-    LevyRegime,
+    KilledMax,
     ModelSpec,
+    _roots_bound,
     inverse_exponent,
-    killed_max,
-    killed_max_series,
-    left_root,
-    product_form,
     require_drift_model,
     require_killing,
 )
@@ -214,26 +215,6 @@ def _gap(p, x, r):
     return abs(abs(p - x) - r)
 
 
-def _quot(num, den):
-    """``num / den`` for num > 0: inf where den is zero, at floats as at
-    arrays (where numpy gives inf)."""
-    if isinstance(den, float) and not den:
-        return math.inf
-    return num / den
-
-
-def _roots_bound(poles, zeros, t):
-    """A product form's K(t) = prod 1 / (1 + t/b) prod (1 + t/a) at t >= 0,
-    the largest |K| on Re z >= t; an infinite root is a factor one, so
-    arrays of roots of several levels may be padded with inf."""
-    k = 1.0
-    for b in poles:
-        k = k / (1.0 + t / b)
-    for a in zeros:
-        k = k * (1.0 + t / a)
-    return k
-
-
 class _One:
     """Base F_0 = 1: no removable point, no singularity."""
 
@@ -252,90 +233,6 @@ class _One:
 
     def series(self, x, order):
         return Taylor.constant(1.0, order)
-
-
-class _KilledMax:
-    """Killed-maximum factor K(z) of ``regime`` at rate ``lam``: its
-    :func:`~poolruin.model.product_form` where it has one, with no
-    removable point and its nearest pole as ``left``; otherwise the
-    defining formula, removable at ``psi`` (None for a nondecreasing
-    regime, whose factor has no such point)."""
-
-    def __init__(self, regime: LevyRegime, lam: float, psi: Optional[float]):
-        self.regime = regime
-        self.lam = lam
-        self.psi = psi
-        self.form = product_form(regime, lam, psi)
-        self.removable = (psi,) if self.form is None and psi is not None else ()
-        if self.form is not None:
-            # the exact nearest pole, as an instance attribute that
-            # shadows the lazy bisection below
-            self.left = self.form.left
-
-    @cached_property
-    def left(self) -> float:
-        return left_root(self.regime, self.lam)
-
-    @property
-    def atom(self) -> float:
-        """K at infinity, the probability that the killed maximum is zero:
-        none with diffusion or an upward drift; lam / (lam + rate P(jump >
-        0)) for jumps alone, which must not come before the kill; and
-        otherwise lam / (r psi), the limit of (psi - z) lam / ((lam -
-        phi(z)) psi) as phi(z) ~ r z."""
-        reg = self.regime
-        if reg.sigma2 > 0 or reg.r < 0:
-            return 0.0
-        if reg.r == 0:
-            jumps = reg.jump_rate * (1.0 - reg.jump_law.atom) if reg.jump_rate else 0.0
-            return self.lam / (self.lam + jumps)
-        return self.lam / (reg.r * self.psi)
-
-    def real(self, x):
-        """K at a float, or at an array of complex nodes."""
-        if self.form is not None:
-            return self.form.value(x)
-        return killed_max(self.regime, x, self.lam, self.psi)
-
-    def nodes(self, z, track=True):
-        """K at the nodes with its rounding amplification (None unless
-        ``track``): a few eps of |K| per factor of a product form,
-        |psi / (psi - z)| for the formula's cancellation near psi."""
-        val = self.real(z)
-        if not track:
-            return val, None
-        if self.form is not None:
-            return val, (len(self.form.zeros) + len(self.form.poles)) * np.abs(val)
-        if self.psi is None:
-            return val, np.zeros(z.shape)
-        return val, np.abs(self.psi / (self.psi - z))
-
-    def bound(self, x, r):
-        """Bounds of |K| and of its amplification over the circles
-        |z - x| = r (floats or arrays, 0 < r < x).  K is the transform of a
-        nonnegative law, so |K(z)| <= K(x - r) on the circle: exact for a
-        product form; for a nondecreasing regime with the jump law's
-        :meth:`~poolruin.claims.ClaimDistribution.modulus_bound` in phi,
-        which only lowers lam - phi; and 1 for the defining formula."""
-        t = x - r
-        if self.form is not None:
-            k = _roots_bound(self.form.poles, self.form.zeros, t)
-            return k, (len(self.form.zeros) + len(self.form.poles)) * k
-        if self.psi is None:
-            reg = self.regime
-            jumps = 0.0
-            if reg.jump_rate > 0:
-                jumps = reg.jump_rate * (1.0 - reg.jump_law.modulus_bound(t))
-            return self.lam / (self.lam - reg.r * t + jumps), 0.0
-        return 1.0, _quot(self.psi, _gap(self.psi, x, r))
-
-    def amp_bound(self, x, r):
-        return self.bound(x, r)[1]
-
-    def series(self, x, order):
-        if self.form is not None:
-            return self.form.series(x, order)
-        return killed_max_series(self.regime, x, self.lam, order, self.psi)
 
 
 class _LevelMemo:
@@ -365,7 +262,7 @@ class _LadderLevel:
     claim: ClaimDistribution
     p0: float
     w: float
-    post: Optional[_KilledMax] = None
+    post: Optional[KilledMax] = None
     memo: Optional[_LevelMemo] = field(default=None, compare=False, hash=False, repr=False)
 
 
@@ -777,7 +674,7 @@ class _Recursion:
                 if lv.nu is None:
                     g = lv.w
                 else:
-                    # _quot(w nu, _gap(nu, x, r)), inline
+                    # w nu / _gap(nu, x, r), inf on the circle
                     gap = abs(abs(lv.nu - x) - r)
                     g = lv.w * lv.nu / gap if gap else math.inf
                 post = lv.post
@@ -947,16 +844,6 @@ def generic_spec_from_drift(
     return GenericLadderSpec(n=n, nu=tuple(nu), c_lsts=tuple(cls_), p0=tuple(p0))
 
 
-def _killed_max_piece(regime: LevyRegime, lam: float, psi: Optional[float] = None):
-    """The killed-maximum factor as a recursion piece (None: K = 1, a flat
-    or positive pure drift); ``psi`` as in :func:`killed_max_series`."""
-    if regime.pure_drift and regime.r >= 0:
-        return None
-    if regime.nondecreasing:
-        return _KilledMax(regime, lam, None)
-    return _KilledMax(regime, lam, inverse_exponent(regime, lam) if psi is None else psi)
-
-
 class _Held:
     """What one thread keeps for its most recent model object: the jets of
     :func:`pi_jet` by (beta, n), for every beta asked of it, and for its
@@ -1035,12 +922,14 @@ def _model_engine(model: ModelSpec, beta: float, n: int) -> _Recursion:
         # divides out: solve it once per level; a nondecreasing path peaks
         # at the segment end and has none
         nu = None if reg.nondecreasing else inverse_exponent(reg, lam)
-        post = _killed_max_piece(reg, lam, nu)
+        # a flat or positive pure drift has K = 1: no factor
+        post = None if reg.pure_drift and reg.r >= 0 else KilledMax(reg, lam, nu)
         levels.append(
             _LadderLevel(nu=nu, claim=claim, p0=beta / lam, w=lam_circ / lam, post=post)
         )
-    base = _killed_max_piece(model.regimes[0], beta)
-    return _Recursion(_One() if base is None else base, levels, direct=True)
+    reg0 = model.regimes[0]
+    base = _One() if reg0.pure_drift and reg0.r >= 0 else KilledMax(reg0, beta)
+    return _Recursion(base, levels, direct=True)
 
 
 def pi_max(model: ModelSpec, beta: float, n: int, alpha: float) -> float:

@@ -12,13 +12,16 @@ and the killed-maximum factor take arrays of complex arguments as well as
 floats; :func:`left_root` gives the factor's singularity on the negative
 axis.
 
-Where the roots of lam = phi(z) on the negative axis have a closed form,
-the killed-maximum factor is a :class:`ProductForm` over them, with no
-removable point (:func:`product_form`): a pure drift, Brownian motion with
-drift, and compound Poisson with exponential jumps (Lewis & Mordecki 2008,
+The killed-maximum (Wiener-Hopf) factor K of a regime is a
+:class:`KilledMax`, the one place that decides its form and evaluates it;
+:func:`killed_max` and :func:`killed_max_series` are views of it.  Where
+the roots of lam = phi(z) on the negative axis have a closed form, K is a
+:class:`ProductForm` over them, with no removable point
+(:func:`product_form`): a pure drift, Brownian motion with drift, and
+compound Poisson with exponential jumps (Lewis & Mordecki 2008,
 "Wiener-Hopf factorization for Levy processes having positive jumps with
-rational transforms").  Every other regime keeps the defining formula,
-removable at psi(lam).
+rational transforms").  A nondecreasing regime has K = lam / (lam - phi).
+Every other regime keeps the defining formula, removable at psi(lam).
 
 The ladder rate psi(lam), the right inverse of phi, has a closed form in
 the same regimes (:func:`inverse_exponent`): lam / r for a pure drift, the
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -356,8 +360,8 @@ def product_form(
     """The killed-maximum factor of a regime that is not nondecreasing, in
     product form where the roots of lam = phi(z) with z < 0 have a closed
     form; None otherwise (jump laws other than the exponential keep the
-    defining formula of :func:`killed_max`).  ``psi`` as in
-    :func:`killed_max_series`.
+    defining formula of :class:`KilledMax`).  ``psi`` is the root psi(lam)
+    when the caller already holds it.
 
     - A positive pure drift: no roots, K = 1.
     - Brownian motion with drift: lam - phi(z) = -(s2/2)(z - psi)(z + rho),
@@ -398,63 +402,146 @@ def product_form(
     return ProductForm((mu,), (prod / big, big))
 
 
+def _roots_bound(poles, zeros, t):
+    """A product form's K(t) = prod 1 / (1 + t/b) prod (1 + t/a) at t >= 0,
+    the largest |K| on Re z >= t; an infinite root is a factor one, so
+    arrays of roots of several levels may be padded with inf."""
+    k = 1.0
+    for b in poles:
+        k = k / (1.0 + t / b)
+    for a in zeros:
+        k = k * (1.0 + t / a)
+    return k
+
+
+class KilledMax:
+    """Killed-maximum (Wiener-Hopf) factor K of ``regime`` at rate ``lam``,
+    the transform of its maximum over an exponentially killed interval, and
+    a ladder recursion piece.  A nondecreasing regime peaks at its endpoint:
+    K = lam / (lam - phi), ``psi`` None.  A regime with a
+    :func:`product_form` takes it (K = 1 for a positive pure drift), its
+    nearest pole as ``left``.  Any other takes the defining formula
+    (psi - z) / (lam - phi(z)) * lam / psi, ``removable`` at psi(lam), where
+    it loses digits and the ladder takes contour means.  ``psi`` is solved
+    unless the caller holds it.  K is exactly one at the float zero, where
+    the formula would round (psi / lam) (lam / psi)."""
+
+    def __init__(self, regime: LevyRegime, lam: float, psi: Optional[float] = None):
+        if regime.nondecreasing:
+            psi = None
+        elif psi is None and not regime.pure_drift:
+            psi = inverse_exponent(regime, lam)
+        self.regime = regime
+        self.lam = lam
+        self.psi = psi
+        self.form = product_form(regime, lam, psi)
+        self.removable = (psi,) if self.form is None and psi is not None else ()
+        if self.form is not None:
+            # the exact nearest pole, as an instance attribute that
+            # shadows the lazy bisection below
+            self.left = self.form.left
+
+    @cached_property
+    def left(self) -> float:
+        return left_root(self.regime, self.lam)
+
+    @property
+    def atom(self) -> float:
+        """K at infinity, the probability that the killed maximum is zero:
+        none with diffusion or an upward drift; lam / (lam + rate P(jump >
+        0)) for jumps alone, which must not come before the kill; one for a
+        positive pure drift; and otherwise lam / (r psi), the limit of
+        (psi - z) lam / ((lam - phi(z)) psi) as phi(z) ~ r z."""
+        reg = self.regime
+        if reg.sigma2 > 0 or reg.r < 0:
+            return 0.0
+        if reg.r == 0:
+            jumps = reg.jump_rate * (1.0 - reg.jump_law.atom) if reg.jump_rate else 0.0
+            return self.lam / (self.lam + jumps)
+        if reg.pure_drift:
+            return 1.0
+        return self.lam / (reg.r * self.psi)
+
+    def real(self, z):
+        """K at a float, or at an array of complex nodes."""
+        if not isinstance(z, np.ndarray) and z == 0.0:
+            return 1.0
+        if self.form is not None:
+            return self.form.value(z)
+        lam, psi = self.lam, self.psi
+        if psi is None:
+            return lam / (lam - laplace_exponent(self.regime, z))
+        return (psi - z) / (lam - laplace_exponent(self.regime, z)) * (lam / psi)
+
+    def nodes(self, z, track=True):
+        """K at the nodes with its rounding amplification (None unless
+        ``track``): a few eps of |K| per factor of a product form,
+        |psi / (psi - z)| for the formula's cancellation near psi."""
+        val = self.real(z)
+        if not track:
+            return val, None
+        if self.form is not None:
+            return val, (len(self.form.zeros) + len(self.form.poles)) * np.abs(val)
+        if self.psi is None:
+            return val, np.zeros(z.shape)
+        return val, np.abs(self.psi / (self.psi - z))
+
+    def bound(self, x, r):
+        """Bounds of |K| and of its amplification over the circles
+        |z - x| = r (floats or arrays, 0 < r < x).  K is the transform of a
+        nonnegative law, so |K(z)| <= K(x - r) on the circle: exact for a
+        product form; for a nondecreasing regime with the jump law's
+        :meth:`~poolruin.claims.ClaimDistribution.modulus_bound` in phi,
+        which only lowers lam - phi; and 1 for the defining formula."""
+        t = x - r
+        if self.form is not None:
+            k = _roots_bound(self.form.poles, self.form.zeros, t)
+            return k, (len(self.form.zeros) + len(self.form.poles)) * k
+        reg, lam, psi = self.regime, self.lam, self.psi
+        if psi is None:
+            jumps = 0.0
+            if reg.jump_rate > 0:
+                jumps = reg.jump_rate * (1.0 - reg.jump_law.modulus_bound(t))
+            return lam / (lam - reg.r * t + jumps), 0.0
+        gap = abs(abs(psi - x) - r)
+        if isinstance(gap, float) and not gap:  # inf, as numpy gives at arrays
+            return 1.0, math.inf
+        return 1.0, psi / gap
+
+    def amp_bound(self, x, r):
+        return self.bound(x, r)[1]
+
+    def series(self, alpha: float, order: int) -> Taylor:
+        """Taylor expansion around ``alpha``; the defining formula's
+        removable point is divided out, and ``ValueError`` within
+        ``WINDOW`` of it, where the ladder takes a contour mean."""
+        if self.form is not None:
+            return self.form.series(alpha, order)
+        reg, lam, psi = self.regime, self.lam, self.psi
+        if psi is None:
+            return Taylor.constant(lam, order) / (lam - exponent_series(reg, alpha, order))
+        if abs(psi - alpha) <= WINDOW * psi:
+            raise ValueError(
+                f"alpha = {alpha!r} lies within the window of the removable point "
+                f"psi = {psi!r}"
+            )
+        # numerator and denominator share the simple zero at psi: divide the
+        # root out of the denominator, then the factor is (lam/psi) / G with
+        # G = (lam - phi(x)) / (psi - x) bounded away from zero near psi
+        g = -div_by_linear_root(lam - exponent_series(reg, alpha, order), psi - alpha)
+        return Taylor.constant(lam / psi, order) / g
+
+
 def killed_max(regime: LevyRegime, z, lam: float, psi: Optional[float] = None):
-    """Killed-maximum transform at a float or at an array of complex
-    arguments: lam / (lam - phi(z)) for a nondecreasing regime, the
-    :func:`product_form` where there is one, and otherwise the defining
-    formula (psi - z) / (lam - phi(z)) * lam / psi, which loses digits near
-    z = psi, where the caller takes contour means instead; ``psi`` as in
-    :func:`killed_max_series`.  Exactly one at z = 0, where the formula
-    would round (psi / lam) (lam / psi)."""
-    if not isinstance(z, np.ndarray) and z == 0.0:
-        return 1.0
-    if regime.nondecreasing:
-        return lam / (lam - laplace_exponent(regime, z))
-    form = product_form(regime, lam, psi)
-    if form is not None:
-        return form.value(z)
-    if psi is None:
-        psi = inverse_exponent(regime, lam)
-    return (psi - z) / (lam - laplace_exponent(regime, z)) * (lam / psi)
+    """K at a float or at an array of complex arguments (:class:`KilledMax`)."""
+    return KilledMax(regime, lam, psi).real(z)
 
 
 def killed_max_series(
-    regime: LevyRegime,
-    alpha: float,
-    lam: float,
-    order: int,
-    psi: Optional[float] = None,
+    regime: LevyRegime, alpha: float, lam: float, order: int, psi: Optional[float] = None
 ) -> Taylor:
-    """Taylor expansion around ``alpha`` of the transform of the regime
-    maximum over an exponentially killed interval.  A nondecreasing regime
-    peaks at its endpoint, giving lam / (lam - phi(a)); a regime with a
-    :func:`product_form` takes the series of its factors (identically one
-    for a positive pure drift, whose killed maximum is zero); any other is
-
-        (psi(lam) - a) / (lam - phi(a)) * lam / psi(lam),
-
-    whose removable singularity at a = psi(lam) is divided out.  ``psi`` is
-    the root psi(lam) when the caller already holds it.  For this last
-    kind, an ``alpha`` within ``WINDOW`` of psi raises ``ValueError``: the
-    ladder takes a contour mean there.
-    """
-    if regime.nondecreasing:
-        return Taylor.constant(lam, order) / (lam - exponent_series(regime, alpha, order))
-    form = product_form(regime, lam, psi)
-    if form is not None:
-        return form.series(alpha, order)
-    if psi is None:
-        psi = inverse_exponent(regime, lam)
-    if abs(psi - alpha) <= WINDOW * psi:
-        raise ValueError(
-            f"alpha = {alpha!r} lies within the window of the removable point "
-            f"psi = {psi!r}"
-        )
-    # numerator and denominator share the simple zero at psi: divide the
-    # root out of the denominator, then the factor is (lam/psi) / G with
-    # G = (lam - phi(x)) / (psi - x) bounded away from zero near psi
-    g = -div_by_linear_root(lam - exponent_series(regime, alpha, order), psi - alpha)
-    return Taylor.constant(lam / psi, order) / g
+    """Taylor expansion of K around ``alpha`` (:class:`KilledMax`)."""
+    return KilledMax(regime, lam, psi).series(alpha, order)
 
 
 @dataclass(frozen=True)

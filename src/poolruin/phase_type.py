@@ -375,6 +375,16 @@ class SpectralTail:
     laurent: tuple
 
 
+def _reached(ph: PhaseType) -> np.ndarray:
+    """Mask of the phases that ``delta``'s support reaches through positive
+    off-diagonal rates (the diagonal is negative)."""
+    reached = new = ph.delta > 0.0
+    while new.any():  # each phase's row is read once
+        new = (ph.S[new] > 0.0).any(axis=0) & ~reached
+        reached = reached | new
+    return reached
+
+
 def spectral_tail(ph: PhaseType) -> SpectralTail:
     """Exact dominant term of the tail delta^T exp(S u) 1 from the Laurent
     coefficients of its transform R(z) = delta^T (z I - S)^(-1) 1 at the
@@ -386,7 +396,17 @@ def spectral_tail(ph: PhaseType) -> SpectralTail:
     the coefficient a_{-mult} / (mult - 1)!.  :class:`NoConvergence` where the
     coefficients do not resolve (none above the floor, one past the
     eigenvalue's multiplicity, or a leading one not positive and real);
-    :class:`ValueError` for the point mass at zero."""
+    :class:`ValueError` for the point mass at zero.
+
+    The spectrum read is that of the phases ``delta``'s support reaches
+    through positive off-diagonal rates: that set is closed, so the law
+    restricted to it is the same law, and the eigenvalues of the other
+    phases are no poles of R."""
+    reached = _reached(ph)
+    if not reached.all():
+        ph = PhaseType(
+            delta=ph.delta[reached], S=ph.S[np.ix_(reached, reached)], delta_abs=ph.delta_abs
+        )
     if ph.d == 0:
         raise ValueError("the point mass at zero has no tail")
     eigs = np.linalg.eigvals(ph.S)

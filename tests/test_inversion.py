@@ -1,10 +1,12 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from poolruin import claims, inversion, ladder, model, phase_type
+from poolruin.config import load_model
 from poolruin.errors import KillingRequired, PoolRuinError
 
 
@@ -37,6 +39,35 @@ def test_known_pairs():
 def test_invert_requires_positive_t():
     with pytest.raises(ValueError):
         inversion.invert(lambda s: 1.0 / s, 0.0)
+
+
+def _config(name):
+    return load_model(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")[0]
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_invert_refuses_a_time_that_is_not_finite(t):
+    # at inf every node is zero, where the rule read -0.0
+    with pytest.raises(ValueError, match=re.escape(f"got {t!r}")):
+        inversion.invert(lambda s: 1.0 / (s + 1.0), t)
+
+
+@pytest.mark.parametrize(
+    "name,t",
+    [("fig2", math.inf), ("fig3", math.inf), ("fig2", math.nan)],
+)
+def test_moment_curves_refuse_a_time_that_is_not_finite(name, t):
+    # inf put every Stehfest node, a killing rate, at zero: fig2 divided by
+    # zero there and fig3 refused beta = 0; nan reached the beta check
+    with pytest.raises(ValueError, match=re.escape(f"times must be positive and finite, got {t!r}")):
+        inversion.moment_curves(_config(name), [1.0, t])
+
+
+@pytest.mark.parametrize("u", [math.inf, math.nan])
+def test_ruin_curve_refuses_a_reserve_that_is_not_finite(u):
+    # inf put every Stehfest node, a transform argument, at zero
+    with pytest.raises(ValueError, match=re.escape(f"finite and nonnegative, got {u!r}")):
+        inversion.ruin_curve(_config("fig2"), 1.0, [0.5, u])
 
 
 def test_errors_propagate_from_transform():
@@ -91,10 +122,6 @@ def test_ruin_curve_no_clients_goes_through_the_engine():
 
 
 def test_ruin_curve_at_zero_is_one_minus_the_atom():
-    from pathlib import Path
-
-    from poolruin.config import load_model
-
     mdl, beta = load_model(Path(__file__).resolve().parent.parent / "configs" / "fig2.json")
     got = inversion.ruin_curve(mdl, beta, [0.0, 1.0])
     exact = 1.0 - phase_type.running_max_ph(mdl, beta, mdl.m).delta_abs

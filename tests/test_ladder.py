@@ -1134,8 +1134,8 @@ def _node_pieces(law):
         "lst_complex": lambda z: [law.lst_complex(z)],
         "slope": _Slope(law, 2.0).nodes,
         "overshoot_base": _OvershootBase(law, alpha=1.0, nu=2.0, scale=0.8, dd=-0.3).nodes,
-        "killed_max_bm": ladder._KilledMax(bm, 2.0, model.inverse_exponent(bm, 2.0)).nodes,
-        "killed_max_cp": ladder._KilledMax(cp, 2.0, model.inverse_exponent(cp, 2.0)).nodes,
+        "killed_max_bm": model.KilledMax(bm, 2.0, model.inverse_exponent(bm, 2.0)).nodes,
+        "killed_max_cp": model.KilledMax(cp, 2.0, model.inverse_exponent(cp, 2.0)).nodes,
         "levels": steps,
     }
     dd = law.divided_difference(1.0, 2.0)

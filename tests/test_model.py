@@ -804,3 +804,67 @@ def test_one_phase_erlang_subordinator_has_the_exponential_bits(mu):
         return [repr(model.laplace_exponent(reg, a)) for a in (1e-9, 0.003, 0.3, 1.0, 1.7, 5.0)]
 
     assert exponents(claims.Erlang(1, mu)) == exponents(claims.Exponential(mu))
+
+
+# one regime of each kind, with the form of its killed-maximum factor
+KILLED_MAX_KINDS = {
+    "flat": (model.drift(0.0), "nondecreasing"),
+    "sub_exp": (model.subordinator(-0.5, 0.5, claims.Exponential(2.0)), "nondecreasing"),
+    "bm": (model.brownian_drift(1.0, 0.5), "product"),
+    "cp_exp": (model.compound_poisson_drift(1.5, 0.0, 0.8, claims.Exponential(2.0)), "product"),
+    "cp_exp_bm": (model.compound_poisson_drift(1.0, 0.3, 1.0, claims.Exponential(2.0)), "product"),
+    "cp_erlang": (model.compound_poisson_drift(1.2, 0.0, 0.7, claims.Erlang(2, 3.0)), "formula"),
+    "cp_ph": (
+        model.compound_poisson_drift(
+            2.0, 0.0, 0.9,
+            claims.PhaseTypeClaim(phase_type.PhaseType(
+                delta=np.array([0.4, 0.6]), S=np.array([[-2.0, 1.0], [0.0, -3.0]])
+            )),
+        ),
+        "formula",
+    ),
+    "cp_point": (model.compound_poisson_drift(1.0, 0.2, 0.6, claims.PointMass(0.7)), "formula"),
+}
+
+
+@pytest.mark.parametrize("name", KILLED_MAX_KINDS)
+@pytest.mark.parametrize("lam", [0.7, 2.0])
+def test_killed_max_decides_the_form_in_one_place(name, lam):
+    reg, kind = KILLED_MAX_KINDS[name]
+    k = model.KilledMax(reg, lam)
+    assert isinstance(k.form, model.ProductForm) == (kind == "product")
+    if kind == "nondecreasing":
+        assert k.psi is None
+    else:
+        assert k.psi == model.inverse_exponent(reg, lam)
+    assert k.removable == ((k.psi,) if kind == "formula" else ())
+    # a psi the caller holds, or one it passes to a nondecreasing regime
+    # (which has none), decides nothing else
+    held = model.KilledMax(reg, lam, model.inverse_exponent(reg, lam) if k.psi else 1.0)
+    assert (held.psi, held.form, held.removable) == (k.psi, k.form, k.removable)
+    # the function views are the object's own values, bit for bit
+    for x in (0.0, 0.3, 2.5):
+        assert repr(model.killed_max(reg, x, lam)) == repr(k.real(x))
+    z = np.array([0.5 + 0.4j, 2.0 - 1.0j, 1.3 + 0.0j])
+    assert repr(model.killed_max(reg, z, lam).tolist()) == repr(k.real(z).tolist())
+    for x in (0.0, 2.0 * (k.psi or 1.0)):
+        assert repr(model.killed_max_series(reg, x, lam, 2).c) == repr(k.series(x, 2).c)
+
+
+def test_flat_base_at_the_infinite_horizon_is_one():
+    # a flat state 0 at beta = 0 has K = 1: the base solves no psi, and its
+    # value and atom are exactly one
+    flat = alone(model.drift(0.0))
+    with mock.patch.object(model, "inverse_exponent", side_effect=AssertionError), \
+            mock.patch.object(ladder, "inverse_exponent", side_effect=AssertionError):
+        eng = ladder.engine(flat, 0.0, 0)
+        assert isinstance(eng.base, ladder._One)
+        assert [eng.value(x) for x in (0.0, 0.7, 5.0)] == [1.0, 1.0, 1.0]
+        assert eng.atom() == 1.0
+
+
+def test_a_positive_pure_drift_has_the_factor_one():
+    # the ladder keeps no factor for it, but the class takes it too
+    k = model.KilledMax(model.drift(3.0), 1.0)
+    assert (k.psi, k.form, k.removable, k.left) == (None, model.ProductForm((), ()), (), math.inf)
+    assert (k.atom, k.real(0.7), k.series(0.7, 2).c) == (1.0, 1.0, (1.0, 0.0, 0.0))

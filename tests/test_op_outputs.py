@@ -239,3 +239,40 @@ def test_transform_rows_of_a_cli_run():
     assert _op_outputs()._transform_rows(text) == [(1.0, 0.0), (0.5, 1e-16)]
     bm = b"alpha,pi_ladder,pi_overshoot,abs_diff\n0,1,,\n"
     assert _op_outputs()._transform_rows(bm) == []
+
+
+def test_killed_max_group_holds_every_factor_value():
+    from poolruin import ladder, model
+    from poolruin.config import load_model, parse_regime
+
+    module = _op_outputs()
+    root = SCRIPT.parent.parent
+    out = module.killed_max_outputs(root)
+    assert all(key.startswith("killed_max/") for key in out)
+    assert not any(value.startswith("raised") for value in out.values())
+    for name, node in module.KILLED_MAX_REGIMES.items():
+        reg = parse_regime(node, name)
+        for lam in module.KILLED_MAX_LAMS:
+            key = f"killed_max/{name}.l{lam!r}"
+            ours = sorted(k[len(key) + 1:] for k in out if k.startswith(key + "/"))
+            fields = [f"real.{x!r}" for x in module.KILLED_MAX_X]
+            fields += ["circle", "series.0.0", "series.far", "engine.atom", "engine.0.3"]
+            if not reg.nondecreasing:
+                fields += ["real.1.2psi", "engine.psi", "engine.1.2psi"]
+            assert ours == sorted(fields)
+            # the record holds the factor's own values
+            assert eval(out[f"{key}/real.0.0"]) == (0.0, 1.0)
+            assert eval(out[f"{key}/real.2.5"]) == (2.5, model.killed_max(reg, 2.5, lam))
+            jet = model.killed_max_series(reg, 0.0, lam, 2).c
+            assert eval(out[f"{key}/series.0.0"]) == (0.0, *jet)
+            assert len(eval(out[f"{key}/circle"])) == module.KILLED_MAX_CIRCLE[2]
+    # the flat regime alone: K = 1, no clients, no removable point
+    assert eval(out["killed_max/flat.l0.7/engine.atom"]) == 1.0
+    assert eval(out["killed_max/flat.l0.7/engine.0.3"]) == (0.3, 1.0)
+    for name in ("fig2", "fig3", "fig4", "fig5", "m1_hand", *module.HELD):
+        atoms = [k for k in out if k.startswith(f"killed_max/atom.{name}.b")]
+        assert atoms
+    mdl, own = load_model(root / "configs" / "fig2.json")
+    assert eval(out[f"killed_max/atom.fig2.b{own!r}"]) == ladder.engine(mdl, own, mdl.m).atom()
+    # fig3 is no drift model: beta = 0 is refused, and not recorded
+    assert "killed_max/atom.fig3.b0.0" not in out

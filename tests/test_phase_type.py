@@ -427,10 +427,28 @@ def test_spectral_tail_of_a_mixed_pool():
 def test_spectral_tail_refuses_what_it_cannot_resolve():
     with pytest.raises(ValueError):
         spectral_tail(point_mass_zero())
-    # no mass on the slow phase: -1 is no pole of the tail's transform
+    # no mass on the slow phase: -1 is no pole of the tail's transform, and
+    # the tail is exactly e^{-2u}
     fast_only = PhaseType(delta=np.array([0.0, 1.0]), S=np.diag([-1.0, -2.0]))
-    with pytest.raises(NoConvergence):
-        spectral_tail(fast_only)
+    st = spectral_tail(fast_only)
+    assert (st.mu, st.mult, st.coeff, st.laurent) == (2.0, 1, 1.0, (1.0,))
+    # a law that never reaches phases it does not start in: nothing to resolve
+    with pytest.raises(ValueError):
+        spectral_tail(PhaseType(delta=np.zeros(2), S=np.diag([-1.0, -2.0]), delta_abs=1.0))
+
+
+def test_spectral_tail_reads_the_reached_phases_only():
+    # the slowest phase (rate 1) feeds the reached one but is never entered,
+    # and a third phase feeds it too: the tail is e^{-2u}
+    S = np.array([[-1.0, 0.5, 0.0], [0.0, -2.0, 0.0], [0.0, 0.3, -1.5]])
+    ph = PhaseType(delta=np.array([0.0, 1.0, 0.0]), S=S, delta_abs=0.0)
+    st = spectral_tail(ph)
+    assert (st.mu, st.mult, st.coeff) == (2.0, 1, 1.0)
+    for u in (5.0, 20.0, 40.0):
+        assert math.isclose(ph_tail(ph, u), st.coeff * math.exp(-st.mu * u), rel_tol=1e-12)
+    # an atom is kept: the reached phases carry the rest of the mass
+    held = spectral_tail(PhaseType(delta=np.array([0.0, 0.6, 0.0]), S=S, delta_abs=0.4))
+    assert (held.mu, held.mult) == (2.0, 1) and math.isclose(held.coeff, 0.6, rel_tol=1e-14)
 
 
 def test_running_max_with_hyperexponential_claims():
