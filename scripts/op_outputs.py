@@ -38,9 +38,12 @@ The ``phase_type`` group holds the exact law of ``running_max_ph`` on the
 same models and betas, each (config, beta) on one model object: its
 ``delta`` and its ``S`` (flattened by row) as tuples, its ``delta_abs``,
 ``ph_lst`` at each of ``OVERSHOOT_ALPHAS``, ``ph_tail`` at each of
-``PH_TAIL_U`` and each field of its ``spectral_tail`` (``mu``, ``mult``,
-``coeff`` and the Laurent coefficients ``laurent``); a refused law (fig5's
-Lomax claims) is recorded as the error it raised.  The ``killed_max``
+``PH_TAIL_U``, ``ph_density`` at each of ``PH_TAIL_U`` and each field of
+its ``spectral_tail`` (``mu``, ``mult``, ``coeff`` and the Laurent
+coefficients ``laurent``); a refused law (fig5's Lomax claims) is recorded
+as the error it raised.  It also holds every evaluator of the module on
+three laws held here (``held_laws``): the point mass at zero, a law with
+phases it never enters, and a convolution with an atom.  The ``killed_max``
 group holds the killed-maximum factor itself on one regime of each kind
 (``KILLED_MAX_REGIMES``), and the atom of every bundled config's and held
 model's engine (:func:`killed_max_outputs`).
@@ -166,6 +169,8 @@ OVERSHOOT_CONFIGS = ("fig2", "fig4", "fig5", "m1_hand")
 OVERSHOOT_ALPHAS = (0.0, 0.5, 1.0, 4.0)
 XI_ALPHAS = (0.0, 1.0)
 PH_TAIL_U = (1.0, 5.0, 20.0)
+# complex arguments of the held laws' transforms, two with Re z < 0
+PH_NODES = (1.0 + 2.0j, -1.0 + 2.0j, -0.5 - 0.5j, 3.0 + 0.0j)
 # one regime of each kind, each at two rates, for the killed_max group
 KILLED_MAX_REGIMES = {
     "flat": {"drift": {"r": 0.0}},
@@ -356,12 +361,67 @@ def overshoot_outputs(root: Path) -> dict:
     return out
 
 
+def held_laws() -> dict:
+    """Laws the running-maximum builds do not reach: the point mass at zero
+    (no phase), a law whose slowest phase is never entered (its tail is
+    e^{-2u}), and an Erlang(2, 1) law convolved with one that has an atom."""
+    from poolruin.claims import Erlang
+    from poolruin.phase_type import PhaseType, ph_convolve, point_mass_zero
+
+    S = [[-1.0, 0.5, 0.0], [0.0, -2.0, 0.0], [0.0, 0.3, -1.5]]
+    atom = PhaseType(delta=[0.6], S=[[-1.5]], delta_abs=0.4)
+    return {
+        "point_mass": point_mass_zero(),
+        "unreached": PhaseType(delta=[0.0, 1.0, 0.0], S=S),
+        "convolved": ph_convolve(Erlang(2, 1.0).phase_type(), atom),
+    }
+
+
+def held_law_outputs(key: str, law) -> dict:
+    """Every evaluator of :mod:`poolruin.phase_type` on one held law."""
+    import numpy as np
+
+    from poolruin import phase_type as pt
+
+    nodes = np.array(PH_NODES)
+    out = {
+        f"{key}/delta": repr(tuple(law.delta.tolist())),
+        f"{key}/S": repr(tuple(law.S.ravel().tolist())),
+        f"{key}/delta_abs": repr(law.delta_abs),
+        f"{key}/lst_complex": _value_repr(lambda: tuple(pt.ph_lst_complex(law, nodes).tolist())),
+        f"{key}/lst_complement_complex": _value_repr(
+            lambda: tuple(pt.ph_lst_complement_complex(law, nodes).tolist())
+        ),
+        f"{key}/abscissa": _value_repr(lambda: pt.ph_abscissa(law)),
+        f"{key}/lst_series": _value_repr(lambda: pt.ph_lst_series(law, 0.5, 3).c),
+        f"{key}/mean": _value_repr(lambda: pt.ph_mean(law)),
+        f"{key}/second_moment": _value_repr(lambda: pt.ph_second_moment(law)),
+        f"{key}/sample": _value_repr(
+            lambda: tuple(pt.ph_sample(law, np.random.default_rng(7), 5).tolist())
+        ),
+    }
+    for alpha in OVERSHOOT_ALPHAS:
+        out[f"{key}/lst.a{alpha!r}"] = _value_repr(lambda: pt.ph_lst(law, alpha))
+        out[f"{key}/lst_complement.a{alpha!r}"] = _value_repr(
+            lambda: pt.ph_lst_complement(law, alpha)
+        )
+    for u in (0.0, *PH_TAIL_U):
+        out[f"{key}/tail.u{u!r}"] = _value_repr(lambda: pt.ph_tail(law, u))
+        out[f"{key}/density.u{u!r}"] = _value_repr(lambda: pt.ph_density(law, u))
+    for field in ("mu", "mult", "coeff", "laurent"):
+        out[f"{key}/spectral_tail.{field}"] = _value_repr(
+            lambda: getattr(pt.spectral_tail(law), field)
+        )
+    return out
+
+
 def phase_type_outputs(root: Path) -> dict:
     """The exact phase-type law of the running maximum on each
-    ``OVERSHOOT_CONFIGS`` model, its transform, its tail and its dominant
-    tail term, each (config, beta) on one model object."""
+    ``OVERSHOOT_CONFIGS`` model, its transform, its tail, its density and
+    its dominant tail term, each (config, beta) on one model object; and
+    every evaluator on each of :func:`held_laws`."""
     from poolruin.config import load_model
-    from poolruin.phase_type import ph_lst, ph_tail, running_max_ph, spectral_tail
+    from poolruin.phase_type import ph_density, ph_lst, ph_tail, running_max_ph, spectral_tail
 
     out = {}
     for name in OVERSHOOT_CONFIGS:
@@ -380,10 +440,13 @@ def phase_type_outputs(root: Path) -> dict:
                 out[f"{key}/lst.a{alpha!r}"] = _value_repr(lambda: ph_lst(law, alpha))
             for u in PH_TAIL_U:
                 out[f"{key}/tail.u{u!r}"] = _value_repr(lambda: ph_tail(law, u))
+                out[f"{key}/density.u{u!r}"] = _value_repr(lambda: ph_density(law, u))
             for field in ("mu", "mult", "coeff", "laurent"):
                 out[f"{key}/spectral_tail.{field}"] = _value_repr(
                     lambda: getattr(spectral_tail(law), field)
                 )
+    for name, law in held_laws().items():
+        out.update(held_law_outputs(f"phase_type/held.{name}", law))
     return out
 
 

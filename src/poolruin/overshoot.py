@@ -50,6 +50,7 @@ on a recursion of its own, so the sharing moves no value.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -307,8 +308,8 @@ class OvershootTable:
         """The zeta matrix at ``alpha``: row n - 1 holds zeta(n, k, alpha)
         for k = 0..n-1.  Filled whole, from one xi engine per k, and kept
         only once every entry is computed."""
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0 <= alpha < math.inf:
+            raise ValueError(f"alpha must be nonnegative and finite, got {alpha!r}")
         rows = self._kept.zetas.get(alpha)
         if rows is not None:
             return rows
@@ -337,10 +338,10 @@ class OvershootTable:
             raise ValueError("n must lie in 1..m")
         if not 0 <= k <= n - 1:
             raise ValueError("k must lie in 0..n-1")
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if not gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not 0 <= alpha < math.inf:
+            raise ValueError(f"alpha must be nonnegative and finite, got {alpha!r}")
+        if not 0 < gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
         engines = self._kept.xi_engines
         engine = engines.get((k, alpha))
         if engine is None:
@@ -358,18 +359,17 @@ class OvershootTable:
         """P_n(level 0 is never exceeded before the kill)."""
         if not 0 <= n <= self.model.m:
             raise ValueError("n must lie in 0..m")
-        if n == 0:
-            return 1.0
         kept = self._kept
         if kept.survive is None:
             kept.survive = [1.0] + [1.0 - sum(row) for row in self._zetas(0.0)]
         return kept.survive[n]
 
     def pi_via_ladders(self, alpha: float) -> float:
+        zetas = self._zetas(alpha)
         pis = [1.0]
         for j in range(1, self.model.m + 1):
             val = self.survive_zero(j)
-            row = self._zetas(alpha)[j - 1]
+            row = zetas[j - 1]
             for k in range(j):
                 val += row[k] * pis[k]
             pis.append(val)
@@ -381,8 +381,6 @@ class OvershootTable:
             raise ChainBudgetExceeded(
                 f"2^{m} descending chains exceed the budget of {_CHAIN_BUDGET}"
             )
-        if m == 0:
-            return 1.0
         zetas = self._zetas(alpha)
         # survive[0] = 1: a chain that ends at zero adds its product, exactly
         survive = [self.survive_zero(n) for n in range(m + 1)]

@@ -57,20 +57,19 @@ class PhaseType:
             object.__setattr__(self, "delta_abs", 0.0)
         if abs(delta.sum() + self.delta_abs - 1.0) > 1e-12:
             raise ValueError("delta must sum to 1 - delta_abs")
-        if d > 0:
-            off = S - np.diag(np.diag(S))
-            if np.any(off < -_VALID_ATOL):
-                raise ValueError("off-diagonal rates must be nonnegative")
-            if np.any(np.diag(S) >= 0.0):
-                raise ValueError("diagonal of S must be negative")
-            scale = np.abs(np.diag(S)).max()
-            # a row sum rounds on the scale of its rates
-            if np.any(S.sum(axis=1) > _VALID_ATOL * max(1.0, scale)):
-                raise ValueError("row sums of S must be nonpositive")
-            # relative to S's rate scale: slow laws pass, singular S never does
-            if np.any(np.linalg.eigvals(S).real >= -1e-14 * scale):
-                raise ValueError("S must be a stable (nonsingular) phase generator")
-        exit_vec = -S @ np.ones(d) if d > 0 else np.zeros(0)
+        off = S - np.diag(np.diag(S))
+        if np.any(off < -_VALID_ATOL):
+            raise ValueError("off-diagonal rates must be nonnegative")
+        if np.any(np.diag(S) >= 0.0):
+            raise ValueError("diagonal of S must be negative")
+        scale = np.abs(np.diag(S)).max(initial=0.0)
+        # a row sum rounds on the scale of its rates
+        if np.any(S.sum(axis=1) > _VALID_ATOL * max(1.0, scale)):
+            raise ValueError("row sums of S must be nonpositive")
+        # relative to S's rate scale: slow laws pass, singular S never does
+        if np.any(np.linalg.eigvals(S).real >= -1e-14 * scale):
+            raise ValueError("S must be a stable (nonsingular) phase generator")
+        exit_vec = -S @ np.ones(d)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "s", np.clip(exit_vec, 0.0, None))
@@ -103,10 +102,8 @@ def point_mass_zero() -> PhaseType:
 
 def ph_lst(ph: PhaseType, alpha: float) -> float:
     """Transform delta_abs + delta^T (alpha I - S)^(-1) s via one solve."""
-    if not alpha >= 0:
-        raise ValueError("alpha must be nonnegative")
-    if ph.d == 0:
-        return ph.delta_abs
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha!r}")
     try:
         x = np.linalg.solve(alpha * np.eye(ph.d) - ph.S, ph.s)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - valid PH cannot hit this
@@ -118,10 +115,8 @@ def ph_lst_complement(ph: PhaseType, alpha: float) -> float:
     """1 - transform as alpha delta^T (alpha I - S)^(-1) 1, which does not
     cancel at small alpha: (alpha I - S) 1 = alpha 1 + s and delta^T 1 =
     1 - delta_abs."""
-    if not alpha >= 0:
-        raise ValueError("alpha must be nonnegative")
-    if ph.d == 0:
-        return 1.0 - ph.delta_abs
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha!r}")
     try:
         x = np.linalg.solve(alpha * np.eye(ph.d) - ph.S, np.ones(ph.d))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - valid PH cannot hit this
@@ -134,7 +129,7 @@ def ph_lst_complement_complex(ph: PhaseType, z: np.ndarray) -> np.ndarray:
     z delta^T (z I - S)^(-1) 1 by one batched solve (see
     :func:`ph_lst_complement`)."""
     z = np.asarray(z, dtype=complex)
-    if ph.d == 0:
+    if ph.d == 0:  # z times the empty sum reads -0.0 real parts where Re z < 0
         return np.full(z.shape, complex(1.0 - ph.delta_abs))
     mats = z.reshape(-1, 1, 1) * np.eye(ph.d) - ph.S
     x = np.linalg.solve(mats, np.ones((mats.shape[0], ph.d, 1)))[..., 0]
@@ -146,8 +141,6 @@ def ph_lst_complex(ph: PhaseType, z: np.ndarray) -> np.ndarray:
     """Transform at an array of complex arguments by one batched solve of
     (z I - S) x = s."""
     z = np.asarray(z, dtype=complex)
-    if ph.d == 0:
-        return np.full(z.shape, complex(ph.delta_abs))
     eye = np.eye(ph.d)
     mats = z.reshape(-1, 1, 1) * eye - ph.S
     rhs = np.broadcast_to(ph.s, (mats.shape[0], ph.d))[..., None]
@@ -159,9 +152,7 @@ def ph_abscissa(ph: PhaseType) -> float:
     """Distance from zero to the transform's rightmost pole, which is the
     spectral abscissa of S with its sign flipped (inf for the point mass
     at zero)."""
-    if ph.d == 0:
-        return float("inf")
-    return -float(np.max(np.linalg.eigvals(ph.S).real))
+    return -float(np.max(np.linalg.eigvals(ph.S).real, initial=-math.inf))
 
 
 def ph_lst_series(ph: PhaseType, alpha: float, order: int) -> Taylor:
@@ -170,7 +161,7 @@ def ph_lst_series(ph: PhaseType, alpha: float, order: int) -> Taylor:
     The i-th coefficient is (-1)^i delta^T (alpha I - S)^(-(i+1)) s, obtained
     by repeated solves against one factorization.
     """
-    if ph.d == 0:
+    if ph.d == 0:  # the alternating sign would read -0.0 at odd orders
         return Taylor.constant(ph.delta_abs, order)
     A = alpha * np.eye(ph.d) - ph.S
     lu, piv = linalg.lu_factor(A)
@@ -186,14 +177,10 @@ def ph_lst_series(ph: PhaseType, alpha: float, order: int) -> Taylor:
 
 
 def ph_mean(ph: PhaseType) -> float:
-    if ph.d == 0:
-        return 0.0
     return float(ph.delta @ np.linalg.solve(-ph.S, np.ones(ph.d)))
 
 
 def ph_second_moment(ph: PhaseType) -> float:
-    if ph.d == 0:
-        return 0.0
     one = np.ones(ph.d)
     x = np.linalg.solve(-ph.S, one)
     return float(2.0 * ph.delta @ np.linalg.solve(-ph.S, x))
@@ -209,13 +196,38 @@ def ph_convolve(u: PhaseType, v: PhaseType) -> PhaseType:
         return v
     if v.d == 0:
         return u
-    dw = u.d + v.d
-    S = np.zeros((dw, dw))
-    S[: u.d, : u.d] = u.S
-    S[: u.d, u.d :] = np.outer(u.s, v.delta)
-    S[u.d :, u.d :] = v.S
-    delta = np.concatenate([u.delta, u.delta_abs * v.delta])
-    return PhaseType(delta=delta, S=S, delta_abs=u.delta_abs * v.delta_abs)
+    S, delta, atom = _append(u.S, u.s, u.delta, u.delta_abs, v)
+    return PhaseType(delta=delta, S=S, delta_abs=atom)
+
+
+def _append(S: np.ndarray, s: np.ndarray, delta: np.ndarray, atom: float, v: PhaseType):
+    """Generator, initial vector and atom of X + V, for X with generator
+    ``S``, exit rates ``s``, initial vector ``delta`` and atom ``atom``:
+    X's block comes first and its exits feed V's initial vector, and X's
+    atom passes straight to V."""
+    d0 = S.shape[0]
+    dw = d0 + v.d
+    S_new = np.zeros((dw, dw))
+    S_new[:d0, :d0] = S
+    S_new[:d0, d0:] = np.outer(s, v.delta)
+    S_new[d0:, d0:] = v.S
+    return S_new, np.concatenate([delta, atom * v.delta]), atom * v.delta_abs
+
+
+def _reached_law(ph: PhaseType) -> PhaseType:
+    """The law on the phases that ``delta``'s support reaches through
+    positive off-diagonal rates (the diagonal is negative): that set is
+    closed, so this is the same law, and the other phases' eigenvalues and
+    rounding drop out.  ``ph`` itself when it reaches every phase."""
+    reached = new = ph.delta > 0.0
+    while new.any():  # each phase's row is read once
+        new = (ph.S[new] > 0.0).any(axis=0) & ~reached
+        reached = reached | new
+    if reached.all():
+        return ph
+    return PhaseType(
+        delta=ph.delta[reached], S=ph.S[np.ix_(reached, reached)], delta_abs=ph.delta_abs
+    )
 
 
 def _absorbed(ph: PhaseType, u: float, right: np.ndarray) -> float:
@@ -234,27 +246,27 @@ def _absorbed(ph: PhaseType, u: float, right: np.ndarray) -> float:
 
 
 def ph_tail(ph: PhaseType, u: float) -> float:
-    """Survival probability delta^T exp(S u) 1 (excludes the atom at zero)."""
-    if not u >= 0:
-        raise ValueError("u must be nonnegative")
-    if ph.d == 0:
-        return 0.0
+    """Survival probability delta^T exp(S u) 1 (excludes the atom at zero),
+    on the phases the law reaches (:func:`_reached_law`)."""
+    if not 0 <= u < math.inf:
+        raise ValueError(f"u must be nonnegative and finite, got {u!r}")
+    ph = _reached_law(ph)
     tail = float(ph.delta.sum()) if u == 0.0 else _absorbed(ph, u, np.ones(ph.d))
     return min(max(tail, 0.0), 1.0)
 
 
 def ph_density(ph: PhaseType, u: float) -> float:
-    """Density of the absolutely continuous part, delta^T exp(S u) s."""
-    if ph.d == 0:
-        return 0.0
-    if u < 0:
-        raise ValueError("u must be nonnegative")
+    """Density of the absolutely continuous part, delta^T exp(S u) s, on
+    the phases the law reaches (:func:`_reached_law`)."""
+    if not 0 <= u < math.inf:
+        raise ValueError(f"u must be nonnegative and finite, got {u!r}")
+    ph = _reached_law(ph)
     return max(_absorbed(ph, u, ph.s), 0.0)
 
 
 def ph_sample(ph: PhaseType, rng: np.random.Generator, size: int) -> np.ndarray:
     """Exact absorption-time sampling of the underlying Markov chain."""
-    if ph.d == 0:
+    if ph.d == 0:  # the general path would draw the absorbed states from the stream
         return np.zeros(size)
     d = ph.d
     rates = -np.diag(ph.S)
@@ -335,18 +347,12 @@ def _running_max_law(model, beta: float, n: int) -> PhaseType:
     delta_cur = np.zeros(0)
     atom_cur = 1.0
     for k, claim_ph in enumerate(blocks, start=1):
-        d0 = S_cur.shape[0]
-        kd = d0 + claim_ph.d
-        S_new = np.zeros((kd, kd))
-        S_new[:d0, :d0] = S_cur
-        S_new[:d0, d0:] = np.outer(s_cur, claim_ph.delta)
-        S_new[d0:, d0:] = claim_ph.S
-        S_cur = S_new
+        # append the new claim block, fed by the unclipped exit rates s_cur
+        S_cur, delta_prime, atom_prime = _append(S_cur, s_cur, delta_cur, atom_cur, claim_ph)
+        kd = S_cur.shape[0]
         s_cur = -S_cur @ np.ones(kd)
-        if kd == 0:  # every claim so far is the point mass at zero
+        if kd == 0:  # every claim so far is the point mass at zero: the atom stays 1
             continue
-        # append the new claim block to the initial vector
-        delta_prime = np.concatenate([delta_cur, atom_cur * claim_ph.delta])
         lam_circ = model.lambda_circ[k - 1]
         lam = lam_circ + beta
         nu = lam / model.regimes[k].r
@@ -355,11 +361,7 @@ def _running_max_law(model, beta: float, n: int) -> PhaseType:
         # 1 - sum(delta_cur) as nonnegative terms (nu (nu I - S)^(-1) 1 =
         # 1 - (nu I - S)^(-1) s): the difference cancels below zero where
         # ruin is nearly certain
-        atom_cur = beta / lam + (lam_circ / lam) * (
-            atom_cur * claim_ph.delta_abs + float(resolvent @ s_cur)
-        )
-    if S_cur.shape[0] == 0:
-        return point_mass_zero()
+        atom_cur = beta / lam + (lam_circ / lam) * (atom_prime + float(resolvent @ s_cur))
     return PhaseType(delta=delta_cur, S=S_cur, delta_abs=atom_cur)
 
 
@@ -375,16 +377,6 @@ class SpectralTail:
     laurent: tuple
 
 
-def _reached(ph: PhaseType) -> np.ndarray:
-    """Mask of the phases that ``delta``'s support reaches through positive
-    off-diagonal rates (the diagonal is negative)."""
-    reached = new = ph.delta > 0.0
-    while new.any():  # each phase's row is read once
-        new = (ph.S[new] > 0.0).any(axis=0) & ~reached
-        reached = reached | new
-    return reached
-
-
 def spectral_tail(ph: PhaseType) -> SpectralTail:
     """Exact dominant term of the tail delta^T exp(S u) 1 from the Laurent
     coefficients of its transform R(z) = delta^T (z I - S)^(-1) 1 at the
@@ -398,15 +390,10 @@ def spectral_tail(ph: PhaseType) -> SpectralTail:
     eigenvalue's multiplicity, or a leading one not positive and real);
     :class:`ValueError` for the point mass at zero.
 
-    The spectrum read is that of the phases ``delta``'s support reaches
-    through positive off-diagonal rates: that set is closed, so the law
-    restricted to it is the same law, and the eigenvalues of the other
-    phases are no poles of R."""
-    reached = _reached(ph)
-    if not reached.all():
-        ph = PhaseType(
-            delta=ph.delta[reached], S=ph.S[np.ix_(reached, reached)], delta_abs=ph.delta_abs
-        )
+    The spectrum read is that of the phases the law reaches
+    (:func:`_reached_law`): the eigenvalues of the other phases are no
+    poles of R."""
+    ph = _reached_law(ph)
     if ph.d == 0:
         raise ValueError("the point mass at zero has no tail")
     eigs = np.linalg.eigvals(ph.S)

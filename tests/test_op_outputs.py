@@ -186,7 +186,7 @@ def test_phase_type_group_holds_every_law_value():
     )
     fields = ["S", "delta", "delta_abs"]
     fields += [f"lst.a{a!r}" for a in module.OVERSHOOT_ALPHAS]
-    fields += [f"tail.u{u!r}" for u in module.PH_TAIL_U]
+    fields += [f"{kind}.u{u!r}" for u in module.PH_TAIL_U for kind in ("tail", "density")]
     fields += [f"spectral_tail.{f}" for f in ("mu", "mult", "coeff", "laurent")]
     for name in ("fig2", "fig4", "m1_hand"):
         mdl, own = load_model(root / "configs" / f"{name}.json")
@@ -200,9 +200,35 @@ def test_phase_type_group_holds_every_law_value():
             assert eval(out[f"{key}/delta_abs"]) == law.delta_abs
             assert eval(out[f"{key}/lst.a1.0"]) == phase_type.ph_lst(law, 1.0)
             assert eval(out[f"{key}/tail.u5.0"]) == phase_type.ph_tail(law, 5.0)
+            assert eval(out[f"{key}/density.u5.0"]) == phase_type.ph_density(law, 5.0)
             tail = phase_type.spectral_tail(law)
             assert eval(out[f"{key}/spectral_tail.laurent"]) == tail.laurent
             assert eval(out[f"{key}/spectral_tail.coeff"]) == tail.coeff
+    # every evaluator on each held law
+    held = module.held_laws()
+    assert sorted(held) == ["convolved", "point_mass", "unreached"]
+    fields = ["S", "delta", "delta_abs", "lst_complex", "lst_complement_complex", "abscissa"]
+    fields += ["lst_series", "mean", "second_moment", "sample"]
+    kinds = ("lst", "lst_complement")
+    fields += [f"{kind}.a{a!r}" for a in module.OVERSHOOT_ALPHAS for kind in kinds]
+    fields += [f"{kind}.u{u!r}" for u in (0.0, *module.PH_TAIL_U) for kind in ("tail", "density")]
+    fields += [f"spectral_tail.{f}" for f in ("mu", "mult", "coeff", "laurent")]
+    for name, law in held.items():
+        key = f"phase_type/held.{name}"
+        ours = sorted(k[len(key) + 1:] for k in out if k.startswith(key + "/"))
+        assert ours == sorted(fields)
+        assert eval(out[f"{key}/delta_abs"]) == law.delta_abs
+        assert eval(out[f"{key}/lst_complement.a0.5"]) == phase_type.ph_lst_complement(law, 0.5)
+        assert eval(out[f"{key}/density.u1.0"]) == phase_type.ph_density(law, 1.0)
+        nodes = np.array(module.PH_NODES)
+        assert eval(out[f"{key}/lst_complex"]) == tuple(phase_type.ph_lst_complex(law, nodes))
+    assert out["phase_type/held.point_mass/abscissa"] == "inf"
+    assert out["phase_type/held.point_mass/spectral_tail.mu"] == (
+        "raised ValueError: the point mass at zero has no tail"
+    )
+    assert eval(out["phase_type/held.unreached/spectral_tail.laurent"]) == (1.0,)
+    assert eval(out["phase_type/held.convolved/delta_abs"]) == 0.0
+    assert len(eval(out["phase_type/held.convolved/delta"])) == 3
 
 
 def test_transform_rows_get_route_lines(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from itertools import combinations
 from pathlib import Path
 
@@ -122,6 +123,40 @@ def test_no_clients_sum_one_empty_chain():
     for beta in (0.0, 1.0):
         assert overshoot.pi_explicit_chains(mdl, beta, 0.5) == 1.0
         assert overshoot.pi_via_ladders(mdl, beta, 0.5) == 1.0
+
+
+def _fig2_table():
+    mdl, _ = load_model(Path(__file__).resolve().parent.parent / "configs" / "fig2.json")
+    return overshoot.OvershootTable(mdl, 1.0)
+
+
+def _empty_pool_table():
+    mdl = model.ModelSpec(m=0, lambda_circ=(), claims=(), regimes=(model.drift(1.0),))
+    return overshoot.OvershootTable(mdl, 1.0)
+
+
+ALPHA = "alpha must be nonnegative and finite, got "
+
+
+@pytest.mark.parametrize(
+    "table, call, message",
+    [
+        (_fig2_table, lambda t: t.zeta(2, 0, math.nan), ALPHA + "nan"),
+        (_fig2_table, lambda t: t.xi(2, 0, math.nan, 1.0), ALPHA + "nan"),
+        (_fig2_table, lambda t: t.xi(2, 0, 1.0, math.inf), "gamma must be positive and finite, got inf"),
+        (_fig2_table, lambda t: t.pi_via_ladders(math.nan), ALPHA + "nan"),
+        (_fig2_table, lambda t: t.pi_explicit_chains(math.nan), ALPHA + "nan"),
+        (_fig2_table, lambda t: t.pi_via_ladders(math.inf), ALPHA + "inf"),
+        (_empty_pool_table, lambda t: t.pi_via_ladders(-1.0), ALPHA + "-1.0"),
+        (_empty_pool_table, lambda t: t.pi_explicit_chains(-1.0), ALPHA + "-1.0"),
+    ],
+    ids=["zeta.nan", "xi.alpha_nan", "xi.gamma_inf", "ladders.nan", "chains.nan", "ladders.inf",
+         "m0.ladders.neg", "m0.chains.neg"],
+)
+def test_arguments_outside_their_range_are_refused_by_name(table, call, message):
+    # refused before any contour runs, and on a pool with no clients too
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(table())
 
 
 def test_three_way_agreement_random_models():

@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 import types
 from pathlib import Path
@@ -449,6 +450,87 @@ def test_spectral_tail_reads_the_reached_phases_only():
     # an atom is kept: the reached phases carry the rest of the mass
     held = spectral_tail(PhaseType(delta=np.array([0.0, 0.6, 0.0]), S=S, delta_abs=0.4))
     assert (held.mu, held.mult) == (2.0, 1) and math.isclose(held.coeff, 0.6, rel_tol=1e-14)
+
+
+def test_point_mass_at_zero_takes_the_general_formulas():
+    # the law with no phase: every evaluator reads the convolution
+    # identity's values, by repr, exact zeros with their signs
+    z = point_mass_zero()
+    nodes = np.array([1.0 + 2.0j, -1.0 + 2.0j, -0.5 - 0.5j, 0j, 3.0])
+    got = {
+        "lst": [ph_lst(z, a) for a in (0.0, 2.0)],
+        "complement": [phase_type.ph_lst_complement(z, a) for a in (0.0, 2.0)],
+        "complex": phase_type.ph_lst_complex(z, nodes).tolist(),
+        "complement_complex": phase_type.ph_lst_complement_complex(z, nodes).tolist(),
+        "abscissa": phase_type.ph_abscissa(z),
+        "series": phase_type.ph_lst_series(z, 0.5, 3).c,
+        "moments": (ph_mean(z), phase_type.ph_second_moment(z)),
+        "tail": [ph_tail(z, u) for u in (0.0, 3.0)],
+        "density": ph_density(z, 1.0),
+        "sample": ph_sample(z, np.random.default_rng(1), 4).tolist(),
+    }
+    assert {k: repr(v) for k, v in got.items()} == {
+        "lst": "[1.0, 1.0]",
+        "complement": "[0.0, 0.0]",
+        "complex": "[(1+0j), (1+0j), (1+0j), (1+0j), (1+0j)]",
+        "complement_complex": "[0j, 0j, 0j, 0j, 0j]",
+        "abscissa": "inf",
+        "series": "(1.0, 0.0, 0.0, 0.0)",
+        "moments": "(0.0, 0.0)",
+        "tail": "[0.0, 0.0]",
+        "density": "0.0",
+        "sample": "[0.0, 0.0, 0.0, 0.0]",
+    }
+    # the reserve is checked before the law is read
+    with pytest.raises(ValueError, match=re.escape("u must be nonnegative and finite, got -1.0")):
+        ph_density(z, -1.0)
+    with pytest.raises(ValueError, match="the point mass at zero has no tail"):
+        spectral_tail(z)
+
+
+UNREACHED = PhaseType(
+    delta=np.array([0.0, 1.0, 0.0]),
+    S=np.array([[-1.0, 0.5, 0.0], [0.0, -2.0, 0.0], [0.0, 0.3, -1.5]]),
+)
+
+
+@pytest.mark.parametrize("u", [1.0, 5.0, 20.0, 40.0])
+def test_tail_and_density_read_the_reached_phases_only(u):
+    # the law enters only the phase of rate 2: its tail is e^{-2u}, and
+    # the unreached phases' rounding stays out of the matrix exponential
+    tail, density = math.exp(-2.0 * u), 2.0 * math.exp(-2.0 * u)
+    assert abs(ph_tail(UNREACHED, u) - tail) <= 2 * math.ulp(tail)
+    assert abs(ph_density(UNREACHED, u) - density) <= 2 * math.ulp(density)
+
+
+def test_reached_law_is_the_law_itself_when_every_phase_is_reached():
+    law = claims.Erlang(3, 2.0).phase_type()
+    assert phase_type._reached_law(law) is law
+    z = point_mass_zero()
+    assert phase_type._reached_law(z) is z
+    restricted = phase_type._reached_law(UNREACHED)
+    assert restricted == PhaseType(delta=np.array([1.0]), S=np.array([[-2.0]]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda law: ph_lst(law, math.inf), "alpha must be nonnegative and finite, got inf"),
+        (
+            lambda law: phase_type.ph_lst_complement(law, math.inf),
+            "alpha must be nonnegative and finite, got inf",
+        ),
+        (lambda law: ph_tail(law, math.inf), "u must be nonnegative and finite, got inf"),
+        (lambda law: ph_density(law, math.nan), "u must be nonnegative and finite, got nan"),
+    ],
+    ids=["lst.inf", "complement.inf", "tail.inf", "density.nan"],
+)
+def test_non_finite_arguments_are_refused_by_name(call, message):
+    # refused before any solve or matrix exponential runs
+    mdl, _ = load_model(CONFIGS / "fig2.json")
+    law = running_max_ph(mdl, 1.0, mdl.m)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(law)
 
 
 def test_running_max_with_hyperexponential_claims():
