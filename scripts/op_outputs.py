@@ -41,12 +41,17 @@ same models and betas, each (config, beta) on one model object: its
 ``PH_TAIL_U``, ``ph_density`` at each of ``PH_TAIL_U`` and each field of
 its ``spectral_tail`` (``mu``, ``mult``, ``coeff`` and the Laurent
 coefficients ``laurent``); a refused law (fig5's Lomax claims) is recorded
-as the error it raised.  It also holds every evaluator of the module on
+as the error it raised.  After that law, on the same model object, it
+records the law at every n < m: its ``delta``, ``S``, ``delta_abs`` and
+``ph_lst`` at each of ``OVERSHOOT_ALPHAS``.  It also holds every evaluator of the module on
 three laws held here (``held_laws``): the point mass at zero, a law with
 phases it never enters, and a convolution with an atom.  The ``killed_max``
 group holds the killed-maximum factor itself on one regime of each kind
 (``KILLED_MAX_REGIMES``), and the atom of every bundled config's and held
-model's engine (:func:`killed_max_outputs`).
+model's engine (:func:`killed_max_outputs`).  The ``generic`` group holds,
+on the same models and betas and at every n, the ladder rates and atoms of
+``generic_spec_from_drift``, ``pi_generic`` at each of ``OVERSHOOT_ALPHAS``
+and ``atom_at_zero``.
 
 Usage, from the repository root:
 
@@ -59,7 +64,7 @@ default the one holding this script).  ``--compare`` prints every entry
 that differs, with both values and, for float outputs, the largest
 relative difference; then one summary line per group (each workload,
 ``deep``, each held model, ``trace``, ``simulate``, ``overshoot``,
-``phase_type``, ``killed_max`` and ``cli``): the entries moved, of the group's total, and the worst relative
+``phase_type``, ``killed_max``, ``generic`` and ``cli``): the entries moved, of the group's total, and the worst relative
 move with its key.  Each group holding
 transform rows (``transform_battery``, whose rows hold ``pi_max``, the two
 overshoot routes and the phase-type transform where there is one, and
@@ -445,8 +450,38 @@ def phase_type_outputs(root: Path) -> dict:
                 out[f"{key}/spectral_tail.{field}"] = _value_repr(
                     lambda: getattr(spectral_tail(law), field)
                 )
+            for n in range(mdl.m):
+                part = running_max_ph(mdl, beta, n)
+                out[f"{key}/n{n}/delta"] = repr(tuple(part.delta.tolist()))
+                out[f"{key}/n{n}/S"] = repr(tuple(part.S.ravel().tolist()))
+                out[f"{key}/n{n}/delta_abs"] = repr(part.delta_abs)
+                for alpha in OVERSHOOT_ALPHAS:
+                    out[f"{key}/n{n}/lst.a{alpha!r}"] = _value_repr(lambda: ph_lst(part, alpha))
     for name, law in held_laws().items():
         out.update(held_law_outputs(f"phase_type/held.{name}", law))
+    return out
+
+
+def generic_outputs(root: Path) -> dict:
+    """``generic_spec_from_drift`` on each ``OVERSHOOT_CONFIGS`` model at
+    every n, each (config, beta) on one model object: its ladder rates and
+    atoms, ``pi_generic`` at each of ``OVERSHOOT_ALPHAS`` and
+    ``atom_at_zero``."""
+    from poolruin import ladder
+    from poolruin.config import load_model
+
+    out = {}
+    for name in OVERSHOOT_CONFIGS:
+        mdl, own = load_model(root / "configs" / f"{name}.json")
+        for beta in dict.fromkeys((own, 0.0)):
+            for n in range(mdl.m + 1):
+                key = f"generic/{name}.b{beta!r}.n{n}"
+                spec = ladder.generic_spec_from_drift(mdl, beta, n)
+                out[f"{key}/nu"] = repr(spec.nu)
+                out[f"{key}/p0"] = repr(spec.p0)
+                for alpha in OVERSHOOT_ALPHAS:
+                    out[f"{key}/pi.a{alpha!r}"] = _value_repr(lambda: ladder.pi_generic(spec, alpha))
+                out[f"{key}/atom"] = _value_repr(lambda: ladder.atom_at_zero(spec, n))
     return out
 
 
@@ -552,6 +587,7 @@ def record(root: Path, seed: int) -> dict:
     outputs.update(overshoot_outputs(root))
     outputs.update(phase_type_outputs(root))
     outputs.update(killed_max_outputs(root))
+    outputs.update(generic_outputs(root))
     with tempfile.TemporaryDirectory() as scratch:
         cli, rows = cli_outputs(root, Path(scratch))
     outputs.update(cli)

@@ -33,8 +33,8 @@ import numpy as np
 
 from . import phase_type as pht
 from ._lazy import LazyModule
-from .errors import MomentUndefined, NoConvergence, PoolRuinError, require_finite
-from .errors import NotPhaseType
+from .errors import MomentUndefined, NoConvergence, NotPhaseType, PoolRuinError
+from .errors import require_finite, require_nonnegative
 from .seriesops import Taylor, TransformJet, _from_log
 
 integrate = LazyModule("scipy.integrate")  # the Lomax quadrature only
@@ -173,8 +173,6 @@ class ClaimDistribution:
     kind: str = "abstract"
 
     def lst(self, alpha: float) -> float:
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
         return self.lst_series(alpha, 0).c[0]
 
     def lst_complement(self, alpha: float) -> float:
@@ -287,6 +285,8 @@ class Erlang(ClaimDistribution):
             raise ValueError("mu must be positive")
 
     def lst_series(self, alpha: float, order: int) -> Taylor:
+        if not 0 <= alpha < math.inf:  # inline: called at every jet's level
+            raise ValueError(f"alpha must be nonnegative and finite, got {alpha!r}")
         base = self.mu + alpha
         k = self.k
         coeffs = []
@@ -305,14 +305,18 @@ class Erlang(ClaimDistribution):
         return Taylor(coeffs)
 
     def lst(self, alpha: float) -> float:
+        if not 0 <= alpha < math.inf:  # inline: called at every real point
+            raise ValueError(f"alpha must be nonnegative and finite, got {alpha!r}")
         return (self.mu / (self.mu + alpha)) ** self.k
 
+    def lst_complex(self, z):
+        return (self.mu / (self.mu + z)) ** self.k
+
     def lst_complement(self, alpha: float) -> float:
+        require_nonnegative("alpha", alpha)
         if self.k == 1:
             return alpha / (self.mu + alpha)
         return -math.expm1(-self.k * math.log1p(alpha / self.mu))
-
-    lst_complex = lst
 
     def lst_complement_complex(self, z):
         # 1 - q^k = (1 - q)(1 + q + ... + q^(k-1)), q = mu / (mu + z), and
@@ -340,6 +344,7 @@ class Erlang(ClaimDistribution):
 
     def tail(self, u: float) -> float:
         # P(Gamma(k, mu) > u) = e^{-mu u} sum_{j<k} (mu u)^j / j!
+        require_nonnegative("u", u)
         x = self.mu * u
         term = 1.0
         acc = 1.0
@@ -488,8 +493,7 @@ class Lomax(ClaimDistribution):
         return out
 
     def lst_series(self, alpha: float, order: int) -> Taylor:
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        require_nonnegative("alpha", alpha)
         if alpha == 0.0:
             coeffs = [1.0]
             prod = 1.0
@@ -586,6 +590,7 @@ class Lomax(ClaimDistribution):
         return 0.0
 
     def tail(self, u: float) -> float:
+        require_nonnegative("u", u)
         return (self.c / (self.c + u)) ** self.eps
 
     def sample(self, rng, size, out=None):
@@ -626,6 +631,7 @@ class PointMass(ClaimDistribution):
             raise ValueError("b must be nonnegative")
 
     def lst_series(self, alpha: float, order: int) -> Taylor:
+        require_nonnegative("alpha", alpha)
         e = math.exp(-alpha * self.b)
         coeffs = []
         term = e
@@ -635,9 +641,12 @@ class PointMass(ClaimDistribution):
         return Taylor(coeffs)
 
     def lst(self, alpha: float) -> float:
+        if not 0 <= alpha < math.inf:  # inline, as Erlang's
+            raise ValueError(f"alpha must be nonnegative and finite, got {alpha!r}")
         return math.exp(-alpha * self.b)
 
     def lst_complement(self, alpha: float) -> float:
+        require_nonnegative("alpha", alpha)
         return -math.expm1(-alpha * self.b)
 
     def lst_complex(self, z):
@@ -660,6 +669,7 @@ class PointMass(ClaimDistribution):
         return math.inf
 
     def tail(self, u: float) -> float:
+        require_nonnegative("u", u)
         return 1.0 if u < self.b else 0.0
 
     def sample(self, rng, size, out=None):

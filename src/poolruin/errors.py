@@ -60,3 +60,9 @@ def require_finite(owner: str, **fields) -> None:
     for name, value in fields.items():
         if not math.isfinite(value):
             raise ValueError(f"{owner}: {name} must be finite, got {value!r}")
+
+
+def require_nonnegative(name: str, value: float) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` lies in [0, inf)."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")

@@ -134,16 +134,16 @@ flat level's and the positive pure drift's (both one) is a ``KilledMax`` at
 psi = nu_k, and so is the base of a state 0 that is neither (``_One``
 otherwise).
 
-Each thread keeps the model engines of its most recent (model object,
-beta), the overshoot route keeps its ladder heights there too, and the
-exact phase-type law of :func:`poolruin.phase_type.running_max_ph` is kept
-there by client count (:func:`_memo`), so the calls of one thread for one
-model reuse every value already computed.  The moment jets of
+Each thread keeps one store for its most recent (model object, beta)
+(:func:`_kept`): one record per level (:func:`_levels`), which the model
+engines, the overshoot route's levels and the exact phase-type law of
+:func:`poolruin.phase_type.running_max_ph` all read, the engines and the
+laws by client count, and the overshoot state.  So the calls of one thread
+for one model reuse every value already computed.  The moment jets of
 :func:`pi_jet` are kept for every beta asked of the thread's most recent
-model object: a new beta replaces the engines and the laws but not the
-jets, so a Stehfest node shared by several times is computed once.  Since
-a value never depends on the order of the requests, the reuse moves no
-value.
+model object: a new beta replaces the store but not the jets, so a
+Stehfest node shared by several times is computed once.  Since a value
+never depends on the order of the requests, the reuse moves no value.
 """
 
 from __future__ import annotations
@@ -832,32 +832,27 @@ def generic_spec_from_drift(
     model: ModelSpec, beta: float, n: int
 ) -> GenericLadderSpec:
     """Generic ladder data realizing the drift model: C_k is the claim
-    transform of the next arrival, nu_k = lam_k / r_k, p0_k = beta / lam_k."""
+    transform of the next arrival, nu_k = lam_k / r_k and p0_k the kill
+    atom, read from the level records (:func:`_levels`)."""
+    if not 0 <= n <= model.m:
+        raise ValueError("n must lie in 0..m")
     require_killing(model, beta, "the generic ladder realization")
     require_drift_model(model, "the generic ladder realization")
-    nu, cls_, p0 = [], [], []
-    for k in range(1, n + 1):
-        lam = model.rate_for_state(k) + beta
-        nu.append(lam / model.regimes[k].r)
-        cls_.append(model.claim_for_state(k))
-        p0.append(beta / lam)
-    return GenericLadderSpec(n=n, nu=tuple(nu), c_lsts=tuple(cls_), p0=tuple(p0))
+    levels = _levels(model, beta)[:n]
+    nu, c_lsts, p0 = (tuple(getattr(lv, f) for lv in levels) for f in ("nu", "claim", "p0"))
+    return GenericLadderSpec(n=n, nu=nu, c_lsts=c_lsts, p0=p0)
 
 
 class _Held:
     """What one thread keeps for its most recent model object: the jets of
-    :func:`pi_jet` by (beta, n), for every beta asked of it, and for its
-    most recent beta the model engines by ``n``, the overshoot state, which
-    :mod:`poolruin.overshoot` fills in, and the exact phase-type laws of
-    :func:`poolruin.phase_type.running_max_ph` by ``n``.  The model itself
+    :func:`pi_jet` by (beta, n), for every beta asked of it, and the store
+    of its most recent beta, ``values`` (:func:`_kept`).  The model itself
     is held by a weak reference only."""
 
     def __init__(self, model: ModelSpec, beta: float, jets: dict):
         self.model = weakref.ref(model)
         self.beta = beta
-        self.engines: dict = {}
-        self.overshoot = None
-        self.laws: dict = {}
+        self.values: dict = {}
         self.jets = jets
 
 
@@ -869,13 +864,10 @@ def _memo(model: ModelSpec, beta: float) -> _Held:
 
     A thread keeps one model object only, its most recent: a request for
     another model object replaces everything, and one for another beta
-    replaces the engines, the overshoot state and the phase-type laws but
-    keeps the jets.  The model is matched by identity, never by equality,
-    so a fresh model object, even one equal to the kept one, starts cold;
-    and since each thread has its own slot, two threads never share an
-    engine, a law or a jet.
-    Only values that were computed are kept: a request that raised stored
-    nothing and raises again.
+    replaces the values of :func:`_kept` but keeps the jets.  The model is
+    matched by identity, never by equality, so a fresh model object, even
+    one equal to the kept one, starts cold; and since each thread has its
+    own slot, two threads never share a record, an engine, a law or a jet.
     """
     held = getattr(_held, "slot", None)
     if held is None or held.model() is not model:
@@ -883,6 +875,40 @@ def _memo(model: ModelSpec, beta: float) -> _Held:
     elif held.beta != beta:
         held = _held.slot = _Held(model, beta, held.jets)
     return held
+
+
+def _kept(model: ModelSpec, beta: float, key, build):
+    """The value kept under ``key`` for (``model``, ``beta``) in the calling
+    thread (:func:`_memo`), from ``build()`` on the first request.  A build
+    that raised keeps nothing, and the next request builds again."""
+    values = _memo(model, beta).values
+    value = values.get(key)
+    if value is None:
+        value = values[key] = build()
+    return value
+
+
+def _level(model: ModelSpec, beta: float, k: int) -> _LadderLevel:
+    """The record of level ``k``: at lam = lambda_circ_k + beta, the kill
+    atom beta / lam, the thinning weight lambda_circ_k / lam, the ladder
+    rate nu = psi(lam), the root the killed-maximum factor divides out
+    (none for a nondecreasing path, which peaks at the segment end), and
+    that factor (none for a flat or positive pure drift: K = 1)."""
+    reg = model.regimes[k]
+    lam_circ = model.rate_for_state(k)
+    lam = lam_circ + beta
+    nu = None if reg.nondecreasing else inverse_exponent(reg, lam)
+    post = None if reg.pure_drift and reg.r >= 0 else KilledMax(reg, lam, nu)
+    return _LadderLevel(
+        nu=nu, claim=model.claim_for_state(k), p0=beta / lam, w=lam_circ / lam, post=post
+    )
+
+
+def _levels(model: ModelSpec, beta: float) -> tuple:
+    """The records of levels 1..m of (``model``, ``beta``), built whole on
+    the first request and kept (:func:`_kept`)."""
+    ks = range(1, model.m + 1)
+    return _kept(model, beta, "levels", lambda: tuple(_level(model, beta, k) for k in ks))
 
 
 def _check_request(model: ModelSpec, beta: float, n: int):
@@ -901,32 +927,15 @@ def engine(model: ModelSpec, beta: float, n: int) -> _Recursion:
     (level, point), so a value never depends on earlier requests.  The
     engine is shared by the calls of one thread: every call for the same
     model object, beta and ``n`` returns the same engine while that
-    (model, beta) is the thread's most recent (:func:`_memo`).
+    (model, beta) is the thread's most recent (:func:`_kept`).
     """
     _check_request(model, beta, n)
-    engines = _memo(model, beta).engines
-    eng = engines.get(n)
-    if eng is None:
-        eng = engines[n] = _model_engine(model, beta, n)
-    return eng
+    return _kept(model, beta, ("engine", n), lambda: _model_engine(model, beta, n))
 
 
 def _model_engine(model: ModelSpec, beta: float, n: int) -> _Recursion:
-    levels = []
-    for k in range(1, n + 1):
-        reg = model.regimes[k]
-        lam_circ = model.rate_for_state(k)
-        lam = lam_circ + beta
-        claim = model.claim_for_state(k)
-        # the ladder rate is psi(lam), the root the killed-maximum factor
-        # divides out: solve it once per level; a nondecreasing path peaks
-        # at the segment end and has none
-        nu = None if reg.nondecreasing else inverse_exponent(reg, lam)
-        # a flat or positive pure drift has K = 1: no factor
-        post = None if reg.pure_drift and reg.r >= 0 else KilledMax(reg, lam, nu)
-        levels.append(
-            _LadderLevel(nu=nu, claim=claim, p0=beta / lam, w=lam_circ / lam, post=post)
-        )
+    """The recursion on the first ``n`` level records."""
+    levels = _levels(model, beta)[:n]
     reg0 = model.regimes[0]
     base = _One() if reg0.pure_drift and reg0.r >= 0 else KilledMax(reg0, beta)
     return _Recursion(base, levels, direct=True)

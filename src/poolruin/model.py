@@ -166,8 +166,8 @@ def inverse_exponent(regime: LevyRegime, lam: float) -> float:
     (:func:`laplace_exponent`), which does not cancel at a far below the
     law's scale, so psi keeps its digits at small lam.
     """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
     if regime.nondecreasing:
         raise NoRoot("a nondecreasing regime has phi <= 0 < lam: no root")
     if regime.pure_drift:
@@ -268,8 +268,8 @@ def left_root(regime: LevyRegime, lam: float) -> float:
     zero and the jump law's own singularity, which is all the contour rule
     needs of it.
     """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
     r, s2 = regime.r, regime.sigma2
     if regime.jump_rate == 0.0:
         if s2 > 0.0:

@@ -35,15 +35,16 @@ the direct formula once its rounding bound certifies it, so the two
 routes treat the windows differently too.
 
 Only the base of an xi recursion depends on alpha and k: its levels,
-xi_{k+2,k} up to xi_{m,k}, are levels 2..m of the model whatever alpha
-and k are.  So one set of those levels is kept per (model, beta), and the
-recursion of each (k, alpha) runs on its suffix from level k + 2.  The
-shared levels memoize what a contour needs of them and that does not
-depend on the base (:class:`poolruin.ladder._LevelMemo`): each level's
-step of the a priori bound on each circle, and its factors at the nodes
-of each certified ring.  A zeta matrix then costs, per alpha and k, each
-circle's candidate radii and truncation terms, the base's bound and node
-values, the recurrences over the levels, the anchors and the means.
+xi_{k+2,k} up to xi_{m,k}, are levels 2..m of the model whatever alpha and
+k are.  So one set of those levels is kept per (model, beta), and the
+recursion of each (k, alpha) runs on its suffix from level k + 2.  They
+are the ladder's level records (:func:`poolruin.ladder._levels`) with
+p0 = 0.  The shared levels memoize what a contour needs of them and that
+does not depend on the base (:class:`poolruin.ladder._LevelMemo`): each
+level's step of the a priori bound on each circle, and its factors at the
+nodes of each certified ring.  A zeta matrix then costs, per alpha and k,
+each circle's candidate radii and truncation terms, the base's bound and
+node values, the recurrences over the levels, the anchors and the means.
 Every kept value comes from the same operations on the same operands as
 on a recursion of its own, so the sharing moves no value.
 """
@@ -51,13 +52,14 @@ on a recursion of its own, so the sharing moves no value.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 
 from .claims import ClaimDistribution
-from .errors import ChainBudgetExceeded
-from .ladder import _gap, _LadderLevel, _LevelMemo, _memo, _Recursion
+from .errors import ChainBudgetExceeded, require_nonnegative
+from .ladder import _gap, _kept, _levels, _LevelMemo, _Recursion
 from .model import ModelSpec, require_drift_model, require_killing
 
 __all__ = [
@@ -204,17 +206,18 @@ class _OvershootForm:
 
 class _Kept:
     """What the overshoot routes keep for one (model, beta), shared by every
-    table of the thread's kept pair (:func:`poolruin.ladder._memo`): the
-    levels 2..m of every xi recursion, with their memos of rings and a
-    priori walks; the divided differences B[., nu_n] by client, the
-    zeta matrix by alpha, the survival probabilities at level zero, and the
-    xi engines of :meth:`OvershootTable.xi` by (k, alpha).  The routes read
-    zetas only, so their xi engines are not kept.  All of it lives as long
-    as the pair is the thread's most recent one: a request for another
-    model object or another beta drops it."""
+    table of the thread's kept pair (:func:`poolruin.ladder._kept`): the
+    levels 2..m of every xi recursion, which are the ladder's level records
+    with p0 = 0 and a memo of rings and a priori walks each; the divided
+    differences B[., nu_n] by client, the zeta matrix by alpha, the
+    survival probabilities at level zero, and the xi engines of
+    :meth:`OvershootTable.xi` by (k, alpha).  The routes read zetas only, so
+    their xi engines are not kept.  All of it lives as long as the pair is
+    the thread's most recent one: a request for another model object or
+    another beta drops it."""
 
-    def __init__(self, levels: list):
-        self.levels = levels
+    def __init__(self, records: tuple):
+        self.levels = [replace(lv, p0=0.0, memo=_LevelMemo()) for lv in records[1:]]
         self.slopes: dict = {}
         self.zetas: dict = {}
         self.survive = None
@@ -242,32 +245,11 @@ class OvershootTable:
         require_drift_model(model, "overshoot analysis")
         self.model = model
         self.beta = beta
-        m = model.m
-        self._lam = [model.lambda_circ[n - 1] + beta for n in range(1, m + 1)]
-        self._nu = [
-            self._lam[n - 1] / model.regimes[n].r for n in range(1, m + 1)
-        ]
-        self._claim = [model.claim_for_state(n) for n in range(1, m + 1)]
-        held = _memo(model, beta)
-        if held.overshoot is None:
-            levels = [
-                _LadderLevel(
-                    nu=self.nu(n),
-                    claim=self._claim[n - 1],
-                    p0=0.0,
-                    w=model.rate_for_state(n) / self.lam(n),
-                    memo=_LevelMemo(),
-                )
-                for n in range(2, m + 1)
-            ]
-            held.overshoot = _Kept(levels)
-        self._kept = held.overshoot
-
-    def lam(self, n: int) -> float:
-        return self._lam[n - 1]
+        self._records = _levels(model, beta)
+        self._kept = _kept(model, beta, "overshoot", lambda: _Kept(self._records))
 
     def nu(self, n: int) -> float:
-        return self._nu[n - 1]
+        return self._records[n - 1].nu
 
     def _slope(self, n: int):
         """B[., nu_n] for the claim law of state ``n``: its own divided
@@ -276,10 +258,10 @@ class OvershootTable:
         slopes = self._kept.slopes
         slope = slopes.get(n)
         if slope is None:
-            claim, nu = self._claim[n - 1], self.nu(n)
-            slope = claim.divided_difference(nu)
+            lv = self._records[n - 1]
+            slope = lv.claim.divided_difference(lv.nu)
             if slope is None:
-                slope = _Recursion(_Slope(claim, nu), ()).value
+                slope = _Recursion(_Slope(lv.claim, lv.nu), ()).value
             slopes[n] = slope
         return slope
 
@@ -293,7 +275,7 @@ class OvershootTable:
         lam_n / lam_circ_n.
         """
         n0 = k + 1
-        claim, nu = self._claim[n0 - 1], self.nu(n0)
+        claim, nu = self._records[n0 - 1].claim, self._records[n0 - 1].nu
         scale = self.model.rate_for_state(n0) / self.model.regimes[n0].r
         dd = claim.divided_difference(alpha, nu)
         if dd is None:
@@ -308,8 +290,7 @@ class OvershootTable:
         """The zeta matrix at ``alpha``: row n - 1 holds zeta(n, k, alpha)
         for k = 0..n-1.  Filled whole, from one xi engine per k, and kept
         only once every entry is computed."""
-        if not 0 <= alpha < math.inf:
-            raise ValueError(f"alpha must be nonnegative and finite, got {alpha!r}")
+        require_nonnegative("alpha", alpha)
         rows = self._kept.zetas.get(alpha)
         if rows is not None:
             return rows
@@ -324,12 +305,8 @@ class OvershootTable:
             engine = self._xi_engine(k, alpha)
             for n in range(k + 2, m + 1):
                 # xi_{n-1, k}(alpha, beta, nu_n) sits at level n - k - 2
-                nu_n = self.nu(n)
-                rows[n - 1][k] = (
-                    (self.model.rate_for_state(n) / self.lam(n))
-                    * self._claim[n - 1].lst(nu_n)
-                    * engine.level_value(n - k - 2, nu_n)
-                )
+                lv = self._records[n - 1]
+                rows[n - 1][k] = lv.w * lv.claim.lst(lv.nu) * engine.level_value(n - k - 2, lv.nu)
         self._kept.zetas[alpha] = rows
         return rows
 
@@ -338,8 +315,7 @@ class OvershootTable:
             raise ValueError("n must lie in 1..m")
         if not 0 <= k <= n - 1:
             raise ValueError("k must lie in 0..n-1")
-        if not 0 <= alpha < math.inf:
-            raise ValueError(f"alpha must be nonnegative and finite, got {alpha!r}")
+        require_nonnegative("alpha", alpha)
         if not 0 < gamma < math.inf:
             raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
         engines = self._kept.xi_engines

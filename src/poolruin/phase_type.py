@@ -18,6 +18,7 @@ import numpy as np
 
 from ._lazy import LazyModule
 from .errors import NoConvergence, NotPhaseType, PoolRuinError, SingularSystem
+from .errors import require_nonnegative
 from .seriesops import Taylor
 
 linalg = LazyModule("scipy.linalg")
@@ -102,8 +103,7 @@ def point_mass_zero() -> PhaseType:
 
 def ph_lst(ph: PhaseType, alpha: float) -> float:
     """Transform delta_abs + delta^T (alpha I - S)^(-1) s via one solve."""
-    if not 0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be nonnegative and finite, got {alpha!r}")
+    require_nonnegative("alpha", alpha)
     try:
         x = np.linalg.solve(alpha * np.eye(ph.d) - ph.S, ph.s)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - valid PH cannot hit this
@@ -115,8 +115,7 @@ def ph_lst_complement(ph: PhaseType, alpha: float) -> float:
     """1 - transform as alpha delta^T (alpha I - S)^(-1) 1, which does not
     cancel at small alpha: (alpha I - S) 1 = alpha 1 + s and delta^T 1 =
     1 - delta_abs."""
-    if not 0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be nonnegative and finite, got {alpha!r}")
+    require_nonnegative("alpha", alpha)
     try:
         x = np.linalg.solve(alpha * np.eye(ph.d) - ph.S, np.ones(ph.d))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - valid PH cannot hit this
@@ -127,8 +126,11 @@ def ph_lst_complement(ph: PhaseType, alpha: float) -> float:
 def ph_lst_complement_complex(ph: PhaseType, z: np.ndarray) -> np.ndarray:
     """1 - transform at an array of complex arguments, as
     z delta^T (z I - S)^(-1) 1 by one batched solve (see
-    :func:`ph_lst_complement`)."""
+    :func:`ph_lst_complement`); Re z < 0 is allowed, a non-finite entry
+    refused."""
     z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
+        raise ValueError("z must be finite: an entry is NaN or infinite")
     if ph.d == 0:  # z times the empty sum reads -0.0 real parts where Re z < 0
         return np.full(z.shape, complex(1.0 - ph.delta_abs))
     mats = z.reshape(-1, 1, 1) * np.eye(ph.d) - ph.S
@@ -139,8 +141,10 @@ def ph_lst_complement_complex(ph: PhaseType, z: np.ndarray) -> np.ndarray:
 
 def ph_lst_complex(ph: PhaseType, z: np.ndarray) -> np.ndarray:
     """Transform at an array of complex arguments by one batched solve of
-    (z I - S) x = s."""
+    (z I - S) x = s; a non-finite entry is refused."""
     z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
+        raise ValueError("z must be finite: an entry is NaN or infinite")
     eye = np.eye(ph.d)
     mats = z.reshape(-1, 1, 1) * eye - ph.S
     rhs = np.broadcast_to(ph.s, (mats.shape[0], ph.d))[..., None]
@@ -161,6 +165,7 @@ def ph_lst_series(ph: PhaseType, alpha: float, order: int) -> Taylor:
     The i-th coefficient is (-1)^i delta^T (alpha I - S)^(-(i+1)) s, obtained
     by repeated solves against one factorization.
     """
+    require_nonnegative("alpha", alpha)
     if ph.d == 0:  # the alternating sign would read -0.0 at odd orders
         return Taylor.constant(ph.delta_abs, order)
     A = alpha * np.eye(ph.d) - ph.S
@@ -248,8 +253,7 @@ def _absorbed(ph: PhaseType, u: float, right: np.ndarray) -> float:
 def ph_tail(ph: PhaseType, u: float) -> float:
     """Survival probability delta^T exp(S u) 1 (excludes the atom at zero),
     on the phases the law reaches (:func:`_reached_law`)."""
-    if not 0 <= u < math.inf:
-        raise ValueError(f"u must be nonnegative and finite, got {u!r}")
+    require_nonnegative("u", u)
     ph = _reached_law(ph)
     tail = float(ph.delta.sum()) if u == 0.0 else _absorbed(ph, u, np.ones(ph.d))
     return min(max(tail, 0.0), 1.0)
@@ -258,8 +262,7 @@ def ph_tail(ph: PhaseType, u: float) -> float:
 def ph_density(ph: PhaseType, u: float) -> float:
     """Density of the absolutely continuous part, delta^T exp(S u) s, on
     the phases the law reaches (:func:`_reached_law`)."""
-    if not 0 <= u < math.inf:
-        raise ValueError(f"u must be nonnegative and finite, got {u!r}")
+    require_nonnegative("u", u)
     ph = _reached_law(ph)
     return max(_absorbed(ph, u, ph.s), 0.0)
 
@@ -307,37 +310,35 @@ def running_max_ph(model, beta: float, n: int) -> PhaseType:
     then resolve it against the exponential ladder rate nu_k = lambda_k /
     r_k).  More than ``MAX_DENSE_PHASES`` phases raise :class:`NotPhaseType`.
 
-    The law is kept by ``n`` in the thread's slot for (model object, beta),
-    beside the ladder engines (:func:`poolruin.ladder._memo`), so a repeated
+    Each level's rate nu_k, thinning weight and kill atom are read from the
+    ladder's level records (:func:`poolruin.ladder._levels`).  The law is
+    kept by ``n`` in the thread's store for (model object, beta), beside
+    the ladder engines (:func:`poolruin.ladder._kept`), so a repeated
     call returns the same object; the arguments are checked on every call,
     and a build that raised keeps nothing.  The law is frozen and its
     arrays read-only, so the sharing moves no value.
     """
     # model imports claims, which imports this module; ladder imports model
-    from .ladder import _memo
+    from .ladder import _kept
     from .model import require_drift_model, require_killing
 
     require_killing(model, beta, "running_max_ph")
     if not 0 <= n <= model.m:
         raise ValueError("n must lie in 0..m")
     require_drift_model(model, "running_max_ph")
-    laws = _memo(model, beta).laws
-    law = laws.get(n)
-    if law is None:
-        law = laws[n] = _running_max_law(model, beta, n)
-    return law
+    return _kept(model, beta, ("law", n), lambda: _running_max_law(model, beta, n))
 
 
 def _running_max_law(model, beta: float, n: int) -> PhaseType:
+    """The law on the first ``n`` level records (:func:`poolruin.ladder._levels`)."""
+    from .ladder import _levels
+
+    levels = _levels(model, beta)[:n]
     blocks = []
-    for k in range(1, n + 1):
-        claim = model.claim_for_state(k)
-        claim_ph = claim.phase_type()
-        if claim_ph is None:
-            raise NotPhaseType(
-                f"claim kind {claim.kind!r} has no phase-type representation"
-            )
-        blocks.append(claim_ph)
+    for lv in levels:
+        blocks.append(lv.claim.phase_type())
+        if blocks[-1] is None:
+            raise NotPhaseType(f"claim kind {lv.claim.kind!r} has no phase-type representation")
     dim = sum(block.d for block in blocks)
     if dim > MAX_DENSE_PHASES:
         raise NotPhaseType(f"{dim} phases are above the dense phase bound")
@@ -346,22 +347,19 @@ def _running_max_law(model, beta: float, n: int) -> PhaseType:
     s_cur = np.zeros(0)
     delta_cur = np.zeros(0)
     atom_cur = 1.0
-    for k, claim_ph in enumerate(blocks, start=1):
+    for lv, claim_ph in zip(levels, blocks):
         # append the new claim block, fed by the unclipped exit rates s_cur
         S_cur, delta_prime, atom_prime = _append(S_cur, s_cur, delta_cur, atom_cur, claim_ph)
         kd = S_cur.shape[0]
         s_cur = -S_cur @ np.ones(kd)
         if kd == 0:  # every claim so far is the point mass at zero: the atom stays 1
             continue
-        lam_circ = model.lambda_circ[k - 1]
-        lam = lam_circ + beta
-        nu = lam / model.regimes[k].r
-        resolvent = np.linalg.solve((nu * np.eye(kd) - S_cur).T, delta_prime)
-        delta_cur = (lam_circ / lam) * nu * resolvent
+        resolvent = np.linalg.solve((lv.nu * np.eye(kd) - S_cur).T, delta_prime)
+        delta_cur = lv.w * lv.nu * resolvent
         # 1 - sum(delta_cur) as nonnegative terms (nu (nu I - S)^(-1) 1 =
         # 1 - (nu I - S)^(-1) s): the difference cancels below zero where
         # ruin is nearly certain
-        atom_cur = beta / lam + (lam_circ / lam) * (atom_prime + float(resolvent @ s_cur))
+        atom_cur = lv.p0 + lv.w * (atom_prime + float(resolvent @ s_cur))
     return PhaseType(delta=delta_cur, S=S_cur, delta_abs=atom_cur)
 
 

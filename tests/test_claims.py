@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poolruin import claims, ladder, phase_type
-from poolruin.errors import MomentUndefined, PoolRuinError
+from poolruin.errors import MomentUndefined, NoConvergence, PoolRuinError
 from poolruin.phase_type import PhaseType
 
 ALL_KINDS = [
@@ -613,8 +614,56 @@ def test_exponential_keeps_its_identity():
 
 
 def test_erlang_complex_transform_is_its_transform():
-    assert claims.Erlang.lst_complex is claims.Erlang.lst
-    assert claims.Exponential.lst_complex is claims.Erlang.lst
+    # one formula for both spellings; the real transform is that formula
+    # behind its argument check, to the same bits
+    assert claims.Exponential.lst_complex is claims.Erlang.lst_complex
+    for law in (claims.Exponential(0.7), claims.Erlang(3, 1.9)):
+        for x in (0.0, 1e-9, 0.3, 2.5, 1e6):
+            assert repr(law.lst(x)) == repr(law.lst_complex(x))
     # Exponential's own body: only k and kind
     own = {n for n in vars(claims.Exponential) if not n.startswith("__")}
     assert own == {"k", "kind"}
+
+
+CHECKED_LAWS = {
+    "exp": claims.Exponential(1.0),
+    "erlang": claims.Erlang(3, 1.0),
+    "point": claims.PointMass(2.0),
+    "lomax": claims.Lomax(1.0, 1.5),
+}
+CHECKED_METHODS = {
+    "lst": ("alpha", lambda law, x: law.lst(x)),
+    "lst_series": ("alpha", lambda law, x: law.lst_series(x, 2)),
+    "lst_complement": ("alpha", lambda law, x: law.lst_complement(x)),
+    "tail": ("u", lambda law, x: law.tail(x)),
+}
+
+
+@pytest.mark.parametrize("x", [-0.5, math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("method", CHECKED_METHODS)
+@pytest.mark.parametrize("name", CHECKED_LAWS)
+def test_a_claim_law_refuses_an_argument_outside_its_domain(name, method, x):
+    # below zero the transforms grow past one and the tails past certainty
+    arg, call = CHECKED_METHODS[method]
+    want = re.escape(f"{arg} must be nonnegative and finite, got {x!r}")
+    with pytest.raises(ValueError, match=want):
+        call(CHECKED_LAWS[name], x)
+
+
+def test_the_lomax_fraction_that_does_not_converge_is_refused():
+    # on the branch cut the continued fraction never settles
+    with pytest.raises(NoConvergence, match="continued fraction did not converge"):
+        claims.Lomax(1.0, 1.5).lst_complex(np.array([-2.0 + 0.0j]))
+
+
+def test_the_lomax_series_that_does_not_converge_is_refused(monkeypatch):
+    # below |cz| = 1 the series converges within 2000 terms at every
+    # node, so only a smaller budget reaches the refusal
+    law = claims.Lomax(1.0, 1.5)
+    z = np.array([0.9 + 0.0j])
+    want = law.lst_complex(z)
+    monkeypatch.setattr(claims, "_LOMAX_TERMS", 5)
+    with pytest.raises(NoConvergence, match="series did not converge"):
+        law.lst_complex(z)
+    monkeypatch.undo()
+    assert law.lst_complex(z).tolist() == want.tolist()

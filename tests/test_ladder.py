@@ -1271,3 +1271,132 @@ def test_a_priori_bound_covers_the_overshoot_bases(seed, law):
     points = [p for p, _ in xi._removable] + [alpha, table.nu(1)]
     centres = [p * (1.0 + float(rng.uniform(-0.3, 0.3))) for p in points]
     _assert_bound_covers(xi, [(level, x) for level in range(len(xi.levels) + 1) for x in centres])
+
+
+# a subordinator (state 1) and a flat state (3): levels without a ladder rate
+NONDECREASING_MODEL = model.ModelSpec(
+    m=4,
+    lambda_circ=(1.0, 2.0, 0.5, 1.5),
+    claims=(
+        claims.Exponential(0.8),
+        claims.Erlang(2, 1.5),
+        claims.Exponential(1.2),
+        claims.Exponential(2.0),
+    ),
+    regimes=(
+        model.brownian_drift(0.5, 1.0),
+        model.subordinator(r=-0.5, jump_rate=0.5, jump_law=claims.Exponential(2.0)),
+        model.compound_poisson_drift(1.5, 0.3, 1.0, claims.Exponential(2.0)),
+        model.drift(0.0),
+        model.brownian_drift(1.0, 0.5),
+    ),
+)
+
+
+def _record_models() -> dict:
+    """fig3 (Brownian factors), fig4 (a drift model) and a model with
+    nondecreasing regimes, each with its beta."""
+    out = {name: load_model(CONFIGS / f"{name}.json") for name in ("fig3", "fig4")}
+    out["nondecreasing"] = (NONDECREASING_MODEL, 0.8)
+    return out
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4", "nondecreasing"])
+def test_every_engine_runs_on_the_kept_level_records(name):
+    mdl, beta = _record_models()[name]
+    mdl = cold(mdl)
+    records = ladder._levels(mdl, beta)
+    assert len(records) == mdl.m and ladder._levels(mdl, beta) is records
+    for n in range(mdl.m + 1):
+        eng = ladder.engine(mdl, beta, n)
+        assert len(eng.levels) == n
+        assert all(eng.levels[j] is records[j] for j in range(n))
+    if name == "nondecreasing":
+        assert [lv.nu is None for lv in records] == [True, False, True, False]
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4", "nondecreasing"])
+def test_the_request_order_of_the_client_counts_moves_no_value(name):
+    mdl, beta = _record_models()[name]
+    rates = [lv.nu for lv in ladder._levels(cold(mdl), beta) if lv.nu is not None]
+    points = (0.0, 0.3, 2.5, *rates, *(1.2 * nu for nu in rates))
+
+    def below_m(mdl):
+        return repr([ladder.pi_max(mdl, beta, n, x) for n in range(mdl.m) for x in points])
+
+    first = cold(mdl)
+    prefix_first = below_m(first)
+    whole_after = repr([ladder.pi_max(first, beta, mdl.m, x) for x in points])
+    later = cold(mdl)
+    whole_first = repr([ladder.pi_max(later, beta, mdl.m, x) for x in points])
+    assert below_m(later) == prefix_first
+    assert whole_first == whole_after
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig4"])
+def test_the_phase_type_laws_do_not_depend_on_the_other_routes(name):
+    from poolruin.overshoot import OvershootTable
+
+    mdl, beta = load_model(CONFIGS / f"{name}.json")
+
+    def laws(mdl):
+        return repr([
+            (law.delta.tolist(), law.S.tolist(), law.delta_abs)
+            for law in (phase_type.running_max_ph(mdl, beta, n) for n in range(mdl.m + 1))
+        ])
+
+    alone = laws(cold(mdl))
+    after = cold(mdl)
+    OvershootTable(after, beta).pi_via_ladders(0.5)
+    ladder.pi_max(after, beta, mdl.m, 0.5)
+    assert laws(after) == alone
+
+
+def test_a_new_beta_drops_the_store_and_keeps_the_jets():
+    from poolruin.overshoot import OvershootTable
+
+    mdl, beta = load_model(CONFIGS / "fig4.json")
+    m = mdl.m
+    jet = ladder.pi_jet(mdl, beta, m)
+    held = ladder._memo(mdl, beta)
+    records = ladder._levels(mdl, beta)
+    eng = ladder.engine(mdl, beta, m)
+    law = phase_type.running_max_ph(mdl, beta, m)
+    table = OvershootTable(mdl, beta)
+    table.pi_via_ladders(0.5)
+    assert set(held.values) == {"levels", ("engine", m), ("law", m), "overshoot"}
+    ladder.pi_max(mdl, 2.0 * beta, m, 0.5)
+    other = ladder._memo(mdl, 2.0 * beta)
+    assert other is not held and set(other.values) == {"levels", ("engine", m)}
+    assert other.jets is held.jets
+    # back at beta: every record, engine, law and table state is built
+    # again, equal to the dropped ones, and the jet is the kept one
+    assert ladder._levels(mdl, beta) is not records
+    assert ladder._levels(mdl, beta) == records
+    assert ladder.engine(mdl, beta, m) is not eng
+    again = phase_type.running_max_ph(mdl, beta, m)
+    assert again is not law and again == law
+    assert OvershootTable(mdl, beta)._kept is not table._kept
+    assert ladder.pi_jet(mdl, beta, m) is jet
+
+
+def test_a_failed_build_keeps_no_value():
+    mdl = cold(NONDECREASING_MODEL)
+
+    def refused():
+        raise PoolRuinError("refused")
+
+    for _ in range(2):
+        with pytest.raises(PoolRuinError, match="refused"):
+            ladder._kept(mdl, 0.8, "probe", refused)
+        assert "probe" not in ladder._memo(mdl, 0.8).values
+    assert ladder._kept(mdl, 0.8, "probe", lambda: 1.5) == 1.5
+
+
+def test_the_generic_realization_refuses_a_client_count_outside_the_pool():
+    mdl, beta = load_model(CONFIGS / "fig2.json")
+    for n in (-1, mdl.m + 1):
+        with pytest.raises(ValueError, match=r"^n must lie in 0\.\.m$"):
+            ladder.generic_spec_from_drift(mdl, beta, n)
+    spec = ladder.generic_spec_from_drift(mdl, beta, mdl.m)
+    assert spec.nu == tuple(lv.nu for lv in ladder._levels(mdl, beta))

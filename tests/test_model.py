@@ -868,3 +868,19 @@ def test_a_positive_pure_drift_has_the_factor_one():
     k = model.KilledMax(model.drift(3.0), 1.0)
     assert (k.psi, k.form, k.removable, k.left) == (None, model.ProductForm((), ()), (), math.inf)
     assert (k.atom, k.real(0.7), k.series(0.7, 2).c) == (1.0, 1.0, (1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: model.inverse_exponent(model.brownian_drift(1.0, 1.0), math.inf),
+        lambda: model.inverse_exponent(model.drift(1.0), math.inf),
+        lambda: model.left_root(model.brownian_drift(1.0, 1.0), math.inf),
+        lambda: model.KilledMax(model.brownian_drift(1.0, 1.0), math.inf).real(0.5),
+    ],
+    ids=["inverse_exponent", "inverse_exponent-drift", "left_root", "KilledMax"],
+)
+def test_an_infinite_rate_is_refused(call):
+    # each got past a sign check alone, to nan or inf
+    with pytest.raises(ValueError, match=r"^lam must be positive and finite, got inf$"):
+        call()

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import cold
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "op_outputs.py"
 
 
@@ -188,12 +190,20 @@ def test_phase_type_group_holds_every_law_value():
     fields += [f"lst.a{a!r}" for a in module.OVERSHOOT_ALPHAS]
     fields += [f"{kind}.u{u!r}" for u in module.PH_TAIL_U for kind in ("tail", "density")]
     fields += [f"spectral_tail.{f}" for f in ("mu", "mult", "coeff", "laurent")]
+    prefix = ["S", "delta", "delta_abs", *(f"lst.a{a!r}" for a in module.OVERSHOOT_ALPHAS)]
     for name in ("fig2", "fig4", "m1_hand"):
         mdl, own = load_model(root / "configs" / f"{name}.json")
         for beta in {own, 0.0}:
             key = f"phase_type/{name}.b{beta!r}"
             ours = sorted(k[len(key) + 1:] for k in out if k.startswith(key + "/"))
-            assert ours == sorted(fields)
+            laws = [f"n{n}/{f}" for n in range(mdl.m) for f in prefix]
+            assert ours == sorted(fields + laws)
+            # each law below n = m, as a fresh model object builds it first
+            for n in range(mdl.m):
+                part = phase_type.running_max_ph(cold(mdl), beta, n)
+                assert out[f"{key}/n{n}/S"] == repr(tuple(part.S.ravel().tolist()))
+                assert out[f"{key}/n{n}/delta"] == repr(tuple(part.delta.tolist()))
+                assert out[f"{key}/n{n}/lst.a0.5"] == repr(phase_type.ph_lst(part, 0.5))
             law = phase_type.running_max_ph(mdl, beta, mdl.m)
             assert eval(out[f"{key}/delta"]) == tuple(law.delta)
             assert eval(out[f"{key}/S"]) == tuple(law.S.ravel())
@@ -229,6 +239,31 @@ def test_phase_type_group_holds_every_law_value():
     assert eval(out["phase_type/held.unreached/spectral_tail.laurent"]) == (1.0,)
     assert eval(out["phase_type/held.convolved/delta_abs"]) == 0.0
     assert len(eval(out["phase_type/held.convolved/delta"])) == 3
+
+
+def test_generic_group_holds_every_spec_value():
+    from poolruin import ladder
+    from poolruin.config import load_model
+
+    module = _op_outputs()
+    root = SCRIPT.parent.parent
+    out = module.generic_outputs(root)
+    assert all(key.startswith("generic/") for key in out)
+    assert not any(value.startswith("raised") for value in out.values())
+    fields = ["nu", "p0", "atom", *(f"pi.a{a!r}" for a in module.OVERSHOOT_ALPHAS)]
+    for name in module.OVERSHOOT_CONFIGS:
+        mdl, own = load_model(root / "configs" / f"{name}.json")
+        for beta in {own, 0.0}:
+            for n in range(mdl.m + 1):
+                key = f"generic/{name}.b{beta!r}.n{n}"
+                ours = sorted(k[len(key) + 1:] for k in out if k.startswith(key + "/"))
+                assert ours == sorted(fields)
+                # the record holds the spec's own values
+                spec = ladder.generic_spec_from_drift(cold(mdl), beta, n)
+                assert out[f"{key}/nu"] == repr(spec.nu) and len(spec.nu) == n
+                assert out[f"{key}/p0"] == repr(spec.p0)
+                assert out[f"{key}/pi.a1.0"] == repr(ladder.pi_generic(spec, 1.0))
+                assert out[f"{key}/atom"] == repr(ladder.atom_at_zero(spec, n))
 
 
 def test_transform_rows_get_route_lines(tmp_path, capsys):

@@ -720,3 +720,18 @@ def test_lomax_and_point_mass_routes_are_unchanged():
             got[(name, "pi_via_ladders", 0.8, a)] = table.pi_via_ladders(a)
             got[(name, "xi", 1.3, a)] = table.xi(3, 1, a, 1.3)
     assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in PINNED.items()}
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig4", "m1_hand"])
+def test_the_xi_levels_are_the_ladder_records_without_the_kill_atom(name):
+    mdl, beta = load_model(CONFIGS / f"{name}.json")
+    mdl = cold(mdl)
+    table = overshoot.OvershootTable(mdl, beta)
+    records = ladder._levels(mdl, beta)
+    assert table._records is records
+    levels = table._kept.levels
+    assert len(levels) == mdl.m - 1
+    for j, lv in enumerate(levels):
+        assert lv == dataclasses.replace(records[j + 1], p0=0.0)
+        assert lv.memo is not None and records[j + 1].memo is None
+    assert [table.nu(n) for n in range(1, mdl.m + 1)] == [lv.nu for lv in records]

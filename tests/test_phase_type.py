@@ -676,7 +676,7 @@ def test_a_failed_build_is_not_kept(monkeypatch):
         for _ in range(2):
             with pytest.raises(NotPhaseType, match="lomax"):
                 running_max_ph(mdl, beta, mdl.m)
-        assert ladder._memo(mdl, beta).laws == {}
+        assert ("law", mdl.m) not in ladder._memo(mdl, beta).values
     mdl = fig4_like_model()
     want = running_max_ph(cold(mdl), 1.0, 5)
     monkeypatch.setattr(phase_type, "MAX_DENSE_PHASES", 9)
@@ -702,3 +702,42 @@ def test_a_kept_law_equals_a_cold_build(name):
             assert repr(ph_tail(kept, u)) == repr(ph_tail(fresh, u))
         for alpha in (0.0, 0.5, 1.0, 4.0):
             assert repr(ph_lst(kept, alpha)) == repr(ph_lst(fresh, alpha))
+
+
+def _fig2_law():
+    """fig2's law from five clients at beta = 1: its pole is at -0.25."""
+    mdl, _ = load_model(CONFIGS / "fig2.json")
+    return running_max_ph(mdl, 1.0, 5)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, math.nan, math.inf], ids=repr)
+def test_the_transform_series_refuses_an_argument_outside_its_domain(alpha):
+    # -0.5 lies past the pole, where the solves return a Taylor of nothing
+    law = _fig2_law()
+    want = re.escape(f"alpha must be nonnegative and finite, got {alpha!r}")
+    with pytest.raises(ValueError, match=want):
+        phase_type.ph_lst_series(law, alpha, 2)
+    with pytest.raises(ValueError, match=want):
+        phase_type.ph_lst_series(point_mass_zero(), alpha, 2)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, complex(1.0, math.nan)], ids=repr)
+def test_the_complex_transforms_refuse_an_entry_that_is_not_finite(z):
+    law = _fig2_law()
+    nodes = np.array([1.0 + 2.0j, z])
+    for evaluate in (phase_type.ph_lst_complex, phase_type.ph_lst_complement_complex):
+        with pytest.raises(ValueError, match="z must be finite"):
+            evaluate(law, nodes)
+    with pytest.raises(ValueError, match="z must be finite"):
+        phase_type.ph_lst_complement_complex(point_mass_zero(), nodes)
+
+
+def test_a_spectral_tail_whose_coefficients_do_not_resolve_is_refused():
+    # two rates within the cluster tolerance: read as one double pole,
+    # whose second coefficient is negative, which no tail has
+    law = PhaseType(delta=[0.5, 0.5], S=np.diag([-1.0, -1.0 - 5e-9]))
+    with pytest.raises(NoConvergence, match="do not resolve"):
+        spectral_tail(law)
+    # apart, the two poles resolve: the simple one at -1 leads
+    tail = spectral_tail(PhaseType(delta=[0.5, 0.5], S=np.diag([-1.0, -1.5])))
+    assert (tail.mult, tail.coeff) == (1, pytest.approx(0.5, rel=1e-12))
